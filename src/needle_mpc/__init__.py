@@ -52,7 +52,6 @@ from .mpc import (
     MpcConfig,
     RecedingHorizonController,
     horizon_cost,
-    receding_step,
     solve_horizon,
 )
 from .optimizer import BoxNlp, MinimizeResult, gradient_check, minimize

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -50,6 +51,36 @@ class TestRun:
         code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            (name, value, name)
+            for name in ("horizon", "max_iterations", "multi_start", "seed")
+            for value in (2.7, "abc", True)
+        ]
+        + [
+            ("planar_mode", "no", "planar_mode"),
+            ("planar_mode", 1, "planar_mode"),
+            ("T_s_s", "0.05", "ts"),
+            ("gradient_tolerance", "abc", "gradient_tolerance"),
+            ("q_weights", "abc", "q_weights"),
+            ("u_x_bounds_rad_s", [-5.0, "5"], "u_x_bounds"),
+        ],
+    )
+    def test_mistyped_mpc_field_rejected_naming_the_field(
+        self, tmp_path, capsys, key, value, named
+    ):
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["mpc"][key] = value
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         path = quick_scenario(tmp_path)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
 from needle_mpc.mpc import (
+    HorizonSolution,
     MpcConfig,
     RecedingHorizonController,
+    _EulerHorizon,
     horizon_cost,
-    receding_step,
     solve_horizon,
 )
 from oracles import euler_cost_batch, refine_minimize
@@ -133,6 +136,119 @@ class TestGradient:
         assert worst <= 1e-5
 
 
+GRAD_BOUND = 1e-5    # criterion 7: max|g - fd| / (1 + max|fd|)
+
+_coord = st.floats(-100.0, 100.0)
+_offset = st.floats(-20.0, 20.0)
+
+
+def fd5_gradient(core, x, h_scale=1e-3):
+    """Five-point central differences of the value path.
+
+    The rounding error of a difference quotient grows like eps*|J|/h. With
+    h = 1e-6 a cost near 1e6 and a gradient near 0 alone exceed GRAD_BOUND,
+    which an adversarial draw finds; with h = 1e-3 the fourth-order stencil
+    keeps both its rounding and its truncation error far below the bound.
+    """
+    fd = np.empty_like(x)
+    for k in range(x.size):
+        h = h_scale * (1.0 + abs(x[k]))
+
+        def f(t):
+            y = x.copy()
+            y[k] += t
+            return core.value(y)
+
+        fd[k] = (f(-2.0 * h) - 8.0 * f(-h) + 8.0 * f(h) - f(2.0 * h)) / (12.0 * h)
+    return fd
+
+
+@st.composite
+def horizon_instances(draw):
+    """(config, start state, refs, flat inputs) at N in {1, 5, 10}.
+
+    Each input is drawn from its bounds, zero or the open box, so u_s = 0,
+    saturated inputs and, in planar mode, u_y = 0 all occur. References lie
+    within 20 mm per axis of the start, the scale of criterion 7.
+    """
+    n = draw(st.sampled_from((1, 5, 10)))
+    cfg = MpcConfig(horizon=n, planar_mode=draw(st.booleans()))
+    d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] >= 1e-2
+    )))
+    state = NeedleState(p=draw(st.tuples(_coord, _coord, _coord)), d=d / np.linalg.norm(d))
+    refs = state.p + np.array(draw(st.lists(
+        st.tuples(_offset, _offset, _offset), min_size=n + 1, max_size=n + 1
+    )))
+    lo, hi = cfg.input_bounds()
+    x = [
+        draw(st.one_of(
+            st.sampled_from((float(lo[j]), float(hi[j]), 0.0)),
+            st.floats(float(lo[j]), float(hi[j])),
+        ))
+        for _ in range(n)
+        for j in range(3)
+    ]
+    return cfg, state, refs, np.array(x)
+
+
+class TestEulerCore:
+    @given(horizon_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_value_path_equals_gradient_path_value(self, inst):
+        cfg, state, refs, x = inst
+        core = _EulerHorizon(state, refs, cfg)
+        assert core.value(x) == core.value_and_grad(x)[0]
+
+    @given(horizon_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_value_matches_batch_oracle(self, inst):
+        cfg, state, refs, x = inst
+        got = _EulerHorizon(state, refs, cfg).value(x)
+        want = euler_cost_batch(
+            state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
+            x.reshape(1, -1, 3),
+        )[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @given(horizon_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_predicted_states_match_step_euler_chain(self, inst):
+        cfg, state, refs, x = inst
+        states = _EulerHorizon(state, refs, cfg).states(x.tolist())
+        assert len(states) == cfg.horizon + 1
+        s = state
+        for k, u in enumerate(to_inputs(x.reshape(-1, 3))):
+            assert np.max(np.abs(states[k].p - s.p)) <= 1e-12
+            assert np.max(np.abs(states[k].d - s.d)) <= 1e-12
+            s = step_euler(s, u, cfg.ts)
+        assert np.max(np.abs(states[-1].p - s.p)) <= 1e-12
+
+    @given(horizon_instances())
+    @settings(max_examples=50, deadline=None)
+    def test_gradient_matches_central_differences(self, inst):
+        cfg, state, refs, x = inst
+        core = _EulerHorizon(state, refs, cfg)
+        _, grad = core.value_and_grad(x)
+        fd = fd5_gradient(core, x)
+        assert float(np.max(np.abs(grad - fd))) / (1.0 + float(np.max(np.abs(fd)))) <= GRAD_BOUND
+
+    @given(horizon_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_solve_never_exceeds_projected_warm_start_cost(self, inst):
+        cfg, state, refs, x_prev = inst
+        warm = HorizonSolution(
+            inputs=tuple(to_inputs(x_prev.reshape(-1, 3))), cost=0.0,
+            solver_status="converged", input_vector=x_prev,
+            _core=_EulerHorizon(state, refs, cfg),
+        )
+        lo, hi = cfg.horizon_bounds()
+        x0 = np.clip(np.concatenate((x_prev[3:], x_prev[-3:])), lo, hi)
+        warm_cost, _ = horizon_cost(state, to_inputs(x0.reshape(-1, 3)), refs, cfg)
+        sol = solve_horizon(state, refs, cfg, warm_start=warm)
+        assert sol.cost <= warm_cost
+
+
 class TestSolveHorizon:
     def test_symmetric_target_needs_no_bending(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
@@ -189,10 +305,12 @@ class TestSolveHorizon:
 
 
 class TestRecedingStep:
+    """One receding-horizon step through RecedingHorizonController.step."""
+
     def test_at_target_applies_near_zero_input(self):
         s = NeedleState(p=(4.0, -2.0, 30.0), d=(0, 0, 1))
         refs = np.tile(s.p, (CFG.horizon + 1, 1))
-        applied, _ = receding_step(s, refs, CFG)
+        applied, _ = RecedingHorizonController(CFG).step(s, refs)
         assert abs(applied.u_s) <= 1e-6
         assert abs(applied.u_x) <= 1e-6
         assert abs(applied.u_y) <= 1e-6
@@ -200,20 +318,20 @@ class TestRecedingStep:
     def test_far_target_saturates_insertion_speed(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         refs = np.tile([0.0, 0.0, 500.0], (CFG.horizon + 1, 1))
-        applied, _ = receding_step(s, refs, CFG)
+        applied, _ = RecedingHorizonController(CFG).step(s, refs)
         assert applied.u_s == pytest.approx(24.0, abs=1e-9)
 
     def test_applied_is_first_solved_input(self):
         rng = np.random.default_rng(26)
         state, refs, _ = random_instance(rng, CFG.horizon)
-        applied, sol = receding_step(state, refs, CFG)
+        applied, sol = RecedingHorizonController(CFG).step(state, refs)
         assert applied.as_array() == pytest.approx(sol.inputs[0].as_array(), abs=0.0)
 
     def test_planar_mode_zeroes_u_y_exactly(self):
         cfg = MpcConfig(planar_mode=True)
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         refs = np.tile([8.0, 5.0, 40.0], (cfg.horizon + 1, 1))
-        applied, sol = receding_step(s, refs, cfg)
+        applied, sol = RecedingHorizonController(cfg).step(s, refs)
         assert applied.u_y == 0.0
         assert all(u.u_y == 0.0 for u in sol.inputs)
 
