@@ -19,12 +19,20 @@ import csv
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    NumericalFailureError,
+    _integer,
+    _real,
+    _reals,
+)
 from .kinematics import (
     Array,
     NeedleState,
@@ -70,6 +78,8 @@ class PlantConfig:
     theta_e_error is added to the true channel offset (rad). Measurement
     noise is zero-mean Gaussian per position axis (mm std). latency_steps
     delays the state the controller sees by whole control periods.
+    Numeric fields must be numbers and integer fields integers; nothing is
+    truncated or coerced.
     """
 
     integrator: str = "exact"
@@ -85,24 +95,21 @@ class PlantConfig:
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
         for name in ("gain_error", "theta_e_error"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidConfigError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.gain_error <= -1.0:
             raise InvalidConfigError(
                 f"gain_error must exceed -1 so the true gain stays positive, got {self.gain_error:g}"
             )
-        std = tuple(float(v) for v in self.measurement_noise_std)
-        if len(std) != 3 or any(not math.isfinite(v) or v < 0.0 for v in std):
+        std = _reals(self.measurement_noise_std, "measurement_noise_std", 3)
+        if any(v < 0.0 for v in std):
             raise InvalidConfigError(
                 f"measurement_noise_std must be 3 nonnegative values, got {self.measurement_noise_std}"
             )
         object.__setattr__(self, "measurement_noise_std", std)
-        if int(self.latency_steps) < 0:
-            raise InvalidConfigError(f"latency_steps must be >= 0, got {self.latency_steps}")
-        object.__setattr__(self, "latency_steps", int(self.latency_steps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(
+            self, "latency_steps", _integer(self.latency_steps, "latency_steps", 0)
+        )
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
     def true_geometry(self, nominal: TendonGeometry) -> TendonGeometry:
         """Nominal geometry with this plant's perturbations applied."""
@@ -115,7 +122,11 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step budget, initial state and bookkeeping options of one run."""
+    """Step budget, initial state and bookkeeping options of one run.
+
+    Numeric fields must be numbers, integer fields integers and early_stop a
+    bool; nothing is truncated or coerced.
+    """
 
     steps: int = 210
     initial_state: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
@@ -126,24 +137,21 @@ class RunConfig:
     fault_budget: int = 10
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise InvalidConfigError(f"steps must be >= 1, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
-        init = tuple(float(v) for v in self.initial_state)
-        if len(init) != 6:
-            raise InvalidConfigError(
-                f"initial_state must have 6 entries (p, d), got {len(init)}"
-            )
+        object.__setattr__(self, "steps", _integer(self.steps, "steps", 1))
+        init = _reals(self.initial_state, "initial_state", 6)
         object.__setattr__(self, "initial_state", init)
-        NeedleState.from_vector(init)  # validates finiteness and unit norm
+        NeedleState.from_vector(init)  # validates the unit norm
+        if not isinstance(self.early_stop, (bool, np.bool_)):
+            raise InvalidConfigError(f"early_stop must be true or false, got {self.early_stop!r}")
+        object.__setattr__(self, "early_stop", bool(self.early_stop))
         for name in ("stop_tolerance_mm", "stop_speed_mm_s", "exclude_terminal_s"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
+            v = _real(getattr(self, name), name)
+            if v < 0.0:
                 raise InvalidConfigError(f"{name} must be nonnegative, got {v!r}")
             object.__setattr__(self, name, v)
-        if int(self.fault_budget) < 0:
-            raise InvalidConfigError(f"fault_budget must be >= 0, got {self.fault_budget}")
-        object.__setattr__(self, "fault_budget", int(self.fault_budget))
+        object.__setattr__(
+            self, "fault_budget", _integer(self.fault_budget, "fault_budget", 0)
+        )
 
     def state(self) -> NeedleState:
         return NeedleState.from_vector(self.initial_state)
@@ -245,7 +253,9 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
     controller = RecedingHorizonController(cfg)
     state = run.state()
-    history = [state]                 # true state at every step boundary
+    # true states of the last latency_steps + 1 step boundaries; the oldest
+    # is the one the controller sees
+    history = deque([state], maxlen=plant.latency_steps + 1)
     prev_meas_p: Optional[Array] = None
     d_est = np.array(state.d)
     records: list[StepRecord] = []
@@ -253,7 +263,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
     for k in range(run.steps):
         t = k * cfg.ts
-        delayed = history[max(0, k - plant.latency_steps)]
+        delayed = history[0]
         if noisy:
             p_meas = delayed.p + rng.standard_normal(3) * noise_std
             if prev_meas_p is not None:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidConfigError, InvalidInputError
+from .errors import DegenerateFitError, InvalidConfigError, InvalidInputError, _real
 from .kinematics import Array, VirtualInput
 
 DEFAULT_GAIN = 3.7e-4  # curvature per unit tension, 1/(mm N)
@@ -48,7 +48,8 @@ class TendonGeometry:
 
     theta_e is the mounting offset of the first tendon channel (rad), gain
     the curvature produced per newton of tension (1/(mm N)), tau_max the
-    largest tension the hardware may command (N).
+    largest tension the hardware may command (N). Each must be a finite
+    number; strings and bools are rejected, not coerced.
     """
 
     theta_e: float = 0.0
@@ -60,10 +61,7 @@ class TendonGeometry:
         if self.n_tendons != N_TENDONS:
             raise InvalidConfigError(f"n_tendons is fixed at {N_TENDONS}, got {self.n_tendons}")
         for name in ("theta_e", "gain", "tau_max"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidConfigError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.gain <= 0.0:
             raise InvalidConfigError(f"gain must be positive, got {self.gain:g}")
         if self.tau_max <= 0.0:

@@ -11,7 +11,10 @@ One scalar core serves a solve: `_EulerHorizon.predict` runs the Euler
 rollout once over plain Python floats and keeps the positions, directions
 and pre-normalization norms. The cost value, its gradient and the predicted
 states all read that output. The gradient is accumulated in reverse through
-the rollout, renormalization included, so it is exact to roundoff.
+the rollout, renormalization included, so it is exact to roundoff. The
+optimizer passes points as lists of floats and accepts the point its line
+search evaluated last, so the core keeps that rollout and computes the
+gradient there without rolling out again: one rollout per accepted iterate.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
 The first input of the optimized sequence is applied; the shifted remainder
 of the flat input vector warm-starts the next step.
@@ -20,45 +23,25 @@ of the flat input vector warm-starts the next step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    NumericalFailureError,
+    _integer,
+    _real,
+    _reals,
+)
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
 from .kinematics import Array, NeedleState, VirtualInput, rollout  # noqa: F401
 from .optimizer import BoxNlp, minimize
 
 STATUS_FAULT = "fault"
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidConfigError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidConfigError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _reals(value, name: str, count: int) -> tuple[float, ...]:
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise InvalidConfigError(f"{name} must be a list of {count} numbers, got {value!r}")
-    vals = tuple(_real(v, name) for v in value)
-    if len(vals) != count:
-        raise InvalidConfigError(f"{name} must have {count} entries, got {len(vals)}")
-    return vals
 
 
 def _pair(value, name: str) -> tuple[float, float]:
@@ -121,6 +104,11 @@ class MpcConfig:
         object.__setattr__(self, "gradient_tolerance", gtol)
         object.__setattr__(self, "multi_start", _integer(self.multi_start, "multi_start", 0))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        lo, hi = self.input_bounds()
+        lo, hi = np.tile(lo, self.horizon), np.tile(hi, self.horizon)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "_horizon_bounds", (lo, hi))
 
     def input_bounds(self) -> tuple[Array, Array]:
         """Per-step (lower, upper) bound triples, planar mode applied."""
@@ -130,8 +118,8 @@ class MpcConfig:
         return lo, hi
 
     def horizon_bounds(self) -> tuple[Array, Array]:
-        lo, hi = self.input_bounds()
-        return np.tile(lo, self.horizon), np.tile(hi, self.horizon)
+        """Bounds of the flat (3N,) input vector, read-only, built once per config."""
+        return self._horizon_bounds
 
 
 @dataclass(frozen=True)
@@ -175,10 +163,16 @@ class _EulerHorizon:
     Holds the per-solve constants (start state, flattened references,
     weights). predict() is the only Euler rollout; value(),
     value_and_grad() and states() all read its output. Flat vectors are
-    ordered (x_0, y_0, z_0, x_1, ...), three entries per step.
+    lists ordered (x_0, y_0, z_0, x_1, ...), three entries per step.
+
+    value() keeps the last point it evaluated with its rollout, and
+    value_and_grad() at an equal point (== on the lists) reads that rollout
+    instead of predicting again. The optimizer accepts the point its line
+    search evaluated last, so each accepted iterate costs one rollout.
+    forget() drops the kept rollout once a solve is over.
     """
 
-    __slots__ = ("s0", "n", "ts", "p0", "d0", "refs", "q", "r")
+    __slots__ = ("s0", "n", "ts", "p0", "d0", "refs", "q", "r", "_last_x", "_last")
 
     def __init__(self, s0: NeedleState, refs: Array, config: MpcConfig):
         self.s0 = s0
@@ -189,6 +183,7 @@ class _EulerHorizon:
         self.refs = refs.ravel().tolist()
         self.q = config.q_weights
         self.r = config.r_weights
+        self._last_x = self._last = None
 
     def predict(self, x: list) -> tuple[float, list, list, list]:
         """Roll the flat inputs x out; returns (cost, p, d, norms).
@@ -226,13 +221,17 @@ class _EulerHorizon:
             cost += qx * ex * ex + qy * ey * ey + qz * ez * ez
         return cost, p, d, norms
 
-    def value(self, x: Array) -> float:
-        return self.predict(x.tolist())[0]
+    def value(self, x: list) -> float:
+        rolled = self.predict(x)
+        self._last_x, self._last = list(x), rolled
+        return rolled[0]
 
-    def value_and_grad(self, x: Array) -> tuple[float, Array]:
-        """Cost and its gradient (3N,), accumulated in reverse."""
-        x = x.tolist()
-        cost, p, d, norms = self.predict(x)
+    def forget(self) -> None:
+        self._last_x = self._last = None
+
+    def value_and_grad(self, x: list) -> tuple[float, list]:
+        """Cost and its gradient (3N floats), accumulated in reverse."""
+        cost, p, d, norms = self._last if x == self._last_x else self.predict(x)
         ts, refs = self.ts, self.refs
         qx, qy, qz = (2.0 * w for w in self.q)
         rs, rx, ry = (2.0 * w for w in self.r)
@@ -266,7 +265,7 @@ class _EulerHorizon:
             lpx += qx * (p[k] - refs[k])
             lpy += qy * (p[k + 1] - refs[k + 1])
             lpz += qz * (p[k + 2] - refs[k + 2])
-        return cost, np.array(grad)
+        return cost, grad
 
     def states(self, x: list) -> tuple[NeedleState, ...]:
         """The start state followed by the N predicted states."""
@@ -292,8 +291,8 @@ def horizon_cost(
             f"expected {config.horizon} inputs for horizon {config.horizon}, got {len(inputs)}"
         )
     core = _EulerHorizon(s0, _check_refs(refs, config.horizon), config)
-    x = np.array([v for u in inputs for v in (u.u_s, u.u_x, u.u_y)])
-    return core.value_and_grad(x)
+    cost, grad = core.value_and_grad([float(v) for u in inputs for v in (u.u_s, u.u_x, u.u_y)])
+    return cost, np.array(grad)
 
 
 def _shift_warm_start(warm: HorizonSolution, horizon: int) -> Array:
@@ -335,8 +334,7 @@ def solve_horizon(
     x0 = np.zeros(3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
 
     try:
-        res = minimize(problem, np.clip(x0, lo, hi), multi_start=config.multi_start,
-                       seed=config.seed)
+        res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
         x = res.x
         status = res.status
         cost = res.value
@@ -344,12 +342,12 @@ def solve_horizon(
         iterations = res.iterations
     except NumericalFailureError:
         x = np.clip(np.zeros(3 * n), lo, hi)
-        cost = core.value(x)
+        cost = core.value(x.tolist())
         status = STATUS_FAULT
         pg = float("nan")
         iterations = 0
+    core.forget()
 
-    x = np.array(x)
     x.setflags(write=False)
     flat = x.tolist()
     return HorizonSolution(

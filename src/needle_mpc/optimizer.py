@@ -3,18 +3,27 @@
 Iterates x+ = x + lam * (P(x - alpha*g) - x) with P the box projection,
 alpha a safeguarded Barzilai-Borwein steplength (a one-pair curvature
 estimate refreshed every iteration) and lam from a monotone Armijo
-backtracking line search. Every iterate satisfies the bounds exactly and the
-objective never increases across accepted steps.
+backtracking line search. Every evaluated point, line-search trials
+included, is projected into the box, and the objective never increases
+across accepted steps.
 
 Convergence is declared when the unit-step projected gradient
 ||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|).
+
+The iteration runs over plain Python floats: at the problem sizes of a
+control horizon (a few dozen variables) per-element interpreter work is
+cheaper than the fixed cost of numpy calls. The objective callables
+therefore receive list[float] points. The accepted point of an iteration is
+the list that the last line-search trial evaluated, so an objective may
+keep the work of its last value-only evaluation and reuse it for the
+value-and-gradient call at an equal point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,19 +45,22 @@ STATUS_STALLED = "stalled"
 class BoxNlp:
     """A smooth objective with elementwise bounds.
 
-    objective maps x to (value, gradient). objective_value, when given, is a
-    cheaper value-only path used inside the line search; it must agree with
-    objective's value to roundoff.
+    objective maps a point, a list of dimension floats inside the bounds, to
+    (value, gradient), the gradient a sequence of dimension floats.
+    objective_value, when given, is a cheaper value-only path used inside
+    the line search; it must agree with objective's value to roundoff. The
+    solver reads both attributes when a solve starts and passes each
+    accepted point as the very list its line search last evaluated.
     """
 
     dimension: int
-    objective: Callable[[Array], tuple[float, Array]]
+    objective: Callable[[list], tuple[float, Sequence[float]]]
     lower: Array
     upper: Array
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
-    objective_value: Optional[Callable[[Array], float]] = None
+    objective_value: Optional[Callable[[list], float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -83,79 +95,106 @@ class MinimizeResult:
     projected_gradient_norm: float = field(default=float("nan"))
 
 
-def _require_finite(f: float, g: Array, x: Array, iteration: int) -> None:
-    if not math.isfinite(f) or not np.all(np.isfinite(g)):
+def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> None:
+    if len(g) != len(x):
+        raise InvalidInputError(
+            f"objective returned a gradient of length {len(g)}, expected {len(x)}"
+        )
+    if not (math.isfinite(f) and all(map(math.isfinite, g))):
         raise NumericalFailureError(
             f"objective returned non-finite value or gradient at iteration {iteration}, x={x}"
         )
 
 
-def _solve_from(problem: BoxNlp, x0: Array) -> MinimizeResult:
-    lo, hi = problem.lower, problem.upper
-    value_of = problem.objective_value or (lambda z: problem.objective(z)[0])
+def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
+    """One SPG run from x0; box holds the (lower, upper) pair of each entry."""
+    objective = problem.objective
+    value_of = problem.objective_value or (lambda z: objective(z)[0])
+    gtol = problem.gradient_tolerance
+    stol = problem.step_tolerance
 
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = problem.objective(x)
-    _require_finite(f, g, x, 0)
+    x = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(x0, box)]
+    f, g = objective(x)
+    _check_evaluation(f, g, x, 0)
 
-    pg = x - np.clip(x - g, lo, hi)
-    pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+    pg_norm = 0.0
+    for v, gi, (lo, hi) in zip(x, g, box):
+        t = v - gi
+        a = abs(v - (lo if t < lo else (hi if t > hi else t)))
+        if a > pg_norm:
+            pg_norm = a
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_norm, 1e-10)))
 
     status = STATUS_MAX_ITER
     iteration = 0
     for iteration in range(1, problem.max_iterations + 1):
-        if pg_norm <= problem.gradient_tolerance * (1.0 + abs(f)):
+        if pg_norm <= gtol * (1.0 + abs(f)):
             status = STATUS_CONVERGED
             break
 
-        d = np.clip(x - alpha * g, lo, hi) - x
-        gtd = float(g @ d)
-        if not np.any(d != 0.0) or gtd >= 0.0:
+        # d = P(x - alpha*g) - x, with g'd and whether any d_i != 0
+        d = []
+        gtd = 0.0
+        moved = False
+        for v, gi, (lo, hi) in zip(x, g, box):
+            t = v - alpha * gi
+            di = (lo if t < lo else (hi if t > hi else t)) - v
+            d.append(di)
+            gtd += gi * di
+            if di != 0.0:
+                moved = True
+        if not moved or gtd >= 0.0:
             # projection arc gives no descent direction: x is stationary
-            status = STATUS_CONVERGED if pg_norm <= math.sqrt(
-                problem.gradient_tolerance
-            ) * (1.0 + abs(f)) else STATUS_STALLED
+            status = STATUS_CONVERGED if pg_norm <= math.sqrt(gtol) * (
+                1.0 + abs(f)
+            ) else STATUS_STALLED
             break
 
         lam = 1.0
-        f_trial = value_of(x + d)
-        while not (math.isfinite(f_trial) and f_trial <= f + _ARMIJO * lam * gtd):
+        while True:
+            trial = []
+            for v, di, (lo, hi) in zip(x, d, box):
+                t = v + lam * di
+                trial.append(lo if t < lo else (hi if t > hi else t))
+            f_trial = value_of(trial)
+            if math.isfinite(f_trial) and f_trial <= f + _ARMIJO * lam * gtd:
+                break
             lam *= 0.5
             if lam < _LAMBDA_MIN:
                 break
-            f_trial = value_of(x + lam * d)
         if lam < _LAMBDA_MIN:
             status = STATUS_STALLED
             break
 
-        x_new = np.clip(x + lam * d, lo, hi)
-        f_new, g_new = problem.objective(x_new)
-        _require_finite(f_new, g_new, x_new, iteration)
+        f_new, g_new = objective(trial)
+        _check_evaluation(f_new, g_new, trial, iteration)
 
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, float(s @ s) / sy))
-        else:
-            alpha = _ALPHA_MAX
+        # s = x_new - x, y = g_new - g; pg and the norms at the new point
+        sy = ss = step_norm = pg_norm = x_norm = 0.0
+        for v, vn, gi, gn, (lo, hi) in zip(x, trial, g, g_new, box):
+            si = vn - v
+            sy += si * (gn - gi)
+            ss += si * si
+            a = abs(si)
+            if a > step_norm:
+                step_norm = a
+            t = vn - gn
+            a = abs(vn - (lo if t < lo else (hi if t > hi else t)))
+            if a > pg_norm:
+                pg_norm = a
+            a = abs(vn)
+            if a > x_norm:
+                x_norm = a
+        alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, ss / sy)) if sy > 0.0 else _ALPHA_MAX
+        x, f, g = trial, f_new, g_new
 
-        step_norm = float(np.max(np.abs(s)))
-        x, f, g = x_new, f_new, g_new
-        pg = x - np.clip(x - g, lo, hi)
-        pg_norm = float(np.max(np.abs(pg)))
-
-        if step_norm <= problem.step_tolerance * (1.0 + float(np.max(np.abs(x)))):
-            status = (
-                STATUS_CONVERGED
-                if pg_norm <= problem.gradient_tolerance * (1.0 + abs(f))
-                else STATUS_STALLED
-            )
+        if step_norm <= stol * (1.0 + x_norm):
+            status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
             break
 
     return MinimizeResult(
-        x=x, value=f, status=status, iterations=iteration, projected_gradient_norm=pg_norm
+        x=np.array(x), value=f, status=status, iterations=iteration,
+        projected_gradient_norm=pg_norm,
     )
 
 
@@ -176,32 +215,36 @@ def minimize(
         raise InvalidInputError(f"x0 must have shape ({problem.dimension},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise InvalidInputError("x0 contains non-finite values")
+    lower, upper = problem.lower, problem.upper
+    if multi_start > 0 and not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise InvalidConfigError("multi_start requires finite bounds")
 
-    best = _solve_from(problem, x0)
+    box = list(zip(lower.tolist(), upper.tolist()))
+    best = _solve_from(problem, box, x0.tolist())
     if multi_start > 0:
-        if not (np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper))):
-            raise InvalidConfigError("multi_start requires finite bounds")
         rng = np.random.default_rng(seed)
         for _ in range(multi_start):
-            start = rng.uniform(problem.lower, problem.upper)
-            res = _solve_from(problem, start)
+            res = _solve_from(problem, box, rng.uniform(lower, upper).tolist())
             if res.value < best.value:
                 best = res
     return best
 
 
 def gradient_check(
-    objective: Callable[[Array], tuple[float, Array]], x, h_scale: float = 1e-6
+    objective: Callable[[list], tuple[float, Sequence[float]]], x, h_scale: float = 1e-6
 ) -> float:
     """Largest relative disagreement between the analytic gradient and
-    central differences with per-coordinate step h = h_scale * (1 + |x_i|)."""
+    central differences with per-coordinate step h = h_scale * (1 + |x_i|).
+
+    objective is called with list[float] points, as BoxNlp.objective is.
+    """
     x = np.asarray(x, dtype=float)
-    _, g = objective(x)
+    g = np.asarray(objective(x.tolist())[1], dtype=float)
     fd = np.empty_like(x)
     for i in range(x.size):
         h = h_scale * (1.0 + abs(x[i]))
         e = np.zeros_like(x)
         e[i] = h
-        fd[i] = (objective(x + e)[0] - objective(x - e)[0]) / (2.0 * h)
+        fd[i] = (objective((x + e).tolist())[0] - objective((x - e).tolist())[0]) / (2.0 * h)
     scale = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
     return float(np.max(np.abs(g - fd))) / scale

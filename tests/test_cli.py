@@ -82,6 +82,41 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("plant", "measurement_noise_std_mm", "abc", "measurement_noise_std"),
+            ("plant", "gain_error", "abc", "gain_error"),
+            ("plant", "latency_steps", "x", "latency_steps"),
+            ("plant", "latency_steps", 1.5, "latency_steps"),
+            ("plant", "seed", 2.5, "seed"),
+            ("plant", "seed", True, "seed"),
+            ("plant", "seed", -1, "seed"),
+            ("run", "stop_tolerance_mm", "abc", "stop_tolerance_mm"),
+            ("run", "steps", 2.7, "steps"),
+            ("run", "steps", True, "steps"),
+            ("run", "fault_budget", 1.5, "fault_budget"),
+            ("run", "early_stop", "no", "early_stop"),
+            ("run", "initial_state", [0, 0, 0, 0, 0, "1"], "initial_state"),
+            ("geometry", "gain_per_mm_N", "abc", "gain"),
+            ("geometry", "gain_per_mm_N", True, "gain"),
+        ],
+    )
+    def test_mistyped_plant_run_geometry_field_rejected_naming_the_field(
+        self, tmp_path, capsys, section, key, value, named
+    ):
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc[section][key] = value
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"section '{section}'" in err and f"{named} must be" in err
+        assert not (tmp_path / "out").exists()
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         path = quick_scenario(tmp_path)
         for out in ("a", "b"):

@@ -13,6 +13,7 @@ from needle_mpc.mpc import (
     horizon_cost,
     solve_horizon,
 )
+from needle_mpc.optimizer import BoxNlp, minimize
 from oracles import euler_cost_batch, refine_minimize
 
 CFG = MpcConfig()
@@ -157,7 +158,7 @@ def fd5_gradient(core, x, h_scale=1e-3):
         def f(t):
             y = x.copy()
             y[k] += t
-            return core.value(y)
+            return core.value(y.tolist())
 
         fd[k] = (f(-2.0 * h) - 8.0 * f(-h) + 8.0 * f(h) - f(2.0 * h)) / (12.0 * h)
     return fd
@@ -198,13 +199,13 @@ class TestEulerCore:
     def test_value_path_equals_gradient_path_value(self, inst):
         cfg, state, refs, x = inst
         core = _EulerHorizon(state, refs, cfg)
-        assert core.value(x) == core.value_and_grad(x)[0]
+        assert core.value(x.tolist()) == core.value_and_grad(x.tolist())[0]
 
     @given(horizon_instances())
     @settings(max_examples=100, deadline=None)
     def test_value_matches_batch_oracle(self, inst):
         cfg, state, refs, x = inst
-        got = _EulerHorizon(state, refs, cfg).value(x)
+        got = _EulerHorizon(state, refs, cfg).value(x.tolist())
         want = euler_cost_batch(
             state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
             x.reshape(1, -1, 3),
@@ -229,7 +230,7 @@ class TestEulerCore:
     def test_gradient_matches_central_differences(self, inst):
         cfg, state, refs, x = inst
         core = _EulerHorizon(state, refs, cfg)
-        _, grad = core.value_and_grad(x)
+        _, grad = core.value_and_grad(x.tolist())
         fd = fd5_gradient(core, x)
         assert float(np.max(np.abs(grad - fd))) / (1.0 + float(np.max(np.abs(fd)))) <= GRAD_BOUND
 
@@ -247,6 +248,65 @@ class TestEulerCore:
         warm_cost, _ = horizon_cost(state, to_inputs(x0.reshape(-1, 3)), refs, cfg)
         sol = solve_horizon(state, refs, cfg, warm_start=warm)
         assert sol.cost <= warm_cost
+
+
+class _CountingCore(_EulerHorizon):
+    __slots__ = ("predictions",)
+
+    def predict(self, x):
+        self.predictions += 1
+        return super().predict(x)
+
+
+class TestRolloutReuse:
+    @given(horizon_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_gradient_after_other_point_is_bit_exact(self, inst):
+        cfg, state, refs, x = inst
+        core = _EulerHorizon(state, refs, cfg)
+        core.value([v + 0.5 for v in x.tolist()])
+        want = _EulerHorizon(state, refs, cfg).value_and_grad(x.tolist())
+        assert core.value_and_grad(x.tolist()) == want
+
+    @given(horizon_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_gradient_after_same_point_is_bit_exact(self, inst):
+        cfg, state, refs, x = inst
+        core = _EulerHorizon(state, refs, cfg)
+        core.value(x.tolist())
+        want = _EulerHorizon(state, refs, cfg).value_and_grad(x.tolist())
+        assert core.value_and_grad(list(x.tolist())) == want
+
+    def test_one_rollout_per_accepted_iterate(self):
+        rng = np.random.default_rng(4)
+        cfg = MpcConfig(horizon=5)
+        state, refs, _ = random_instance(rng, cfg.horizon)
+        core = _CountingCore(state, refs, cfg)
+        core.predictions = 0
+        counts = {"grad": 0, "value": 0}
+
+        def objective(x):
+            counts["grad"] += 1
+            return core.value_and_grad(x)
+
+        def objective_value(x):
+            counts["value"] += 1
+            return core.value(x)
+
+        lo, hi = cfg.horizon_bounds()
+        res = minimize(
+            BoxNlp(dimension=3 * cfg.horizon, objective=objective, lower=lo, upper=hi,
+                   objective_value=objective_value),
+            np.zeros(3 * cfg.horizon),
+        )
+        assert res.iterations > 3 and counts["grad"] > 3
+        # the start point is the only value-and-gradient call that predicts
+        assert core.predictions == counts["value"] + 1
+
+    def test_solve_drops_the_kept_rollout(self):
+        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        sol = solve_horizon(s, np.tile([5.0, 0.0, 50.0], (CFG.horizon + 1, 1)), CFG)
+        assert sol._core._last is None and sol._core._last_x is None
 
 
 class TestSolveHorizon:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError
+from needle_mpc.errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 from needle_mpc.optimizer import (
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
+    STATUS_STALLED,
     BoxNlp,
     gradient_check,
     minimize,
@@ -50,6 +51,12 @@ class TestProblemValidation:
     def test_tolerances_positive(self):
         with pytest.raises(InvalidConfigError):
             quadratic_problem([0.0], lower=[-1.0], upper=[1.0], gradient_tolerance=0.0)
+
+    def test_gradient_of_wrong_length_rejected(self):
+        p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
+        p.objective = lambda x: (0.0, [0.0])
+        with pytest.raises(InvalidInputError, match="length 1, expected 2"):
+            minimize(p, x0=[0.5, 0.5])
 
     def test_start_outside_box_is_projected(self):
         p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
@@ -205,6 +212,163 @@ class TestMultiStart:
         )
         with pytest.raises(InvalidConfigError):
             minimize(p, x0=[1.0], multi_start=4, seed=0)
+
+    def test_infinite_bounds_rejected_before_any_solve(self):
+        calls = []
+        p = quadratic_problem([0.0], lower=[-np.inf], upper=[np.inf])
+        p.objective = lambda x: calls.append(x) or (0.0, [0.0])
+        with pytest.raises(InvalidConfigError):
+            minimize(p, x0=[1.0], multi_start=4, seed=0)
+        assert calls == []
+
+
+class TestFloatListLoop:
+    """The solver's contract with its objective callables."""
+
+    @staticmethod
+    def recording_rosenbrock(calls):
+        def objective(x):
+            calls.append(("grad", x))
+            return rosenbrock(x)
+
+        def objective_value(x):
+            calls.append(("value", x))
+            return rosenbrock(x)[0]
+
+        return BoxNlp(
+            dimension=2,
+            objective=objective,
+            objective_value=objective_value,
+            lower=np.array([-0.5, 0.2]),
+            upper=np.array([0.8, 1.5]),
+            max_iterations=300,
+        )
+
+    def test_every_call_gets_a_list_of_floats_inside_the_box(self):
+        calls = []
+        p = self.recording_rosenbrock(calls)
+        minimize(p, x0=[-1.2, 1.0], multi_start=3, seed=1)
+        assert calls
+        for _, x in calls:
+            assert type(x) is list and len(x) == p.dimension
+            assert all(isinstance(v, float) for v in x)
+            assert all(lo <= v <= hi for v, lo, hi in zip(x, p.lower, p.upper))
+
+    def test_accepted_values_never_increase(self):
+        calls = []
+        minimize(self.recording_rosenbrock(calls), x0=[-1.2, 1.0])
+        accepted = [rosenbrock(x)[0] for kind, x in calls if kind == "grad"]
+        assert len(accepted) > 10
+        assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+
+    def test_accepted_point_is_the_last_trial_list(self):
+        # the reuse contract: each value-and-gradient call after the first
+        # receives the very list the last value-only call evaluated
+        calls = []
+        minimize(self.recording_rosenbrock(calls), x0=[-1.2, 1.0])
+        for (kind, x), (next_kind, y) in zip(calls, calls[1:]):
+            if next_kind == "grad":
+                assert kind == "value" and y is x
+
+    @given(
+        st.integers(1, 15).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+                st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_clamp_formula_property(self, draw):
+        center, weights, x0 = draw
+
+        def objective(x):
+            e = [v - c for v, c in zip(x, center)]
+            return (
+                sum(w * t * t for w, t in zip(weights, e)),
+                [2.0 * w * t for w, t in zip(weights, e)],
+            )
+
+        n = len(center)
+        p = BoxNlp(
+            dimension=n, objective=objective, lower=-np.ones(n), upper=np.ones(n),
+            gradient_tolerance=1e-10,
+        )
+        res = minimize(p, x0=x0)
+        assert res.x == pytest.approx(np.clip(center, -1.0, 1.0), abs=1e-6)
+        assert np.all(res.x >= -1.0) and np.all(res.x <= 1.0)
+
+
+class TestExitPaths:
+    def test_converged_on_projected_gradient(self):
+        # unit Hessian: the Barzilai-Borwein step lands on the minimum
+        p = quadratic_problem([0.3, -0.4, 2.0], lower=[-1] * 3, upper=[1] * 3)
+        res = minimize(p, x0=[0.9, 0.9, 0.9])
+        assert res.status == STATUS_CONVERGED
+        assert res.projected_gradient_norm <= p.gradient_tolerance * (1.0 + abs(res.value))
+        assert res.x == pytest.approx([0.3, -0.4, 1.0], abs=1e-12)
+
+    def test_converged_on_no_descent_branch(self):
+        # alpha * g * g underflows, so g'd is 0 although pg exceeds the tolerance
+        p = BoxNlp(
+            dimension=1,
+            objective=lambda x: (1e-170 * x[0], [1e-170]),
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            gradient_tolerance=1e-300,
+        )
+        res = minimize(p, x0=[0.0])
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations == 1
+        assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
+
+    def test_stalled_on_line_search_underflow(self):
+        p = quadratic_problem([0.5], lower=[-1], upper=[1])
+        p.objective_value = lambda x: float("nan")
+        res = minimize(p, x0=[0.0])
+        assert res.status == STATUS_STALLED
+        assert res.iterations == 1
+        assert res.x.tolist() == [0.0]
+
+    def test_stalled_on_step_tolerance(self):
+        p = BoxNlp(
+            dimension=2,
+            objective=rosenbrock,
+            lower=np.array([-2.0, -2.0]),
+            upper=np.array([2.0, 2.0]),
+            step_tolerance=10.0,
+        )
+        res = minimize(p, x0=[-1.2, 1.0])
+        assert res.status == STATUS_STALLED
+        assert res.iterations == 1
+        assert res.value < rosenbrock([-1.2, 1.0])[0]
+        assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
+
+    def test_max_iter_returns_last_accepted_iterate(self):
+        p = BoxNlp(
+            dimension=2,
+            objective=rosenbrock,
+            lower=np.array([-2.0, -2.0]),
+            upper=np.array([2.0, 2.0]),
+            max_iterations=1,
+        )
+        res = minimize(p, x0=[-1.2, 1.0])
+        assert res.status == STATUS_MAX_ITER
+        assert res.iterations == 1
+        assert res.value == rosenbrock(res.x.tolist())[0] < rosenbrock([-1.2, 1.0])[0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_gradient_raises(self, bad):
+        def objective(x):
+            e = x[0] - 0.5
+            return e * e, [2.0 * e if x[0] < 0.25 else bad]
+
+        p = BoxNlp(
+            dimension=1, objective=objective, lower=np.array([-1.0]), upper=np.array([1.0])
+        )
+        with pytest.raises(NumericalFailureError):
+            minimize(p, x0=[-1.0])
 
 
 class TestGradientCheck:
