@@ -12,7 +12,6 @@ from .errors import (
     InvalidInputError,
     NeedleMpcError,
     NumericalFailureError,
-    OutOfRangeError,
     SchemaError,
 )
 from .harness import (
@@ -28,19 +27,15 @@ from .harness import (
 )
 from .kinematics import (
     NeedleState,
-    SystemMatrices,
     VirtualInput,
-    derivative,
     rollout,
     step_euler,
     step_exact,
-    system_matrices,
 )
 from .mapping import (
     InverseMapResult,
     TendonCommand,
     TendonGeometry,
-    curvature_of_tension,
     estimate_curvature,
     fit_gain,
     forward_map,
@@ -58,7 +53,6 @@ from .optimizer import BoxNlp, MinimizeResult, gradient_check, minimize
 from .references import (
     FixedTarget,
     Helix,
-    Replay,
     ReferenceSpec,
     SharpTurn,
     Sinusoidal,

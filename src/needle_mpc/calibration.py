@@ -16,13 +16,20 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidInputError, SchemaError
+from .errors import (
+    DegenerateFitError,
+    InvalidConfigError,
+    InvalidInputError,
+    SchemaError,
+    _integer,
+    _real,
+)
+from .harness import _read_numeric_csv
 from .kinematics import Array, NeedleState, VirtualInput, rollout
 from .mapping import TendonGeometry, estimate_curvature, fit_gain
 
@@ -32,20 +39,24 @@ RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
 
 @dataclass(frozen=True)
 class CalibrationRun:
-    """Recorded tip positions (n, 3) for one tendon held at one tension."""
+    """Recorded tip positions (n, 3) for one tendon held at one tension.
+
+    tendon_index must be the integer 1, 2 or 3 and tension a nonnegative
+    number (N); strings, bools and fractional indices are rejected, not
+    coerced. Every message starts with the field it names.
+    """
 
     tendon_index: int
     tension: float
     tip_points: Array
 
     def __post_init__(self):
-        idx = int(self.tendon_index)
-        if idx not in (1, 2, 3):
-            raise InvalidInputError(f"tendon_index must be 1, 2 or 3, got {self.tendon_index}")
-        object.__setattr__(self, "tendon_index", idx)
-        tension = float(self.tension)
-        if not math.isfinite(tension) or tension < 0.0:
-            raise InvalidInputError(f"tension must be nonnegative, got {self.tension!r}")
+        if self.tendon_index not in (1, 2, 3):
+            raise InvalidInputError(f"tendon_index must be 1, 2 or 3, got {self.tendon_index!r}")
+        object.__setattr__(self, "tendon_index", _integer(self.tendon_index, "tendon_index", 1))
+        tension = _real(self.tension, "tension_N")
+        if tension < 0.0:
+            raise InvalidInputError(f"tension_N must be nonnegative, got {tension!r}")
         object.__setattr__(self, "tension", tension)
         pts = np.array(self.tip_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
@@ -113,29 +124,6 @@ def simulate_calibration_run(
     )
 
 
-def _read_run_csv(path) -> Array:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != RUN_CSV_COLUMNS:
-            raise InvalidInputError(
-                f"{path}: expected header {','.join(RUN_CSV_COLUMNS)!r}, got {header}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
-    if len(rows) < 3:
-        raise InvalidInputError(f"{path}: need at least 3 points, got {len(rows)}")
-    return np.array(rows)
-
-
 def load_runs_dir(directory) -> list[CalibrationRun]:
     """Load all calibration runs described by a directory's manifest."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
@@ -153,22 +141,30 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
         raise SchemaError(f"{manifest_path}: 'runs' must be a non-empty array")
     runs = []
     for k, entry in enumerate(entries):
+        where = f"{manifest_path}: runs[{k}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{manifest_path}: runs[{k}] must be an object")
+            raise SchemaError(f"{where} must be an object")
         unknown = sorted(set(entry) - {"file", "tendon_index", "tension_N"})
         if unknown:
-            raise SchemaError(f"{manifest_path}: runs[{k}] has unknown key(s): {', '.join(unknown)}")
+            raise SchemaError(f"{where} has unknown key(s): {', '.join(unknown)}")
         missing = sorted({"file", "tendon_index", "tension_N"} - set(entry))
         if missing:
-            raise SchemaError(f"{manifest_path}: runs[{k}] missing key(s): {', '.join(missing)}")
-        points = _read_run_csv(os.path.join(directory, entry["file"]))
-        runs.append(
-            CalibrationRun(
+            raise SchemaError(f"{where} missing key(s): {', '.join(missing)}")
+        if not isinstance(entry["file"], str):
+            raise SchemaError(f"{where}.file must be a string, got {entry['file']!r}")
+        try:
+            rows = _read_numeric_csv(os.path.join(directory, entry["file"]), RUN_CSV_COLUMNS, 3)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{where}.file: {exc}") from exc
+        try:
+            run = CalibrationRun(
                 tendon_index=entry["tendon_index"],
                 tension=entry["tension_N"],
-                tip_points=points,
+                tip_points=np.array(rows),
             )
-        )
+        except (InvalidConfigError, InvalidInputError) as exc:
+            raise SchemaError(f"{where}.{exc}") from exc
+        runs.append(run)
     return runs
 
 

@@ -23,7 +23,6 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NeedleMpcError,
-    OutOfRangeError,
     SchemaError,
 )
 
@@ -36,7 +35,6 @@ _VALIDATION_ERRORS = (
     InvalidConfigError,
     InvalidInputError,
     DegenerateFitError,
-    OutOfRangeError,
 )
 
 THREADS_ENV = "NEEDLE_MPC_THREADS"

@@ -53,7 +53,3 @@ class NumericalFailureError(NeedleMpcError, RuntimeError):
 
 class SchemaError(NeedleMpcError, ValueError):
     """A scenario or manifest document does not match the expected schema."""
-
-
-class OutOfRangeError(NeedleMpcError, ValueError):
-    """A query time lies outside the span covered by recorded data."""

@@ -449,29 +449,51 @@ def write_summary_json(result: ScenarioResult, scenario_doc: dict, path) -> None
         fh.write("\n")
 
 
+def _read_numeric_csv(path, columns: Sequence[str], min_rows: int) -> list[list[float]]:
+    """Rows of floats from a CSV whose header is exactly `columns`.
+
+    Blank rows are skipped. A wrong header, a row of the wrong width, a
+    non-numeric value, fewer than min_rows rows or a file that cannot be
+    read as text raise InvalidInputError naming the file (and the line, for
+    row faults); a missing file raises FileNotFoundError.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != list(columns):
+                raise InvalidInputError(
+                    f"{path}: expected header {','.join(columns)!r}, got {header}"
+                )
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise InvalidInputError(
+                        f"{path}:{lineno}: expected {len(columns)} columns, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
+    except FileNotFoundError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a text file: {exc}") from None
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot be read: {exc.strerror or exc}") from None
+    if len(rows) < min_rows:
+        raise InvalidInputError(f"{path}: need at least {min_rows} data row(s), got {len(rows)}")
+    return rows
+
+
 def read_commands_csv(path) -> list[TendonCommand]:
     """Tendon command sequence from a CSV with columns COMMANDS_CSV_COLUMNS."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != COMMANDS_CSV_COLUMNS:
-            raise InvalidInputError(
-                f"{path}: expected header {','.join(COMMANDS_CSV_COLUMNS)!r}, got {header}"
-            )
-        commands = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InvalidInputError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
-            commands.append(TendonCommand(u_s=values[0], tau=values[1:]))
-    if not commands:
-        raise InvalidInputError(f"{path}: no command rows found")
-    return commands
+    return [
+        TendonCommand(u_s=row[0], tau=row[1:])
+        for row in _read_numeric_csv(path, COMMANDS_CSV_COLUMNS, 1)
+    ]
 
 
 def write_commands_csv(commands: Sequence[TendonCommand], path) -> None:

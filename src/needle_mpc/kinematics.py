@@ -7,8 +7,9 @@ model is bilinear in state and input:
     ddot = d x (u_x, u_y, 0)
 
 with insertion speed u_s (mm/s) and bending rates u_x, u_y (rad/s). Stacking
-s = (p, d) this is sdot = u_s*B1*s + u_x*B2*s + u_y*B3*s for the constant
-matrices returned by :func:`system_matrices`.
+s = (p, d) this is sdot = u_s*B1*s + u_x*B2*s + u_y*B3*s, where B1 couples d
+into pdot and B2, B3 are the skew-symmetric direction blocks of d x e_x and
+d x e_y, so the direction keeps unit norm under the exact flow.
 
 Two integrators are provided: a forward-Euler step that renormalizes the
 direction after each update, and an exact step that rotates d about the fixed
@@ -104,46 +105,6 @@ class VirtualInput:
         return cls(u_s=u[0], u_x=u[1], u_y=u[2])
 
 
-# d x (u_x, u_y, 0) = (u_x * G + u_y * H) d
-_G = np.array([[0.0, 0.0, 0.0],
-               [0.0, 0.0, 1.0],
-               [0.0, -1.0, 0.0]])
-_H = np.array([[0.0, 0.0, -1.0],
-               [0.0, 0.0, 0.0],
-               [1.0, 0.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Constant 6x6 matrices with sdot = (u_s*B1 + u_x*B2 + u_y*B3) s."""
-
-    B1: Array
-    B2: Array
-    B3: Array
-
-
-def system_matrices() -> SystemMatrices:
-    """Build the bilinear system matrices (B1 couples d into pdot)."""
-    b1 = np.zeros((6, 6))
-    b1[:3, 3:] = np.eye(3)
-    b2 = np.zeros((6, 6))
-    b2[3:, 3:] = _G
-    b3 = np.zeros((6, 6))
-    b3[3:, 3:] = _H
-    for b in (b1, b2, b3):
-        b.setflags(write=False)
-    return SystemMatrices(B1=b1, B2=b2, B3=b3)
-
-
-_MATS = system_matrices()
-
-
-def derivative(state: NeedleState, u: VirtualInput) -> Array:
-    """Time derivative of the stacked 6-state at (state, u)."""
-    s = state.as_vector()
-    return u.u_s * (_MATS.B1 @ s) + u.u_x * (_MATS.B2 @ s) + u.u_y * (_MATS.B3 @ s)
-
-
 def _check_ts(ts: float) -> float:
     ts = float(ts)
     if not (math.isfinite(ts) and ts > 0.0):
@@ -152,7 +113,7 @@ def _check_ts(ts: float) -> float:
 
 
 def _bend(d: Array, u_x: float, u_y: float) -> Array:
-    # (u_x*G + u_y*H) d, written out to avoid building the matrices
+    # ddot = d x (u_x, u_y, 0)
     return np.array([-u_y * d[2], u_x * d[2], u_y * d[0] - u_x * d[1]])
 
 

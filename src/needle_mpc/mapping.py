@@ -24,7 +24,6 @@ recorded tip arcs and a through-origin linear fit of curvature vs tension.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,18 +54,18 @@ class TendonGeometry:
     theta_e: float = 0.0
     gain: float = DEFAULT_GAIN
     tau_max: float = DEFAULT_TAU_MAX
-    n_tendons: int = N_TENDONS
 
     def __post_init__(self):
-        if self.n_tendons != N_TENDONS:
-            raise InvalidConfigError(f"n_tendons is fixed at {N_TENDONS}, got {self.n_tendons}")
         for name in ("theta_e", "gain", "tau_max"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.gain <= 0.0:
             raise InvalidConfigError(f"gain must be positive, got {self.gain:g}")
         if self.tau_max <= 0.0:
             raise InvalidConfigError(f"tau_max must be positive, got {self.tau_max:g}")
-        object.__setattr__(self, "theta_e", self.theta_e % (2.0 * math.pi))
+        theta_e = self.theta_e % (2.0 * math.pi)
+        # an angle just below 0 rounds up to exactly 2 pi, which would wrap
+        # to 0 when the resolved geometry is parsed again
+        object.__setattr__(self, "theta_e", 0.0 if theta_e == 2.0 * math.pi else theta_e)
 
     def channel_angles(self) -> Array:
         """Angles 2*pi*(j-1)/3 - theta_e of the three channels (rad)."""
@@ -99,14 +98,6 @@ class TendonCommand:
             raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
         tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
-
-
-def curvature_of_tension(tau_j: float, geometry: TendonGeometry) -> float:
-    """Curvature magnitude (1/mm) contributed by one tendon at tension tau_j (N)."""
-    tau_j = float(tau_j)
-    if not math.isfinite(tau_j) or tau_j < 0.0:
-        raise InvalidInputError(f"tension must be nonnegative and finite, got {tau_j!r}")
-    return geometry.gain * tau_j
 
 
 def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> Array:
@@ -177,18 +168,16 @@ def _min_norm_in_box(tau_mn: Array, tau_max: float) -> Array | None:
     return np.clip(tau_mn + t, 0.0, tau_max)
 
 
-def inverse_map(
-    u: VirtualInput, geometry: TendonGeometry, u_s_eps: float = U_S_EPS
-) -> InverseMapResult:
+def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     """Minimum-norm tension triple realizing a virtual input.
 
     Solves min ||tau||^2 subject to A tau = (u_x, u_y) / u_s and
     0 <= tau <= tau_max. When the target curvature is infeasible the result
     instead minimizes the curvature error (ties broken by smaller norm) and
-    the saturated flag is set. |u_s| < u_s_eps yields zero tensions, since
+    the saturated flag is set. |u_s| < U_S_EPS yields zero tensions, since
     curvature is undefined without insertion motion.
     """
-    if abs(u.u_s) < u_s_eps:
+    if abs(u.u_s) < U_S_EPS:
         return InverseMapResult(
             command=TendonCommand(u_s=u.u_s, tau=np.zeros(N_TENDONS)),
             saturated=False,
@@ -266,24 +255,3 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
         return 0.0
     return 1.0 / radius
 
-
-def read_calibration_csv(path) -> list[tuple[float, float]]:
-    """Read (tension_N, curvature_per_mm) pairs from a two-column CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["tension_N", "curvature_per_mm"]:
-            raise InvalidInputError(
-                f"{path}: expected header 'tension_N,curvature_per_mm', got {header}"
-            )
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InvalidInputError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                out.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
-    return out

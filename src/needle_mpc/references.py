@@ -1,14 +1,15 @@
 """Reference trajectory generators for tracking scenarios.
 
-Every generator maps a time t (s) to a target tip position (mm). Generators
-backed by a finite set of samples (waypoint paths, replays) hold their last
-point once t passes the final timestamp, so a controller querying past the
-end sees a fixed target instead of an extrapolation.
+Every generator maps a time t (s) to a target tip position (mm). Waypoint
+paths hold their last point once t passes the final timestamp, so a
+controller querying past the end sees a fixed target instead of an
+extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
+loads into a waypoint path. Numbers must be real numbers; strings and bools
+are rejected, not coerced.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
+from .errors import InvalidConfigError, InvalidInputError, _real, _reals
 from .kinematics import Array
 
 _AXIS_PERMUTATION = {
@@ -27,21 +28,21 @@ _AXIS_PERMUTATION = {
 }
 
 
-def _vec(value, name: str, length: int) -> Array:
-    v = np.array(value, dtype=float).reshape(-1)
-    if v.shape != (length,):
-        raise InvalidConfigError(f"{name} must have {length} entries, got {np.shape(value)}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidConfigError(f"{name} contains non-finite values")
-    v.setflags(write=False)
-    return v
+def _array(values) -> Array:
+    """Read-only float array of already validated numbers."""
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
-def _finite(value, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidConfigError(f"{name} must be finite, got {value!r}")
-    return v
+def _points(value, name: str) -> Array:
+    """(m, 3) array of at least 2 points, each a list of 3 finite numbers."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise InvalidConfigError(f"{name} must be a list of [x, y, z] points, got {value!r}")
+    rows = [_reals(row, name, 3) for row in value]
+    if len(rows) < 2:
+        raise InvalidConfigError(f"{name} must hold at least 2 points, got {len(rows)}")
+    return _array(rows)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class FixedTarget:
     target: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _vec(self.target, "target", 3))
+        object.__setattr__(self, "target", _array(_reals(self.target, "target", 3)))
 
     def sample(self, t: float) -> Array:
         return np.array(self.target)
@@ -76,11 +77,11 @@ class Helix:
 
     def __post_init__(self):
         for name in ("radius", "pitch", "rate", "phase"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.radius < 0.0:
             raise InvalidConfigError(f"radius must be nonnegative, got {self.radius:g}")
-        object.__setattr__(self, "center", _vec(self.center, "center", 3))
-        if self.axis not in _AXIS_PERMUTATION:
+        object.__setattr__(self, "center", _array(_reals(self.center, "center", 3)))
+        if not isinstance(self.axis, str) or self.axis not in _AXIS_PERMUTATION:
             raise InvalidConfigError(f"axis must be one of 'x', 'y', 'z', got {self.axis!r}")
 
     def sample(self, t: float) -> Array:
@@ -114,25 +115,16 @@ class SharpTurn:
     times: Array = field(init=False)
 
     def __post_init__(self):
-        pts = np.array(self.waypoints, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise InvalidConfigError(
-                f"waypoints must be (m, 3) with m >= 2, got shape {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidConfigError("waypoints contain non-finite values")
-        speed = _finite(self.speed, "speed")
+        pts = _points(self.waypoints, "waypoints")
+        speed = _real(self.speed, "speed")
         if speed <= 0.0:
             raise InvalidConfigError(f"speed must be positive, got {speed:g}")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg == 0.0):
             raise InvalidConfigError("consecutive waypoints must be distinct")
-        times = np.concatenate([[0.0], np.cumsum(seg)]) / speed
-        pts.setflags(write=False)
-        times.setflags(write=False)
         object.__setattr__(self, "waypoints", pts)
         object.__setattr__(self, "speed", speed)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", _array(np.concatenate([[0.0], np.cumsum(seg)]) / speed))
 
     def corner_times(self) -> Array:
         """Times of the interior waypoints (s)."""
@@ -156,10 +148,9 @@ class Sinusoidal:
     phase: Array = (0.0, 0.0)       # rad
 
     def __post_init__(self):
-        object.__setattr__(self, "axial_speed", _finite(self.axial_speed, "axial_speed"))
-        object.__setattr__(self, "amplitude", _vec(self.amplitude, "amplitude", 2))
-        object.__setattr__(self, "frequency", _vec(self.frequency, "frequency", 2))
-        object.__setattr__(self, "phase", _vec(self.phase, "phase", 2))
+        object.__setattr__(self, "axial_speed", _real(self.axial_speed, "axial_speed"))
+        for name in ("amplitude", "frequency", "phase"):
+            object.__setattr__(self, name, _array(_reals(getattr(self, name), name, 2)))
 
     def sample(self, t: float) -> Array:
         arg = 2.0 * np.pi * self.frequency * t + self.phase
@@ -175,20 +166,10 @@ class WaypointPath:
     times: Array
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        times = np.array(self.times, dtype=float).reshape(-1)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise InvalidConfigError(f"points must be (m, 3) with m >= 2, got shape {pts.shape}")
-        if times.shape != (pts.shape[0],):
-            raise InvalidConfigError(
-                f"times must have one entry per point, got {times.shape} for {pts.shape[0]} points"
-            )
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(times))):
-            raise InvalidConfigError("points or times contain non-finite values")
+        pts = _points(self.points, "points")
+        times = _array(_reals(self.times, "times", len(pts)))
         if np.any(np.diff(times) <= 0.0):
             raise InvalidConfigError("times must be strictly increasing")
-        pts.setflags(write=False)
-        times.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "times", times)
 
@@ -196,56 +177,7 @@ class WaypointPath:
         return _interp_path(self.points, self.times, t)
 
 
-@dataclass(frozen=True)
-class Replay:
-    """A recorded tip trajectory played back as the reference.
-
-    Querying before the first recorded timestamp raises OutOfRangeError;
-    querying past the last holds the final point.
-    """
-
-    times: Array
-    points: Array
-
-    def __post_init__(self):
-        path = WaypointPath(points=self.points, times=self.times)  # reuse validation
-        object.__setattr__(self, "points", path.points)
-        object.__setattr__(self, "times", path.times)
-
-    @classmethod
-    def from_csv(cls, path) -> "Replay":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expected = ["t_s", "x_mm", "y_mm", "z_mm"]
-            if header is None or [h.strip() for h in header] != expected:
-                raise InvalidInputError(
-                    f"{path}: expected header {','.join(expected)!r}, got {header}"
-                )
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise InvalidInputError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
-        if len(rows) < 2:
-            raise InvalidInputError(f"{path}: need at least 2 samples, got {len(rows)}")
-        data = np.array(rows)
-        return cls(times=data[:, 0], points=data[:, 1:])
-
-    def sample(self, t: float) -> Array:
-        if t < self.times[0] - 1e-12:
-            raise OutOfRangeError(
-                f"time {t:g} s precedes the first replay sample at {self.times[0]:g} s"
-            )
-        return _interp_path(self.points, self.times, t)
-
-
-ReferenceSpec = Union[FixedTarget, Helix, SharpTurn, Sinusoidal, WaypointPath, Replay]
+ReferenceSpec = Union[FixedTarget, Helix, SharpTurn, Sinusoidal, WaypointPath]
 
 
 def sample(spec: ReferenceSpec, t: float) -> Array:

@@ -11,18 +11,20 @@ output file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .errors import InvalidConfigError, InvalidInputError, SchemaError
-from .harness import PlantConfig, RunConfig
+from .harness import PlantConfig, RunConfig, _read_numeric_csv
 from .mapping import TendonGeometry
 from .mpc import MpcConfig
 from .references import (
     FixedTarget,
     Helix,
-    Replay,
     ReferenceSpec,
     SharpTurn,
     Sinusoidal,
@@ -100,6 +102,29 @@ _RUN_KEYS = {
     "fault_budget": "fault_budget",
 }
 
+REPLAY_CSV_COLUMNS = ["t_s", "x_mm", "y_mm", "z_mm"]
+
+
+def _replay(csv_path) -> WaypointPath:
+    """Recorded tip trajectory (columns REPLAY_CSV_COLUMNS) as a waypoint path.
+
+    The recording must start at t = 0, where every run first samples its
+    reference.
+    """
+    if not isinstance(csv_path, str):
+        raise InvalidConfigError(f"csv_path must be a string, got {csv_path!r}")
+    try:
+        data = np.array(_read_numeric_csv(csv_path, REPLAY_CSV_COLUMNS, 2))
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"{csv_path}: no such file") from exc
+    if data[0, 0] > 1e-12:
+        raise SchemaError(
+            f"{csv_path}: the first replay sample is at {data[0, 0]:g} s; "
+            "a replay must start at t = 0"
+        )
+    return WaypointPath(points=data[:, 1:], times=data[:, 0])
+
+
 _REFERENCE_KEYS = {
     "fixed_target": ({"target_mm": "target"}, FixedTarget),
     "helix": (
@@ -124,27 +149,30 @@ _REFERENCE_KEYS = {
         Sinusoidal,
     ),
     "waypoint_path": ({"points_mm": "points", "times_s": "times"}, WaypointPath),
-    "replay": ({"csv_path": "csv_path"}, None),
+    # a replay loads into a waypoint path, so its echo is self-contained
+    "replay": ({"csv_path": "csv_path"}, _replay),
+}
+
+# reference type -> kind; WaypointPath echoes as "waypoint_path"
+_REFERENCE_KINDS = {ctor: kind for kind, (_, ctor) in _REFERENCE_KEYS.items()}
+
+_SECTION_KEYS = {
+    "mpc": _MPC_KEYS,
+    "geometry": _GEOMETRY_KEYS,
+    "plant": _PLANT_KEYS,
+    "run": _RUN_KEYS,
 }
 
 
 def _reference_from_dict(section: dict) -> ReferenceSpec:
     kind = section.get("kind")
-    if kind not in _REFERENCE_KEYS:
+    if not isinstance(kind, str) or kind not in _REFERENCE_KEYS:
         raise SchemaError(
             f"reference kind must be one of {sorted(_REFERENCE_KEYS)}, got {kind!r}"
         )
     keys, ctor = _REFERENCE_KEYS[kind]
     body = {k: v for k, v in section.items() if k != "kind"}
-    kwargs = _take(body, f"reference ({kind})", keys)
-    if kind == "replay":
-        if "csv_path" not in kwargs:
-            raise SchemaError("reference (replay): missing required key 'csv_path'")
-        try:
-            return Replay.from_csv(kwargs["csv_path"])
-        except (InvalidConfigError, InvalidInputError, OSError) as exc:
-            raise SchemaError(f"reference (replay): {exc}") from exc
-    return _build(f"reference ({kind})", ctor, kwargs)
+    return _build(f"reference ({kind})", ctor, _take(body, f"reference ({kind})", keys))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -153,7 +181,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     version = doc.get("schema_version")
     if version is None:
         raise SchemaError("missing required key 'schema_version'")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     unknown = sorted(set(doc) - set(_SECTIONS) - {"schema_version"})
     if unknown:
@@ -173,95 +201,32 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(mpc=mpc, geometry=geometry, plant=plant, reference=reference, run=run)
 
 
-def _reference_to_dict(ref: ReferenceSpec) -> dict:
-    if isinstance(ref, FixedTarget):
-        return {"kind": "fixed_target", "target_mm": list(ref.target)}
-    if isinstance(ref, Helix):
-        return {
-            "kind": "helix",
-            "radius_mm": ref.radius,
-            "pitch_mm": ref.pitch,
-            "rate_rad_s": ref.rate,
-            "center_mm": list(ref.center),
-            "phase_rad": ref.phase,
-            "axis": ref.axis,
-        }
-    if isinstance(ref, SharpTurn):
-        return {
-            "kind": "sharp_turn",
-            "waypoints_mm": [list(w) for w in ref.waypoints],
-            "speed_mm_s": ref.speed,
-        }
-    if isinstance(ref, Sinusoidal):
-        return {
-            "kind": "sinusoidal",
-            "axial_speed_mm_s": ref.axial_speed,
-            "amplitude_mm": list(ref.amplitude),
-            "frequency_hz": list(ref.frequency),
-            "phase_rad": list(ref.phase),
-        }
-    if isinstance(ref, WaypointPath):
-        return {
-            "kind": "waypoint_path",
-            "points_mm": [list(p) for p in ref.points],
-            "times_s": list(ref.times),
-        }
-    if isinstance(ref, Replay):
-        # replays resolve to explicit samples so the echo is self-contained
-        return {
-            "kind": "waypoint_path",
-            "points_mm": [list(p) for p in ref.points],
-            "times_s": list(ref.times),
-        }
-    raise InvalidInputError(f"unknown reference type {type(ref).__name__}")
+def _echo(obj, keys: dict) -> dict:
+    """JSON section of obj's attributes under their document keys."""
+    section = {}
+    for key, attr in keys.items():
+        value = getattr(obj, attr)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        section[key] = value
+    return section
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Fully resolved scenario document with every default materialized."""
-    mpc = scenario.mpc
-    geometry = scenario.geometry
-    plant = scenario.plant
-    run = scenario.run
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mpc": {
-            "T_s_s": mpc.ts,
-            "horizon": mpc.horizon,
-            "q_weights": list(mpc.q_weights),
-            "r_weights": list(mpc.r_weights),
-            "u_s_bounds_mm_s": list(mpc.u_s_bounds),
-            "u_x_bounds_rad_s": list(mpc.u_x_bounds),
-            "u_y_bounds_rad_s": list(mpc.u_y_bounds),
-            "planar_mode": mpc.planar_mode,
-            "max_iterations": mpc.max_iterations,
-            "gradient_tolerance": mpc.gradient_tolerance,
-            "multi_start": mpc.multi_start,
-            "seed": mpc.seed,
-        },
-        "geometry": {
-            "theta_e_rad": geometry.theta_e,
-            "gain_per_mm_N": geometry.gain,
-            "tau_max_N": geometry.tau_max,
-        },
-        "plant": {
-            "integrator": plant.integrator,
-            "gain_error": plant.gain_error,
-            "theta_e_error_rad": plant.theta_e_error,
-            "measurement_noise_std_mm": list(plant.measurement_noise_std),
-            "latency_steps": plant.latency_steps,
-            "seed": plant.seed,
-        },
-        "reference": _reference_to_dict(scenario.reference),
-        "run": {
-            "steps": run.steps,
-            "initial_state": list(run.initial_state),
-            "early_stop": run.early_stop,
-            "stop_tolerance_mm": run.stop_tolerance_mm,
-            "stop_speed_mm_s": run.stop_speed_mm_s,
-            "exclude_terminal_s": run.exclude_terminal_s,
-            "fault_budget": run.fault_budget,
-        },
-    }
+    ref = scenario.reference
+    kind = _REFERENCE_KINDS.get(type(ref))
+    if kind is None:
+        raise InvalidInputError(f"unknown reference type {type(ref).__name__}")
+    doc = {"schema_version": SCHEMA_VERSION}
+    for name in _SECTIONS:
+        if name == "reference":
+            doc[name] = {"kind": kind, **_echo(ref, _REFERENCE_KEYS[kind][0])}
+        else:
+            doc[name] = _echo(getattr(scenario, name), _SECTION_KEYS[name])
+    return doc
 
 
 def load_scenario(path) -> Scenario:
@@ -275,21 +240,7 @@ def load_scenario(path) -> Scenario:
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
     """Copy of the scenario with the plant seed replaced."""
-    plant = scenario.plant
-    return Scenario(
-        mpc=scenario.mpc,
-        geometry=scenario.geometry,
-        plant=PlantConfig(
-            integrator=plant.integrator,
-            gain_error=plant.gain_error,
-            theta_e_error=plant.theta_e_error,
-            measurement_noise_std=plant.measurement_noise_std,
-            latency_steps=plant.latency_steps,
-            seed=seed,
-        ),
-        reference=scenario.reference,
-        run=scenario.run,
-    )
+    return dataclasses.replace(scenario, plant=dataclasses.replace(scenario.plant, seed=seed))
 
 
 def preset_names() -> list[str]:

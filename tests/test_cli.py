@@ -12,6 +12,7 @@ from needle_mpc.mapping import TendonCommand, TendonGeometry, forward_map
 from oracles import chord_deflection
 
 GEO = TendonGeometry()
+HELIX = {"kind": "helix", "radius_mm": 5.0, "pitch_mm": 40.0, "rate_rad_s": 1.2, "axis": "z"}
 
 
 def quick_scenario(tmp_path, name="quick.json", **plant):
@@ -117,6 +118,32 @@ class TestRun:
         assert f"section '{section}'" in err and f"{named} must be" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "reference, named",
+        [
+            ({"kind": ["fixed_target"], "target_mm": [0.0, 0.0, 60.0]}, "kind"),
+            ({**HELIX, "axis": ["z"]}, "axis"),
+            ({**HELIX, "radius_mm": "5"}, "radius"),
+            ({**HELIX, "rate_rad_s": True}, "rate"),
+            ({**HELIX, "center_mm": ["0", "0", "0"]}, "center"),
+            ({"kind": "fixed_target", "target_mm": ["0", "0", "60"]}, "target"),
+            ({"kind": "fixed_target", "target_mm": [True, False, 60]}, "target"),
+        ],
+    )
+    def test_mistyped_reference_field_rejected_naming_the_field(
+        self, tmp_path, capsys, reference, named
+    ):
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["reference"] = reference
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         path = quick_scenario(tmp_path)
         for out in ("a", "b"):
@@ -186,6 +213,41 @@ class TestCalibrate:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tendon_index", "1"),
+            ("tendon_index", 1.7),
+            ("tendon_index", True),
+            ("tendon_index", None),
+            ("tendon_index", "abc"),
+            ("tension_N", "2"),
+            ("tension_N", None),
+            ("file", 3),
+            ("file", "."),
+        ],
+    )
+    def test_mistyped_manifest_field_rejected_naming_the_field(
+        self, tmp_path, capsys, field, value
+    ):
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        manifest = json.loads((runs_dir / "manifest.json").read_text())
+        manifest["runs"][1][field] = value
+        (runs_dir / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert f"runs[1].{field}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_undecodable_run_csv_is_invalid_input(self, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        (runs_dir / "run00.csv").write_bytes(b"x_mm,y_mm,z_mm\n0,0,\xff\n0,0,1\n0,0,2\n")
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "run00.csv" in capsys.readouterr().err
+
 
 class TestReplay:
     def test_zero_perturbation_bundled_commands(self, tmp_path):
@@ -228,6 +290,20 @@ class TestReplay:
         code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
         assert code == 2
         assert ":2" in capsys.readouterr().err
+
+    def test_undecodable_commands_csv_is_invalid_input(self, tmp_path, capsys):
+        bad = tmp_path / "cmd.csv"
+        bad.write_bytes(b"us_mm_s,tau1_N,tau2_N,tau3_N\n20,\xff,0,0\n")
+        code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cmd.csv" in capsys.readouterr().err
+
+    def test_directory_as_commands_path_is_invalid_input(self, tmp_path, capsys):
+        folder = tmp_path / "commands"
+        folder.mkdir()
+        code = cli.main(["replay", str(folder), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "commands" in capsys.readouterr().err
 
     def test_open_loop_csv_written(self, tmp_path):
         out = tmp_path / "out"

@@ -9,11 +9,10 @@ from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.kinematics import (
     NeedleState,
     VirtualInput,
-    derivative,
+    _bend,
     rollout,
     step_euler,
     step_exact,
-    system_matrices,
 )
 from oracles import FROZEN_DERIVATIVE, exact_step_rotation, state_derivative_scalar
 
@@ -25,6 +24,13 @@ def unit(v):
 
 def random_state(rng):
     return NeedleState(p=rng.normal(scale=50.0, size=3), d=unit(rng.normal(size=3)))
+
+
+def derivative(state, u):
+    """sdot at (state, u): position rows from the step_euler position update
+    over a unit step, direction rows from the bending term ddot = _bend(d)."""
+    pdot = step_euler(state, u, 1.0).p - state.p
+    return np.concatenate([pdot, _bend(state.d, u.u_x, u.u_y)])
 
 
 def random_input(rng):
@@ -66,29 +72,6 @@ class TestStateValidation:
             s.p[0] = 1.0
 
 
-class TestSystemMatrices:
-    def test_block_structure(self):
-        m = system_matrices()
-        b1 = np.zeros((6, 6))
-        b1[:3, 3:] = np.eye(3)
-        assert np.array_equal(m.B1, b1)
-        assert np.array_equal(m.B2[:3, :], np.zeros((3, 6)))
-        assert np.array_equal(m.B3[:3, :], np.zeros((3, 6)))
-        g = m.B2[3:, 3:]
-        h = m.B3[3:, 3:]
-        assert np.array_equal(g, -g.T)
-        assert np.array_equal(h, -h.T)
-
-    def test_derivative_agrees_with_matrix_form(self):
-        rng = np.random.default_rng(3)
-        m = system_matrices()
-        for _ in range(10):
-            s = random_state(rng)
-            u = random_input(rng)
-            mat = u.u_s * m.B1 + u.u_x * m.B2 + u.u_y * m.B3
-            assert np.allclose(derivative(s, u), mat @ s.as_vector(), atol=1e-12)
-
-
 class TestDerivative:
     def test_straight_insertion(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
@@ -120,14 +103,33 @@ class TestDerivative:
         want = state_derivative_scalar(p, dn, (us, ux, uy))
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_block_structure(self):
+        # pdot = u_s d: bending rates leave p alone and u_s leaves d alone
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            s = random_state(rng)
+            u = random_input(rng)
+            bend_only = derivative(s, VirtualInput(0.0, u.u_x, u.u_y))
+            assert np.array_equal(bend_only[:3], np.zeros(3))
+            insert_only = derivative(s, VirtualInput(u.u_s, 0.0, 0.0))
+            assert np.array_equal(insert_only[3:], np.zeros(3))
+        # the direction blocks d -> d x e_x and d -> d x e_y are skew-symmetric
+        basis = np.eye(3)
+        for ux, uy in ((1.0, 0.0), (0.0, 1.0)):
+            block = np.stack([_bend(e, ux, uy) for e in basis], axis=1)
+            assert np.array_equal(block, -block.T)
+
     def test_linear_in_state(self):
         rng = np.random.default_rng(11)
         u = random_input(rng)
         s = random_state(rng)
-        m = system_matrices()
-        mat = u.u_s * m.B1 + u.u_x * m.B2 + u.u_y * m.B3
         for alpha in (0.5, 2.0, -3.0):
-            assert np.allclose(mat @ (alpha * s.as_vector()), alpha * (mat @ s.as_vector()))
+            assert np.allclose(
+                _bend(alpha * s.d, u.u_x, u.u_y), alpha * _bend(s.d, u.u_x, u.u_y)
+            )
+        # the position rows have no p columns
+        moved = NeedleState(p=s.p + np.array([7.0, -3.0, 11.0]), d=s.d)
+        assert np.allclose(derivative(moved, u)[:3], derivative(s, u)[:3], atol=1e-12)
 
     def test_additive_in_inputs(self):
         rng = np.random.default_rng(12)

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needle_mpc.errors import DegenerateFitError, InvalidConfigError, InvalidInputError
+from needle_mpc.harness import _read_numeric_csv
 from needle_mpc.kinematics import NeedleState, VirtualInput, rollout
 from needle_mpc.mapping import (
     DEFAULT_GAIN,
     TendonCommand,
     TendonGeometry,
-    curvature_of_tension,
     estimate_curvature,
     fit_gain,
     forward_map,
     inverse_map,
     rates_from_command,
-    read_calibration_csv,
 )
 from oracles import curvature_pair, tension_grid_full, tension_grid_line, zero_intercept_gain
 
@@ -46,6 +45,12 @@ class TestGeometry:
         g = TendonGeometry(theta_e=2.0 * math.pi + 0.25)
         assert g.theta_e == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("theta", [-1e-17, -5e-324, 2.0 * math.pi])
+    def test_theta_e_wraps_to_zero_not_two_pi(self, theta):
+        g = TendonGeometry(theta_e=theta)
+        assert g.theta_e == 0.0
+        assert TendonGeometry(theta_e=g.theta_e).theta_e == g.theta_e
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidConfigError):
             TendonGeometry(gain=0.0)
@@ -60,15 +65,23 @@ class TestGeometry:
         assert diffs == pytest.approx([2.0 * math.pi / 3.0] * 2)
 
 
+def single_tendon_curvature(tension, j=0, geometry=GEO):
+    """Curvature magnitude (1/mm) with only tendon j pulled."""
+    tau = np.zeros(3)
+    tau[j] = tension
+    return float(np.linalg.norm(forward_map(tau, geometry)))
+
+
 class TestCurvatureOfTension:
     def test_one_newton(self):
-        assert curvature_of_tension(1.0, GEO) == pytest.approx(3.7e-4)
+        for j in range(3):
+            assert single_tendon_curvature(1.0, j) == pytest.approx(3.7e-4)
 
     def test_zero(self):
-        assert curvature_of_tension(0.0, GEO) == 0.0
+        assert single_tendon_curvature(0.0) == 0.0
 
     def test_saturation_tension(self):
-        k = curvature_of_tension(7.0, GEO)
+        k = single_tendon_curvature(7.0)
         assert k == pytest.approx(2.59e-3)
         assert 1.0 / k == pytest.approx(386.0, rel=1e-2)
 
@@ -317,11 +330,11 @@ class TestCalibrationCsv:
             w.writerow(["tension_N", "curvature_per_mm"])
             w.writerow([1.0, 3.7e-4])
             w.writerow([2.0, 7.4e-4])
-        pairs = read_calibration_csv(path)
-        assert pairs == [(1.0, 3.7e-4), (2.0, 7.4e-4)]
+        pairs = _read_numeric_csv(path, ["tension_N", "curvature_per_mm"], 1)
+        assert pairs == [[1.0, 3.7e-4], [2.0, 7.4e-4]]
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("tension,curvature\n1.0,3.7e-4\n")
-        with pytest.raises(InvalidInputError):
-            read_calibration_csv(path)
+        with pytest.raises(InvalidInputError, match="tension_N,curvature_per_mm"):
+            _read_numeric_csv(path, ["tension_N", "curvature_per_mm"], 1)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError, InvalidInputError, OutOfRangeError
+from needle_mpc.errors import InvalidConfigError, InvalidInputError, SchemaError
 from needle_mpc.references import (
     FixedTarget,
     Helix,
-    Replay,
     SharpTurn,
     Sinusoidal,
     WaypointPath,
@@ -17,6 +16,7 @@ from needle_mpc.references import (
     horizon_samples,
     sample,
 )
+from needle_mpc.scenario import _reference_from_dict
 from oracles import helix_point
 
 times_st = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
@@ -146,45 +146,51 @@ class TestWaypointPath:
 
 
 class TestReplay:
+    """The scenario "replay" reference: a tip-position CSV loaded into a WaypointPath."""
+
     def _write_csv(self, path, rows, header="t_s,x_mm,y_mm,z_mm"):
         lines = [header] + [",".join(str(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
+
+    def _load(self, path):
+        return _reference_from_dict({"kind": "replay", "csv_path": str(path)})
 
     def test_round_trip_from_csv(self, tmp_path):
         rows = [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, -2.0, 20.0), (2.0, 2.5, -3.0, 40.0)]
         f = tmp_path / "tip.csv"
         self._write_csv(f, rows)
-        spec = Replay.from_csv(f)
+        spec = self._load(f)
+        assert isinstance(spec, WaypointPath)
         np.testing.assert_allclose(sample(spec, 0.5), [0.5, -1.0, 10.0], atol=1e-12)
         np.testing.assert_allclose(sample(spec, 2.0), [2.5, -3.0, 40.0], atol=1e-12)
         np.testing.assert_array_equal(sample(spec, 5.0), sample(spec, 2.0))
 
-    def test_query_before_first_sample_is_out_of_range(self, tmp_path):
-        f = tmp_path / "tip.csv"
+    def test_first_sample_after_zero_rejected_at_load(self, tmp_path):
+        f = tmp_path / "late.csv"
         self._write_csv(f, [(1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 10.0)])
-        spec = Replay.from_csv(f)
-        with pytest.raises(OutOfRangeError):
-            sample(spec, 0.5)
-        # exactly at the first timestamp is fine
-        np.testing.assert_array_equal(sample(spec, 1.0), [0.0, 0.0, 0.0])
+        with pytest.raises(SchemaError, match="late.csv"):
+            self._load(f)
+        # a first sample at t = 0, within roundoff, is fine
+        self._write_csv(f, [(1e-13, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 10.0)])
+        np.testing.assert_array_equal(sample(self._load(f), 0.0), [0.0, 0.0, 0.0])
 
     def test_rejects_wrong_header(self, tmp_path):
         f = tmp_path / "tip.csv"
         self._write_csv(f, [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0)], header="t,x,y,z")
-        with pytest.raises(InvalidInputError):
-            Replay.from_csv(f)
+        with pytest.raises(SchemaError, match="t_s,x_mm,y_mm,z_mm"):
+            self._load(f)
 
     def test_rejects_non_numeric_rows(self, tmp_path):
         f = tmp_path / "tip.csv"
         f.write_text("t_s,x_mm,y_mm,z_mm\n0.0,0.0,oops,0.0\n1.0,0.0,0.0,1.0\n")
-        with pytest.raises(InvalidInputError):
-            Replay.from_csv(f)
+        with pytest.raises(SchemaError, match="tip.csv:2: non-numeric"):
+            self._load(f)
 
     def test_rejects_single_sample(self, tmp_path):
         f = tmp_path / "tip.csv"
         self._write_csv(f, [(0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(InvalidInputError):
-            Replay.from_csv(f)
+        with pytest.raises(SchemaError, match="at least 2"):
+            self._load(f)
 
 
 class TestSampleGuards:

@@ -1,8 +1,13 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from needle_mpc import scenario as scenario_mod
+from needle_mpc.cli import _VALIDATION_ERRORS
 from needle_mpc.errors import InvalidInputError, SchemaError
 from needle_mpc.references import (
     FixedTarget,
@@ -195,3 +200,75 @@ class TestRoundTrip:
         a["plant"].pop("seed")
         b["plant"].pop("seed")
         assert a == b
+
+
+def _preset_doc(name):
+    return json.loads(resources.files("needle_mpc").joinpath("presets", f"{name}.json").read_text())
+
+
+def _fields(name):
+    """(section, key) of every schema key a preset document may set."""
+    doc = _preset_doc(name)
+    kind = doc["reference"]["kind"]
+    fields = [("schema_version", None), ("reference", "kind")]
+    fields += [("reference", key) for key in scenario_mod._REFERENCE_KEYS[kind][0]]
+    for section, keys in scenario_mod._SECTION_KEYS.items():
+        fields += [(section, key) for key in keys]
+    return fields
+
+
+def _is_numeric(value):
+    if isinstance(value, list):
+        return bool(value) and all(_is_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_str_or_bool(value):
+    if isinstance(value, list):
+        return any(_has_str_or_bool(v) for v in value)
+    if isinstance(value, dict):
+        return bool(value)  # its keys are strings
+    return isinstance(value, (str, bool))
+
+
+# integers stay small enough that a fuzzed horizon allocates little
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10**5, 10**5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_presets(draw):
+    name = draw(st.sampled_from(sorted(EXPECTED_PRESETS)))
+    section, key = draw(st.sampled_from(_fields(name)))
+    return name, section, key, draw(json_values)
+
+
+class TestFuzzedPresets:
+    @given(mutated_presets())
+    @example(("target1", "schema_version", None, True))
+    @example(("target1", "geometry", "theta_e_rad", -1e-17))
+    @settings(max_examples=200, deadline=None)
+    def test_one_field_set_to_any_json_value(self, case):
+        name, section, key, value = case
+        doc = _preset_doc(name)
+        if key is None:
+            doc[section] = value
+            resolved = scenario_mod.SCHEMA_VERSION
+        else:
+            doc[section][key] = value
+            resolved = scenario_to_dict(load_preset(name))[section][key]
+        try:
+            scenario = scenario_from_dict(doc)
+        except _VALIDATION_ERRORS:
+            return
+        # a string or a bool is never accepted in a numeric field
+        assert not (_is_numeric(resolved) and _has_str_or_bool(value))
+        echo = scenario_to_dict(scenario)
+        assert scenario_to_dict(scenario_from_dict(echo)) == echo
