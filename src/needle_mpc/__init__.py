@@ -49,7 +49,7 @@ from .mpc import (
     horizon_cost,
     solve_horizon,
 )
-from .optimizer import BoxNlp, MinimizeResult, gradient_check, minimize
+from .optimizer import BoxNlp, MinimizeResult, minimize
 from .references import (
     FixedTarget,
     Helix,

@@ -26,8 +26,8 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     SchemaError,
-    _integer,
-    _real,
+    check_fields,
+    key,
 )
 from .harness import _read_numeric_csv
 from .kinematics import Array, NeedleState, VirtualInput, rollout
@@ -39,25 +39,18 @@ RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
 
 @dataclass(frozen=True)
 class CalibrationRun:
-    """Recorded tip positions (n, 3) for one tendon held at one tension.
+    """Recorded tip positions (n, 3) for one tendon (1, 2 or 3) held at one
+    tension (N). Every message starts with the field it names."""
 
-    tendon_index must be the integer 1, 2 or 3 and tension a nonnegative
-    number (N); strings, bools and fractional indices are rejected, not
-    coerced. Every message starts with the field it names.
-    """
-
-    tendon_index: int
-    tension: float
+    tendon_index: int = key("tendon_index", kind=int, choices=(1, 2, 3))
+    tension: float = key("tension_N", ge=0.0)
     tip_points: Array
 
     def __post_init__(self):
-        if self.tendon_index not in (1, 2, 3):
-            raise InvalidInputError(f"tendon_index must be 1, 2 or 3, got {self.tendon_index!r}")
-        object.__setattr__(self, "tendon_index", _integer(self.tendon_index, "tendon_index", 1))
-        tension = _real(self.tension, "tension_N")
-        if tension < 0.0:
-            raise InvalidInputError(f"tension_N must be nonnegative, got {tension!r}")
-        object.__setattr__(self, "tension", tension)
+        try:
+            check_fields(self)
+        except InvalidConfigError as exc:  # a run is recorded input, not configuration
+            raise InvalidInputError(str(exc)) from exc
         pts = np.array(self.tip_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
             raise InvalidInputError(
@@ -132,7 +125,7 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"{manifest_path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or "runs" not in manifest:
         raise SchemaError(f"{manifest_path}: expected an object with a 'runs' array")

@@ -20,26 +20,13 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    NumericalFailureError,
-    _integer,
-    _real,
-    _reals,
-)
-from .kinematics import (
-    Array,
-    NeedleState,
-    VirtualInput,
-    step_euler,
-    step_exact,
-)
+from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, check_fields, key
+from .kinematics import Array, NeedleState, VirtualInput, step_euler, step_exact
 from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
 from .mpc import RecedingHorizonController
 from .references import FixedTarget, check_path_speed, horizon_samples
@@ -78,38 +65,19 @@ class PlantConfig:
     theta_e_error is added to the true channel offset (rad). Measurement
     noise is zero-mean Gaussian per position axis (mm std). latency_steps
     delays the state the controller sees by whole control periods.
-    Numeric fields must be numbers and integer fields integers; nothing is
-    truncated or coerced.
     """
 
-    integrator: str = "exact"
-    gain_error: float = 0.0
-    theta_e_error: float = 0.0
-    measurement_noise_std: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    latency_steps: int = 0
-    seed: int = 0
+    integrator: str = key("integrator", "exact", kind=str, choices=INTEGRATORS)
+    gain_error: float = key("gain_error", 0.0, gt=-1.0)  # the true gain stays positive
+    theta_e_error: float = key("theta_e_error_rad", 0.0)
+    measurement_noise_std: tuple[float, float, float] = key(
+        "measurement_noise_std_mm", (0.0, 0.0, 0.0), kind=tuple, n=3, ge=0.0
+    )
+    latency_steps: int = key("latency_steps", 0, kind=int, ge=0)
+    seed: int = key("seed", 0, kind=int, ge=0)
 
     def __post_init__(self):
-        if self.integrator not in INTEGRATORS:
-            raise InvalidConfigError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
-            )
-        for name in ("gain_error", "theta_e_error"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.gain_error <= -1.0:
-            raise InvalidConfigError(
-                f"gain_error must exceed -1 so the true gain stays positive, got {self.gain_error:g}"
-            )
-        std = _reals(self.measurement_noise_std, "measurement_noise_std", 3)
-        if any(v < 0.0 for v in std):
-            raise InvalidConfigError(
-                f"measurement_noise_std must be 3 nonnegative values, got {self.measurement_noise_std}"
-            )
-        object.__setattr__(self, "measurement_noise_std", std)
-        object.__setattr__(
-            self, "latency_steps", _integer(self.latency_steps, "latency_steps", 0)
-        )
-        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        check_fields(self)
 
     def true_geometry(self, nominal: TendonGeometry) -> TendonGeometry:
         """Nominal geometry with this plant's perturbations applied."""
@@ -122,36 +90,25 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step budget, initial state and bookkeeping options of one run.
+    """Step budget, initial state and bookkeeping options of one run."""
 
-    Numeric fields must be numbers, integer fields integers and early_stop a
-    bool; nothing is truncated or coerced.
-    """
-
-    steps: int = 210
-    initial_state: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-    early_stop: bool = False            # fixed targets only
-    stop_tolerance_mm: float = 0.2
-    stop_speed_mm_s: float = 0.1
-    exclude_terminal_s: float = 0.0     # window ignored by the max-error metric
-    fault_budget: int = 10
+    steps: int = key("steps", 210, kind=int, ge=1)
+    initial_state: tuple[float, ...] = key(
+        "initial_state", (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), kind=tuple, n=6
+    )
+    early_stop: bool = key("early_stop", False, kind=bool)   # fixed targets only
+    stop_tolerance_mm: float = key("stop_tolerance_mm", 0.2, ge=0.0)
+    stop_speed_mm_s: float = key("stop_speed_mm_s", 0.1, ge=0.0)
+    # window ignored by the max-error metric
+    exclude_terminal_s: float = key("exclude_terminal_s", 0.0, ge=0.0)
+    fault_budget: int = key("fault_budget", 10, kind=int, ge=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _integer(self.steps, "steps", 1))
-        init = _reals(self.initial_state, "initial_state", 6)
-        object.__setattr__(self, "initial_state", init)
-        NeedleState.from_vector(init)  # validates the unit norm
-        if not isinstance(self.early_stop, (bool, np.bool_)):
-            raise InvalidConfigError(f"early_stop must be true or false, got {self.early_stop!r}")
-        object.__setattr__(self, "early_stop", bool(self.early_stop))
-        for name in ("stop_tolerance_mm", "stop_speed_mm_s", "exclude_terminal_s"):
-            v = _real(getattr(self, name), name)
-            if v < 0.0:
-                raise InvalidConfigError(f"{name} must be nonnegative, got {v!r}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(
-            self, "fault_budget", _integer(self.fault_budget, "fault_budget", 0)
-        )
+        check_fields(self)
+        try:
+            self.state()
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"initial_state: {exc}") from exc
 
     def state(self) -> NeedleState:
         return NeedleState.from_vector(self.initial_state)
@@ -449,13 +406,15 @@ def write_summary_json(result: ScenarioResult, scenario_doc: dict, path) -> None
         fh.write("\n")
 
 
-def _read_numeric_csv(path, columns: Sequence[str], min_rows: int) -> list[list[float]]:
-    """Rows of floats from a CSV whose header is exactly `columns`.
+def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None) -> list:
+    """Rows of finite floats from a CSV whose header is exactly `columns`.
 
-    Blank rows are skipped. A wrong header, a row of the wrong width, a
-    non-numeric value, fewer than min_rows rows or a file that cannot be
-    read as text raise InvalidInputError naming the file (and the line, for
-    row faults); a missing file raises FileNotFoundError.
+    Blank rows are skipped. convert, when given, turns each row into the
+    item returned for it. A wrong header, a row of the wrong width, a
+    non-numeric or non-finite value, a row that convert rejects, fewer than
+    min_rows rows or a file that cannot be read as text raise
+    InvalidInputError naming the file (and the line, for row faults); a
+    missing file raises FileNotFoundError.
     """
     try:
         with open(path, newline="") as fh:
@@ -474,9 +433,17 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int) -> list[list[
                         f"{path}:{lineno}: expected {len(columns)} columns, got {len(row)}"
                     )
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError:
                     raise InvalidInputError(f"{path}:{lineno}: non-numeric value in {row}") from None
+                if not all(map(math.isfinite, values)):
+                    raise InvalidInputError(f"{path}:{lineno}: non-finite value in {row}")
+                if convert is not None:
+                    try:
+                        values = convert(values)
+                    except (InvalidConfigError, InvalidInputError) as exc:
+                        raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
+                rows.append(values)
     except FileNotFoundError:
         raise
     except UnicodeDecodeError as exc:
@@ -490,10 +457,9 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int) -> list[list[
 
 def read_commands_csv(path) -> list[TendonCommand]:
     """Tendon command sequence from a CSV with columns COMMANDS_CSV_COLUMNS."""
-    return [
-        TendonCommand(u_s=row[0], tau=row[1:])
-        for row in _read_numeric_csv(path, COMMANDS_CSV_COLUMNS, 1)
-    ]
+    return _read_numeric_csv(
+        path, COMMANDS_CSV_COLUMNS, 1, lambda row: TendonCommand(u_s=row[0], tau=row[1:])
+    )
 
 
 def write_commands_csv(commands: Sequence[TendonCommand], path) -> None:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidConfigError, InvalidInputError, _real
+from .errors import DegenerateFitError, InvalidInputError, check_fields, key
 from .kinematics import Array, VirtualInput
 
 DEFAULT_GAIN = 3.7e-4  # curvature per unit tension, 1/(mm N)
@@ -47,21 +47,14 @@ class TendonGeometry:
 
     theta_e is the mounting offset of the first tendon channel (rad), gain
     the curvature produced per newton of tension (1/(mm N)), tau_max the
-    largest tension the hardware may command (N). Each must be a finite
-    number; strings and bools are rejected, not coerced.
-    """
+    largest tension the hardware may command (N)."""
 
-    theta_e: float = 0.0
-    gain: float = DEFAULT_GAIN
-    tau_max: float = DEFAULT_TAU_MAX
+    theta_e: float = key("theta_e_rad", 0.0)
+    gain: float = key("gain_per_mm_N", DEFAULT_GAIN, gt=0.0)
+    tau_max: float = key("tau_max_N", DEFAULT_TAU_MAX, gt=0.0)
 
     def __post_init__(self):
-        for name in ("theta_e", "gain", "tau_max"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.gain <= 0.0:
-            raise InvalidConfigError(f"gain must be positive, got {self.gain:g}")
-        if self.tau_max <= 0.0:
-            raise InvalidConfigError(f"tau_max must be positive, got {self.tau_max:g}")
+        check_fields(self)
         theta_e = self.theta_e % (2.0 * math.pi)
         # an angle just below 0 rounds up to exactly 2 pi, which would wrap
         # to 0 when the resolved geometry is parsed again

@@ -33,9 +33,9 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NumericalFailureError,
-    _integer,
-    _real,
-    _reals,
+    check_fields,
+    key,
+    key_of,
 )
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
 from .kinematics import Array, NeedleState, VirtualInput, rollout  # noqa: F401
@@ -44,66 +44,37 @@ from .optimizer import BoxNlp, minimize
 STATUS_FAULT = "fault"
 
 
-def _pair(value, name: str) -> tuple[float, float]:
-    lo, hi = _reals(value, name, 2)
-    if lo > hi:
-        raise InvalidConfigError(f"{name}: lower bound {lo:g} exceeds upper bound {hi:g}")
-    return lo, hi
-
-
-def _triple(value, name: str) -> tuple[float, float, float]:
-    vals = _reals(value, name, 3)
-    if any(v < 0.0 for v in vals):
-        raise InvalidConfigError(f"{name} entries must be finite and nonnegative, got {value}")
-    return vals
-
-
 @dataclass(frozen=True)
 class MpcConfig:
     """Horizon, weights and input bounds of the tracking controller.
 
     planar_mode collapses the u_y bounds to [0, 0] so the tip stays in the
     plane spanned by the initial direction and the u_x bending axis.
-    Numeric fields must be numbers, integer fields integers and planar_mode
-    a bool; nothing is truncated or coerced.
     """
 
-    ts: float = 0.05                                # control period, s
-    horizon: int = 5                                # number of inputs N
-    q_weights: tuple[float, float, float] = (100.0, 100.0, 200.0)
-    r_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    u_s_bounds: tuple[float, float] = (-1.0, 24.0)  # mm/s
-    u_x_bounds: tuple[float, float] = (-5.0, 5.0)   # rad/s
-    u_y_bounds: tuple[float, float] = (-5.0, 5.0)   # rad/s
-    planar_mode: bool = False
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-8
-    multi_start: int = 0
-    seed: int = 0
+    ts: float = key("T_s_s", 0.05, gt=0.0)            # control period, s
+    horizon: int = key("horizon", 5, kind=int, ge=1)    # number of inputs N
+    q_weights: tuple[float, float, float] = key("q_weights", (100.0, 100.0, 200.0),
+                                                kind=tuple, n=3, ge=0.0)
+    r_weights: tuple[float, float, float] = key("r_weights", (1.0, 1.0, 1.0),
+                                                kind=tuple, n=3, ge=0.0)
+    u_s_bounds: tuple[float, float] = key("u_s_bounds_mm_s", (-1.0, 24.0), kind=tuple, n=2)
+    u_x_bounds: tuple[float, float] = key("u_x_bounds_rad_s", (-5.0, 5.0), kind=tuple, n=2)
+    u_y_bounds: tuple[float, float] = key("u_y_bounds_rad_s", (-5.0, 5.0), kind=tuple, n=2)
+    planar_mode: bool = key("planar_mode", False, kind=bool)
+    max_iterations: int = key("max_iterations", 500, kind=int, ge=1)
+    gradient_tolerance: float = key("gradient_tolerance", 1e-8, gt=0.0)
+    multi_start: int = key("multi_start", 0, kind=int, ge=0)
+    seed: int = key("seed", 0, kind=int, ge=0)
 
     def __post_init__(self):
-        ts = _real(self.ts, "ts")
-        if ts <= 0.0:
-            raise InvalidConfigError(f"ts must be positive and finite, got {self.ts!r}")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon", 1))
-        object.__setattr__(self, "q_weights", _triple(self.q_weights, "q_weights"))
-        object.__setattr__(self, "r_weights", _triple(self.r_weights, "r_weights"))
-        object.__setattr__(self, "u_s_bounds", _pair(self.u_s_bounds, "u_s_bounds"))
-        object.__setattr__(self, "u_x_bounds", _pair(self.u_x_bounds, "u_x_bounds"))
-        object.__setattr__(self, "u_y_bounds", _pair(self.u_y_bounds, "u_y_bounds"))
-        if not isinstance(self.planar_mode, (bool, np.bool_)):
-            raise InvalidConfigError(f"planar_mode must be true or false, got {self.planar_mode!r}")
-        object.__setattr__(self, "planar_mode", bool(self.planar_mode))
-        object.__setattr__(
-            self, "max_iterations", _integer(self.max_iterations, "max_iterations", 1)
-        )
-        gtol = _real(self.gradient_tolerance, "gradient_tolerance")
-        if gtol <= 0.0:
-            raise InvalidConfigError("gradient_tolerance must be positive")
-        object.__setattr__(self, "gradient_tolerance", gtol)
-        object.__setattr__(self, "multi_start", _integer(self.multi_start, "multi_start", 0))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        check_fields(self)
+        for name in ("u_s_bounds", "u_x_bounds", "u_y_bounds"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise InvalidConfigError(
+                    f"{key_of(self, name)}: lower bound {lo:g} exceeds upper bound {hi:g}"
+                )
         lo, hi = self.input_bounds()
         lo, hi = np.tile(lo, self.horizon), np.tile(hi, self.horizon)
         lo.setflags(write=False)
@@ -371,18 +342,12 @@ class RecedingHorizonController:
     def __init__(self, config: MpcConfig):
         self.config = config
         self._warm: Optional[HorizonSolution] = None
-        self.fault_count = 0
 
     def reset(self) -> None:
         self._warm = None
-        self.fault_count = 0
 
     def step(self, measured: NeedleState, refs) -> tuple[VirtualInput, HorizonSolution]:
         """Solve from the measured state; returns (applied first input, solution)."""
         solution = solve_horizon(measured, refs, self.config, self._warm)
-        if solution.solver_status == STATUS_FAULT:
-            self.fault_count += 1
-            self._warm = None
-        else:
-            self._warm = solution
+        self._warm = None if solution.solver_status == STATUS_FAULT else solution
         return solution.inputs[0], solution

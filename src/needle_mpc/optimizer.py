@@ -228,23 +228,3 @@ def minimize(
             if res.value < best.value:
                 best = res
     return best
-
-
-def gradient_check(
-    objective: Callable[[list], tuple[float, Sequence[float]]], x, h_scale: float = 1e-6
-) -> float:
-    """Largest relative disagreement between the analytic gradient and
-    central differences with per-coordinate step h = h_scale * (1 + |x_i|).
-
-    objective is called with list[float] points, as BoxNlp.objective is.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(objective(x.tolist())[1], dtype=float)
-    fd = np.empty_like(x)
-    for i in range(x.size):
-        h = h_scale * (1.0 + abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = h
-        fd[i] = (objective((x + e).tolist())[0] - objective((x - e).tolist())[0]) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
-    return float(np.max(np.abs(g - fd))) / scale

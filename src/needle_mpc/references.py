@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, _real, _reals
+from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields, key, key_of
 from .kinematics import Array
 
 _AXIS_PERMUTATION = {
@@ -28,31 +28,14 @@ _AXIS_PERMUTATION = {
 }
 
 
-def _array(values) -> Array:
-    """Read-only float array of already validated numbers."""
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def _points(value, name: str) -> Array:
-    """(m, 3) array of at least 2 points, each a list of 3 finite numbers."""
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise InvalidConfigError(f"{name} must be a list of [x, y, z] points, got {value!r}")
-    rows = [_reals(row, name, 3) for row in value]
-    if len(rows) < 2:
-        raise InvalidConfigError(f"{name} must hold at least 2 points, got {len(rows)}")
-    return _array(rows)
-
-
 @dataclass(frozen=True)
 class FixedTarget:
     """A single stationary target point (mm)."""
 
-    target: Array
+    target: Array = key("target_mm", kind=np.ndarray, n=3)
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _array(_reals(self.target, "target", 3)))
+        check_fields(self)
 
     def sample(self, t: float) -> Array:
         return np.array(self.target)
@@ -68,21 +51,15 @@ class Helix:
     a straight line along the axis.
     """
 
-    radius: float
-    pitch: float
-    rate: float
-    center: Array = (0.0, 0.0, 0.0)
-    phase: float = 0.0
-    axis: str = "z"
+    radius: float = key("radius_mm", ge=0.0)
+    pitch: float = key("pitch_mm")
+    rate: float = key("rate_rad_s")
+    center: Array = key("center_mm", (0.0, 0.0, 0.0), kind=np.ndarray, n=3)
+    phase: float = key("phase_rad", 0.0)
+    axis: str = key("axis", "z", kind=str, choices=tuple(_AXIS_PERMUTATION))
 
     def __post_init__(self):
-        for name in ("radius", "pitch", "rate", "phase"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.radius < 0.0:
-            raise InvalidConfigError(f"radius must be nonnegative, got {self.radius:g}")
-        object.__setattr__(self, "center", _array(_reals(self.center, "center", 3)))
-        if not isinstance(self.axis, str) or self.axis not in _AXIS_PERMUTATION:
-            raise InvalidConfigError(f"axis must be one of 'x', 'y', 'z', got {self.axis!r}")
+        check_fields(self)
 
     def sample(self, t: float) -> Array:
         ang = self.rate * t + self.phase
@@ -110,21 +87,20 @@ class SharpTurn:
     direction jumps at every interior waypoint (that is the point).
     """
 
-    waypoints: Array
-    speed: float
+    waypoints: Array = key("waypoints_mm", kind=POINTS)
+    speed: float = key("speed_mm_s", gt=0.0)
     times: Array = field(init=False)
 
     def __post_init__(self):
-        pts = _points(self.waypoints, "waypoints")
-        speed = _real(self.speed, "speed")
-        if speed <= 0.0:
-            raise InvalidConfigError(f"speed must be positive, got {speed:g}")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        check_fields(self)
+        seg = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
         if np.any(seg == 0.0):
-            raise InvalidConfigError("consecutive waypoints must be distinct")
-        object.__setattr__(self, "waypoints", pts)
-        object.__setattr__(self, "speed", speed)
-        object.__setattr__(self, "times", _array(np.concatenate([[0.0], np.cumsum(seg)]) / speed))
+            raise InvalidConfigError(
+                f"{key_of(self, 'waypoints')}: consecutive waypoints must be distinct"
+            )
+        times = np.concatenate([[0.0], np.cumsum(seg)]) / self.speed
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
 
     def corner_times(self) -> Array:
         """Times of the interior waypoints (s)."""
@@ -142,15 +118,13 @@ class Sinusoidal:
             amplitude_y*sin(2pi f_y t + phase_y), axial_speed*t).
     """
 
-    axial_speed: float
-    amplitude: Array = (0.0, 0.0)   # mm
-    frequency: Array = (0.0, 0.0)   # Hz
-    phase: Array = (0.0, 0.0)       # rad
+    axial_speed: float = key("axial_speed_mm_s")
+    amplitude: Array = key("amplitude_mm", (0.0, 0.0), kind=np.ndarray, n=2)
+    frequency: Array = key("frequency_hz", (0.0, 0.0), kind=np.ndarray, n=2)
+    phase: Array = key("phase_rad", (0.0, 0.0), kind=np.ndarray, n=2)
 
     def __post_init__(self):
-        object.__setattr__(self, "axial_speed", _real(self.axial_speed, "axial_speed"))
-        for name in ("amplitude", "frequency", "phase"):
-            object.__setattr__(self, name, _array(_reals(getattr(self, name), name, 2)))
+        check_fields(self)
 
     def sample(self, t: float) -> Array:
         arg = 2.0 * np.pi * self.frequency * t + self.phase
@@ -162,16 +136,19 @@ class Sinusoidal:
 class WaypointPath:
     """Linear interpolation through (time, point) samples, held at the ends."""
 
-    points: Array
-    times: Array
+    points: Array = key("points_mm", kind=POINTS)
+    times: Array = key("times_s", kind=np.ndarray)
 
     def __post_init__(self):
-        pts = _points(self.points, "points")
-        times = _array(_reals(self.times, "times", len(pts)))
-        if np.any(np.diff(times) <= 0.0):
-            raise InvalidConfigError("times must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "times", times)
+        check_fields(self)
+        times_key = key_of(self, "times")
+        if len(self.times) != len(self.points):
+            raise InvalidConfigError(
+                f"{times_key} must have {len(self.points)} entries, one per point of "
+                f"{key_of(self, 'points')}, got {len(self.times)}"
+            )
+        if np.any(np.diff(self.times) <= 0.0):
+            raise InvalidConfigError(f"{times_key} must be strictly increasing")
 
     def sample(self, t: float) -> Array:
         return _interp_path(self.points, self.times, t)

@@ -1,11 +1,13 @@
 """Scenario documents: strict JSON schema, presets, resolved echoes.
 
-A scenario file is a JSON object with a schema_version and five sections
-(mpc, geometry, plant, reference, run). Parsing is strict: unknown keys are
-rejected by name rather than ignored, so typos surface as errors instead of
-silently running defaults. scenario_to_dict materializes every default,
-producing a document that parses back to the identical scenario; run
-summaries embed that echo so any result can be reproduced from its own
+A scenario file is a JSON object with a schema_version and one section per
+field of Scenario (mpc, geometry, plant, reference, run). Parsing, the echo
+and every validation message come from the JSON keys, kinds and bounds that
+the section dataclasses declare (errors.key). Parsing is strict: unknown
+keys are rejected by name rather than ignored, so typos surface as errors
+instead of silently running defaults. scenario_to_dict materializes every
+default, producing a document that parses back to the identical scenario;
+run summaries embed that echo so any result can be reproduced from its own
 output file.
 """
 
@@ -13,27 +15,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import typing
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, SchemaError
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    SchemaError,
+    check_fields,
+    json_fields,
+    key,
+)
 from .harness import PlantConfig, RunConfig, _read_numeric_csv
 from .mapping import TendonGeometry
 from .mpc import MpcConfig
-from .references import (
-    FixedTarget,
-    Helix,
-    ReferenceSpec,
-    SharpTurn,
-    Sinusoidal,
-    WaypointPath,
-)
+from .references import FixedTarget, Helix, ReferenceSpec, SharpTurn, Sinusoidal, WaypointPath
 
 SCHEMA_VERSION = 1
-
-_SECTIONS = ("mpc", "geometry", "plant", "reference", "run")
 
 
 @dataclass(frozen=True)
@@ -45,137 +47,83 @@ class Scenario:
     run: RunConfig
 
 
-def _take(section: dict, section_name: str, known: dict) -> dict:
-    """Map JSON keys to constructor kwargs, rejecting unknown keys."""
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise SchemaError(f"unknown key(s) in section '{section_name}': {', '.join(unknown)}")
-    return {known[k]: v for k, v in section.items()}
-
-
-def _build(section_name: str, ctor, kwargs: dict):
-    try:
-        return ctor(**kwargs)
-    except (InvalidConfigError, InvalidInputError) as exc:
-        raise SchemaError(f"section '{section_name}': {exc}") from exc
-    except TypeError as exc:
-        raise SchemaError(f"section '{section_name}': {exc}") from exc
-
-
-_MPC_KEYS = {
-    "T_s_s": "ts",
-    "horizon": "horizon",
-    "q_weights": "q_weights",
-    "r_weights": "r_weights",
-    "u_s_bounds_mm_s": "u_s_bounds",
-    "u_x_bounds_rad_s": "u_x_bounds",
-    "u_y_bounds_rad_s": "u_y_bounds",
-    "planar_mode": "planar_mode",
-    "max_iterations": "max_iterations",
-    "gradient_tolerance": "gradient_tolerance",
-    "multi_start": "multi_start",
-    "seed": "seed",
-}
-
-_GEOMETRY_KEYS = {
-    "theta_e_rad": "theta_e",
-    "gain_per_mm_N": "gain",
-    "tau_max_N": "tau_max",
-}
-
-_PLANT_KEYS = {
-    "integrator": "integrator",
-    "gain_error": "gain_error",
-    "theta_e_error_rad": "theta_e_error",
-    "measurement_noise_std_mm": "measurement_noise_std",
-    "latency_steps": "latency_steps",
-    "seed": "seed",
-}
-
-_RUN_KEYS = {
-    "steps": "steps",
-    "initial_state": "initial_state",
-    "early_stop": "early_stop",
-    "stop_tolerance_mm": "stop_tolerance_mm",
-    "stop_speed_mm_s": "stop_speed_mm_s",
-    "exclude_terminal_s": "exclude_terminal_s",
-    "fault_budget": "fault_budget",
-}
+# section name -> its config class, in document order
+_SECTIONS = typing.get_type_hints(Scenario)
 
 REPLAY_CSV_COLUMNS = ["t_s", "x_mm", "y_mm", "z_mm"]
 
 
-def _replay(csv_path) -> WaypointPath:
-    """Recorded tip trajectory (columns REPLAY_CSV_COLUMNS) as a waypoint path.
+@dataclass(frozen=True)
+class _Replay:
+    """A recorded tip trajectory (columns REPLAY_CSV_COLUMNS); it loads into
+    a waypoint path, so the echo is self-contained."""
 
-    The recording must start at t = 0, where every run first samples its
-    reference.
-    """
-    if not isinstance(csv_path, str):
-        raise InvalidConfigError(f"csv_path must be a string, got {csv_path!r}")
+    csv_path: str = key("csv_path", kind=str)
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def load(self, base_dir) -> WaypointPath:
+        """The recording as a waypoint path; a relative csv_path resolves
+        against base_dir. It must start at t = 0, where every run first
+        samples its reference."""
+        path = os.path.join(base_dir or "", self.csv_path)
+        try:
+            data = np.array(_read_numeric_csv(path, REPLAY_CSV_COLUMNS, 2))
+        except FileNotFoundError as exc:
+            raise InvalidInputError(f"{path}: no such file") from exc
+        if data[0, 0] > 1e-12:
+            raise InvalidInputError(
+                f"{path}: the first replay sample is at {data[0, 0]:g} s; "
+                "a replay must start at t = 0"
+            )
+        return WaypointPath(points=data[:, 1:], times=data[:, 0])
+
+
+# reference kind -> class; WaypointPath echoes as "waypoint_path"
+_KINDS = {
+    "fixed_target": FixedTarget,
+    "helix": Helix,
+    "sharp_turn": SharpTurn,
+    "sinusoidal": Sinusoidal,
+    "waypoint_path": WaypointPath,
+    "replay": _Replay,
+}
+
+
+def _build(section: str, cls, body: dict):
+    """cls from a JSON section by its key() fields; faults name the section."""
+    fields = json_fields(cls)
+    unknown = sorted(set(body) - set(fields))
+    if unknown:
+        raise SchemaError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
+    missing = [k for k, f in fields.items() if f.default is dataclasses.MISSING and k not in body]
+    if missing:
+        raise SchemaError(f"section '{section}': missing required key(s): {', '.join(missing)}")
     try:
-        data = np.array(_read_numeric_csv(csv_path, REPLAY_CSV_COLUMNS, 2))
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"{csv_path}: no such file") from exc
-    if data[0, 0] > 1e-12:
-        raise SchemaError(
-            f"{csv_path}: the first replay sample is at {data[0, 0]:g} s; "
-            "a replay must start at t = 0"
-        )
-    return WaypointPath(points=data[:, 1:], times=data[:, 0])
+        return cls(**{fields[k].name: v for k, v in body.items()})
+    except (InvalidConfigError, InvalidInputError) as exc:
+        raise SchemaError(f"section '{section}': {exc}") from exc
 
 
-_REFERENCE_KEYS = {
-    "fixed_target": ({"target_mm": "target"}, FixedTarget),
-    "helix": (
-        {
-            "radius_mm": "radius",
-            "pitch_mm": "pitch",
-            "rate_rad_s": "rate",
-            "center_mm": "center",
-            "phase_rad": "phase",
-            "axis": "axis",
-        },
-        Helix,
-    ),
-    "sharp_turn": ({"waypoints_mm": "waypoints", "speed_mm_s": "speed"}, SharpTurn),
-    "sinusoidal": (
-        {
-            "axial_speed_mm_s": "axial_speed",
-            "amplitude_mm": "amplitude",
-            "frequency_hz": "frequency",
-            "phase_rad": "phase",
-        },
-        Sinusoidal,
-    ),
-    "waypoint_path": ({"points_mm": "points", "times_s": "times"}, WaypointPath),
-    # a replay loads into a waypoint path, so its echo is self-contained
-    "replay": ({"csv_path": "csv_path"}, _replay),
-}
-
-# reference type -> kind; WaypointPath echoes as "waypoint_path"
-_REFERENCE_KINDS = {ctor: kind for kind, (_, ctor) in _REFERENCE_KEYS.items()}
-
-_SECTION_KEYS = {
-    "mpc": _MPC_KEYS,
-    "geometry": _GEOMETRY_KEYS,
-    "plant": _PLANT_KEYS,
-    "run": _RUN_KEYS,
-}
-
-
-def _reference_from_dict(section: dict) -> ReferenceSpec:
+def _reference_from_dict(section: dict, base_dir=None) -> ReferenceSpec:
     kind = section.get("kind")
-    if not isinstance(kind, str) or kind not in _REFERENCE_KEYS:
-        raise SchemaError(
-            f"reference kind must be one of {sorted(_REFERENCE_KEYS)}, got {kind!r}"
-        )
-    keys, ctor = _REFERENCE_KEYS[kind]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"reference kind must be one of {sorted(_KINDS)}, got {kind!r}")
+    name = f"reference (kind {kind})"
     body = {k: v for k, v in section.items() if k != "kind"}
-    return _build(f"reference ({kind})", ctor, _take(body, f"reference ({kind})", keys))
+    ref = _build(name, _KINDS[kind], body)
+    if isinstance(ref, _Replay):
+        try:
+            return ref.load(base_dir)
+        except (InvalidConfigError, InvalidInputError) as exc:
+            raise SchemaError(f"section '{name}': csv_path: {exc}") from exc
+    return ref
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
+def scenario_from_dict(doc: dict, base_dir=None) -> Scenario:
+    """Scenario from a parsed document; a relative replay csv_path resolves
+    against base_dir (default: the working directory)."""
     if not isinstance(doc, dict):
         raise SchemaError(f"scenario document must be a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
@@ -186,56 +134,55 @@ def scenario_from_dict(doc: dict) -> Scenario:
     unknown = sorted(set(doc) - set(_SECTIONS) - {"schema_version"})
     if unknown:
         raise SchemaError(f"unknown top-level key(s): {', '.join(unknown)}")
-    missing = sorted(set(_SECTIONS) - set(doc))
+    missing = [name for name in _SECTIONS if name not in doc]
     if missing:
         raise SchemaError(f"missing required section(s): {', '.join(missing)}")
     for name in _SECTIONS:
         if not isinstance(doc[name], dict):
             raise SchemaError(f"section '{name}' must be a JSON object")
-
-    mpc = _build("mpc", MpcConfig, _take(doc["mpc"], "mpc", _MPC_KEYS))
-    geometry = _build("geometry", TendonGeometry, _take(doc["geometry"], "geometry", _GEOMETRY_KEYS))
-    plant = _build("plant", PlantConfig, _take(doc["plant"], "plant", _PLANT_KEYS))
-    reference = _reference_from_dict(doc["reference"])
-    run = _build("run", RunConfig, _take(doc["run"], "run", _RUN_KEYS))
-    return Scenario(mpc=mpc, geometry=geometry, plant=plant, reference=reference, run=run)
+    return Scenario(**{
+        name: _reference_from_dict(doc[name], base_dir) if cls == ReferenceSpec
+        else _build(name, cls, doc[name])
+        for name, cls in _SECTIONS.items()
+    })
 
 
-def _echo(obj, keys: dict) -> dict:
-    """JSON section of obj's attributes under their document keys."""
+def _echo(obj) -> dict:
+    """JSON section of obj's key() fields."""
     section = {}
-    for key, attr in keys.items():
-        value = getattr(obj, attr)
+    for name, f in json_fields(obj).items():
+        value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
             value = value.tolist()
         elif isinstance(value, tuple):
             value = list(value)
-        section[key] = value
+        section[name] = value
     return section
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Fully resolved scenario document with every default materialized."""
-    ref = scenario.reference
-    kind = _REFERENCE_KINDS.get(type(ref))
-    if kind is None:
-        raise InvalidInputError(f"unknown reference type {type(ref).__name__}")
     doc = {"schema_version": SCHEMA_VERSION}
-    for name in _SECTIONS:
-        if name == "reference":
-            doc[name] = {"kind": kind, **_echo(ref, _REFERENCE_KEYS[kind][0])}
-        else:
-            doc[name] = _echo(getattr(scenario, name), _SECTION_KEYS[name])
+    for name, cls in _SECTIONS.items():
+        obj = getattr(scenario, name)
+        doc[name] = _echo(obj)
+        if cls == ReferenceSpec:
+            kind = next((k for k, c in _KINDS.items() if type(obj) is c), None)
+            if kind is None:
+                raise InvalidInputError(f"unknown reference type {type(obj).__name__}")
+            doc[name] = {"kind": kind, **doc[name]}
     return doc
 
 
 def load_scenario(path) -> Scenario:
+    """Scenario from a JSON file; a relative replay csv_path resolves
+    against the file's directory."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(doc, base_dir=os.path.dirname(path))
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

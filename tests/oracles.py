@@ -226,3 +226,22 @@ def helix_point(t, radius, pitch, rate, center, phase, axis="z"):
     else:
         local = (circ2, axial, circ1)
     return np.asarray(center, dtype=float) + np.array(local)
+
+
+def gradient_check(objective, x, h_scale=1e-6):
+    """Largest relative disagreement between an analytic gradient and
+    central differences with per-coordinate step h = h_scale * (1 + |x_i|).
+
+    objective maps a list of floats to (value, gradient), as a BoxNlp
+    objective does.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(objective(x.tolist())[1], dtype=float)
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        h = h_scale * (1.0 + abs(x[i]))
+        e = np.zeros_like(x)
+        e[i] = h
+        fd[i] = (objective((x + e).tolist())[0] - objective((x - e).tolist())[0]) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
+    return float(np.max(np.abs(g - fd))) / scale

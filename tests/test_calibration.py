@@ -123,6 +123,12 @@ class TestRunsDirectory:
         with pytest.raises(SchemaError):
             load_runs_dir(tmp_path)
 
+    def test_manifest_integer_too_long_is_schema_error(self, tmp_path):
+        entry = '{"file": "run00.csv", "tendon_index": 1, "tension_N": ' + "1" * 5000 + "}"
+        (tmp_path / "manifest.json").write_text('{"runs": [' + entry + "]}")
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_runs_dir(tmp_path)
+
     def test_manifest_schema_enforced(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"trials": []}))
         with pytest.raises(SchemaError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -5,14 +6,33 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from needle_mpc import cli
+from needle_mpc import cli, scenario
 from needle_mpc.calibration import simulate_calibration_run, write_runs_dir
+from needle_mpc.errors import json_fields
 from needle_mpc.harness import write_commands_csv
 from needle_mpc.mapping import TendonCommand, TendonGeometry, forward_map
 from oracles import chord_deflection
 
 GEO = TendonGeometry()
 HELIX = {"kind": "helix", "radius_mm": 5.0, "pitch_mm": 40.0, "rate_rad_s": 1.2, "axis": "z"}
+TIP_CSV = "t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,0,20\n2,1,-1,40\n"
+
+# a complete reference section of every kind; a replay reads tip.csv beside the scenario
+REFERENCES = {
+    "fixed_target": {"target_mm": [0.0, 0.0, 60.0]},
+    "helix": HELIX,
+    "sharp_turn": {"waypoints_mm": [[0, 0, 0], [0, 0, 60]], "speed_mm_s": 12.0},
+    "sinusoidal": {"axial_speed_mm_s": 18.0},
+    "waypoint_path": {"points_mm": [[0, 0, 0], [0, 0, 50]], "times_s": [0.0, 5.0]},
+    "replay": {"csv_path": "tip.csv"},
+}
+
+REQUIRED_REFERENCE_KEYS = [
+    (kind, key)
+    for kind, cls in scenario._KINDS.items()
+    for key, f in json_fields(cls).items()
+    if f.default is dataclasses.MISSING
+]
 
 
 def quick_scenario(tmp_path, name="quick.json", **plant):
@@ -63,10 +83,10 @@ class TestRun:
         + [
             ("planar_mode", "no", "planar_mode"),
             ("planar_mode", 1, "planar_mode"),
-            ("T_s_s", "0.05", "ts"),
+            ("T_s_s", "0.05", "T_s_s"),
             ("gradient_tolerance", "abc", "gradient_tolerance"),
             ("q_weights", "abc", "q_weights"),
-            ("u_x_bounds_rad_s", [-5.0, "5"], "u_x_bounds"),
+            ("u_x_bounds_rad_s", [-5.0, "5"], "u_x_bounds_rad_s"),
         ],
     )
     def test_mistyped_mpc_field_rejected_naming_the_field(
@@ -86,7 +106,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "section, key, value, named",
         [
-            ("plant", "measurement_noise_std_mm", "abc", "measurement_noise_std"),
+            ("plant", "measurement_noise_std_mm", "abc", "measurement_noise_std_mm"),
             ("plant", "gain_error", "abc", "gain_error"),
             ("plant", "latency_steps", "x", "latency_steps"),
             ("plant", "latency_steps", 1.5, "latency_steps"),
@@ -99,8 +119,8 @@ class TestRun:
             ("run", "fault_budget", 1.5, "fault_budget"),
             ("run", "early_stop", "no", "early_stop"),
             ("run", "initial_state", [0, 0, 0, 0, 0, "1"], "initial_state"),
-            ("geometry", "gain_per_mm_N", "abc", "gain"),
-            ("geometry", "gain_per_mm_N", True, "gain"),
+            ("geometry", "gain_per_mm_N", "abc", "gain_per_mm_N"),
+            ("geometry", "gain_per_mm_N", True, "gain_per_mm_N"),
         ],
     )
     def test_mistyped_plant_run_geometry_field_rejected_naming_the_field(
@@ -123,11 +143,11 @@ class TestRun:
         [
             ({"kind": ["fixed_target"], "target_mm": [0.0, 0.0, 60.0]}, "kind"),
             ({**HELIX, "axis": ["z"]}, "axis"),
-            ({**HELIX, "radius_mm": "5"}, "radius"),
-            ({**HELIX, "rate_rad_s": True}, "rate"),
-            ({**HELIX, "center_mm": ["0", "0", "0"]}, "center"),
-            ({"kind": "fixed_target", "target_mm": ["0", "0", "60"]}, "target"),
-            ({"kind": "fixed_target", "target_mm": [True, False, 60]}, "target"),
+            ({**HELIX, "radius_mm": "5"}, "radius_mm"),
+            ({**HELIX, "rate_rad_s": True}, "rate_rad_s"),
+            ({**HELIX, "center_mm": ["0", "0", "0"]}, "center_mm"),
+            ({"kind": "fixed_target", "target_mm": ["0", "0", "60"]}, "target_mm"),
+            ({"kind": "fixed_target", "target_mm": [True, False, 60]}, "target_mm"),
         ],
     )
     def test_mistyped_reference_field_rejected_naming_the_field(
@@ -143,6 +163,40 @@ class TestRun:
         assert code == 2
         assert f"{named} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key", REQUIRED_REFERENCE_KEYS)
+    def test_missing_required_reference_key_named(self, tmp_path, capsys, kind, key):
+        (tmp_path / "tip.csv").write_text(TIP_CSV)
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["reference"] = {**REFERENCES[kind], "kind": kind}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        scenario.load_scenario(path)  # complete, it parses
+        del doc["reference"][key]
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"missing required key(s): {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_replay_csv_path_resolves_against_the_scenario_file(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "tip.csv").write_text(TIP_CSV)
+        doc = {
+            "schema_version": 1,
+            "mpc": {},
+            "geometry": {},
+            "plant": {},
+            "reference": {"kind": "replay", "csv_path": "tip.csv"},
+            "run": {"steps": 5},
+        }
+        (sub / "scn.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "sub/scn.json", "--out", "out"]) == 0
+        assert (tmp_path / "out/steps.csv").is_file()
 
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         path = quick_scenario(tmp_path)
@@ -290,6 +344,22 @@ class TestReplay:
         code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
         assert code == 2
         assert ":2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("20,nan,0,0", "non-finite value"),
+            ("inf,0,0,0", "non-finite value"),
+            ("20,-1,0,0", "tensions must be nonnegative"),
+        ],
+    )
+    def test_invalid_command_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "cmd.csv"
+        bad.write_text(f"us_mm_s,tau1_N,tau2_N,tau3_N\n20,0,0,0\n{row}\n")
+        code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: " in err and message in err
 
     def test_undecodable_commands_csv_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "cmd.csv"

@@ -415,7 +415,3 @@ class TestController:
         ctrl.reset()
         a2, _ = ctrl.step(s, refs)
         assert a1.as_array() == pytest.approx(a2.as_array(), abs=0.0)
-
-    def test_fault_count_starts_zero(self):
-        ctrl = RecedingHorizonController(CFG)
-        assert ctrl.fault_count == 0

@@ -9,10 +9,9 @@ from needle_mpc.optimizer import (
     STATUS_MAX_ITER,
     STATUS_STALLED,
     BoxNlp,
-    gradient_check,
     minimize,
 )
-from oracles import refine_minimize
+from oracles import gradient_check, refine_minimize
 
 
 def quadratic_problem(center, lower, upper, **kw):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from needle_mpc import scenario as scenario_mod
 from needle_mpc.cli import _VALIDATION_ERRORS
-from needle_mpc.errors import InvalidInputError, SchemaError
+from needle_mpc.errors import InvalidInputError, SchemaError, json_fields
 from needle_mpc.references import (
     FixedTarget,
     Helix,
@@ -121,6 +122,12 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_scenario(path)
 
+    def test_load_scenario_rejects_integer_too_long_to_convert(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(make_doc()).replace('"T_s_s": 0.05', '"T_s_s": ' + "1" * 5000))
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_scenario(path)
+
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(make_doc()))
@@ -208,12 +215,10 @@ def _preset_doc(name):
 
 def _fields(name):
     """(section, key) of every schema key a preset document may set."""
-    doc = _preset_doc(name)
-    kind = doc["reference"]["kind"]
+    scenario = load_preset(name)
     fields = [("schema_version", None), ("reference", "kind")]
-    fields += [("reference", key) for key in scenario_mod._REFERENCE_KEYS[kind][0]]
-    for section, keys in scenario_mod._SECTION_KEYS.items():
-        fields += [(section, key) for key in keys]
+    for section in dataclasses.fields(scenario):
+        fields += [(section.name, key) for key in json_fields(getattr(scenario, section.name))]
     return fields
 
 
@@ -254,6 +259,7 @@ class TestFuzzedPresets:
     @given(mutated_presets())
     @example(("target1", "schema_version", None, True))
     @example(("target1", "geometry", "theta_e_rad", -1e-17))
+    @example(("target1", "mpc", "T_s_s", 10**400))
     @settings(max_examples=200, deadline=None)
     def test_one_field_set_to_any_json_value(self, case):
         name, section, key, value = case
@@ -266,7 +272,9 @@ class TestFuzzedPresets:
             resolved = scenario_to_dict(load_preset(name))[section][key]
         try:
             scenario = scenario_from_dict(doc)
-        except _VALIDATION_ERRORS:
+        except _VALIDATION_ERRORS as exc:
+            # every rejection names the JSON key it rejects
+            assert (key or section) in str(exc)
             return
         # a string or a bool is never accepted in a numeric field
         assert not (_is_numeric(resolved) and _has_str_or_bool(value))
