@@ -46,7 +46,6 @@ from .mpc import (
     HorizonSolution,
     MpcConfig,
     RecedingHorizonController,
-    horizon_cost,
     solve_horizon,
 )
 from .optimizer import BoxNlp, MinimizeResult, minimize

@@ -14,7 +14,6 @@ described by a manifest.json sidecar:
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import (
     check_fields,
     key,
 )
-from .harness import _read_numeric_csv
+from .harness import _read_numeric_csv, _write_csv, _write_json
 from .kinematics import Array, NeedleState, VirtualInput, rollout
 from .mapping import TendonGeometry, estimate_curvature, fit_gain
 
@@ -167,14 +166,8 @@ def write_runs_dir(runs, directory) -> None:
     entries = []
     for k, run in enumerate(runs):
         name = f"run{k:02d}.csv"
-        with open(os.path.join(directory, name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RUN_CSV_COLUMNS)
-            for p in run.tip_points:
-                writer.writerow([f"{v:.9g}" for v in p])
+        _write_csv(os.path.join(directory, name), RUN_CSV_COLUMNS, run.tip_points)
         entries.append(
             {"file": name, "tendon_index": run.tendon_index, "tension_N": run.tension}
         )
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
-        json.dump({"runs": entries}, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(directory, MANIFEST_NAME), {"runs": entries})

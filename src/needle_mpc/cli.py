@@ -5,14 +5,14 @@
     needle-mpc replay COMMANDS.csv (SCENARIO.json | --preset NAME) [--out DIR]
     needle-mpc batch (SCENARIO.json ... | --preset all) [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 invalid scenario/input, 3 runtime failure. Batch
-parallelism is capped by the NEEDLE_MPC_THREADS environment variable.
+Exit codes: 0 success, 2 invalid scenario/input or an unwritable output, 3
+runtime failure. Batch parallelism is capped by the NEEDLE_MPC_THREADS
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -88,9 +88,7 @@ def cmd_calibrate(args) -> int:
             for t, k in zip(result.tensions, result.curvatures)
         ],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    harness._write_json(args.out, doc)
     print(f"gain {result.gain:.6g} 1/(mm N), residual rms {result.residual_rms:.3g} 1/mm -> {args.out}")
     return EXIT_OK
 
@@ -107,16 +105,10 @@ def cmd_replay(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     harness.write_open_loop_csv(result, scn.mpc.ts, os.path.join(args.out, "open_loop.csv"))
-    doc = {
-        "max_error_mm": result.max_error_mm,
-        "inserted_length_mm": result.inserted_length_mm,
-        "error_pct_of_insertion": result.error_pct_of_insertion,
-        "steps": len(result.errors) - 1,
-        "scenario": scenario_mod.scenario_to_dict(scn),
-    }
-    with open(os.path.join(args.out, "open_loop_summary.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    harness.write_open_loop_summary_json(
+        result, scenario_mod.scenario_to_dict(scn),
+        os.path.join(args.out, "open_loop_summary.json"),
+    )
     pct = result.error_pct_of_insertion
     pct_text = f"{pct:.3g}%" if pct is not None else "n/a"
     print(
@@ -230,8 +222,10 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing input, or an --out that cannot be written
+        # a failed write (a full disk, say) names no file
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_INVALID
     except NeedleMpcError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -47,19 +47,20 @@ POINTS = "points"
 
 
 def key(name: str, default=dataclasses.MISSING, *, kind=float, n=None, ge=None, gt=None,
-        choices=None):
+        le=None, choices=None):
     """A dataclass field read from and echoed to the JSON key `name`.
 
     kind is float, int, bool or str (strictly: no bool is a number, no
     fraction an integer); tuple or np.ndarray for n numbers (any count when
     n is None), kept as a tuple of floats or a read-only array; or POINTS
-    for at least 2 [x, y, z] points, kept as a read-only (m, 3) array. ge
-    and gt bound every number, choices lists the allowed values, and a field
-    without a default is a required key.
+    for at least 2 [x, y, z] points, kept as a read-only (m, 3) array. ge,
+    gt and le bound every number, choices lists the allowed values, and a
+    field without a default is a required key.
     """
     return dataclasses.field(
         default=default,
-        metadata={"key": name, "kind": kind, "n": n, "ge": ge, "gt": gt, "choices": choices},
+        metadata={"key": name, "kind": kind, "n": n, "ge": ge, "gt": gt, "le": le,
+                  "choices": choices},
     )
 
 
@@ -82,7 +83,7 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, f.name, _checked(getattr(obj, f.name), **f.metadata))
 
 
-def _checked(value, key, kind, n, ge, gt, choices):
+def _checked(value, key, kind, n, ge, gt, le, choices):
     if kind is bool and not isinstance(value, (bool, np.bool_)):
         raise InvalidConfigError(f"{key} must be true or false, got {value!r}")
     if kind is str and not isinstance(value, str):
@@ -106,6 +107,8 @@ def _checked(value, key, kind, n, ge, gt, choices):
             raise InvalidConfigError(f"{key} must be > {gt:g}, got {v!r}")
         if ge is not None and not v >= ge:
             raise InvalidConfigError(f"{key} must be >= {ge:g}, got {v!r}")
+        if le is not None and not v <= le:
+            raise InvalidConfigError(f"{key} must be <= {le:g}, got {v!r}")
     if choices is not None and value not in choices:
         allowed = ", ".join(map(repr, choices))
         raise InvalidConfigError(f"{key} must be one of {allowed}, got {value!r}")

@@ -8,9 +8,9 @@ own, possibly perturbed, geometry before integrating the true state. Model
 mismatch therefore enters exactly where it would on hardware, in the tension
 mapping.
 
-Per-step records serialize to a fixed-column CSV and a run summary to JSON;
-both use 9-significant-digit formatting so that reruns of the same scenario
-and seed are byte-identical.
+Every file a run writes goes through one of two writers: _write_csv puts
+each number at 9 significant digits, and _write_json sorts the keys, so
+reruns of the same scenario and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ OPEN_LOOP_CSV_COLUMNS = [
 ]
 
 COMMANDS_CSV_COLUMNS = ["us_mm_s", "tau1_N", "tau2_N", "tau3_N"]
-
-
-def _fmt(x: float) -> str:
-    """Fixed 9-significant-digit float formatting used by all outputs."""
-    return f"{x:.9g}"
 
 
 @dataclass(frozen=True)
@@ -343,40 +338,39 @@ def run_open_loop(
     )
 
 
-def write_step_csv(result: ScenarioResult, path) -> None:
-    """Per-step log with the fixed column set in CSV_COLUMNS."""
+def _write_csv(path, columns: Sequence[str], rows) -> None:
+    """Header `columns`, then one line per row with every number written at
+    9 significant digits (a bool as 0 or 1)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in result.records:
-            writer.writerow(
-                [
-                    _fmt(r.t),
-                    *(_fmt(v) for v in r.state.p),
-                    *(_fmt(v) for v in r.state.d),
-                    *(_fmt(v) for v in r.ref),
-                    _fmt(r.applied.u_s), _fmt(r.applied.u_x), _fmt(r.applied.u_y),
-                    *(_fmt(v) for v in r.command.tau),
-                    int(r.saturated),
-                    _fmt(r.cost),
-                    _fmt(r.err),
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([f"{v:.9g}" for v in row] for row in rows)
+
+
+def _write_json(path, doc: dict) -> None:
+    """doc with two-space indent, sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_step_csv(result: ScenarioResult, path) -> None:
+    """Per-step log with the fixed column set in CSV_COLUMNS."""
+    _write_csv(path, CSV_COLUMNS, (
+        [
+            r.t, *r.state.p, *r.state.d, *r.ref,
+            r.applied.u_s, r.applied.u_x, r.applied.u_y,
+            *r.command.tau, r.saturated, r.cost, r.err,
+        ]
+        for r in result.records
+    ))
 
 
 def write_open_loop_csv(result: OpenLoopResult, ts: float, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OPEN_LOOP_CSV_COLUMNS)
-        for k, (m, p) in enumerate(zip(result.model_states, result.plant_states)):
-            writer.writerow(
-                [
-                    _fmt(k * ts),
-                    *(_fmt(v) for v in m.p),
-                    *(_fmt(v) for v in p.p),
-                    _fmt(float(result.errors[k])),
-                ]
-            )
+    _write_csv(path, OPEN_LOOP_CSV_COLUMNS, (
+        [k * ts, *m.p, *p.p, result.errors[k]]
+        for k, (m, p) in enumerate(zip(result.model_states, result.plant_states))
+    ))
 
 
 def summary_dict(result: ScenarioResult) -> dict:
@@ -400,10 +394,18 @@ def write_summary_json(result: ScenarioResult, scenario_doc: dict, path) -> None
     The echoed scenario is a valid scenario document: feeding it back
     through the runner reproduces the outputs byte for byte.
     """
-    doc = {"summary": summary_dict(result), "scenario": scenario_doc}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"summary": summary_dict(result), "scenario": scenario_doc})
+
+
+def write_open_loop_summary_json(result: OpenLoopResult, scenario_doc: dict, path) -> None:
+    """Open-loop error metrics plus the resolved scenario of the replay."""
+    _write_json(path, {
+        "max_error_mm": result.max_error_mm,
+        "inserted_length_mm": result.inserted_length_mm,
+        "error_pct_of_insertion": result.error_pct_of_insertion,
+        "steps": len(result.errors) - 1,
+        "scenario": scenario_doc,
+    })
 
 
 def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None) -> list:
@@ -460,11 +462,3 @@ def read_commands_csv(path) -> list[TendonCommand]:
     return _read_numeric_csv(
         path, COMMANDS_CSV_COLUMNS, 1, lambda row: TendonCommand(u_s=row[0], tau=row[1:])
     )
-
-
-def write_commands_csv(commands: Sequence[TendonCommand], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMMANDS_CSV_COLUMNS)
-        for cmd in commands:
-            writer.writerow([_fmt(cmd.u_s), *(_fmt(v) for v in cmd.tau)])

@@ -29,7 +29,6 @@ from .errors import InvalidConfigError, InvalidInputError
 
 Array = np.ndarray
 
-UNIT_NORM_TOL = 1e-9     # |  ||d|| - 1  | stays below this after every step
 _CONSTRUCT_TOL = 1e-6    # constructor renormalizes within this, rejects beyond
 _MIN_BEND_RATE = 1e-12   # rad/s below which the step is treated as straight
 
@@ -67,10 +66,6 @@ class NeedleState:
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 
-    def as_vector(self) -> Array:
-        """Stacked 6-state (p, d)."""
-        return np.concatenate([self.p, self.d])
-
     @classmethod
     def from_vector(cls, s: Sequence[float]) -> "NeedleState":
         s = np.asarray(s, dtype=float)
@@ -93,16 +88,6 @@ class VirtualInput:
             if not math.isfinite(v):
                 raise InvalidInputError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
-
-    def as_array(self) -> Array:
-        return np.array([self.u_s, self.u_x, self.u_y])
-
-    @classmethod
-    def from_array(cls, u: Sequence[float]) -> "VirtualInput":
-        u = np.asarray(u, dtype=float)
-        if u.shape != (3,):
-            raise InvalidInputError(f"input vector must have shape (3,), got {u.shape}")
-        return cls(u_s=u[0], u_x=u[1], u_y=u[2])
 
 
 def _check_ts(ts: float) -> float:

@@ -118,14 +118,11 @@ class InverseMapResult:
     """Tension solution for a requested virtual input.
 
     saturated is set when the requested curvature lies outside the feasible
-    hexagon and had to be projected onto its boundary; residual is the
-    curvature shortfall |A tau - kappa_requested| (1/mm), which stays at
-    machine precision for feasible requests.
+    hexagon and had to be projected onto its boundary.
     """
 
     command: TendonCommand
     saturated: bool
-    residual: float
 
 
 def _project_to_feasible(target: Array, geometry: TendonGeometry) -> Array:
@@ -174,7 +171,6 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
         return InverseMapResult(
             command=TendonCommand(u_s=u.u_s, tau=np.zeros(N_TENDONS)),
             saturated=False,
-            residual=0.0,
         )
     target = np.array([u.u_x, u.u_y]) / u.u_s
     amat = geometry.curvature_matrix()
@@ -191,11 +187,9 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
             tau_mn = amat.T @ reachable * pinv_scale
             t = 0.5 * (-float(tau_mn.min()) + geometry.tau_max - float(tau_mn.max()))
             tau = np.clip(tau_mn + t, 0.0, geometry.tau_max)
-    residual = float(np.linalg.norm(amat @ tau - target))
     return InverseMapResult(
         command=TendonCommand(u_s=u.u_s, tau=tau),
         saturated=saturated,
-        residual=residual,
     )
 
 

@@ -9,12 +9,12 @@ Predictions use the Euler-discretized model with direction renormalization.
 
 One scalar core serves a solve: `_EulerHorizon.predict` runs the Euler
 rollout once over plain Python floats and keeps the positions, directions
-and pre-normalization norms. The cost value, its gradient and the predicted
-states all read that output. The gradient is accumulated in reverse through
-the rollout, renormalization included, so it is exact to roundoff. The
-optimizer passes points as lists of floats and accepts the point its line
-search evaluated last, so the core keeps that rollout and computes the
-gradient there without rolling out again: one rollout per accepted iterate.
+and pre-normalization norms. The cost value and its gradient both read that
+output. The gradient is accumulated in reverse through the rollout,
+renormalization included, so it is exact to roundoff. The optimizer passes
+points as lists of floats and accepts the point its line search evaluated
+last, so the core keeps that rollout and computes the gradient there without
+rolling out again: one rollout per accepted iterate.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
 The first input of the optimized sequence is applied; the shifted remainder
 of the flat input vector warm-starts the next step.
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,7 @@ class MpcConfig:
     """
 
     ts: float = key("T_s_s", 0.05, gt=0.0)            # control period, s
-    horizon: int = key("horizon", 5, kind=int, ge=1)    # number of inputs N
+    horizon: int = key("horizon", 5, kind=int, ge=1, le=1000)  # number of inputs N
     q_weights: tuple[float, float, float] = key("q_weights", (100.0, 100.0, 200.0),
                                                 kind=tuple, n=3, ge=0.0)
     r_weights: tuple[float, float, float] = key("r_weights", (1.0, 1.0, 1.0),
@@ -95,12 +94,10 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class HorizonSolution:
-    """Optimized input sequence with its cost and Euler-predicted states.
+    """Optimized input sequence with its cost and solver outcome.
 
     input_vector holds the same inputs flattened as
     (u_s_0, u_x_0, u_y_0, u_s_1, ...), read-only; the warm start shifts it.
-    predicted_states is rolled out by the solve's scalar core on first
-    access, since the control loop itself never reads it.
     """
 
     inputs: tuple[VirtualInput, ...]
@@ -109,12 +106,6 @@ class HorizonSolution:
     projected_gradient_norm: float = float("nan")
     iterations: int = 0
     input_vector: Array = field(kw_only=True, repr=False, compare=False)
-    _core: _EulerHorizon = field(kw_only=True, repr=False, compare=False)
-
-    @cached_property
-    def predicted_states(self) -> tuple[NeedleState, ...]:
-        """The start state followed by the N predicted states."""
-        return self._core.states(self.input_vector.tolist())
 
 
 def _check_refs(refs, horizon: int) -> Array:
@@ -132,21 +123,19 @@ class _EulerHorizon:
     """The horizon cost of one solve, over plain Python floats.
 
     Holds the per-solve constants (start state, flattened references,
-    weights). predict() is the only Euler rollout; value(),
-    value_and_grad() and states() all read its output. Flat vectors are
-    lists ordered (x_0, y_0, z_0, x_1, ...), three entries per step.
+    weights). predict() is the only Euler rollout; value() and
+    value_and_grad() both read its output. Flat vectors are lists ordered
+    (x_0, y_0, z_0, x_1, ...), three entries per step.
 
     value() keeps the last point it evaluated with its rollout, and
     value_and_grad() at an equal point (== on the lists) reads that rollout
     instead of predicting again. The optimizer accepts the point its line
     search evaluated last, so each accepted iterate costs one rollout.
-    forget() drops the kept rollout once a solve is over.
     """
 
-    __slots__ = ("s0", "n", "ts", "p0", "d0", "refs", "q", "r", "_last_x", "_last")
+    __slots__ = ("n", "ts", "p0", "d0", "refs", "q", "r", "_last_x", "_last")
 
     def __init__(self, s0: NeedleState, refs: Array, config: MpcConfig):
-        self.s0 = s0
         self.n = config.horizon
         self.ts = config.ts
         self.p0 = s0.p.tolist()
@@ -197,9 +186,6 @@ class _EulerHorizon:
         self._last_x, self._last = list(x), rolled
         return rolled[0]
 
-    def forget(self) -> None:
-        self._last_x = self._last = None
-
     def value_and_grad(self, x: list) -> tuple[float, list]:
         """Cost and its gradient (3N floats), accumulated in reverse."""
         cost, p, d, norms = self._last if x == self._last_x else self.predict(x)
@@ -237,33 +223,6 @@ class _EulerHorizon:
             lpy += qy * (p[k + 1] - refs[k + 1])
             lpz += qz * (p[k + 2] - refs[k + 2])
         return cost, grad
-
-    def states(self, x: list) -> tuple[NeedleState, ...]:
-        """The start state followed by the N predicted states."""
-        _, p, d, _ = self.predict(x)
-        return (self.s0,) + tuple(
-            NeedleState(p=p[k:k + 3], d=d[k:k + 3]) for k in range(3, 3 * self.n + 3, 3)
-        )
-
-
-def horizon_cost(
-    s0: NeedleState,
-    inputs: Sequence[VirtualInput],
-    refs,
-    config: MpcConfig,
-) -> tuple[float, Array]:
-    """Tracking cost of an input sequence and its gradient (3N,).
-
-    The gradient is ordered (u_s_0, u_x_0, u_y_0, u_s_1, ...) and is exact
-    through the Euler rollout including direction renormalization.
-    """
-    if len(inputs) != config.horizon:
-        raise InvalidInputError(
-            f"expected {config.horizon} inputs for horizon {config.horizon}, got {len(inputs)}"
-        )
-    core = _EulerHorizon(s0, _check_refs(refs, config.horizon), config)
-    cost, grad = core.value_and_grad([float(v) for u in inputs for v in (u.u_s, u.u_x, u.u_y)])
-    return cost, np.array(grad)
 
 
 def _shift_warm_start(warm: HorizonSolution, horizon: int) -> Array:
@@ -317,7 +276,6 @@ def solve_horizon(
         status = STATUS_FAULT
         pg = float("nan")
         iterations = 0
-    core.forget()
 
     x.setflags(write=False)
     flat = x.tolist()
@@ -328,7 +286,6 @@ def solve_horizon(
         projected_gradient_norm=pg,
         iterations=iterations,
         input_vector=x,
-        _core=core,
     )
 
 
@@ -342,9 +299,6 @@ class RecedingHorizonController:
     def __init__(self, config: MpcConfig):
         self.config = config
         self._warm: Optional[HorizonSolution] = None
-
-    def reset(self) -> None:
-        self._warm = None
 
     def step(self, measured: NeedleState, refs) -> tuple[VirtualInput, HorizonSolution]:
         """Solve from the measured state; returns (applied first input, solution)."""

@@ -102,10 +102,6 @@ class SharpTurn:
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
-    def corner_times(self) -> Array:
-        """Times of the interior waypoints (s)."""
-        return self.times[1:-1]
-
     def sample(self, t: float) -> Array:
         return _interp_path(self.waypoints, self.times, t)
 

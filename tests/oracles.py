@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written from the model equations directly, without
-importing from needle_mpc, so that agreement between package and oracle
-is evidence rather than tautology. Oracles favor clarity over speed;
-the only vectorized ones are those the acceptance suite calls in bulk.
+Everything here except horizon_cost is written from the model equations
+directly, without importing from needle_mpc, so that agreement between
+package and oracle is evidence rather than tautology. Oracles favor clarity
+over speed; the only vectorized ones are those the acceptance suite calls
+in bulk.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
+
+from needle_mpc.mpc import _EulerHorizon
 
 # Frozen value of the six scalar state equations at
 # p=(1,2,3), d=(0.6,0,0.8), u=(u_s,u_x,u_y)=(2,0.5,-0.25).
@@ -245,3 +248,15 @@ def gradient_check(objective, x, h_scale=1e-6):
         fd[i] = (objective((x + e).tolist())[0] - objective((x - e).tolist())[0]) / (2.0 * h)
     scale = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
     return float(np.max(np.abs(g - fd))) / scale
+
+
+def horizon_cost(s0, inputs, refs, config):
+    """Cost of a VirtualInput sequence and its gradient (3N,) from the
+    package's own Euler core, ordered (u_s_0, u_x_0, u_y_0, u_s_1, ...).
+
+    Not an oracle: tests that check the core against the equations use
+    euler_cost_batch; this lets the others state inputs as VirtualInputs.
+    """
+    core = _EulerHorizon(s0, np.asarray(refs, dtype=float), config)
+    cost, grad = core.value_and_grad([v for u in inputs for v in (u.u_s, u.u_x, u.u_y)])
+    return cost, np.array(grad)

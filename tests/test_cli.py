@@ -9,8 +9,7 @@ import pytest
 from needle_mpc import cli, scenario
 from needle_mpc.calibration import simulate_calibration_run, write_runs_dir
 from needle_mpc.errors import json_fields
-from needle_mpc.harness import write_commands_csv
-from needle_mpc.mapping import TendonCommand, TendonGeometry, forward_map
+from needle_mpc.mapping import TendonGeometry, forward_map
 from oracles import chord_deflection
 
 GEO = TendonGeometry()
@@ -313,7 +312,7 @@ class TestReplay:
 
     def test_gain_error_matches_arc_oracle(self, tmp_path):
         commands_path = tmp_path / "cmd.csv"
-        write_commands_csv([TendonCommand(u_s=20.0, tau=(3.0, 0.0, 0.0))] * 60, commands_path)
+        commands_path.write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n" + "20,3,0,0\n" * 60)
         scenario = quick_scenario(
             tmp_path, name="mismatch.json", measurement_noise_std_mm=[0, 0, 0], gain_error=0.10
         )
@@ -406,6 +405,43 @@ class TestBatch:
     def test_batch_needs_sources(self, tmp_path, capsys):
         assert cli.main(["batch", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["run", "replay", "batch", "calibrate"])
+    def test_unwritable_out_is_invalid_input(self, tmp_path, capsys, command):
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        blocker = tmp_path / "taken"
+        if command == "calibrate":
+            blocker.mkdir()  # a directory where the JSON file goes
+        else:
+            blocker.write_text("")  # a file where the output directory goes
+        argv = {
+            "run": ["run", "--preset", "target1"],
+            "replay": ["replay", "replay1", "--preset", "replay_clean"],
+            "batch": ["batch", "--preset", "target1"],
+            "calibrate": ["calibrate", str(runs_dir)],
+        }[command]
+        assert cli.main(argv + ["--out", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {blocker}")
+
+    @pytest.mark.parametrize(
+        "name", ["summary.json", "open_loop_summary.json", "calibration.json", "manifest.json"]
+    )
+    def test_json_outputs_share_one_layout(self, tmp_path, capsys, name):
+        out = tmp_path / "out"  # write_runs_dir writes manifest.json here
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], out)
+        argv = {
+            "summary.json": ["run", str(quick_scenario(tmp_path)), "--out", str(out)],
+            "open_loop_summary.json": ["replay", "replay1", "--preset", "replay_clean",
+                                       "--out", str(out)],
+            "calibration.json": ["calibrate", str(out), "--out", str(out / name)],
+        }.get(name)
+        assert argv is None or cli.main(argv) == 0
+        capsys.readouterr()
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestPresetListing:

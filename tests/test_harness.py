@@ -22,7 +22,6 @@ from needle_mpc.harness import (
     run_closed_loop,
     run_open_loop,
     summary_dict,
-    write_commands_csv,
     write_open_loop_csv,
     write_step_csv,
     write_summary_json,
@@ -335,7 +334,7 @@ class TestSerialization:
             TendonCommand(u_s=12.5, tau=(0.0, 1.5, 2.25)),
         ]
         path = tmp_path / "cmd.csv"
-        write_commands_csv(commands, path)
+        harness._write_csv(path, harness.COMMANDS_CSV_COLUMNS, ([c.u_s, *c.tau] for c in commands))
         back = read_commands_csv(path)
         assert len(back) == 2
         for orig, rt in zip(commands, back):

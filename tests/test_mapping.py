@@ -185,7 +185,8 @@ class TestInverseMap:
         res = inverse_map(VirtualInput(20.0, u_x, 0.0), GEO)
         assert res.saturated
         assert np.allclose(res.command.tau, [7.0, 0.0, 0.0], atol=1e-9)
-        assert res.residual > 0.0
+        # the clamped tensions fall short of the requested curvature
+        assert np.linalg.norm(forward_map(res.command.tau, GEO) - [u_x / 20.0, 0.0]) > 0.0
 
     def test_tensions_always_inside_box(self):
         rng = np.random.default_rng(4)

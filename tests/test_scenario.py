@@ -236,11 +236,10 @@ def _has_str_or_bool(value):
     return isinstance(value, (str, bool))
 
 
-# integers stay small enough that a fuzzed horizon allocates little
 json_values = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-10**5, 10**5)
+    | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -260,6 +259,7 @@ class TestFuzzedPresets:
     @example(("target1", "schema_version", None, True))
     @example(("target1", "geometry", "theta_e_rad", -1e-17))
     @example(("target1", "mpc", "T_s_s", 10**400))
+    @example(("target1", "mpc", "horizon", 10**400))
     @settings(max_examples=200, deadline=None)
     def test_one_field_set_to_any_json_value(self, case):
         name, section, key, value = case
