@@ -15,6 +15,14 @@ Two integrators are provided: a forward-Euler step that renormalizes the
 direction after each update, and an exact step that rotates d about the fixed
 bending axis and moves p along the corresponding circular arc. Units are mm,
 s and rad throughout; curvature is 1/mm.
+
+Both steps compute on plain Python floats with the scalar `math` module: at
+three components, per-element interpreter work is cheaper than numpy calls.
+Sums such as a norm or a dot product are evaluated left to right, so a
+step's bits do not depend on which BLAS kernel the CPU dispatches to. The
+returned state goes through the same checks as the public constructor (all
+values finite, direction norm within 1e-6 of 1, then renormalized); numpy
+appears only in the read-only p and d arrays of a NeedleState.
 """
 
 from __future__ import annotations
@@ -33,14 +41,32 @@ _CONSTRUCT_TOL = 1e-6    # constructor renormalizes within this, rejects beyond
 _MIN_BEND_RATE = 1e-12   # rad/s below which the step is treated as straight
 
 
-def _vec3(value, name: str) -> Array:
-    v = np.array(value, dtype=float).reshape(-1)
+def _vec3(value, name: str) -> list:
+    v = np.asarray(value, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise InvalidInputError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    v.setflags(write=False)
-    return v
+    return v.tolist()
+
+
+def _fill_state(state: "NeedleState", p: list, d: list) -> "NeedleState":
+    """Set state.p and state.d from three floats each, checked as the public
+    constructor promises: all finite, |d| within 1e-6 of 1, d renormalized."""
+    for name, v in (("p", p), ("d", d)):
+        if not all(map(math.isfinite, v)):
+            raise InvalidInputError(f"{name} contains non-finite values")
+    dx, dy, dz = d
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if abs(norm - 1.0) > _CONSTRUCT_TOL:
+        raise InvalidInputError(
+            f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
+        )
+    p = np.array(p)
+    d = np.array((dx / norm, dy / norm, dz / norm))
+    p.setflags(write=False)
+    d.setflags(write=False)
+    object.__setattr__(state, "p", p)
+    object.__setattr__(state, "d", d)
+    return state
 
 
 @dataclass(frozen=True)
@@ -55,16 +81,7 @@ class NeedleState:
     d: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _vec3(self.p, "p"))
-        d = np.array(_vec3(self.d, "d"))
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > _CONSTRUCT_TOL:
-            raise InvalidInputError(
-                f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
-            )
-        d /= norm
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        _fill_state(self, _vec3(self.p, "p"), _vec3(self.d, "d"))
 
     @classmethod
     def from_vector(cls, s: Sequence[float]) -> "NeedleState":
@@ -72,6 +89,11 @@ class NeedleState:
         if s.shape != (6,):
             raise InvalidInputError(f"state vector must have shape (6,), got {s.shape}")
         return cls(p=s[:3], d=s[3:])
+
+
+def _new_state(p: list, d: list) -> NeedleState:
+    """A NeedleState from float triples, without converting them to arrays first."""
+    return _fill_state(object.__new__(NeedleState), p, d)
 
 
 @dataclass(frozen=True)
@@ -97,9 +119,9 @@ def _check_ts(ts: float) -> float:
     return ts
 
 
-def _bend(d: Array, u_x: float, u_y: float) -> Array:
+def _bend(dx: float, dy: float, dz: float, u_x: float, u_y: float) -> tuple:
     # ddot = d x (u_x, u_y, 0)
-    return np.array([-u_y * d[2], u_x * d[2], u_y * d[0] - u_x * d[1]])
+    return -u_y * dz, u_x * dz, u_y * dx - u_x * dy
 
 
 def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
@@ -110,9 +132,15 @@ def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     number. The position update uses the pre-step direction.
     """
     ts = _check_ts(ts)
-    p_next = state.p + (ts * u.u_s) * state.d
-    d_raw = state.d + ts * _bend(state.d, u.u_x, u.u_y)
-    return NeedleState(p=p_next, d=d_raw / np.linalg.norm(d_raw))
+    px, py, pz = state.p.tolist()
+    dx, dy, dz = state.d.tolist()
+    step = ts * u.u_s
+    bx, by, bz = _bend(dx, dy, dz, u.u_x, u.u_y)
+    rx, ry, rz = dx + ts * bx, dy + ts * by, dz + ts * bz
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    return _new_state(
+        [px + step * dx, py + step * dy, pz + step * dz], [rx / norm, ry / norm, rz / norm]
+    )
 
 
 def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
@@ -123,20 +151,34 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     (a straight segment when w = 0).
     """
     ts = _check_ts(ts)
+    px, py, pz = state.p.tolist()
+    d = dx, dy, dz = state.d.tolist()
     rate = math.hypot(u.u_x, u.u_y)
     if rate < _MIN_BEND_RATE:
-        return NeedleState(p=state.p + (ts * u.u_s) * state.d, d=state.d)
-    axis = np.array([-u.u_x / rate, -u.u_y / rate, 0.0])
+        step = ts * u.u_s
+        return _new_state([px + step * dx, py + step * dy, pz + step * dz], d)
     angle = rate * ts
+    if not math.isfinite(angle):
+        raise InvalidInputError(f"bend angle rate*ts overflows: rate {rate!r}, ts {ts!r}")
+    # the axis is (ax, ay, 0); its zero terms stay in, so zero results keep
+    # the signs numpy's elementwise cross product gave them
+    ax, ay = -u.u_x / rate, -u.u_y / rate
     c, s = math.cos(angle), math.sin(angle)
-    d0 = state.d
-    along = float(axis @ d0)
-    cross = np.cross(axis, d0)
-    d_next = c * d0 + s * cross + (1.0 - c) * along * axis
-    # integral of the rotating direction over the step
-    disp = (s / rate) * d0 + ((1.0 - c) / rate) * cross + (ts - s / rate) * along * axis
-    p_next = state.p + u.u_s * disp
-    return NeedleState(p=p_next, d=d_next / np.linalg.norm(d_next))
+    along = ax * dx + ay * dy + 0.0 * dz
+    cx, cy, cz = ay * dz - 0.0 * dy, 0.0 * dx - ax * dz, ax * dy - ay * dx
+    # d_next = c*d + s*(axis x d) + (1 - c)*(axis . d)*axis
+    k = (1.0 - c) * along
+    nx, ny, nz = c * dx + s * cx + k * ax, c * dy + s * cy + k * ay, c * dz + s * cz + k * 0.0
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    # integral of the rotating direction over the step, the same three terms
+    i_d, i_c, i_a = s / rate, (1.0 - c) / rate, (ts - s / rate) * along
+    u_s = u.u_s
+    return _new_state(
+        [px + u_s * (i_d * dx + i_c * cx + i_a * ax),
+         py + u_s * (i_d * dy + i_c * cy + i_a * ay),
+         pz + u_s * (i_d * dz + i_c * cz + i_a * 0.0)],
+        [nx / norm, ny / norm, nz / norm],
+    )
 
 
 _INTEGRATORS = {"euler": step_euler, "exact": step_exact}

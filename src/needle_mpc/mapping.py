@@ -11,12 +11,22 @@ Bending rates relate to curvature through the insertion speed,
 u_x = kappa_x * u_s and u_y = kappa_y * u_s, so a virtual input maps to a
 tension triple only while the needle is actually moving.
 
-The feasible curvature set {A tau : 0 <= tau <= tau_max} is a regular
-hexagon centered at the origin with vertices +-tau_max * A[:, j] (the three
-column directions are equally spaced, so they sum to zero and the rows of A
-are orthogonal with squared norm 1.5*gain^2). inverse_map exploits this:
-feasible targets get the exact minimum-norm tension triple, infeasible ones
-are projected onto the hexagon boundary first and flagged as saturated.
+Write A = gain * C, where the columns of C are the unit channel
+directions (cos, sin). The three directions are equally spaced, so they sum
+to zero and the rows of C are orthogonal with squared norm 1.5; the
+pseudo-inverse of A is therefore (2/3) C' / gain. inverse_map gives feasible
+targets the exact minimum-norm tension triple. Infeasible ones are projected
+onto the boundary of the feasible set first and flagged as saturated. The
+projection works in tension units, kappa / gain, where the feasible set
+{C tau : 0 <= tau <= tau_max} is the regular hexagon with vertices
++-tau_max * C[:, j] whatever the gain. Neither path squares the gain, so a
+gain far from 1 (1e-200 or 1e300, say) neither underflows nor overflows.
+
+TendonGeometry builds A and C once, when it is constructed; A is the
+read-only array that curvature_matrix() returns. rates_from_command and the
+unsaturated path of inverse_map, which run every control step, read those
+entries as plain Python floats and sum left to right, so they make no numpy
+call; the saturated projection stays in numpy.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
@@ -59,15 +69,24 @@ class TendonGeometry:
         # an angle just below 0 rounds up to exactly 2 pi, which would wrap
         # to 0 when the resolved geometry is parsed again
         object.__setattr__(self, "theta_e", 0.0 if theta_e == 2.0 * math.pi else theta_e)
+        # C and A = gain * C, built once: as an array for curvature_matrix()
+        # and as nested float lists for the per-step maps
+        a = self.channel_angles()
+        unit = np.vstack([np.cos(a), np.sin(a)])
+        amat = self.gain * unit
+        amat.setflags(write=False)
+        object.__setattr__(self, "_amat", amat)
+        object.__setattr__(self, "_amat_rows", amat.tolist())
+        object.__setattr__(self, "_unit_rows", unit.tolist())
 
     def channel_angles(self) -> Array:
         """Angles 2*pi*(j-1)/3 - theta_e of the three channels (rad)."""
         return 2.0 * np.pi * np.arange(N_TENDONS) / N_TENDONS - self.theta_e
 
     def curvature_matrix(self) -> Array:
-        """2x3 matrix A mapping tensions (N) to (kappa_x, kappa_y) (1/mm)."""
-        a = self.channel_angles()
-        return self.gain * np.vstack([np.cos(a), np.sin(a)])
+        """2x3 matrix A mapping tensions (N) to (kappa_x, kappa_y) (1/mm),
+        read-only, built once per geometry."""
+        return self._amat
 
 
 @dataclass(frozen=True)
@@ -105,12 +124,27 @@ def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> Array:
 
 def rates_from_command(command: TendonCommand, geometry: TendonGeometry) -> VirtualInput:
     """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s."""
-    kappa = forward_map(command.tau, geometry)
+    t1, t2, t3 = command.tau.tolist()
+    (a1, a2, a3), (b1, b2, b3) = geometry._amat_rows
+    u_s = command.u_s
     return VirtualInput(
-        u_s=command.u_s,
-        u_x=float(kappa[0]) * command.u_s,
-        u_y=float(kappa[1]) * command.u_s,
+        u_s=u_s,
+        u_x=(a1 * t1 + a2 * t2 + a3 * t3) * u_s,
+        u_y=(b1 * t1 + b2 * t2 + b3 * t3) * u_s,
     )
+
+
+def _command(u_s: float, tau: list) -> TendonCommand:
+    """A TendonCommand from a finite u_s and three floats, checked finite and
+    nonnegative without a second pass through numpy."""
+    if not all(math.isfinite(t) and t >= 0.0 for t in tau):
+        raise InvalidInputError(f"tensions must be nonnegative and finite, got {tau}")
+    tau = np.array(tau)
+    tau.setflags(write=False)
+    command = object.__new__(TendonCommand)
+    object.__setattr__(command, "u_s", u_s)
+    object.__setattr__(command, "tau", tau)
+    return command
 
 
 @dataclass(frozen=True)
@@ -126,36 +160,54 @@ class InverseMapResult:
 
 
 def _project_to_feasible(target: Array, geometry: TendonGeometry) -> Array:
-    """Closest point of the feasible curvature hexagon to an outside target."""
-    a = geometry.curvature_matrix().T * geometry.tau_max  # rows: tau_max * A[:, j]
+    """Closest point of the feasible hexagon to an outside target, in tension units."""
+    a = np.array(geometry._unit_rows).T * geometry.tau_max  # rows: tau_max * C[:, j]
     verts = np.concatenate([a, -a])
     verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))]
     best = None
-    best_d2 = np.inf
+    best_dist = np.inf
     for k in range(len(verts)):
         va, vb = verts[k], verts[(k + 1) % len(verts)]
         ab = vb - va
         t = float(np.clip((target - va) @ ab / (ab @ ab), 0.0, 1.0))
         cand = va + t * ab
-        d2 = float(np.sum((target - cand) ** 2))
-        if d2 < best_d2:
-            best, best_d2 = cand, d2
+        # hypot, not a sum of squares: a far target at a tiny gain lies
+        # beyond the square root of the largest float
+        dist = float(np.hypot(*(target - cand)))
+        if dist < best_dist:
+            best, best_dist = cand, dist
     return best
 
 
-def _min_norm_in_box(tau_mn: Array, tau_max: float) -> Array | None:
+def _pinv(x: float, y: float, geometry: TendonGeometry, gain: float) -> list:
+    """Minimum-norm tensions (2/3) C' (x, y) / gain: the pseudo-inverse of
+    A = gain * C at a curvature (x, y), or, with gain = 1, at a target that
+    is already in tension units."""
+    (c1, c2, c3), (s1, s2, s3) = geometry._unit_rows
+    return [(2.0 / 3.0) * (c1 * x + s1 * y) / gain,
+            (2.0 / 3.0) * (c2 * x + s2 * y) / gain,
+            (2.0 / 3.0) * (c3 * x + s3 * y) / gain]
+
+
+def _min_norm_in_box(tau_mn: list, tau_max: float) -> list | None:
     """Smallest-norm point of {tau_mn + t*(1,1,1)} inside [0, tau_max]^3.
 
     tau_mn is the pseudo-inverse solution, which is orthogonal to (1,1,1),
     so the norm over the solution line is minimized at t = 0. Returns None
     when the line misses the box.
     """
-    t_lo = -float(tau_mn.min())
-    t_hi = float(tau_max - tau_mn.max())
+    t_lo = -min(tau_mn)
+    t_hi = tau_max - max(tau_mn)
     if t_lo > t_hi:
         return None
     t = min(max(0.0, t_lo), t_hi)
-    return np.clip(tau_mn + t, 0.0, tau_max)
+    return [_clip(v + t, tau_max) for v in tau_mn]
+
+
+def _clip(v: float, hi: float) -> float:
+    # as np.clip(v, 0.0, hi): a -0.0 becomes 0.0
+    v = v if v > 0.0 else 0.0
+    return v if v < hi else hi
 
 
 def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
@@ -167,30 +219,23 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     the saturated flag is set. |u_s| < U_S_EPS yields zero tensions, since
     curvature is undefined without insertion motion.
     """
-    if abs(u.u_s) < U_S_EPS:
-        return InverseMapResult(
-            command=TendonCommand(u_s=u.u_s, tau=np.zeros(N_TENDONS)),
-            saturated=False,
-        )
-    target = np.array([u.u_x, u.u_y]) / u.u_s
-    amat = geometry.curvature_matrix()
-    # rows of A are orthogonal with squared norm 1.5 gain^2, so the
-    # pseudo-inverse is a scaled transpose
-    pinv_scale = 2.0 / (3.0 * geometry.gain**2)
-    tau = _min_norm_in_box(amat.T @ target * pinv_scale, geometry.tau_max)
+    u_s = u.u_s
+    if abs(u_s) < U_S_EPS:
+        return InverseMapResult(command=_command(u_s, [0.0] * N_TENDONS), saturated=False)
+    gain, tau_max = geometry.gain, geometry.tau_max
+    kx, ky = u.u_x / u_s, u.u_y / u_s
+    tau = _min_norm_in_box(_pinv(kx, ky, geometry, gain), tau_max)
     saturated = tau is None
     if saturated:
-        reachable = _project_to_feasible(target, geometry)
-        tau = _min_norm_in_box(amat.T @ reachable * pinv_scale, geometry.tau_max)
+        # projected in tension units, kappa / gain
+        reachable = _project_to_feasible(np.array([kx / gain, ky / gain]), geometry)
+        tau_mn = _pinv(*reachable.tolist(), geometry, 1.0)
+        tau = _min_norm_in_box(tau_mn, tau_max)
         if tau is None:
             # boundary point missed the box by rounding only; recover by clipping
-            tau_mn = amat.T @ reachable * pinv_scale
-            t = 0.5 * (-float(tau_mn.min()) + geometry.tau_max - float(tau_mn.max()))
-            tau = np.clip(tau_mn + t, 0.0, geometry.tau_max)
-    return InverseMapResult(
-        command=TendonCommand(u_s=u.u_s, tau=tau),
-        saturated=saturated,
-    )
+            t = 0.5 * (-min(tau_mn) + tau_max - max(tau_mn))
+            tau = [_clip(v + t, tau_max) for v in tau_mn]
+    return InverseMapResult(command=_command(u_s, tau), saturated=saturated)
 
 
 def fit_gain(samples: Iterable[tuple[float, float]]) -> float:

@@ -1,6 +1,10 @@
 """Reference trajectory generators for tracking scenarios.
 
-Every generator maps a time t (s) to a target tip position (mm). Waypoint
+Every generator maps a time t (s) to a target tip position (mm). Each kind
+has one method, samples(times), that returns the targets at a list of times
+as one (len(times), 3) array; sample(), horizon_samples() and
+check_path_speed() all go through it, so every time is sampled by the same
+arithmetic whether it is asked for alone or in a batch. Waypoint
 paths hold their last point once t passes the final timestamp, so a
 controller querying past the end sees a fixed target instead of an
 extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
@@ -37,8 +41,8 @@ class FixedTarget:
     def __post_init__(self):
         check_fields(self)
 
-    def sample(self, t: float) -> Array:
-        return np.array(self.target)
+    def samples(self, times) -> Array:
+        return np.array([self.target.tolist()] * len(times))
 
 
 @dataclass(frozen=True)
@@ -61,22 +65,23 @@ class Helix:
     def __post_init__(self):
         check_fields(self)
 
-    def sample(self, t: float) -> Array:
-        ang = self.rate * t + self.phase
-        local = np.array(
-            [
-                self.radius * math.cos(ang),
-                self.radius * math.sin(ang),
-                self.pitch * self.rate * t / (2.0 * math.pi),
-            ]
-        )
-        perm = _AXIS_PERMUTATION[self.axis]
-        return self.center + local[list(perm)]
+    def samples(self, times) -> Array:
+        radius, rate, phase = self.radius, self.rate, self.phase
+        climb = self.pitch * rate
+        i, j, k = _AXIS_PERMUTATION[self.axis]
+        cx, cy, cz = self.center.tolist()
+        rows = []
+        for t in times:
+            ang = rate * t + phase
+            local = (radius * math.cos(ang), radius * math.sin(ang),
+                     climb * t / (2.0 * math.pi))
+            rows.append((cx + local[i], cy + local[j], cz + local[k]))
+        return np.array(rows)
 
 
-def _interp_path(points: Array, times: Array, t: float) -> Array:
+def _interp_path(points: Array, knots: Array, times) -> Array:
     # np.interp clamps at both ends, which implements the hold behavior
-    return np.array([np.interp(t, times, points[:, k]) for k in range(3)])
+    return np.stack([np.interp(times, knots, points[:, k]) for k in range(3)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,8 @@ class SharpTurn:
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
-    def sample(self, t: float) -> Array:
-        return _interp_path(self.waypoints, self.times, t)
+    def samples(self, times) -> Array:
+        return _interp_path(self.waypoints, self.times, times)
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,10 @@ class Sinusoidal:
     def __post_init__(self):
         check_fields(self)
 
-    def sample(self, t: float) -> Array:
+    def samples(self, times) -> Array:
+        t = np.array(times, dtype=float)[:, None]
         arg = 2.0 * np.pi * self.frequency * t + self.phase
-        lateral = self.amplitude * np.sin(arg)
-        return np.array([lateral[0], lateral[1], self.axial_speed * t])
+        return np.hstack([self.amplitude * np.sin(arg), self.axial_speed * t])
 
 
 @dataclass(frozen=True)
@@ -146,19 +151,23 @@ class WaypointPath:
         if np.any(np.diff(self.times) <= 0.0):
             raise InvalidConfigError(f"{times_key} must be strictly increasing")
 
-    def sample(self, t: float) -> Array:
-        return _interp_path(self.points, self.times, t)
+    def samples(self, times) -> Array:
+        return _interp_path(self.points, self.times, times)
 
 
 ReferenceSpec = Union[FixedTarget, Helix, SharpTurn, Sinusoidal, WaypointPath]
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t) or t < 0.0:
+        raise InvalidInputError(f"t must be nonnegative and finite, got {t!r}")
+
+
 def sample(spec: ReferenceSpec, t: float) -> Array:
     """Target position (mm) at time t (s)."""
     t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidInputError(f"t must be nonnegative and finite, got {t!r}")
-    return spec.sample(t)
+    _check_time(t)
+    return spec.samples([t])[0]
 
 
 def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> Array:
@@ -167,7 +176,12 @@ def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> Array:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not ts > 0.0:
         raise InvalidInputError(f"ts must be positive, got {ts!r}")
-    return np.stack([sample(spec, t + i * ts) for i in range(n + 1)])
+    t = float(t)
+    times = [t + i * ts for i in range(n + 1)]
+    # the times increase, so the first and last bound them all
+    _check_time(t)
+    _check_time(times[-1])
+    return spec.samples(times)
 
 
 def check_path_speed(
@@ -182,7 +196,8 @@ def check_path_speed(
     if duration <= 0.0:
         raise InvalidInputError(f"duration must be positive, got {duration!r}")
     grid = np.linspace(0.0, duration, samples)
-    pts = np.stack([sample(spec, t) for t in grid])
+    _check_time(float(grid[-1]))
+    pts = spec.samples(grid.tolist())
     dt = grid[1] - grid[0]
     speeds = np.linalg.norm(np.diff(pts, axis=0), axis=1) / dt
     top = float(speeds.max()) if speeds.size else 0.0

@@ -94,6 +94,30 @@ def curvature_pair(theta_e, gain, tau):
     return kx, ky
 
 
+def feasible_set_excess(kx, ky, theta_e, gain, tau_max):
+    """How far (kx, ky) lies outside {A tau : 0 <= tau <= tau_max}, in units
+    of gain * tau_max; zero or negative inside.
+
+    The set is the Minkowski sum of the three segments [0, tau_max * a_j],
+    a zonotope whose edges run along the a_j. A point lies inside exactly
+    when, for each unit normal n of an edge (both signs), n . kappa does not
+    exceed the support value sum_j max(0, tau_max * n . a_j).
+    """
+    cols = [
+        (gain * math.cos(2.0 * math.pi * j / 3.0 - theta_e),
+         gain * math.sin(2.0 * math.pi * j / 3.0 - theta_e))
+        for j in range(3)
+    ]
+    excess = -math.inf
+    for ax, ay in cols:
+        length = math.hypot(ax, ay)
+        for sign in (1.0, -1.0):
+            nx, ny = -sign * ay / length, sign * ax / length
+            support = sum(max(0.0, tau_max * (nx * bx + ny * by)) for bx, by in cols)
+            excess = max(excess, nx * kx + ny * ky - support)
+    return excess / (gain * tau_max)
+
+
 def _channel_matrix(theta_e, gain):
     angles = np.array([2.0 * math.pi * j / 3.0 - theta_e for j in range(3)])
     return gain * np.vstack([np.cos(angles), np.sin(angles)])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -221,6 +222,24 @@ class TestRun:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
         assert cli.main(["run", str(path), "--out", str(tmp_path / "b"), "--seed", "4"]) == 0
         assert (tmp_path / "a/steps.csv").read_bytes() != (tmp_path / "b/steps.csv").read_bytes()
+
+    @pytest.mark.parametrize("gain", [1e-200, 1e-170, 1e300])
+    def test_extreme_gain_runs_with_tensions_in_the_box(self, tmp_path, gain):
+        # the schema accepts any positive gain; squaring one of these
+        # underflows to 0 or overflows to inf
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "helix.json").read_text()
+        )
+        doc["geometry"]["gain_per_mm_N"] = gain
+        path = tmp_path / "helix.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        tau_max = doc["geometry"]["tau_max_N"]
+        with open(tmp_path / "out/steps.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == doc["run"]["steps"]
+        tensions = [float(r[k]) for r in rows for k in ("tau1_N", "tau2_N", "tau3_N")]
+        assert all(0.0 <= t <= tau_max for t in tensions)
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path)])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.kinematics import (
+    _MIN_BEND_RATE,
     NeedleState,
     VirtualInput,
     _bend,
@@ -26,11 +27,16 @@ def random_state(rng):
     return NeedleState(p=rng.normal(scale=50.0, size=3), d=unit(rng.normal(size=3)))
 
 
+def bend(d, u_x, u_y):
+    """The bending term ddot = _bend(d) of step_euler, as an array."""
+    return np.array(_bend(*d, u_x, u_y))
+
+
 def derivative(state, u):
     """sdot at (state, u): position rows from the step_euler position update
     over a unit step, direction rows from the bending term ddot = _bend(d)."""
     pdot = step_euler(state, u, 1.0).p - state.p
-    return np.concatenate([pdot, _bend(state.d, u.u_x, u.u_y)])
+    return np.concatenate([pdot, bend(state.d, u.u_x, u.u_y)])
 
 
 def random_input(rng):
@@ -116,7 +122,7 @@ class TestDerivative:
         # the direction blocks d -> d x e_x and d -> d x e_y are skew-symmetric
         basis = np.eye(3)
         for ux, uy in ((1.0, 0.0), (0.0, 1.0)):
-            block = np.stack([_bend(e, ux, uy) for e in basis], axis=1)
+            block = np.stack([bend(e, ux, uy) for e in basis], axis=1)
             assert np.array_equal(block, -block.T)
 
     def test_linear_in_state(self):
@@ -125,7 +131,7 @@ class TestDerivative:
         s = random_state(rng)
         for alpha in (0.5, 2.0, -3.0):
             assert np.allclose(
-                _bend(alpha * s.d, u.u_x, u.u_y), alpha * _bend(s.d, u.u_x, u.u_y)
+                bend(alpha * s.d, u.u_x, u.u_y), alpha * bend(s.d, u.u_x, u.u_y)
             )
         # the position rows have no p columns
         moved = NeedleState(p=s.p + np.array([7.0, -3.0, 11.0]), d=s.d)
@@ -255,10 +261,58 @@ class TestStepExact:
         assert np.allclose(out.d, want_d, atol=1e-9)
         assert np.allclose(out.p, want_p, atol=1e-6)
 
+    @given(
+        d=direction_raw,
+        us=st.just(0.0) | st.floats(-1.0, 24.0),
+        log_rate=st.floats(-14.0, 0.7),
+        psi=st.floats(0.0, 2.0 * math.pi),
+        ts=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rotation_oracle_near_straight(self, d, us, log_rate, psi, ts):
+        # bend rates from 1e-14 to 5 rad/s straddle the straight-step cutoff
+        rate = 10.0**log_rate
+        ux, uy = rate * math.cos(psi), rate * math.sin(psi)
+        dn = unit(d)
+        s = NeedleState(p=(1.0, -2.0, 3.0), d=dn)
+        out = step_exact(s, VirtualInput(us, ux, uy), ts)
+        want_p, want_d = exact_step_rotation((1.0, -2.0, 3.0), dn, (us, ux, uy), ts)
+        assert np.allclose(out.d, want_d, atol=1e-9)
+        assert np.allclose(out.p, want_p, atol=1e-6)
+        if us == 0.0:
+            assert np.array_equal(out.p, s.p)
+
+    def test_rate_just_below_cutoff_is_straight(self):
+        s = NeedleState(p=(1.0, 2.0, 3.0), d=unit((0.3, -0.4, 1.0)))
+        below = step_exact(s, VirtualInput(10.0, 0.5 * _MIN_BEND_RATE, 0.0), 0.05)
+        assert np.array_equal(below.d, s.d)
+        assert np.array_equal(below.p, s.p + 0.5 * s.d)
+        above = step_exact(s, VirtualInput(10.0, 2.0 * _MIN_BEND_RATE, 0.0), 0.05)
+        assert np.allclose(above.p, below.p, atol=1e-12)
+
     def test_retraction_reverses_motion(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         out = step_exact(s, VirtualInput(-1.0, 0.0, 0.0), 1.0)
         assert np.allclose(out.p, [0, 0, -1], atol=1e-15)
+
+
+class TestStepChecks:
+    @pytest.mark.parametrize("step", [step_euler, step_exact])
+    @pytest.mark.parametrize("u", [VirtualInput(1e308, 0.0, 0.0), VirtualInput(1e308, 0.01, 0.0),
+                                   VirtualInput(1.0, 1e308, 1e308)])
+    def test_overflowing_step_is_invalid_input(self, step, u):
+        s = NeedleState(p=(0, 0, 0), d=unit((0.1, 0.2, 1.0)))
+        with pytest.raises(InvalidInputError):
+            step(s, u, 10.0)
+
+    @pytest.mark.parametrize("step", [step_euler, step_exact])
+    @pytest.mark.parametrize("u", [VirtualInput(20.0, 0.0, 0.0), VirtualInput(20.0, 1.5, -0.5)])
+    def test_returned_state_is_read_only_and_unit(self, step, u):
+        out = step(NeedleState(p=(1, 2, 3), d=unit((0.1, 0.2, 1.0))), u, 0.05)
+        for arr in (out.p, out.d):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert abs(math.sqrt(sum(v * v for v in out.d)) - 1.0) <= 1e-15
 
 
 class TestRollout:

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc.errors import DegenerateFitError, InvalidConfigError, InvalidInputError
@@ -11,6 +12,7 @@ from needle_mpc.harness import _read_numeric_csv
 from needle_mpc.kinematics import NeedleState, VirtualInput, rollout
 from needle_mpc.mapping import (
     DEFAULT_GAIN,
+    U_S_EPS,
     TendonCommand,
     TendonGeometry,
     estimate_curvature,
@@ -19,7 +21,13 @@ from needle_mpc.mapping import (
     inverse_map,
     rates_from_command,
 )
-from oracles import curvature_pair, tension_grid_full, tension_grid_line, zero_intercept_gain
+from oracles import (
+    curvature_pair,
+    feasible_set_excess,
+    tension_grid_full,
+    tension_grid_line,
+    zero_intercept_gain,
+)
 
 GEO = TendonGeometry()
 
@@ -63,6 +71,33 @@ class TestGeometry:
         assert ang[0] == pytest.approx(-0.3)
         diffs = np.diff(ang)
         assert diffs == pytest.approx([2.0 * math.pi / 3.0] * 2)
+
+    def test_curvature_matrix_is_cached_read_only(self):
+        g = TendonGeometry(theta_e=0.3, gain=2e-4)
+        mat = g.curvature_matrix()
+        assert mat is g.curvature_matrix()
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        for j in range(3):
+            assert tuple(mat[:, j]) == pytest.approx(
+                curvature_pair(0.3, 2e-4, np.eye(3)[j]), rel=1e-15, abs=1e-19
+            )
+
+    def test_replace_builds_a_new_matrix(self):
+        g = TendonGeometry(theta_e=0.3)
+        g2 = dataclasses.replace(g, theta_e=1.1)
+        assert g2.curvature_matrix() is not g.curvature_matrix()
+        assert not np.array_equal(g2.curvature_matrix(), g.curvature_matrix())
+        for j in range(3):
+            assert tuple(g2.curvature_matrix()[:, j]) == pytest.approx(
+                curvature_pair(1.1, g.gain, np.eye(3)[j]), rel=1e-15, abs=1e-19
+            )
+        # the per-step maps read the new geometry's entries too
+        u = rates_from_command(TendonCommand(10.0, (1.0, 0.0, 0.0)), g2)
+        kx, ky = curvature_pair(1.1, g.gain, (1.0, 0.0, 0.0))
+        assert (u.u_x, u.u_y) == pytest.approx((10.0 * kx, 10.0 * ky), rel=1e-15)
+        res = inverse_map(u, g2)
+        assert res.command.tau == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
 
 def single_tendon_curvature(tension, j=0, geometry=GEO):
@@ -165,6 +200,22 @@ class TestRatesFromCommand:
         with pytest.raises(InvalidInputError):
             TendonCommand(10.0, (-0.1, 0.0, 0.0))
 
+    @given(
+        tau=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+        u_s=st.floats(-24.0, 24.0),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        gain=st.floats(1e-6, 1e-2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_superposition_oracle(self, tau, u_s, theta, gain):
+        g = TendonGeometry(theta_e=theta, gain=gain, tau_max=50.0)
+        u = rates_from_command(TendonCommand(u_s, tau), g)
+        kx, ky = curvature_pair(g.theta_e, gain, tau)
+        scale = 1e-14 * gain * 50.0 * max(abs(u_s), 1.0)
+        assert u.u_s == u_s
+        assert u.u_x == pytest.approx(kx * u_s, abs=scale)
+        assert u.u_y == pytest.approx(ky * u_s, abs=scale)
+
 
 class TestInverseMap:
     def test_zero_curvature_zero_tension(self):
@@ -202,6 +253,75 @@ class TestInverseMap:
         res = inverse_map(VirtualInput(1e-9, 0.5, 0.5), GEO)
         assert np.array_equal(res.command.tau, np.zeros(3))
         assert not res.saturated
+
+    def test_command_tensions_are_read_only(self):
+        for u in (VirtualInput(20.0, 7.4e-3, 0.0), VirtualInput(20.0, 0.1, 0.0),
+                  VirtualInput(0.0, 0.1, 0.0)):
+            tau = inverse_map(u, GEO).command.tau
+            with pytest.raises(ValueError):
+                tau[0] = 1.0
+
+    @given(
+        tau=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+        u_s=st.floats(U_S_EPS, 24.0) | st.floats(-24.0, -U_S_EPS),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        gain=st.floats(1e-6, 1e-2),
+        tau_max=st.floats(0.5, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_feasible_request_round_trips(self, tau, u_s, theta, gain, tau_max):
+        # tensions inside the box shrunk by 0.1% make a request inside the
+        # feasible set by construction, off its boundary
+        g = TendonGeometry(theta_e=theta, gain=gain, tau_max=tau_max)
+        kx, ky = curvature_pair(g.theta_e, gain, [t * tau_max for t in tau])
+        u = VirtualInput(u_s, u_s * kx, u_s * ky)
+        res = inverse_map(u, g)
+        assert not res.saturated
+        assert np.all(res.command.tau >= 0.0) and np.all(res.command.tau <= tau_max)
+        back = rates_from_command(res.command, g)
+        scale = 1e-12 * gain * tau_max * abs(u_s)
+        assert back.u_s == u_s
+        assert back.u_x == pytest.approx(u.u_x, abs=scale)
+        assert back.u_y == pytest.approx(u.u_y, abs=scale)
+
+    @given(
+        rho=st.floats(0.0, 3.0),
+        psi=st.floats(0.0, 2.0 * math.pi),
+        u_s=st.floats(U_S_EPS, 24.0) | st.floats(-24.0, -U_S_EPS),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        gain=st.floats(1e-6, 1e-2),
+        tau_max=st.floats(0.5, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_saturated_exactly_outside_the_feasible_set(self, rho, psi, u_s, theta, gain,
+                                                         tau_max):
+        g = TendonGeometry(theta_e=theta, gain=gain, tau_max=tau_max)
+        kx, ky = rho * gain * tau_max * math.cos(psi), rho * gain * tau_max * math.sin(psi)
+        excess = feasible_set_excess(kx, ky, g.theta_e, gain, tau_max)
+        assume(abs(excess) > 1e-9)  # the boundary itself is decided by roundoff
+        res = inverse_map(VirtualInput(u_s, u_s * kx, u_s * ky), g)
+        assert res.saturated == (excess > 0.0)
+        assert np.all(res.command.tau >= 0.0) and np.all(res.command.tau <= tau_max)
+
+    @given(
+        ratio=st.floats(0.0, 1.0, exclude_max=True) | st.floats(1.0, 1e7),
+        sign=st.sampled_from([1.0, -1.0]),
+        rho=st.floats(0.01, 0.8),
+        psi=st.floats(0.0, 2.0 * math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_speed_threshold_decides_zero_tensions(self, ratio, sign, rho, psi):
+        # a nonzero curvature well inside the feasible set
+        kx = rho * GEO.gain * GEO.tau_max * math.cos(psi)
+        ky = rho * GEO.gain * GEO.tau_max * math.sin(psi)
+        u_s = sign * ratio * U_S_EPS
+        res = inverse_map(VirtualInput(u_s, u_s * kx, u_s * ky), GEO)
+        assert not res.saturated
+        assert res.command.u_s == u_s
+        if abs(u_s) < U_S_EPS:
+            assert np.array_equal(res.command.tau, np.zeros(3))
+        else:
+            assert np.any(res.command.tau > 0.0)
 
     def test_roundtrip_on_feasible_targets(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,18 @@ ALL_SPECS = [
 ]
 
 
+# every kind, with the helix on each axis, a corner-laden turn and a path
+# whose times start after 0 so that both of its ends are held
+BATCH_SPECS = ALL_SPECS + [
+    Helix(radius=4.0, pitch=-25.0, rate=-0.7, center=(1.0, 2.0, 3.0), phase=0.4, axis="x"),
+    Helix(radius=6.0, pitch=30.0, rate=2.1, phase=-1.0, axis="y"),
+    SharpTurn(waypoints=[(0.0, 0.0, 0.0), (0.0, 0.0, 12.0), (12.0, 0.0, 12.0),
+                         (12.0, 12.0, 12.0)], speed=12.0),
+    WaypointPath(points=[(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (-1.0, 0.0, 9.0)],
+                 times=[1.0, 2.0, 4.0]),
+]
+
+
 class TestContinuity:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_small_time_step_small_motion(self, spec):
@@ -269,6 +282,44 @@ class TestHorizonSamples:
             horizon_samples(spec, 0.0, 0, 0.05)
         with pytest.raises(InvalidInputError):
             horizon_samples(spec, 0.0, 5, 0.0)
+        with pytest.raises(InvalidInputError):
+            horizon_samples(spec, -0.1, 5, 0.05)
+        with pytest.raises(InvalidInputError):
+            horizon_samples(spec, 0.0, 5, math.inf)
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: type(s).__name__)
+    @given(t=st.floats(0.0, 20.0), n=st.integers(1, 40), ts=st.floats(1e-3, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_stacked_samples(self, spec, t, n, ts):
+        want = np.stack([sample(spec, t + i * ts) for i in range(n + 1)])
+        assert np.array_equal(horizon_samples(spec, t, n, ts), want)
+
+    def test_sharp_turn_corners_are_hit_exactly(self):
+        # corners at t = 1 and 2 s, end at 3 s; a 0.25 s step lands on each
+        pts = [(0.0, 0.0, 0.0), (0.0, 0.0, 12.0), (12.0, 0.0, 12.0), (12.0, 12.0, 12.0)]
+        spec = SharpTurn(waypoints=pts, speed=12.0)
+        refs = horizon_samples(spec, 0.5, 12, 0.25)
+        assert np.array_equal(refs, np.stack([sample(spec, 0.5 + i * 0.25) for i in range(13)]))
+        for i, point in ((2, pts[1]), (6, pts[2]), (10, pts[3]), (12, pts[3])):
+            assert refs[i].tolist() == list(point)
+
+    def test_waypoint_path_holds_both_ends(self):
+        pts = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (-1.0, 0.0, 9.0)]
+        spec = WaypointPath(points=pts, times=[1.0, 2.0, 4.0])
+        refs = horizon_samples(spec, 0.0, 12, 0.5)
+        assert np.array_equal(refs, np.stack([sample(spec, 0.5 * i) for i in range(13)]))
+        assert refs[0].tolist() == refs[1].tolist() == refs[2].tolist() == list(pts[0])
+        assert refs[4].tolist() == list(pts[1])
+        assert all(row.tolist() == list(pts[2]) for row in refs[8:])
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: type(s).__name__)
+    def test_path_speed_check_samples_the_same_points(self, spec):
+        grid = np.linspace(0.0, 12.0, 512)
+        pts = np.stack([sample(spec, t) for t in grid])
+        top = float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1))) / (grid[1] - grid[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert check_path_speed(spec, 12.0, 24.0) == top
 
 
 class TestPathSpeedCheck:
