@@ -29,8 +29,8 @@ from .errors import (
     key,
 )
 from .harness import _read_numeric_csv, _write_csv, _write_json
-from .kinematics import Array, NeedleState, VirtualInput, rollout
-from .mapping import TendonGeometry, estimate_curvature, fit_gain
+from .kinematics import Array, NeedleState, rollout
+from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
 
 MANIFEST_NAME = "manifest.json"
 RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
@@ -105,8 +105,7 @@ def simulate_calibration_run(
     """Synthesize the tip arc a physical calibration run would record."""
     tau = np.zeros(3)
     tau[tendon_index - 1] = tension
-    kappa = geometry.curvature_matrix() @ tau
-    u = VirtualInput(u_s=u_s, u_x=float(kappa[0]) * u_s, u_y=float(kappa[1]) * u_s)
+    u = rates_from_command(TendonCommand(u_s, tau), geometry)
     s0 = NeedleState(p=np.zeros(3), d=(0.0, 0.0, 1.0))
     states = rollout(s0, [u] * steps, ts, integrator="exact")
     return CalibrationRun(

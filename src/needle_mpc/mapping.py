@@ -20,13 +20,16 @@ onto the boundary of the feasible set first and flagged as saturated. The
 projection works in tension units, kappa / gain, where the feasible set
 {C tau : 0 <= tau <= tau_max} is the regular hexagon with vertices
 +-tau_max * C[:, j] whatever the gain. Neither path squares the gain, so a
-gain far from 1 (1e-200 or 1e300, say) neither underflows nor overflows.
+gain far from 1 (1e-200 or 1e300, say) neither underflows nor overflows. A
+subnormal gain can put kappa / gain beyond the largest float; such a target
+is projected onto the hexagon vertex furthest along its direction.
 
 TendonGeometry builds A and C once, when it is constructed; A is the
-read-only array that curvature_matrix() returns. rates_from_command and the
-unsaturated path of inverse_map, which run every control step, read those
-entries as plain Python floats and sum left to right, so they make no numpy
-call; the saturated projection stays in numpy.
+read-only array that curvature_matrix() returns. forward_map (which
+rates_from_command calls) and the unsaturated path of inverse_map, which run
+every control step, read those entries as plain Python floats and sum left
+to right, so they make no numpy reduction; the saturated projection stays in
+numpy.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
@@ -89,6 +92,31 @@ class TendonGeometry:
         return self._amat
 
 
+def _tension_list(tau) -> list:
+    v = np.asarray(tau, dtype=float).reshape(-1)
+    if v.shape != (N_TENDONS,):
+        raise InvalidInputError(f"tau must have shape ({N_TENDONS},), got {np.shape(tau)}")
+    return v.tolist()
+
+
+def _check_tensions(tau: list) -> list:
+    """Three tensions, checked as TendonCommand promises: finite and nonnegative."""
+    if not all(map(math.isfinite, tau)):
+        raise InvalidInputError("tau contains non-finite values")
+    if not all(t >= 0.0 for t in tau):
+        raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
+    return tau
+
+
+def _fill_command(command: "TendonCommand", u_s: float, tau: list) -> "TendonCommand":
+    """Set command.u_s and command.tau from floats, tau checked by _check_tensions."""
+    tau = np.array(_check_tensions(tau))
+    tau.setflags(write=False)
+    object.__setattr__(command, "u_s", u_s)
+    object.__setattr__(command, "tau", tau)
+    return command
+
+
 @dataclass(frozen=True)
 class TendonCommand:
     """Insertion speed u_s (mm/s) plus a nonnegative tension triple (N)."""
@@ -100,51 +128,28 @@ class TendonCommand:
         u_s = float(self.u_s)
         if not math.isfinite(u_s):
             raise InvalidInputError(f"u_s must be finite, got {u_s!r}")
-        object.__setattr__(self, "u_s", u_s)
-        tau = np.array(self.tau, dtype=float).reshape(-1)
-        if tau.shape != (N_TENDONS,):
-            raise InvalidInputError(f"tau must have shape ({N_TENDONS},), got {np.shape(self.tau)}")
-        if not np.all(np.isfinite(tau)):
-            raise InvalidInputError("tau contains non-finite values")
-        if np.any(tau < 0.0):
-            raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
-        tau.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
+        _fill_command(self, u_s, _tension_list(self.tau))
 
 
-def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> Array:
-    """Curvature vector (kappa_x, kappa_y) (1/mm) produced by a tension triple."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (N_TENDONS,):
-        raise InvalidInputError(f"tau must have shape ({N_TENDONS},), got {tau.shape}")
-    if np.any(~np.isfinite(tau)) or np.any(tau < 0.0):
-        raise InvalidInputError(f"tensions must be nonnegative and finite, got {tau}")
-    return geometry.curvature_matrix() @ tau
+def _new_command(u_s: float, tau: list) -> TendonCommand:
+    """A TendonCommand from a finite u_s and three floats, without converting
+    them to an array first."""
+    return _fill_command(object.__new__(TendonCommand), u_s, tau)
+
+
+def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> tuple[float, float]:
+    """Curvature (kappa_x, kappa_y) (1/mm) produced by a tension triple,
+    summed left to right over the entries of the cached matrix."""
+    t1, t2, t3 = _check_tensions(_tension_list(tau))
+    (a1, a2, a3), (b1, b2, b3) = geometry._amat_rows
+    return a1 * t1 + a2 * t2 + a3 * t3, b1 * t1 + b2 * t2 + b3 * t3
 
 
 def rates_from_command(command: TendonCommand, geometry: TendonGeometry) -> VirtualInput:
     """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s."""
-    t1, t2, t3 = command.tau.tolist()
-    (a1, a2, a3), (b1, b2, b3) = geometry._amat_rows
+    kx, ky = forward_map(command.tau, geometry)
     u_s = command.u_s
-    return VirtualInput(
-        u_s=u_s,
-        u_x=(a1 * t1 + a2 * t2 + a3 * t3) * u_s,
-        u_y=(b1 * t1 + b2 * t2 + b3 * t3) * u_s,
-    )
-
-
-def _command(u_s: float, tau: list) -> TendonCommand:
-    """A TendonCommand from a finite u_s and three floats, checked finite and
-    nonnegative without a second pass through numpy."""
-    if not all(math.isfinite(t) and t >= 0.0 for t in tau):
-        raise InvalidInputError(f"tensions must be nonnegative and finite, got {tau}")
-    tau = np.array(tau)
-    tau.setflags(write=False)
-    command = object.__new__(TendonCommand)
-    object.__setattr__(command, "u_s", u_s)
-    object.__setattr__(command, "tau", tau)
-    return command
+    return VirtualInput(u_s=u_s, u_x=kx * u_s, u_y=ky * u_s)
 
 
 @dataclass(frozen=True)
@@ -159,10 +164,17 @@ class InverseMapResult:
     saturated: bool
 
 
-def _project_to_feasible(target: Array, geometry: TendonGeometry) -> Array:
-    """Closest point of the feasible hexagon to an outside target, in tension units."""
+def _project_to_feasible(kx: float, ky: float, geometry: TendonGeometry) -> Array:
+    """Closest point of the feasible hexagon to an outside curvature target,
+    in tension units, kappa / gain."""
     a = np.array(geometry._unit_rows).T * geometry.tau_max  # rows: tau_max * C[:, j]
     verts = np.concatenate([a, -a])
+    target = np.array([kx / geometry.gain, ky / geometry.gain])
+    if not np.isfinite(target).all():
+        # a subnormal gain puts the target beyond the largest float; the
+        # closest point to a target that far is the vertex furthest along it
+        scale = max(abs(kx), abs(ky))
+        return verts[np.argmax(verts @ (kx / scale, ky / scale))]
     verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))]
     best = None
     best_dist = np.inf
@@ -221,21 +233,20 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     """
     u_s = u.u_s
     if abs(u_s) < U_S_EPS:
-        return InverseMapResult(command=_command(u_s, [0.0] * N_TENDONS), saturated=False)
+        return InverseMapResult(command=_new_command(u_s, [0.0] * N_TENDONS), saturated=False)
     gain, tau_max = geometry.gain, geometry.tau_max
     kx, ky = u.u_x / u_s, u.u_y / u_s
     tau = _min_norm_in_box(_pinv(kx, ky, geometry, gain), tau_max)
     saturated = tau is None
     if saturated:
-        # projected in tension units, kappa / gain
-        reachable = _project_to_feasible(np.array([kx / gain, ky / gain]), geometry)
+        reachable = _project_to_feasible(kx, ky, geometry)
         tau_mn = _pinv(*reachable.tolist(), geometry, 1.0)
         tau = _min_norm_in_box(tau_mn, tau_max)
         if tau is None:
             # boundary point missed the box by rounding only; recover by clipping
             t = 0.5 * (-min(tau_mn) + tau_max - max(tau_mn))
             tau = [_clip(v + t, tau_max) for v in tau_mn]
-    return InverseMapResult(command=_command(u_s, tau), saturated=saturated)
+    return InverseMapResult(command=_new_command(u_s, tau), saturated=saturated)
 
 
 def fit_gain(samples: Iterable[tuple[float, float]]) -> float:

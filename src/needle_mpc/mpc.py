@@ -38,7 +38,7 @@ from .errors import (
 )
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
 from .kinematics import Array, NeedleState, VirtualInput, rollout  # noqa: F401
-from .optimizer import BoxNlp, check_bounds, minimize
+from .optimizer import BoxNlp, minimize
 
 STATUS_FAULT = "fault"
 
@@ -75,14 +75,10 @@ class MpcConfig:
                     f"{key_of(self, name)}: lower bound {lo:g} exceeds upper bound {hi:g}"
                 )
         lo, hi = self.input_bounds()
-        # checked and paired up once here; every solve's BoxNlp reuses them
-        lo, hi, box = check_bounds(
-            3 * self.horizon, np.tile(lo, self.horizon), np.tile(hi, self.horizon)
-        )
+        lo, hi = np.tile(lo, self.horizon), np.tile(hi, self.horizon)
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "_horizon_bounds", (lo, hi))
-        object.__setattr__(self, "_horizon_box", box)
 
     def input_bounds(self) -> tuple[Array, Array]:
         """Per-step (lower, upper) bound triples, planar mode applied."""
@@ -118,7 +114,7 @@ def _check_refs(refs, horizon: int) -> Array:
         raise InvalidInputError(
             f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, got {refs.shape}"
         )
-    if not np.isfinite(refs).all():
+    if not np.all(np.isfinite(refs)):
         raise InvalidInputError("refs contain non-finite values")
     return refs
 
@@ -229,13 +225,13 @@ class _EulerHorizon:
         return cost, grad
 
 
-def _shift_warm_start(warm: HorizonSolution, horizon: int) -> list:
-    x_prev = warm.input_vector.tolist()
-    if len(x_prev) != 3 * horizon:
+def _shift_warm_start(warm: HorizonSolution, horizon: int) -> Array:
+    x_prev = warm.input_vector
+    if x_prev.size != 3 * horizon:
         raise InvalidInputError(
-            f"warm start has {len(x_prev) // 3} inputs, expected {horizon}"
+            f"warm start has {x_prev.size // 3} inputs, expected {horizon}"
         )
-    return x_prev[3:] + x_prev[-3:]
+    return np.concatenate((x_prev[3:], x_prev[-3:]))
 
 
 def solve_horizon(
@@ -264,9 +260,8 @@ def solve_horizon(
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
         objective_value=core.value,
-        box=config._horizon_box,
     )
-    x0 = [0.0] * (3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
+    x0 = np.zeros(3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
 
     try:
         res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)

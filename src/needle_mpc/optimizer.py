@@ -51,11 +51,6 @@ class BoxNlp:
     the line search; it must agree with objective's value to roundoff. The
     solver reads both attributes when a solve starts and passes each
     accepted point as the very list its line search last evaluated.
-
-    box holds the (lower, upper) float pair of each entry. Left out, it is
-    built by check_bounds from lower and upper. A caller that solves many
-    problems over the same bounds can run check_bounds once and pass its
-    arrays and pairs to each problem, which then skips the bound checks.
     """
 
     dimension: int
@@ -66,38 +61,29 @@ class BoxNlp:
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
     objective_value: Optional[Callable[[list], float]] = None
-    box: Optional[list] = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidConfigError(f"dimension must be >= 1, got {self.dimension}")
-        if self.box is None:
-            self.lower, self.upper, self.box = check_bounds(
-                self.dimension, self.lower, self.upper
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
+            raise InvalidConfigError(
+                f"bounds must have shape ({self.dimension},), got {lower.shape} and {upper.shape}"
+            )
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise InvalidConfigError("bounds contain NaN")
+        if np.any(lower > upper):
+            bad = int(np.argmax(lower > upper))
+            raise InvalidConfigError(
+                f"lower bound exceeds upper bound at index {bad}: {lower[bad]} > {upper[bad]}"
             )
         if self.max_iterations < 1:
             raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.gradient_tolerance > 0.0 and self.step_tolerance > 0.0):
             raise InvalidConfigError("tolerances must be positive")
-
-
-def check_bounds(dimension: int, lower, upper) -> tuple[Array, Array, list]:
-    """Bounds of a dimension-vector as float arrays, plus the (lower, upper)
-    pair of each entry as floats. NaN and lower > upper are rejected."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != (dimension,) or upper.shape != (dimension,):
-        raise InvalidConfigError(
-            f"bounds must have shape ({dimension},), got {lower.shape} and {upper.shape}"
-        )
-    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-        raise InvalidConfigError("bounds contain NaN")
-    if np.any(lower > upper):
-        bad = int(np.argmax(lower > upper))
-        raise InvalidConfigError(
-            f"lower bound exceeds upper bound at index {bad}: {lower[bad]} > {upper[bad]}"
-        )
-    return lower, upper, list(zip(lower.tolist(), upper.tolist()))
+        self.lower = lower
+        self.upper = upper
 
 
 @dataclass
@@ -224,22 +210,17 @@ def minimize(
     in the box (seeded, so results are reproducible) and returns the best
     solution by value. Requires finite bounds.
     """
-    dimension = problem.dimension
-    # a list of floats is checked as it is; anything else goes through numpy
-    if not (type(x0) is list and all(type(v) is float for v in x0)):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (dimension,):
-            raise InvalidInputError(f"x0 must have shape ({dimension},), got {x0.shape}")
-        x0 = x0.tolist()
-    elif len(x0) != dimension:
-        raise InvalidInputError(f"x0 must have shape ({dimension},), got ({len(x0)},)")
-    if not all(map(math.isfinite, x0)):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dimension,):
+        raise InvalidInputError(f"x0 must have shape ({problem.dimension},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
         raise InvalidInputError("x0 contains non-finite values")
-    lower, upper, box = problem.lower, problem.upper, problem.box
+    lower, upper = problem.lower, problem.upper
     if multi_start > 0 and not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise InvalidConfigError("multi_start requires finite bounds")
 
-    best = _solve_from(problem, box, x0)
+    box = list(zip(lower.tolist(), upper.tolist()))
+    best = _solve_from(problem, box, x0.tolist())
     if multi_start > 0:
         rng = np.random.default_rng(seed)
         for _ in range(multi_start):

@@ -223,10 +223,11 @@ class TestRun:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "b"), "--seed", "4"]) == 0
         assert (tmp_path / "a/steps.csv").read_bytes() != (tmp_path / "b/steps.csv").read_bytes()
 
-    @pytest.mark.parametrize("gain", [1e-200, 1e-170, 1e300])
+    @pytest.mark.parametrize("gain", [1e-320, 1e-200, 1e-170, 1e300])
     def test_extreme_gain_runs_with_tensions_in_the_box(self, tmp_path, gain):
         # the schema accepts any positive gain; squaring one of these
-        # underflows to 0 or overflows to inf
+        # underflows to 0 or overflows to inf, and at the subnormal one
+        # kappa / gain overflows too
         doc = json.loads(
             resources.files("needle_mpc").joinpath("presets", "helix.json").read_text()
         )

@@ -237,7 +237,7 @@ class TestInverseMap:
         assert res.saturated
         assert np.allclose(res.command.tau, [7.0, 0.0, 0.0], atol=1e-9)
         # the clamped tensions fall short of the requested curvature
-        assert np.linalg.norm(forward_map(res.command.tau, GEO) - [u_x / 20.0, 0.0]) > 0.0
+        assert np.linalg.norm(np.subtract(forward_map(res.command.tau, GEO), [u_x / 20.0, 0.0])) > 0.0
 
     def test_tensions_always_inside_box(self):
         rng = np.random.default_rng(4)
