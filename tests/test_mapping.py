@@ -178,6 +178,20 @@ class TestForwardMap:
                 forward_map(rolled, g2), rel=1e-12, abs=1e-17
             )
 
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            ((-0.1, 0.0, 0.0), "tensions must be nonnegative"),
+            ((math.nan, 0.0, 0.0), "non-finite"),
+            ((0.0, math.inf, 0.0), "non-finite"),
+            ((1.0, 2.0), "shape"),
+        ],
+    )
+    def test_rejects_what_tendon_command_rejects(self, tau, message):
+        for build in (lambda: forward_map(tau, GEO), lambda: TendonCommand(10.0, tau)):
+            with pytest.raises(InvalidInputError, match=message):
+                build()
+
 
 class TestRatesFromCommand:
     def test_zero_speed_gives_zero_rates(self):
