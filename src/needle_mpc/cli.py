@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("scenario", nargs="?", help="scenario JSON providing geometry and plant")
     rep_p.add_argument("--preset", help="bundled scenario name")
     rep_p.add_argument("--out", default="out", help="output directory (default: out)")
-    rep_p.add_argument("--seed", type=int, default=None, help="override the plant seed")
     rep_p.set_defaults(func=cmd_replay)
 
     bat_p = sub.add_parser("batch", help="run several scenarios in parallel")

@@ -11,25 +11,26 @@ Bending rates relate to curvature through the insertion speed,
 u_x = kappa_x * u_s and u_y = kappa_y * u_s, so a virtual input maps to a
 tension triple only while the needle is actually moving.
 
-Write A = gain * C, where the columns of C are the unit channel
+Write A = gain * C, where the columns c_j of C are the unit channel
 directions (cos, sin). The three directions are equally spaced, so they sum
-to zero and the rows of C are orthogonal with squared norm 1.5; the
-pseudo-inverse of A is therefore (2/3) C' / gain. inverse_map gives feasible
-targets the exact minimum-norm tension triple. Infeasible ones are projected
-onto the boundary of the feasible set first and flagged as saturated. The
-projection works in tension units, kappa / gain, where the feasible set
-{C tau : 0 <= tau <= tau_max} is the regular hexagon with vertices
-+-tau_max * C[:, j] whatever the gain. Neither path squares the gain, so a
-gain far from 1 (1e-200 or 1e300, say) neither underflows nor overflows. A
-subnormal gain can put kappa / gain beyond the largest float; such a target
-is projected onto the hexagon vertex furthest along its direction.
+to zero, c_j . c_k = -1/2 for j != k, and the rows of C are orthogonal with
+squared norm 1.5; the pseudo-inverse of A is therefore (2/3) C' / gain.
+inverse_map gives feasible targets the exact minimum-norm tension triple.
 
-TendonGeometry builds A and C once, when it is constructed; A is the
-read-only array that curvature_matrix() returns. forward_map (which
-rates_from_command calls) and the unsaturated path of inverse_map, which run
-every control step, read those entries as plain Python floats and sum left
-to right, so they make no numpy reduction; the saturated projection stays in
-numpy.
+In tension units, kappa / gain, the feasible set {C tau : 0 <= tau <= tau_max}
+is the regular hexagon with vertices +-tau_max * c_j. Each of its edges has
+one tendon at tau_max and another at 0 while the third runs over
+[0, tau_max]. An outside target is flagged as saturated and mapped to its
+nearest boundary point in closed form: the tendon with the largest c_j . kappa
+goes to tau_max, the one with the smallest to 0, and the third to its
+projection onto that edge, clipped to the box. The tendons are ranked on
+kappa itself, and no path squares the gain, so a gain far from 1 (1e-300 or
+1e300, say) neither underflows nor overflows.
+
+TendonGeometry builds A and C once, when it is constructed, as nested float
+lists. forward_map (which rates_from_command calls) and inverse_map run
+every control step; they read those entries as plain Python floats and sum
+left to right, so they make no numpy reduction.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
@@ -72,24 +73,12 @@ class TendonGeometry:
         # an angle just below 0 rounds up to exactly 2 pi, which would wrap
         # to 0 when the resolved geometry is parsed again
         object.__setattr__(self, "theta_e", 0.0 if theta_e == 2.0 * math.pi else theta_e)
-        # C and A = gain * C, built once: as an array for curvature_matrix()
-        # and as nested float lists for the per-step maps
-        a = self.channel_angles()
+        # C and A = gain * C, built once as nested float lists for the
+        # per-step maps
+        a = 2.0 * np.pi * np.arange(N_TENDONS) / N_TENDONS - self.theta_e
         unit = np.vstack([np.cos(a), np.sin(a)])
-        amat = self.gain * unit
-        amat.setflags(write=False)
-        object.__setattr__(self, "_amat", amat)
-        object.__setattr__(self, "_amat_rows", amat.tolist())
+        object.__setattr__(self, "_amat_rows", (self.gain * unit).tolist())
         object.__setattr__(self, "_unit_rows", unit.tolist())
-
-    def channel_angles(self) -> Array:
-        """Angles 2*pi*(j-1)/3 - theta_e of the three channels (rad)."""
-        return 2.0 * np.pi * np.arange(N_TENDONS) / N_TENDONS - self.theta_e
-
-    def curvature_matrix(self) -> Array:
-        """2x3 matrix A mapping tensions (N) to (kappa_x, kappa_y) (1/mm),
-        read-only, built once per geometry."""
-        return self._amat
 
 
 def _tension_list(tau) -> list:
@@ -157,48 +146,12 @@ class InverseMapResult:
     """Tension solution for a requested virtual input.
 
     saturated is set when the requested curvature lies outside the feasible
-    hexagon and had to be projected onto its boundary.
+    hexagon; the command then realizes the hexagon's nearest boundary point,
+    with one tendon at tau_max and another at 0.
     """
 
     command: TendonCommand
     saturated: bool
-
-
-def _project_to_feasible(kx: float, ky: float, geometry: TendonGeometry) -> Array:
-    """Closest point of the feasible hexagon to an outside curvature target,
-    in tension units, kappa / gain."""
-    a = np.array(geometry._unit_rows).T * geometry.tau_max  # rows: tau_max * C[:, j]
-    verts = np.concatenate([a, -a])
-    target = np.array([kx / geometry.gain, ky / geometry.gain])
-    if not np.isfinite(target).all():
-        # a subnormal gain puts the target beyond the largest float; the
-        # closest point to a target that far is the vertex furthest along it
-        scale = max(abs(kx), abs(ky))
-        return verts[np.argmax(verts @ (kx / scale, ky / scale))]
-    verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))]
-    best = None
-    best_dist = np.inf
-    for k in range(len(verts)):
-        va, vb = verts[k], verts[(k + 1) % len(verts)]
-        ab = vb - va
-        t = float(np.clip((target - va) @ ab / (ab @ ab), 0.0, 1.0))
-        cand = va + t * ab
-        # hypot, not a sum of squares: a far target at a tiny gain lies
-        # beyond the square root of the largest float
-        dist = float(np.hypot(*(target - cand)))
-        if dist < best_dist:
-            best, best_dist = cand, dist
-    return best
-
-
-def _pinv(x: float, y: float, geometry: TendonGeometry, gain: float) -> list:
-    """Minimum-norm tensions (2/3) C' (x, y) / gain: the pseudo-inverse of
-    A = gain * C at a curvature (x, y), or, with gain = 1, at a target that
-    is already in tension units."""
-    (c1, c2, c3), (s1, s2, s3) = geometry._unit_rows
-    return [(2.0 / 3.0) * (c1 * x + s1 * y) / gain,
-            (2.0 / 3.0) * (c2 * x + s2 * y) / gain,
-            (2.0 / 3.0) * (c3 * x + s3 * y) / gain]
 
 
 def _min_norm_in_box(tau_mn: list, tau_max: float) -> list | None:
@@ -222,30 +175,43 @@ def _clip(v: float, hi: float) -> float:
     return v if v < hi else hi
 
 
+def _nearest_boundary(dots: list, geometry: TendonGeometry) -> list:
+    """Tensions of the feasible hexagon's boundary point nearest to an
+    outside curvature kappa, given dots = c_j . kappa.
+
+    The edge faced by the target puts the best-aligned tendon a at tau_max
+    and the worst-aligned tendon w at 0. The third tendon b moves along c_b,
+    so its tension is the projection c_b . (kappa / gain - tau_max * c_a) =
+    c_b . kappa / gain + tau_max / 2, clipped to the edge's ends.
+    """
+    w, b, a = sorted(range(N_TENDONS), key=dots.__getitem__)
+    tau = [0.0] * N_TENDONS
+    tau[a] = geometry.tau_max
+    tau[b] = _clip(dots[b] / geometry.gain + 0.5 * geometry.tau_max, geometry.tau_max)
+    return tau
+
+
 def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     """Minimum-norm tension triple realizing a virtual input.
 
     Solves min ||tau||^2 subject to A tau = (u_x, u_y) / u_s and
     0 <= tau <= tau_max. When the target curvature is infeasible the result
-    instead minimizes the curvature error (ties broken by smaller norm) and
-    the saturated flag is set. |u_s| < U_S_EPS yields zero tensions, since
-    curvature is undefined without insertion motion.
+    is the tension triple of the feasible curvature nearest to it, which is
+    unique, and the saturated flag is set. |u_s| < U_S_EPS yields zero
+    tensions, since curvature is undefined without insertion motion.
     """
     u_s = u.u_s
     if abs(u_s) < U_S_EPS:
         return InverseMapResult(command=_new_command(u_s, [0.0] * N_TENDONS), saturated=False)
-    gain, tau_max = geometry.gain, geometry.tau_max
     kx, ky = u.u_x / u_s, u.u_y / u_s
-    tau = _min_norm_in_box(_pinv(kx, ky, geometry, gain), tau_max)
+    (c1, c2, c3), (s1, s2, s3) = geometry._unit_rows
+    dots = [c1 * kx + s1 * ky, c2 * kx + s2 * ky, c3 * kx + s3 * ky]  # c_j . kappa
+    # the pseudo-inverse (2/3) C' kappa / gain is the minimum-norm solution
+    tau_mn = [(2.0 / 3.0) * d / geometry.gain for d in dots]
+    tau = _min_norm_in_box(tau_mn, geometry.tau_max)
     saturated = tau is None
     if saturated:
-        reachable = _project_to_feasible(kx, ky, geometry)
-        tau_mn = _pinv(*reachable.tolist(), geometry, 1.0)
-        tau = _min_norm_in_box(tau_mn, tau_max)
-        if tau is None:
-            # boundary point missed the box by rounding only; recover by clipping
-            t = 0.5 * (-min(tau_mn) + tau_max - max(tau_mn))
-            tau = [_clip(v + t, tau_max) for v in tau_mn]
+        tau = _nearest_boundary(dots, geometry)
     return InverseMapResult(command=_new_command(u_s, tau), saturated=saturated)
 
 

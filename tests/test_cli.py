@@ -394,6 +394,14 @@ class TestReplay:
         assert code == 2
         assert "commands" in capsys.readouterr().err
 
+    def test_seed_option_is_rejected(self, tmp_path, capsys):
+        # an open-loop replay draws no plant noise, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["replay", "replay1", "--preset", "replay_clean", "--seed", "5",
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_open_loop_csv_written(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["replay", "replay2", "--preset", "replay_clean", "--out", str(out)]) == 0

@@ -22,6 +22,7 @@ from needle_mpc.mapping import (
     rates_from_command,
 )
 from oracles import (
+    _channel_matrix,
     curvature_pair,
     feasible_set_excess,
     tension_grid_full,
@@ -66,33 +67,22 @@ class TestGeometry:
             TendonGeometry(tau_max=-1.0)
 
     def test_channel_angles_spacing(self):
-        g = TendonGeometry(theta_e=0.3)
-        ang = g.channel_angles()
-        assert ang[0] == pytest.approx(-0.3)
-        diffs = np.diff(ang)
-        assert diffs == pytest.approx([2.0 * math.pi / 3.0] * 2)
-
-    def test_curvature_matrix_is_cached_read_only(self):
+        # one unit tension per tendon points along its channel, at
+        # -theta_e + 120 degrees per tendon
         g = TendonGeometry(theta_e=0.3, gain=2e-4)
-        mat = g.curvature_matrix()
-        assert mat is g.curvature_matrix()
-        with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
         for j in range(3):
-            assert tuple(mat[:, j]) == pytest.approx(
-                curvature_pair(0.3, 2e-4, np.eye(3)[j]), rel=1e-15, abs=1e-19
+            unit = np.eye(3)[j]
+            kx, ky = forward_map(unit, g)
+            assert (kx, ky) == pytest.approx(curvature_pair(0.3, 2e-4, unit), rel=1e-15, abs=1e-19)
+            assert math.hypot(kx, ky) == pytest.approx(2e-4, rel=1e-15)
+            assert math.atan2(ky, kx) == pytest.approx(
+                math.remainder(-0.3 + 2.0 * math.pi * j / 3.0, 2.0 * math.pi), rel=1e-14
             )
 
     def test_replace_builds_a_new_matrix(self):
         g = TendonGeometry(theta_e=0.3)
         g2 = dataclasses.replace(g, theta_e=1.1)
-        assert g2.curvature_matrix() is not g.curvature_matrix()
-        assert not np.array_equal(g2.curvature_matrix(), g.curvature_matrix())
-        for j in range(3):
-            assert tuple(g2.curvature_matrix()[:, j]) == pytest.approx(
-                curvature_pair(1.1, g.gain, np.eye(3)[j]), rel=1e-15, abs=1e-19
-            )
-        # the per-step maps read the new geometry's entries too
+        # the per-step maps read the new geometry's entries
         u = rates_from_command(TendonCommand(10.0, (1.0, 0.0, 0.0)), g2)
         kx, ky = curvature_pair(1.1, g.gain, (1.0, 0.0, 0.0))
         assert (u.u_x, u.u_y) == pytest.approx((10.0 * kx, 10.0 * ky), rel=1e-15)
@@ -316,6 +306,25 @@ class TestInverseMap:
         res = inverse_map(VirtualInput(u_s, u_s * kx, u_s * ky), g)
         assert res.saturated == (excess > 0.0)
         assert np.all(res.command.tau >= 0.0) and np.all(res.command.tau <= tau_max)
+        if res.saturated:
+            # a boundary point of the hexagon: one tendon at tau_max, another at 0
+            lo, _, hi = sorted(res.command.tau.tolist())
+            assert (lo, hi) == (0.0, tau_max)
+
+    @pytest.mark.parametrize("gain", [1e-170, 1e-200, 1e-300])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_far_target_saturates_toward_its_direction(self, gain, theta):
+        # kappa / gain lies 1e170 N or more away from the 7 N hexagon, whose
+        # nearest point is then the vertex closest in angle, or an edge
+        # midpoint straight along the request: within 30 degrees either way
+        g = TendonGeometry(theta_e=theta, gain=gain)
+        for k in range(72):
+            psi = math.radians(5.0 * k)
+            res = inverse_map(VirtualInput(1.0, math.cos(psi), math.sin(psi)), g)
+            assert res.saturated
+            kx, ky = forward_map(res.command.tau, g)
+            off = math.degrees(abs(math.remainder(math.atan2(ky, kx) - psi, 2.0 * math.pi)))
+            assert off <= 30.0 + 1e-9, (k, off)
 
     @given(
         ratio=st.floats(0.0, 1.0, exclude_max=True) | st.floats(1.0, 1e7),
@@ -391,8 +400,7 @@ class TestInverseMap:
             axis = np.arange(0.0, 7.0 + 1e-9, 0.35)
             t1, t2, t3 = np.meshgrid(axis, axis, axis, indexing="ij")
             taus = np.stack([t1.ravel(), t2.ravel(), t3.ravel()], axis=1)
-            mat = g.curvature_matrix()
-            rates = u_s * (taus @ mat.T)
+            rates = u_s * (taus @ _channel_matrix(g.theta_e, g.gain).T)
             devs = np.hypot(rates[:, 0] - u.u_x, rates[:, 1] - u.u_y)
             assert dev <= devs.min() + 1e-9
 
