@@ -25,7 +25,9 @@ nearest boundary point in closed form: the tendon with the largest c_j . kappa
 goes to tau_max, the one with the smallest to 0, and the third to its
 projection onto that edge, clipped to the box. The tendons are ranked on
 kappa itself, and no path squares the gain, so a gain far from 1 (1e-300 or
-1e300, say) neither underflows nor overflows.
+1e300, say) neither underflows nor overflows. A kappa that itself overflows
+(u_s near U_S_EPS, bending rates near the float range) is ranked on its
+direction alone and saturated the same way.
 
 TendonGeometry builds A and C once, when it is constructed, as nested float
 lists. forward_map (which rates_from_command calls) and inverse_map run
@@ -175,7 +177,7 @@ def _clip(v: float, hi: float) -> float:
     return v if v < hi else hi
 
 
-def _nearest_boundary(dots: list, geometry: TendonGeometry) -> list:
+def _nearest_boundary(dots: list, geometry: TendonGeometry, far: bool = False) -> list:
     """Tensions of the feasible hexagon's boundary point nearest to an
     outside curvature kappa, given dots = c_j . kappa.
 
@@ -183,11 +185,18 @@ def _nearest_boundary(dots: list, geometry: TendonGeometry) -> list:
     and the worst-aligned tendon w at 0. The third tendon b moves along c_b,
     so its tension is the projection c_b . (kappa / gain - tau_max * c_a) =
     c_b . kappa / gain + tau_max / 2, clipped to the edge's ends.
+
+    A far kappa, one beyond the float range, passes dots along its direction
+    only; b then takes the projection's limit as kappa recedes: the edge's
+    end that c_b points to, or its midpoint when c_b . kappa is 0.
     """
     w, b, a = sorted(range(N_TENDONS), key=dots.__getitem__)
     tau = [0.0] * N_TENDONS
-    tau[a] = geometry.tau_max
-    tau[b] = _clip(dots[b] / geometry.gain + 0.5 * geometry.tau_max, geometry.tau_max)
+    tau[a] = tau_max = geometry.tau_max
+    if not far:
+        tau[b] = _clip(dots[b] / geometry.gain + 0.5 * tau_max, tau_max)
+    else:
+        tau[b] = tau_max if dots[b] > 0.0 else (0.0 if dots[b] < 0.0 else 0.5 * tau_max)
     return tau
 
 
@@ -204,14 +213,21 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     if abs(u_s) < U_S_EPS:
         return InverseMapResult(command=_new_command(u_s, [0.0] * N_TENDONS), saturated=False)
     kx, ky = u.u_x / u_s, u.u_y / u_s
+    far = not (math.isfinite(kx) and math.isfinite(ky))
+    if far:
+        # kappa overflowed: keep its direction, scaled to at most 1 per
+        # component so that no product below overflows
+        scale = math.copysign(max(abs(u.u_x), abs(u.u_y)), u_s)
+        kx, ky = u.u_x / scale, u.u_y / scale
     (c1, c2, c3), (s1, s2, s3) = geometry._unit_rows
     dots = [c1 * kx + s1 * ky, c2 * kx + s2 * ky, c3 * kx + s3 * ky]  # c_j . kappa
     # the pseudo-inverse (2/3) C' kappa / gain is the minimum-norm solution
-    tau_mn = [(2.0 / 3.0) * d / geometry.gain for d in dots]
-    tau = _min_norm_in_box(tau_mn, geometry.tau_max)
+    tau = None if far else _min_norm_in_box(
+        [(2.0 / 3.0) * d / geometry.gain for d in dots], geometry.tau_max
+    )
     saturated = tau is None
     if saturated:
-        tau = _nearest_boundary(dots, geometry)
+        tau = _nearest_boundary(dots, geometry, far)
     return InverseMapResult(command=_new_command(u_s, tau), saturated=saturated)
 
 

@@ -23,7 +23,7 @@ of the flat input vector warm-starts the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -90,6 +90,11 @@ class MpcConfig:
     def horizon_bounds(self) -> tuple[Array, Array]:
         """Bounds of the flat (3N,) input vector, read-only, built once per config."""
         return self._horizon_bounds
+
+    def __reduce__(self):
+        # unpickle through the constructor, which rebuilds the read-only
+        # bounds; pickled copies of the arrays would come back writable
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,15 @@ across accepted steps.
 Convergence is declared when the unit-step projected gradient
 ||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|).
 
+The backtracking halves lam until a trial passes the Armijo test. It gives
+up, and the solve returns its last accepted point as stalled, once the next
+trial's predicted decrease lam * |g'd| is at most eps/10 * (1 + |f|), eps
+the machine epsilon: such a trial can only round back to f, so halving
+further spends value evaluations for nothing (the rounding stop of More and
+Thuente, ACM TOMS 1994). The floor sits at eps/10 rather than eps because
+the trials between the two still reach the minimizer of badly scaled
+problems; lam < 1e-14 stays as the guard against non-finite trials.
+
 The iteration runs over plain Python floats: at the problem sizes of a
 control horizon (a few dozen variables) per-element interpreter work is
 cheaper than the fixed cost of numpy calls. The objective callables
@@ -22,6 +31,7 @@ value-and-gradient call at an equal point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +45,9 @@ _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
 _ARMIJO = 1e-4
 _LAMBDA_MIN = 1e-14
+# a trial whose predicted decrease lam*|g'd| is at most this times 1 + |f|
+# cannot show in f; the module docstring says why eps/10
+_DECREASE_FLOOR = sys.float_info.epsilon / 10.0
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -151,6 +164,7 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
             break
 
         lam = 1.0
+        floor = _DECREASE_FLOOR * (1.0 + abs(f))
         while True:
             trial = []
             for v, di, (lo, hi) in zip(x, d, box):
@@ -160,9 +174,11 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
             if math.isfinite(f_trial) and f_trial <= f + _ARMIJO * lam * gtd:
                 break
             lam *= 0.5
-            if lam < _LAMBDA_MIN:
+            if lam < _LAMBDA_MIN or -lam * gtd <= floor:
+                # the next trial could not show its decrease in f
+                trial = None
                 break
-        if lam < _LAMBDA_MIN:
+        if trial is None:
             status = STATUS_STALLED
             break
 

@@ -326,6 +326,24 @@ class TestInverseMap:
             off = math.degrees(abs(math.remainder(math.atan2(ky, kx) - psi, 2.0 * math.pi)))
             assert off <= 30.0 + 1e-9, (k, off)
 
+    @pytest.mark.parametrize("u_s", [U_S_EPS, -U_S_EPS])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_overflowing_target_saturates_toward_its_direction(self, u_s, theta):
+        # kappa = (u_x, u_y) / u_s overflows; it still gets the vertex or
+        # edge midpoint nearest its direction, flagged saturated
+        g = TendonGeometry(theta_e=theta)
+        corners = [(1e308, 1e308), (1e308, -1e308), (-1e308, 1e308), (-1e308, -1e308)]
+        ring = [(1e308 * math.cos(psi), 1e308 * math.sin(psi))
+                for psi in (math.radians(5.0 * k) for k in range(72))]
+        for u_x, u_y in corners + ring:
+            res = inverse_map(VirtualInput(u_s, u_x, u_y), g)
+            assert res.saturated
+            assert sorted(res.command.tau.tolist())[::2] == [0.0, g.tau_max]
+            kx, ky = forward_map(res.command.tau, g)
+            psi = math.atan2(u_y * u_s, u_x * u_s)
+            off = math.degrees(abs(math.remainder(math.atan2(ky, kx) - psi, 2.0 * math.pi)))
+            assert off <= 30.0 + 1e-9, (u_x, u_y, off)
+
     @given(
         ratio=st.floats(0.0, 1.0, exclude_max=True) | st.floats(1.0, 1e7),
         sign=st.sampled_from([1.0, -1.0]),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,18 @@ class TestConfig:
         cfg = MpcConfig(planar_mode=True)
         lo, hi = cfg.input_bounds()
         assert lo[2] == 0.0 and hi[2] == 0.0
+
+    @pytest.mark.parametrize(
+        "roundtrip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copied_config_keeps_read_only_bounds(self, roundtrip):
+        cfg = MpcConfig(horizon=7, planar_mode=True, u_x_bounds=(-0.5, 0.25))
+        back = roundtrip(cfg)
+        assert back == cfg
+        for got, want in zip(back.horizon_bounds(), cfg.horizon_bounds()):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
 
     def test_horizon_bounds_tiling(self):
         lo, hi = CFG.horizon_bounds()
@@ -416,3 +431,52 @@ class TestController:
         # a fresh controller starts cold, as the first step of ctrl did
         a2, _ = RecedingHorizonController(CFG).step(s, refs)
         assert a2 == a1
+
+
+class TestRoundingFloor:
+    """A planar_fast horizon (step 38 of the preset, 17 digits) whose solve
+    stalls on a line search that cannot lower the cost any more."""
+
+    CFG = MpcConfig(
+        u_s_bounds=(-1.0, 20.0), u_x_bounds=(-0.04, 0.04), planar_mode=True,
+        gradient_tolerance=1e-12,
+    )
+    STATE = NeedleState(
+        p=[1.564834512481732e-16, -1.4433050884729277, 37.96342922990293],
+        d=[8.232006489212097e-18, -0.07592685845980593, 0.9971133898230555],
+    )
+    REFS = np.tile([0.0, -20.0, 160.0], (6, 1))
+    WARM = np.array([
+        20.0, -0.04, 0.0, 20.0, -0.016482353538711365, 0.0,
+        20.0, -0.0032819641188625505, 0.0, 20.0, -0.00317870763844445, 0.0,
+        20.0, 0.0, 0.0,
+    ])
+
+    def test_final_line_search_stops_at_the_floor(self, monkeypatch):
+        calls = []
+        value, value_and_grad = _EulerHorizon.value, _EulerHorizon.value_and_grad
+
+        def counted_value(core, x):
+            calls.append("v")
+            return value(core, x)
+
+        def counted_value_and_grad(core, x):
+            calls.append("g")
+            return value_and_grad(core, x)
+
+        monkeypatch.setattr(_EulerHorizon, "value", counted_value)
+        monkeypatch.setattr(_EulerHorizon, "value_and_grad", counted_value_and_grad)
+        warm = HorizonSolution(
+            inputs=tuple(to_inputs(self.WARM.reshape(-1, 3))), cost=0.0,
+            solver_status="stalled", input_vector=self.WARM,
+        )
+        sol = solve_horizon(self.STATE, self.REFS, self.CFG, warm_start=warm)
+        assert sol.solver_status == "stalled"
+        # the last run of value-only calls (v) is the final line search;
+        # halving down to a trial that rounds back to f took 19 of them
+        final_search = len("".join(calls).rstrip("g").split("g")[-1])
+        assert 1 <= final_search <= 4
+
+        lo, hi = self.CFG.horizon_bounds()
+        x0 = np.clip(np.concatenate((self.WARM[3:], self.WARM[-3:])), lo, hi)
+        assert sol.cost <= _EulerHorizon(self.STATE, self.REFS, self.CFG).value(x0.tolist())

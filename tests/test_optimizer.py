@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,50 @@ class TestFloatListLoop:
         res = minimize(p, x0=x0)
         assert res.x == pytest.approx(np.clip(center, -1.0, 1.0), abs=1e-6)
         assert np.all(res.x >= -1.0) and np.all(res.x <= 1.0)
+
+    @staticmethod
+    def clamp_draws(seed, count):
+        """(center, weights, x0) triples; about 30% of the entries are range
+        ends, box bounds or short decimals, where ties in f are likeliest."""
+        rng = random.Random(seed)
+
+        def entry(lo, hi, ends):
+            u = rng.random()
+            if u < 0.15:
+                return rng.choice(ends)
+            if u < 0.3:
+                return round(rng.uniform(lo, hi), rng.randint(1, 2))
+            return rng.uniform(lo, hi)
+
+        for _ in range(count):
+            n = rng.randint(1, 15)
+            yield (
+                [entry(-3.0, 3.0, (-3.0, -1.0, 0.0, 1.0, 3.0)) for _ in range(n)],
+                [entry(0.1, 10.0, (0.1, 10.0)) for _ in range(n)],
+                [entry(-1.0, 1.0, (-1.0, 0.0, 1.0)) for _ in range(n)],
+            )
+
+    def test_weighted_clamp_seeded_sweep(self):
+        # guards the line search's rounding floor: at eps instead of eps/10
+        # the search gives up on draws that the gradient still leads to x
+        failed = []
+        for i, (center, weights, x0) in enumerate(self.clamp_draws(0, 4000)):
+            def objective(x):
+                e = [v - c for v, c in zip(x, center)]
+                return (
+                    sum(w * t * t for w, t in zip(weights, e)),
+                    [2.0 * w * t for w, t in zip(weights, e)],
+                )
+
+            n = len(center)
+            p = BoxNlp(
+                dimension=n, objective=objective, lower=-np.ones(n), upper=np.ones(n),
+                gradient_tolerance=1e-10,
+            )
+            res = minimize(p, x0=x0)
+            if np.max(np.abs(res.x - np.clip(center, -1.0, 1.0))) > 1e-6:
+                failed.append(i)
+        assert failed == []
 
 
 class TestExitPaths:
