@@ -112,6 +112,26 @@ class VirtualInput:
             object.__setattr__(self, name, v)
 
 
+def _inputs_from_flat(flat: list) -> tuple[VirtualInput, ...]:
+    """VirtualInputs from a flat float list (u_s_0, u_x_0, u_y_0, u_s_1, ...).
+
+    One finiteness check over the list stands in for the per-field checks of
+    the constructor; the entries must already be floats.
+    """
+    if not all(map(math.isfinite, flat)):
+        raise InvalidInputError(f"inputs must be finite, got {flat!r}")
+    new = object.__new__
+    out = []
+    for u_s, u_x, u_y in zip(flat[0::3], flat[1::3], flat[2::3]):
+        u = new(VirtualInput)
+        attrs = u.__dict__
+        attrs["u_s"] = u_s
+        attrs["u_x"] = u_x
+        attrs["u_y"] = u_y
+        out.append(u)
+    return tuple(out)
+
+
 def _check_ts(ts: float) -> float:
     ts = float(ts)
     if not (math.isfinite(ts) and ts > 0.0):

@@ -9,13 +9,22 @@ Predictions use the Euler-discretized model with direction renormalization.
 
 One scalar core serves a solve: `_EulerHorizon.predict` runs the Euler
 rollout once over plain Python floats and keeps the positions, directions
-and pre-normalization norms. The cost value and its gradient both read that
-output. The gradient is accumulated in reverse through the rollout,
+and pre-normalization norms. It rolls out in the tip-relative frame: the
+positions are displacements from the start p_0 and the references are
+shifted to ref_i - p_0, so the cost is J exactly but its rounding error
+scales with the horizon's travel and tracking error, not with |p_0| (up to
+a few hundred mm). Near a target J is tiny, and in absolute coordinates its
+rounding noise would sit far above the solver's rounding floor, which
+scales with |J|. The cost value and its gradient both read that output.
+The gradient is accumulated in reverse through the rollout,
 renormalization included, so it is exact to roundoff. The optimizer passes
 points as lists of floats and accepts the point its line search evaluated
 last, so the core keeps that rollout and computes the gradient there without
 rolling out again: one rollout per accepted iterate.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
+The first SPG iteration of a solve backtracks by quadratic interpolation
+(see `optimizer`); the solution reports the solver's evaluation counts and
+stop reason.
 The first input of the optimized sequence is applied; the shifted remainder
 of the flat input vector warm-starts the next step.
 """
@@ -37,7 +46,13 @@ from .errors import (
     key_of,
 )
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
-from .kinematics import Array, NeedleState, VirtualInput, rollout  # noqa: F401
+from .kinematics import (  # noqa: F401
+    Array,
+    NeedleState,
+    VirtualInput,
+    _inputs_from_flat,
+    rollout,
+)
 from .optimizer import BoxNlp, minimize
 
 STATUS_FAULT = "fault"
@@ -103,6 +118,9 @@ class HorizonSolution:
 
     input_vector holds the same inputs flattened as
     (u_s_0, u_x_0, u_y_0, u_s_1, ...), read-only; the warm start shifts it.
+    stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
+    "fault" for the zero-input fallback, whose counts are 0: a failed solve
+    returns no result to count from.
     """
 
     inputs: tuple[VirtualInput, ...]
@@ -110,6 +128,10 @@ class HorizonSolution:
     solver_status: str
     projected_gradient_norm: float = float("nan")
     iterations: int = 0
+    stop: str = ""
+    value_evals: int = 0
+    grad_evals: int = 0
+    backtracks: int = 0
     input_vector: Array = field(kw_only=True, repr=False, compare=False)
 
 
@@ -127,10 +149,14 @@ def _check_refs(refs, horizon: int) -> Array:
 class _EulerHorizon:
     """The horizon cost of one solve, over plain Python floats.
 
-    Holds the per-solve constants (start state, flattened references,
-    weights). predict() is the only Euler rollout; value() and
-    value_and_grad() both read its output. Flat vectors are lists ordered
-    (x_0, y_0, z_0, x_1, ...), three entries per step.
+    Holds the per-solve constants (start direction, references, weights).
+    Positions are tip-relative: the rollout starts at the origin and the
+    references are stored as ref_i - p_0, so predict() returns the
+    displacements p_i - p_0 and the cost is the same J as in absolute
+    coordinates, with rounding noise that no longer grows with |p_0|.
+    predict() is the only Euler rollout; value() and value_and_grad() both
+    read its output. Flat vectors are lists ordered (x_0, y_0, z_0, x_1,
+    ...), three entries per step.
 
     value() keeps the last point it evaluated with its rollout, and
     value_and_grad() at an equal point (== on the lists) reads that rollout
@@ -138,14 +164,13 @@ class _EulerHorizon:
     search evaluated last, so each accepted iterate costs one rollout.
     """
 
-    __slots__ = ("n", "ts", "p0", "d0", "refs", "q", "r", "_last_x", "_last")
+    __slots__ = ("n", "ts", "d0", "refs", "q", "r", "_last_x", "_last")
 
     def __init__(self, s0: NeedleState, refs: Array, config: MpcConfig):
         self.n = config.horizon
         self.ts = config.ts
-        self.p0 = s0.p.tolist()
         self.d0 = s0.d.tolist()
-        self.refs = refs.ravel().tolist()
+        self.refs = (refs - s0.p).ravel().tolist()
         self.q = config.q_weights
         self.r = config.r_weights
         self._last_x = self._last = None
@@ -153,13 +178,14 @@ class _EulerHorizon:
     def predict(self, x: list) -> tuple[float, list, list, list]:
         """Roll the flat inputs x out; returns (cost, p, d, norms).
 
-        p and d hold the N+1 positions and directions, flat. norms holds the
-        N norms of the raw Euler directions before renormalization.
+        p and d hold the N+1 displacements p_i - p_0 and directions, flat.
+        norms holds the N norms of the raw Euler directions before
+        renormalization.
         """
         ts, refs = self.ts, self.refs
         qx, qy, qz = self.q
         rs, rx, ry = self.r
-        px, py, pz = self.p0
+        px = py = pz = 0.0
         dx, dy, dz = self.d0
         p = [px, py, pz]
         d = [dx, dy, dz]
@@ -270,26 +296,27 @@ def solve_horizon(
 
     try:
         res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
-        x = res.x
-        status = res.status
-        cost = res.value
-        pg = res.projected_gradient_norm
-        iterations = res.iterations
     except NumericalFailureError:
         x = np.clip(np.zeros(3 * n), lo, hi)
-        cost = core.value(x.tolist())
-        status = STATUS_FAULT
-        pg = float("nan")
-        iterations = 0
+        x.setflags(write=False)
+        flat = x.tolist()
+        return HorizonSolution(
+            inputs=_inputs_from_flat(flat), cost=core.value(flat),
+            solver_status=STATUS_FAULT, stop=STATUS_FAULT, input_vector=x,
+        )
 
+    x = res.x
     x.setflags(write=False)
-    flat = x.tolist()
     return HorizonSolution(
-        inputs=tuple(VirtualInput(*flat[k:k + 3]) for k in range(0, 3 * n, 3)),
-        cost=cost,
-        solver_status=status,
-        projected_gradient_norm=pg,
-        iterations=iterations,
+        inputs=_inputs_from_flat(x.tolist()),
+        cost=res.value,
+        solver_status=res.status,
+        projected_gradient_norm=res.projected_gradient_norm,
+        iterations=res.iterations,
+        stop=res.stop,
+        value_evals=res.value_evals,
+        grad_evals=res.grad_evals,
+        backtracks=res.backtracks,
         input_vector=x,
     )
 

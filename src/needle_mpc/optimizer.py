@@ -10,14 +10,28 @@ across accepted steps.
 Convergence is declared when the unit-step projected gradient
 ||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|).
 
-The backtracking halves lam until a trial passes the Armijo test. It gives
-up, and the solve returns its last accepted point as stalled, once the next
-trial's predicted decrease lam * |g'd| is at most eps/10 * (1 + |f|), eps
-the machine epsilon: such a trial can only round back to f, so halving
-further spends value evaluations for nothing (the rounding stop of More and
-Thuente, ACM TOMS 1994). The floor sits at eps/10 rather than eps because
-the trials between the two still reach the minimizer of badly scaled
-problems; lam < 1e-14 stays as the guard against non-finite trials.
+The backtracking halves lam until a trial passes the Armijo test, except in
+the first iteration of a solve. There the first steplength alpha_0 =
+1/||pg|| knows nothing of the problem's scale, so a rejected trial sets lam
+to the minimizer of the quadratic through f, g'd and the trial value,
+
+    lam <- -lam^2 g'd / (2 (f(lam) - f - lam g'd)),
+
+clamped to [1e-3 lam, lam/2] (the safeguarded interpolation of SPG2,
+Birgin, Martinez and Raydan, SIAM J. Optim. 2000). From iteration 2 on the
+BB steplength carries the scale and halving wastes fewer trials than
+interpolation. The search gives up, and the solve returns its last accepted
+point as stalled, once the next trial's predicted decrease lam * |g'd| is
+at most eps/10 * (1 + |f|), eps the machine epsilon: such a trial can only
+round back to f, so backtracking further spends value evaluations for
+nothing (the rounding stop of More and Thuente, ACM TOMS 1994). The floor
+sits at eps/10 rather than eps because the trials between the two still
+reach the minimizer of badly scaled problems; lam < 1e-14 stays as the
+guard against non-finite trials.
+
+A result records why its run stopped (`stop`: gtol, no_descent, floor,
+lambda_min, step_tol or max_iter) and how many value-only calls,
+value-and-gradient calls and rejected line-search trials it made.
 
 The iteration runs over plain Python floats: at the problem sizes of a
 control horizon (a few dozen variables) per-element interpreter work is
@@ -49,9 +63,21 @@ _LAMBDA_MIN = 1e-14
 # cannot show in f; the module docstring says why eps/10
 _DECREASE_FLOOR = sys.float_info.epsilon / 10.0
 
+_INTERP_MIN = 1e-3    # the first-iteration interpolation keeps lam in
+_INTERP_MAX = 0.5     # [_INTERP_MIN * lam, _INTERP_MAX * lam]
+
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_STALLED = "stalled"
+
+# why a run stopped; gtol and step_tol test the tolerances, no_descent a
+# projection arc without descent, floor and lambda_min end a line search
+STOP_GTOL = "gtol"
+STOP_NO_DESCENT = "no_descent"
+STOP_FLOOR = "floor"
+STOP_LAMBDA_MIN = "lambda_min"
+STOP_STEP_TOL = "step_tol"
+STOP_MAX_ITER = "max_iter"
 
 
 @dataclass
@@ -64,6 +90,10 @@ class BoxNlp:
     the line search; it must agree with objective's value to roundoff. The
     solver reads both attributes when a solve starts and passes each
     accepted point as the very list its line search last evaluated.
+
+    The bounds are checked once, here, and kept as box, the (lower, upper)
+    pair of each entry that every solve reads; they must not change after
+    construction.
     """
 
     dimension: int
@@ -74,6 +104,7 @@ class BoxNlp:
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
     objective_value: Optional[Callable[[list], float]] = None
+    box: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -84,28 +115,43 @@ class BoxNlp:
             raise InvalidConfigError(
                 f"bounds must have shape ({self.dimension},), got {lower.shape} and {upper.shape}"
             )
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise InvalidConfigError("bounds contain NaN")
-        if np.any(lower > upper):
-            bad = int(np.argmax(lower > upper))
-            raise InvalidConfigError(
-                f"lower bound exceeds upper bound at index {bad}: {lower[bad]} > {upper[bad]}"
-            )
+        box = list(zip(lower.tolist(), upper.tolist()))
+        for lo, hi in box:
+            if not lo <= hi:    # a NaN bound or lo > hi
+                _reject_bounds(box)
         if self.max_iterations < 1:
             raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.gradient_tolerance > 0.0 and self.step_tolerance > 0.0):
             raise InvalidConfigError("tolerances must be positive")
         self.lower = lower
         self.upper = upper
+        self.box = box
+
+
+def _reject_bounds(box: list) -> None:
+    if any(lo != lo or hi != hi for lo, hi in box):
+        raise InvalidConfigError("bounds contain NaN")
+    bad, (lo, hi) = next((i, b) for i, b in enumerate(box) if b[0] > b[1])
+    raise InvalidConfigError(f"lower bound exceeds upper bound at index {bad}: {lo} > {hi}")
 
 
 @dataclass
 class MinimizeResult:
+    """The returned point and how the solve got there.
+
+    iterations and stop describe the run that found x; value_evals,
+    grad_evals and backtracks total every run of a multi-start solve.
+    """
+
     x: Array
     value: float
     status: str
     iterations: int = 0
     projected_gradient_norm: float = field(default=float("nan"))
+    stop: str = STOP_MAX_ITER
+    value_evals: int = 0
+    grad_evals: int = 0
+    backtracks: int = 0
 
 
 def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> None:
@@ -119,16 +165,19 @@ def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> 
         )
 
 
-def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
-    """One SPG run from x0; box holds the (lower, upper) pair of each entry."""
+def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
+    """One SPG run from x0."""
     objective = problem.objective
     value_of = problem.objective_value or (lambda z: objective(z)[0])
+    box = problem.box
     gtol = problem.gradient_tolerance
     stol = problem.step_tolerance
 
     x = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(x0, box)]
     f, g = objective(x)
     _check_evaluation(f, g, x, 0)
+    value_evals = backtracks = 0
+    grad_evals = 1
 
     pg_norm = 0.0
     for v, gi, (lo, hi) in zip(x, g, box):
@@ -139,10 +188,11 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_norm, 1e-10)))
 
     status = STATUS_MAX_ITER
+    stop = STOP_MAX_ITER
     iteration = 0
     for iteration in range(1, problem.max_iterations + 1):
         if pg_norm <= gtol * (1.0 + abs(f)):
-            status = STATUS_CONVERGED
+            status, stop = STATUS_CONVERGED, STOP_GTOL
             break
 
         # d = P(x - alpha*g) - x, with g'd and whether any d_i != 0
@@ -161,6 +211,7 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
             status = STATUS_CONVERGED if pg_norm <= math.sqrt(gtol) * (
                 1.0 + abs(f)
             ) else STATUS_STALLED
+            stop = STOP_NO_DESCENT
             break
 
         lam = 1.0
@@ -171,11 +222,19 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
                 t = v + lam * di
                 trial.append(lo if t < lo else (hi if t > hi else t))
             f_trial = value_of(trial)
+            value_evals += 1
             if math.isfinite(f_trial) and f_trial <= f + _ARMIJO * lam * gtd:
                 break
-            lam *= 0.5
+            backtracks += 1
+            if iteration == 1 and math.isfinite(f_trial):
+                # minimizer of the quadratic through f, g'd and f_trial
+                q = -0.5 * lam * lam * gtd / (f_trial - f - lam * gtd)
+                lam = max(_INTERP_MIN * lam, min(_INTERP_MAX * lam, q))
+            else:
+                lam *= 0.5
             if lam < _LAMBDA_MIN or -lam * gtd <= floor:
                 # the next trial could not show its decrease in f
+                stop = STOP_LAMBDA_MIN if lam < _LAMBDA_MIN else STOP_FLOOR
                 trial = None
                 break
         if trial is None:
@@ -183,6 +242,7 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
             break
 
         f_new, g_new = objective(trial)
+        grad_evals += 1
         _check_evaluation(f_new, g_new, trial, iteration)
 
         # s = x_new - x, y = g_new - g; pg and the norms at the new point
@@ -206,11 +266,13 @@ def _solve_from(problem: BoxNlp, box: list, x0: list) -> MinimizeResult:
 
         if step_norm <= stol * (1.0 + x_norm):
             status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
+            stop = STOP_STEP_TOL
             break
 
     return MinimizeResult(
         x=np.array(x), value=f, status=status, iterations=iteration,
-        projected_gradient_norm=pg_norm,
+        projected_gradient_norm=pg_norm, stop=stop, value_evals=value_evals,
+        grad_evals=grad_evals, backtracks=backtracks,
     )
 
 
@@ -229,18 +291,25 @@ def minimize(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
         raise InvalidInputError(f"x0 must have shape ({problem.dimension},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
+    x0 = x0.tolist()
+    if not all(map(math.isfinite, x0)):
         raise InvalidInputError("x0 contains non-finite values")
     lower, upper = problem.lower, problem.upper
-    if multi_start > 0 and not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+    if multi_start > 0 and not all(
+        math.isfinite(lo) and math.isfinite(hi) for lo, hi in problem.box
+    ):
         raise InvalidConfigError("multi_start requires finite bounds")
 
-    box = list(zip(lower.tolist(), upper.tolist()))
-    best = _solve_from(problem, box, x0.tolist())
+    best = _solve_from(problem, x0)
     if multi_start > 0:
         rng = np.random.default_rng(seed)
+        runs = [best]
         for _ in range(multi_start):
-            res = _solve_from(problem, box, rng.uniform(lower, upper).tolist())
+            res = _solve_from(problem, rng.uniform(lower, upper).tolist())
+            runs.append(res)
             if res.value < best.value:
                 best = res
+        best.value_evals = sum(r.value_evals for r in runs)
+        best.grad_evals = sum(r.grad_evals for r in runs)
+        best.backtracks = sum(r.backtracks for r in runs)
     return best

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needle_mpc import mpc
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
-from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
+from needle_mpc.harness import run_closed_loop
+from needle_mpc.kinematics import NeedleState, VirtualInput, _inputs_from_flat, step_euler
 from needle_mpc.mpc import (
     HorizonSolution,
     MpcConfig,
@@ -16,6 +18,7 @@ from needle_mpc.mpc import (
     solve_horizon,
 )
 from needle_mpc.optimizer import BoxNlp, minimize
+from needle_mpc.scenario import load_preset
 from oracles import euler_cost_batch, horizon_cost, refine_minimize
 
 CFG = MpcConfig()
@@ -160,6 +163,7 @@ class TestGradient:
 GRAD_BOUND = 1e-5    # criterion 7: max|g - fd| / (1 + max|fd|)
 
 _coord = st.floats(-100.0, 100.0)
+_far_coord = st.floats(-577.0, 577.0)    # |p_0| up to 1e3 mm
 _offset = st.floats(-20.0, 20.0)
 
 
@@ -185,19 +189,20 @@ def fd5_gradient(core, x, h_scale=1e-3):
 
 
 @st.composite
-def horizon_instances(draw):
+def horizon_instances(draw, coord=_coord):
     """(config, start state, refs, flat inputs) at N in {1, 5, 10}.
 
     Each input is drawn from its bounds, zero or the open box, so u_s = 0,
-    saturated inputs and, in planar mode, u_y = 0 all occur. References lie
-    within 20 mm per axis of the start, the scale of criterion 7.
+    saturated inputs and, in planar mode, u_y = 0 all occur. The start
+    position's coordinates come from coord. References lie within 20 mm per
+    axis of the start, the scale of criterion 7.
     """
     n = draw(st.sampled_from((1, 5, 10)))
     cfg = MpcConfig(horizon=n, planar_mode=draw(st.booleans()))
     d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
         lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] >= 1e-2
     )))
-    state = NeedleState(p=draw(st.tuples(_coord, _coord, _coord)), d=d / np.linalg.norm(d))
+    state = NeedleState(p=draw(st.tuples(coord, coord, coord)), d=d / np.linalg.norm(d))
     refs = state.p + np.array(draw(st.lists(
         st.tuples(_offset, _offset, _offset), min_size=n + 1, max_size=n + 1
     )))
@@ -236,14 +241,15 @@ class TestEulerCore:
     @settings(max_examples=100, deadline=None)
     def test_predicted_states_match_step_euler_chain(self, inst):
         cfg, state, refs, x = inst
+        # predict() returns tip-relative positions p_i - p_0
         _, p, d, _ = _EulerHorizon(state, refs, cfg).predict(x.tolist())
         assert len(p) == len(d) == 3 * (cfg.horizon + 1)
         s = state
         for k, u in enumerate(to_inputs(x.reshape(-1, 3))):
-            assert np.max(np.abs(np.array(p[3 * k:3 * k + 3]) - s.p)) <= 1e-12
+            assert np.max(np.abs(np.array(p[3 * k:3 * k + 3]) - (s.p - state.p))) <= 1e-12
             assert np.max(np.abs(np.array(d[3 * k:3 * k + 3]) - s.d)) <= 1e-12
             s = step_euler(s, u, cfg.ts)
-        assert np.max(np.abs(np.array(p[-3:]) - s.p)) <= 1e-12
+        assert np.max(np.abs(np.array(p[-3:]) - (s.p - state.p))) <= 1e-12
 
     @given(horizon_instances())
     @settings(max_examples=50, deadline=None)
@@ -267,6 +273,41 @@ class TestEulerCore:
         warm_cost, _ = horizon_cost(state, to_inputs(x0.reshape(-1, 3)), refs, cfg)
         sol = solve_horizon(state, refs, cfg, warm_start=warm)
         assert sol.cost <= warm_cost
+
+
+class TestTipRelativeFrame:
+    """The cost is rolled out from p_0 = 0 against ref_i - p_0; far from the
+    origin it must still be the absolute-frame cost and keep its guarantee."""
+
+    @given(horizon_instances(_far_coord))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_cost_equals_absolute_frame_cost(self, inst):
+        cfg, state, refs, x = inst
+        got = _EulerHorizon(state, refs, cfg).value(x.tolist())
+        want = euler_cost_batch(
+            state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
+            x.reshape(1, -1, 3),
+        )[0]
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    @given(horizon_instances(_far_coord))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_warm_start_guarantee_far_from_origin(self, inst):
+        cfg, state, refs, x_prev = inst
+        warm = HorizonSolution(
+            inputs=tuple(to_inputs(x_prev.reshape(-1, 3))), cost=0.0,
+            solver_status="converged", input_vector=x_prev,
+        )
+        lo, hi = cfg.horizon_bounds()
+        x0 = np.clip(np.concatenate((x_prev[3:], x_prev[-3:])), lo, hi)
+        sol = solve_horizon(state, refs, cfg, warm_start=warm)
+        assert sol.cost <= horizon_cost(state, to_inputs(x0.reshape(-1, 3)), refs, cfg)[0]
+        # and in absolute coordinates, to the roundoff of that frame
+        warm_abs = euler_cost_batch(
+            state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
+            x0.reshape(1, -1, 3),
+        )[0]
+        assert sol.cost <= warm_abs + 1e-9 * (1.0 + abs(warm_abs))
 
 
 class _CountingCore(_EulerHorizon):
@@ -352,11 +393,46 @@ class TestSolveHorizon:
         rng = np.random.default_rng(24)
         state, refs, _ = random_instance(rng, CFG.horizon)
         sol = solve_horizon(state, refs, CFG)
+        # predict() returns tip-relative positions p_i - p_0
         _, p, _, _ = _EulerHorizon(state, refs, CFG).predict(sol.input_vector.tolist())
         s = state
         for i, u in enumerate(sol.inputs):
             s = step_euler(s, u, CFG.ts)
-            assert np.allclose(p[3 * i + 3:3 * i + 6], s.p, atol=1e-12)
+            assert np.allclose(p[3 * i + 3:3 * i + 6], s.p - state.p, atol=1e-12)
+
+    def test_non_finite_cost_is_a_fault(self):
+        # the cost at a target 1e200 mm away overflows to inf
+        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        refs = np.tile([0.0, 0.0, 1e200], (CFG.horizon + 1, 1))
+        sol = solve_horizon(s, refs, CFG)
+        assert (sol.solver_status, sol.stop) == ("fault", "fault")
+        assert sol.input_vector.tolist() == [0.0] * (3 * CFG.horizon)
+        assert all(u == VirtualInput(0.0) for u in sol.inputs)
+        assert sol.cost == float("inf")
+        assert (sol.iterations, sol.value_evals, sol.grad_evals, sol.backtracks) == (0, 0, 0, 0)
+
+    def test_solution_reports_the_solver_counts(self):
+        rng = np.random.default_rng(27)
+        state, refs, _ = random_instance(rng, CFG.horizon)
+        sol = solve_horizon(state, refs, CFG)
+        lo, hi = CFG.horizon_bounds()
+        core = _EulerHorizon(state, refs, CFG)
+        res = minimize(
+            BoxNlp(dimension=3 * CFG.horizon, objective=core.value_and_grad, lower=lo,
+                   upper=hi, objective_value=core.value),
+            np.zeros(3 * CFG.horizon),
+        )
+        assert res.value_evals > 0 and res.grad_evals > 1
+        assert (sol.stop, sol.iterations, sol.value_evals, sol.grad_evals, sol.backtracks) == (
+            res.stop, res.iterations, res.value_evals, res.grad_evals, res.backtracks
+        )
+
+    def test_non_finite_inputs_rejected_at_the_boundary(self):
+        assert _inputs_from_flat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == (
+            VirtualInput(1.0, 2.0, 3.0), VirtualInput(4.0, 5.0, 6.0)
+        )
+        with pytest.raises(InvalidInputError, match="inputs must be finite"):
+            _inputs_from_flat([1.0, float("nan"), 0.0])
 
     def test_small_horizon_reaches_grid_refinement_cost(self):
         rng = np.random.default_rng(25)
@@ -471,7 +547,7 @@ class TestRoundingFloor:
             solver_status="stalled", input_vector=self.WARM,
         )
         sol = solve_horizon(self.STATE, self.REFS, self.CFG, warm_start=warm)
-        assert sol.solver_status == "stalled"
+        assert (sol.solver_status, sol.stop) == ("stalled", "floor")
         # the last run of value-only calls (v) is the final line search;
         # halving down to a trial that rounds back to f took 19 of them
         final_search = len("".join(calls).rstrip("g").split("g")[-1])
@@ -480,3 +556,68 @@ class TestRoundingFloor:
         lo, hi = self.CFG.horizon_bounds()
         x0 = np.clip(np.concatenate((self.WARM[3:], self.WARM[-3:])), lo, hi)
         assert sol.cost <= _EulerHorizon(self.STATE, self.REFS, self.CFG).value(x0.tolist())
+
+
+class TestEvaluationBudget:
+    """Solver work over the six 20 Hz presets, read from the counts that
+    every HorizonSolution carries.
+
+    Measured: 26971 value calls and 2 stalled solves. Before the cost moved
+    to the tip-relative frame and the first line search interpolated, the
+    same runs took 34279 value calls and stalled 126 times: the cost's
+    rounding noise, which grew with |p|, sat above the rounding floor.
+    """
+
+    PRESETS = ("target1", "target2", "target3", "helix", "sharp_turn", "sinusoidal")
+    MAX_VALUE_EVALS = 28000
+    MAX_STALLED = 5
+
+    def test_twenty_hz_presets_within_budget(self, monkeypatch):
+        calls = []          # "|" opens a solve, "v" a value call, "g" a gradient call
+        solutions = {}
+        value, value_and_grad = _EulerHorizon.value, _EulerHorizon.value_and_grad
+        solve = mpc.solve_horizon
+
+        def counted_value(core, x):
+            calls.append("v")
+            return value(core, x)
+
+        def counted_value_and_grad(core, x):
+            calls.append("g")
+            return value_and_grad(core, x)
+
+        def recorded_solve(*args, **kwargs):
+            calls.append("|")
+            sol = solve(*args, **kwargs)
+            solutions[name].append(sol)
+            return sol
+
+        monkeypatch.setattr(_EulerHorizon, "value", counted_value)
+        monkeypatch.setattr(_EulerHorizon, "value_and_grad", counted_value_and_grad)
+        monkeypatch.setattr(mpc, "solve_horizon", recorded_solve)
+        first_searches = {}
+        for name in self.PRESETS:
+            calls.clear()
+            solutions[name] = []
+            run_closed_loop(load_preset(name))
+            sols = solutions[name]
+            trace = "".join(calls)
+            assert sum(s.value_evals for s in sols) == trace.count("v")
+            assert sum(s.grad_evals for s in sols) == trace.count("g")
+            # a solve's calls read g v..v g ...: its first line search is
+            # the run of v between its first two gradient calls
+            first_searches[name] = [
+                len(solve_calls.split("g")[1])
+                for solve_calls in trace.split("|")[1:]
+                if solve_calls.count("g") >= 2
+            ]
+
+        every = [s for sols in solutions.values() for s in sols]
+        assert all(s.solver_status != "fault" for s in every)
+        assert sum(s.value_evals for s in every) <= self.MAX_VALUE_EVALS
+        assert sum(s.solver_status == "stalled" for s in every) <= self.MAX_STALLED
+        # the first trial of a tracking solve is accepted, so interpolation
+        # never runs and these presets keep one value call there
+        for name in ("helix", "sinusoidal"):
+            assert len(first_searches[name]) == 210
+            assert set(first_searches[name]) == {1}

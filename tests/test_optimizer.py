@@ -59,6 +59,39 @@ class TestProblemValidation:
         with pytest.raises(InvalidInputError, match="length 1, expected 2"):
             minimize(p, x0=[0.5, 0.5])
 
+    def test_nan_in_upper_only_named(self):
+        with pytest.raises(InvalidConfigError, match=r"^bounds contain NaN$"):
+            quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, float("nan")])
+
+    def test_nan_reported_before_an_earlier_disorder(self):
+        # as in the elementwise checks it replaces: NaN first, then order
+        with pytest.raises(InvalidConfigError, match=r"^bounds contain NaN$"):
+            quadratic_problem([0.0, 0.0], lower=[2, 0], upper=[1, float("nan")])
+
+    def test_disorder_names_its_first_index(self):
+        with pytest.raises(
+            InvalidConfigError,
+            match=r"^lower bound exceeds upper bound at index 1: 2\.0 > 1\.0$",
+        ):
+            quadratic_problem([0.0] * 3, lower=[0, 2, 5], upper=[1, 1, 1])
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(
+            InvalidConfigError, match=r"^bounds must have shape \(3,\), got \(2,\) and \(3,\)$"
+        ):
+            quadratic_problem([0.0] * 3, lower=[0, 0], upper=[1, 1, 1])
+
+    def test_infinite_bounds_accepted(self):
+        inf = float("inf")
+        p = quadratic_problem([0.5] * 3, lower=[-inf, -inf, 0.0], upper=[inf, 0.0, inf])
+        assert p.box == [(-inf, inf), (-inf, 0.0), (0.0, inf)]
+        assert all(type(v) is float for pair in p.box for v in pair)
+        assert minimize(p, x0=[0.0, 0.0, 0.0]).x.tolist() == [0.5, 0.0, 0.5]
+        # equal infinite ends are ordered, as -inf <= -inf and inf <= inf
+        assert quadratic_problem([0.0] * 2, lower=[-inf, inf], upper=[-inf, inf]).box == [
+            (-inf, -inf), (inf, inf)
+        ]
+
     def test_start_outside_box_is_projected(self):
         p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
         res = minimize(p, x0=[10.0, -10.0])
@@ -345,12 +378,93 @@ class TestFloatListLoop:
         assert failed == []
 
 
+class TestCounts:
+    """value_evals, grad_evals and backtracks count the objective calls."""
+
+    def test_counts_match_the_calls(self):
+        calls = []
+        res = minimize(TestFloatListLoop.recording_rosenbrock(calls), x0=[-1.2, 1.0])
+        kinds = [kind for kind, _ in calls]
+        assert res.value_evals == kinds.count("value") > res.iterations
+        assert res.grad_evals == kinds.count("grad") > 1
+        assert res.backtracks > 0
+        # every trial is either rejected or accepted with one gradient call
+        assert res.value_evals == res.backtracks + res.grad_evals - 1
+
+    def test_multi_start_counts_total_every_run(self):
+        calls = []
+        res = minimize(TestFloatListLoop.recording_rosenbrock(calls), x0=[-1.2, 1.0],
+                       multi_start=3, seed=1)
+        kinds = [kind for kind, _ in calls]
+        assert res.value_evals == kinds.count("value")
+        assert res.grad_evals == kinds.count("grad")
+        assert res.value_evals == res.backtracks + res.grad_evals - 4
+
+
+class TestFirstIterationInterpolation:
+    """The first line search of a solve interpolates; later ones halve."""
+
+    SLACK = 1e-6   # relative; lam is read back from trial - x
+
+    @staticmethod
+    def scaled_quadratic_draws(seed, count):
+        """(center, weights, x0): weights over six decades and starts from
+        1e-6 to 3 away from the center, so that first trials overshoot, some
+        far enough for the interpolation to reach its lower clamp."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 6)
+            center = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            yield (
+                center,
+                [10.0 ** rng.uniform(-2.0, 4.0) for _ in range(n)],
+                [c + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.5) for c in center],
+            )
+
+    def test_steplength_ratios_and_monotone_values(self):
+        first, later = [], []
+        for center, weights, x0 in self.scaled_quadratic_draws(0, 150):
+            def value(x):
+                return sum(w * (v - c) ** 2 for v, c, w in zip(x, center, weights))
+
+            iterations = []     # (accepted point, its value, line-search trials)
+
+            def objective(x):
+                iterations.append((x, value(x), []))
+                return value(x), [2.0 * w * (v - c) for v, c, w in zip(x, center, weights)]
+
+            def objective_value(x):
+                iterations[-1][2].append(x)
+                return value(x)
+
+            n = len(center)
+            minimize(BoxNlp(dimension=n, objective=objective, objective_value=objective_value,
+                            lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
+                            gradient_tolerance=1e-10), x0=x0)
+            accepted = [f for _, f, _ in iterations]
+            assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+            for k, (x, _, trials) in enumerate(iterations):
+                # no bounds, so trial - x = lam * d: successive trials give lam'/lam
+                for a, b in zip(trials, trials[1:]):
+                    i = max(range(n), key=lambda j: abs(a[j] - x[j]))
+                    if abs(b[i] - x[i]) < 1e-8 * (1.0 + abs(x[i])):
+                        continue    # too short to read lam back to SLACK
+                    (first if k == 0 else later).append((b[i] - x[i]) / (a[i] - x[i]))
+        lo, hi = 1e-3 * (1.0 - self.SLACK), 0.5 * (1.0 + self.SLACK)
+        assert first and all(lo <= r <= hi for r in first)
+        # the sweep reaches both the interpolated interior and the lower clamp
+        assert any(r < 0.49 for r in first)
+        assert any(r <= 1e-3 * (1.0 + self.SLACK) for r in first)
+        assert later and all(abs(r - 0.5) <= 0.5 * self.SLACK for r in later)
+
+
 class TestExitPaths:
     def test_converged_on_projected_gradient(self):
         # unit Hessian: the Barzilai-Borwein step lands on the minimum
         p = quadratic_problem([0.3, -0.4, 2.0], lower=[-1] * 3, upper=[1] * 3)
         res = minimize(p, x0=[0.9, 0.9, 0.9])
         assert res.status == STATUS_CONVERGED
+        assert res.stop == "gtol"
         assert res.projected_gradient_norm <= p.gradient_tolerance * (1.0 + abs(res.value))
         assert res.x == pytest.approx([0.3, -0.4, 1.0], abs=1e-12)
 
@@ -365,6 +479,7 @@ class TestExitPaths:
         )
         res = minimize(p, x0=[0.0])
         assert res.status == STATUS_CONVERGED
+        assert res.stop == "no_descent"
         assert res.iterations == 1
         assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
 
@@ -373,8 +488,27 @@ class TestExitPaths:
         p.objective_value = lambda x: float("nan")
         res = minimize(p, x0=[0.0])
         assert res.status == STATUS_STALLED
+        assert res.stop == "lambda_min"
         assert res.iterations == 1
         assert res.x.tolist() == [0.0]
+        # a non-finite trial is halved, not interpolated: 1, 1/2, ... 2^-46
+        assert (res.value_evals, res.grad_evals, res.backtracks) == (47, 1, 47)
+
+    def test_stalled_on_rounding_floor(self):
+        # every trial is rejected; at f = 1e10 the floor eps/10*(1 + |f|)
+        # is about 2e-7, reached long before lam < 1e-14
+        p = BoxNlp(
+            dimension=1,
+            objective=lambda x: (1e10 + (x[0] - 0.5) ** 2, [2.0 * (x[0] - 0.5)]),
+            objective_value=lambda x: 1e10 + 1.0,
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            gradient_tolerance=1e-300,
+        )
+        res = minimize(p, x0=[0.0])
+        assert (res.status, res.stop, res.iterations) == (STATUS_STALLED, "floor", 1)
+        assert res.x.tolist() == [0.0]
+        assert res.value_evals == res.backtracks < 47
 
     def test_stalled_on_step_tolerance(self):
         p = BoxNlp(
@@ -386,6 +520,7 @@ class TestExitPaths:
         )
         res = minimize(p, x0=[-1.2, 1.0])
         assert res.status == STATUS_STALLED
+        assert res.stop == "step_tol"
         assert res.iterations == 1
         assert res.value < rosenbrock([-1.2, 1.0])[0]
         assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
@@ -400,6 +535,7 @@ class TestExitPaths:
         )
         res = minimize(p, x0=[-1.2, 1.0])
         assert res.status == STATUS_MAX_ITER
+        assert res.stop == "max_iter"
         assert res.iterations == 1
         assert res.value == rosenbrock(res.x.tolist())[0] < rosenbrock([-1.2, 1.0])[0]
 
