@@ -106,7 +106,8 @@ class RunConfig:
             raise InvalidInputError(f"initial_state: {exc}") from exc
 
     def state(self) -> NeedleState:
-        return NeedleState.from_vector(self.initial_state)
+        v = self.initial_state
+        return NeedleState(p=v[:3], d=v[3:])
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,9 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
             p_meas = delayed.p + rng.standard_normal(3) * noise_std
             if prev_meas_p is not None:
                 motion = p_meas - prev_meas_p
-                if np.linalg.norm(motion) > 1e-9:
-                    d_est = motion / np.linalg.norm(motion)
+                norm = np.linalg.norm(motion)
+                if 1e-9 < norm < math.inf:    # an overflowed norm keeps the estimate
+                    d_est = motion / norm
             prev_meas_p = p_meas
             measured = NeedleState(p=p_meas, d=d_est)
         else:

@@ -83,13 +83,6 @@ class NeedleState:
     def __post_init__(self):
         _fill_state(self, _vec3(self.p, "p"), _vec3(self.d, "d"))
 
-    @classmethod
-    def from_vector(cls, s: Sequence[float]) -> "NeedleState":
-        s = np.asarray(s, dtype=float)
-        if s.shape != (6,):
-            raise InvalidInputError(f"state vector must have shape (6,), got {s.shape}")
-        return cls(p=s[:3], d=s[3:])
-
 
 def _new_state(p: list, d: list) -> NeedleState:
     """A NeedleState from float triples, without converting them to arrays first."""

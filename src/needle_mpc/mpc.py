@@ -32,7 +32,7 @@ of the flat input vector warm-starts the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,7 +63,9 @@ class MpcConfig:
     """Horizon, weights and input bounds of the tracking controller.
 
     planar_mode collapses the u_y bounds to [0, 0] so the tip stays in the
-    plane spanned by the initial direction and the u_x bending axis.
+    plane spanned by the initial direction and the u_x bending axis. The
+    bounds of the flat input vector are built once, as tuples of floats, so
+    the default pickle and deepcopy of the frozen dataclass restore them.
     """
 
     ts: float = key("T_s_s", 0.05, gt=0.0)            # control period, s
@@ -89,41 +91,29 @@ class MpcConfig:
                 raise InvalidConfigError(
                     f"{key_of(self, name)}: lower bound {lo:g} exceeds upper bound {hi:g}"
                 )
-        lo, hi = self.input_bounds()
-        lo, hi = np.tile(lo, self.horizon), np.tile(hi, self.horizon)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "_horizon_bounds", (lo, hi))
-
-    def input_bounds(self) -> tuple[Array, Array]:
-        """Per-step (lower, upper) bound triples, planar mode applied."""
         u_y = (0.0, 0.0) if self.planar_mode else self.u_y_bounds
-        lo = np.array([self.u_s_bounds[0], self.u_x_bounds[0], u_y[0]])
-        hi = np.array([self.u_s_bounds[1], self.u_x_bounds[1], u_y[1]])
-        return lo, hi
+        lo, hi = zip(self.u_s_bounds, self.u_x_bounds, u_y)
+        object.__setattr__(self, "_horizon_bounds", (lo * self.horizon, hi * self.horizon))
 
-    def horizon_bounds(self) -> tuple[Array, Array]:
-        """Bounds of the flat (3N,) input vector, read-only, built once per config."""
+    def horizon_bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Bounds (lower, upper) of the flat 3N-entry input vector, planar
+        mode applied: tuples of floats, built once per config."""
         return self._horizon_bounds
-
-    def __reduce__(self):
-        # unpickle through the constructor, which rebuilds the read-only
-        # bounds; pickled copies of the arrays would come back writable
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
 class HorizonSolution:
     """Optimized input sequence with its cost and solver outcome.
 
-    input_vector holds the same inputs flattened as
-    (u_s_0, u_x_0, u_y_0, u_s_1, ...), read-only; the warm start shifts it.
+    input_vector holds the inputs flat, (u_s_0, u_x_0, u_y_0, u_s_1, ...),
+    as a tuple of floats (any sequence of numbers given is converted);
+    inputs reads it as VirtualInputs and the warm start shifts it.
     stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
     "fault" for the zero-input fallback, whose counts are 0: a failed solve
     returns no result to count from.
     """
 
-    inputs: tuple[VirtualInput, ...]
+    input_vector: tuple[float, ...]
     cost: float
     solver_status: str
     projected_gradient_norm: float = float("nan")
@@ -132,10 +122,18 @@ class HorizonSolution:
     value_evals: int = 0
     grad_evals: int = 0
     backtracks: int = 0
-    input_vector: Array = field(kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_vector", tuple(map(float, self.input_vector)))
+
+    @property
+    def inputs(self) -> tuple[VirtualInput, ...]:
+        """input_vector as VirtualInputs; non-finite entries raise InvalidInputError."""
+        return _inputs_from_flat(self.input_vector)
 
 
-def _check_refs(refs, horizon: int) -> Array:
+def _check_refs(refs, horizon: int, p0: Array) -> list:
+    """The (N+1, 3) references, checked, as the flat float list of ref_i - p_0."""
     refs = np.asarray(refs, dtype=float)
     if refs.shape != (horizon + 1, 3):
         raise InvalidInputError(
@@ -143,7 +141,7 @@ def _check_refs(refs, horizon: int) -> Array:
         )
     if not np.all(np.isfinite(refs)):
         raise InvalidInputError("refs contain non-finite values")
-    return refs
+    return (refs - p0).ravel().tolist()
 
 
 class _EulerHorizon:
@@ -166,11 +164,11 @@ class _EulerHorizon:
 
     __slots__ = ("n", "ts", "d0", "refs", "q", "r", "_last_x", "_last")
 
-    def __init__(self, s0: NeedleState, refs: Array, config: MpcConfig):
+    def __init__(self, s0: NeedleState, refs, config: MpcConfig):
         self.n = config.horizon
         self.ts = config.ts
-        self.d0 = s0.d.tolist()
-        self.refs = (refs - s0.p).ravel().tolist()
+        self.d0 = list(map(float, s0.d))
+        self.refs = _check_refs(refs, self.n, s0.p)
         self.q = config.q_weights
         self.r = config.r_weights
         self._last_x = self._last = None
@@ -256,13 +254,13 @@ class _EulerHorizon:
         return cost, grad
 
 
-def _shift_warm_start(warm: HorizonSolution, horizon: int) -> Array:
+def _shift_warm_start(warm: HorizonSolution, horizon: int) -> tuple[float, ...]:
     x_prev = warm.input_vector
-    if x_prev.size != 3 * horizon:
+    if len(x_prev) != 3 * horizon:
         raise InvalidInputError(
-            f"warm start has {x_prev.size // 3} inputs, expected {horizon}"
+            f"warm start has {len(x_prev) // 3} inputs, expected {horizon}"
         )
-    return np.concatenate((x_prev[3:], x_prev[-3:]))
+    return x_prev[3:] + x_prev[-3:]
 
 
 def solve_horizon(
@@ -280,11 +278,10 @@ def solve_horizon(
     reported via solver_status = "fault" instead of raising.
     """
     n = config.horizon
-    core = _EulerHorizon(s0, _check_refs(refs, n), config)
+    core = _EulerHorizon(s0, refs, config)
     lo, hi = config.horizon_bounds()
 
     problem = BoxNlp(
-        dimension=3 * n,
         objective=core.value_and_grad,
         lower=lo,
         upper=hi,
@@ -292,23 +289,18 @@ def solve_horizon(
         gradient_tolerance=config.gradient_tolerance,
         objective_value=core.value,
     )
-    x0 = np.zeros(3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
+    x0 = (0.0,) * (3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
 
     try:
         res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
     except NumericalFailureError:
-        x = np.clip(np.zeros(3 * n), lo, hi)
-        x.setflags(write=False)
-        flat = x.tolist()
+        x = [min(max(0.0, a), b) for a, b in zip(lo, hi)]   # zero input, projected
         return HorizonSolution(
-            inputs=_inputs_from_flat(flat), cost=core.value(flat),
-            solver_status=STATUS_FAULT, stop=STATUS_FAULT, input_vector=x,
+            x, cost=core.value(x), solver_status=STATUS_FAULT, stop=STATUS_FAULT,
         )
 
-    x = res.x
-    x.setflags(write=False)
     return HorizonSolution(
-        inputs=_inputs_from_flat(x.tolist()),
+        res.x,
         cost=res.value,
         solver_status=res.status,
         projected_gradient_norm=res.projected_gradient_norm,
@@ -317,7 +309,6 @@ def solve_horizon(
         value_evals=res.value_evals,
         grad_evals=res.grad_evals,
         backtracks=res.backtracks,
-        input_vector=x,
     )
 
 

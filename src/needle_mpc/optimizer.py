@@ -35,25 +35,24 @@ value-and-gradient calls and rejected line-search trials it made.
 
 The iteration runs over plain Python floats: at the problem sizes of a
 control horizon (a few dozen variables) per-element interpreter work is
-cheaper than the fixed cost of numpy calls. The objective callables
-therefore receive list[float] points. The accepted point of an iteration is
-the list that the last line-search trial evaluated, so an objective may
-keep the work of its last value-only evaluation and reuse it for the
-value-and-gradient call at an equal point.
+cheaper than the fixed cost of numpy calls. The bounds and the returned
+point are therefore tuples of floats, and the objective callables receive
+list[float] points. The accepted point of an iteration is the list that
+the last line-search trial evaluated, so an objective may keep the work of
+its last value-only evaluation and reuse it for the value-and-gradient call
+at an equal point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
-
-Array = np.ndarray
 
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
@@ -84,70 +83,67 @@ STOP_MAX_ITER = "max_iter"
 class BoxNlp:
     """A smooth objective with elementwise bounds.
 
-    objective maps a point, a list of dimension floats inside the bounds, to
-    (value, gradient), the gradient a sequence of dimension floats.
-    objective_value, when given, is a cheaper value-only path used inside
-    the line search; it must agree with objective's value to roundoff. The
-    solver reads both attributes when a solve starts and passes each
-    accepted point as the very list its line search last evaluated.
+    objective maps a point, a list of n floats inside the bounds, to
+    (value, gradient), the gradient a sequence of n floats. objective_value,
+    when given, is a cheaper value-only path used inside the line search; it
+    must agree with objective's value to roundoff. The solver reads both
+    attributes when a solve starts and passes each accepted point as the
+    very list its line search last evaluated.
 
-    The bounds are checked once, here, and kept as box, the (lower, upper)
-    pair of each entry that every solve reads; they must not change after
-    construction.
+    lower and upper may be any sequences of numbers. They are checked once,
+    here, and kept as tuples of floats, whose length n is the dimension and
+    which every solve reads; they must not change after construction.
     """
 
-    dimension: int
     objective: Callable[[list], tuple[float, Sequence[float]]]
-    lower: Array
-    upper: Array
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
     objective_value: Optional[Callable[[list], float]] = None
-    box: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidConfigError(f"dimension must be >= 1, got {self.dimension}")
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
+        lower = _floats(self.lower, "bounds", InvalidConfigError)
+        upper = _floats(self.upper, "bounds", InvalidConfigError)
+        if not lower or len(lower) != len(upper):
             raise InvalidConfigError(
-                f"bounds must have shape ({self.dimension},), got {lower.shape} and {upper.shape}"
+                f"bounds must have equal lengths of at least 1, got {len(lower)} and {len(upper)}"
             )
-        box = list(zip(lower.tolist(), upper.tolist()))
-        for lo, hi in box:
-            if not lo <= hi:    # a NaN bound or lo > hi
-                _reject_bounds(box)
+        if any(map(math.isnan, lower + upper)):
+            raise InvalidConfigError("bounds contain NaN")
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
+            if lo > hi:
+                raise InvalidConfigError(
+                    f"lower bound exceeds upper bound at index {i}: {lo} > {hi}"
+                )
         if self.max_iterations < 1:
             raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.gradient_tolerance > 0.0 and self.step_tolerance > 0.0):
             raise InvalidConfigError("tolerances must be positive")
-        self.lower = lower
-        self.upper = upper
-        self.box = box
+        self.lower, self.upper = lower, upper
 
 
-def _reject_bounds(box: list) -> None:
-    if any(lo != lo or hi != hi for lo, hi in box):
-        raise InvalidConfigError("bounds contain NaN")
-    bad, (lo, hi) = next((i, b) for i, b in enumerate(box) if b[0] > b[1])
-    raise InvalidConfigError(f"lower bound exceeds upper bound at index {bad}: {lo} > {hi}")
+def _floats(values, name: str, error: type) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise error(f"{name} must hold numbers only") from None
 
 
 @dataclass
 class MinimizeResult:
-    """The returned point and how the solve got there.
+    """The returned point, a tuple of floats, and how the solve got there.
 
     iterations and stop describe the run that found x; value_evals,
     grad_evals and backtracks total every run of a multi-start solve.
     """
 
-    x: Array
+    x: tuple[float, ...]
     value: float
     status: str
     iterations: int = 0
-    projected_gradient_norm: float = field(default=float("nan"))
+    projected_gradient_norm: float = float("nan")
     stop: str = STOP_MAX_ITER
     value_evals: int = 0
     grad_evals: int = 0
@@ -169,18 +165,18 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     """One SPG run from x0."""
     objective = problem.objective
     value_of = problem.objective_value or (lambda z: objective(z)[0])
-    box = problem.box
+    lower, upper = problem.lower, problem.upper
     gtol = problem.gradient_tolerance
     stol = problem.step_tolerance
 
-    x = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(x0, box)]
+    x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
     f, g = objective(x)
     _check_evaluation(f, g, x, 0)
     value_evals = backtracks = 0
     grad_evals = 1
 
     pg_norm = 0.0
-    for v, gi, (lo, hi) in zip(x, g, box):
+    for v, gi, lo, hi in zip(x, g, lower, upper):
         t = v - gi
         a = abs(v - (lo if t < lo else (hi if t > hi else t)))
         if a > pg_norm:
@@ -199,7 +195,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         d = []
         gtd = 0.0
         moved = False
-        for v, gi, (lo, hi) in zip(x, g, box):
+        for v, gi, lo, hi in zip(x, g, lower, upper):
             t = v - alpha * gi
             di = (lo if t < lo else (hi if t > hi else t)) - v
             d.append(di)
@@ -218,7 +214,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         floor = _DECREASE_FLOOR * (1.0 + abs(f))
         while True:
             trial = []
-            for v, di, (lo, hi) in zip(x, d, box):
+            for v, di, lo, hi in zip(x, d, lower, upper):
                 t = v + lam * di
                 trial.append(lo if t < lo else (hi if t > hi else t))
             f_trial = value_of(trial)
@@ -247,7 +243,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
 
         # s = x_new - x, y = g_new - g; pg and the norms at the new point
         sy = ss = step_norm = pg_norm = x_norm = 0.0
-        for v, vn, gi, gn, (lo, hi) in zip(x, trial, g, g_new, box):
+        for v, vn, gi, gn, lo, hi in zip(x, trial, g, g_new, lower, upper):
             si = vn - v
             sy += si * (gn - gi)
             ss += si * si
@@ -270,7 +266,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             break
 
     return MinimizeResult(
-        x=np.array(x), value=f, status=status, iterations=iteration,
+        x=tuple(x), value=f, status=status, iterations=iteration,
         projected_gradient_norm=pg_norm, stop=stop, value_evals=value_evals,
         grad_evals=grad_evals, backtracks=backtracks,
     )
@@ -288,16 +284,13 @@ def minimize(
     in the box (seeded, so results are reproducible) and returns the best
     solution by value. Requires finite bounds.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dimension,):
-        raise InvalidInputError(f"x0 must have shape ({problem.dimension},), got {x0.shape}")
-    x0 = x0.tolist()
+    lower, upper = problem.lower, problem.upper
+    x0 = _floats(x0, "x0", InvalidInputError)
+    if len(x0) != len(lower):
+        raise InvalidInputError(f"x0 must have {len(lower)} entries, got {len(x0)}")
     if not all(map(math.isfinite, x0)):
         raise InvalidInputError("x0 contains non-finite values")
-    lower, upper = problem.lower, problem.upper
-    if multi_start > 0 and not all(
-        math.isfinite(lo) and math.isfinite(hi) for lo, hi in problem.box
-    ):
+    if multi_start > 0 and not all(map(math.isfinite, lower + upper)):
         raise InvalidConfigError("multi_start requires finite bounds")
 
     best = _solve_from(problem, x0)

@@ -72,7 +72,7 @@ class _Replay:
             data = np.array(_read_numeric_csv(path, REPLAY_CSV_COLUMNS, 2))
         except FileNotFoundError as exc:
             raise InvalidInputError(f"{path}: no such file") from exc
-        if data[0, 0] > 1e-12:
+        if abs(data[0, 0]) > 1e-12:
             raise InvalidInputError(
                 f"{path}: the first replay sample is at {data[0, 0]:g} s; "
                 "a replay must start at t = 0"

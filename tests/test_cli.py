@@ -242,6 +242,40 @@ class TestRun:
         tensions = [float(r[k]) for r in rows for k in ("tau1_N", "tau2_N", "tau3_N")]
         assert all(0.0 <= t <= tau_max for t in tensions)
 
+    def test_overflowing_noise_is_not_reported_as_invalid_input(self, tmp_path, capsys):
+        # the norm of a 1e200 mm measurement step overflows to inf; the
+        # direction estimate must keep its last value, not become motion / inf
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["plant"]["measurement_noise_std_mm"] = [1e200, 0.0, 0.0]
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore"):
+            code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code in (0, 3)
+        assert "direction norm" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("t0", ["1", "-5"])
+    def test_replay_must_start_at_zero(self, tmp_path, capsys, t0):
+        (tmp_path / "tip.csv").write_text(f"t_s,x_mm,y_mm,z_mm\n{t0},0,0,0\n10,0,0,20\n")
+        doc = {
+            "schema_version": 1,
+            "mpc": {},
+            "geometry": {},
+            "plant": {},
+            "reference": {"kind": "replay", "csv_path": "tip.csv"},
+            "run": {"steps": 5},
+        }
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "csv_path" in err
+        assert f"the first replay sample is at {t0} s; a replay must start at t = 0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 2

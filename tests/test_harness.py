@@ -86,7 +86,7 @@ class TestRunConfig:
             RunConfig(steps=0)
         with pytest.raises(InvalidConfigError):
             RunConfig(initial_state=(0.0, 0.0, 0.0, 0.0, 1.0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^initial_state: direction norm 2 "):
             RunConfig(initial_state=(0.0, 0.0, 0.0, 0.0, 0.0, 2.0))
         with pytest.raises(InvalidConfigError):
             RunConfig(stop_tolerance_mm=-0.1)

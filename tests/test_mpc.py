@@ -87,25 +87,27 @@ class TestConfig:
 
     def test_planar_mode_collapses_u_y(self):
         cfg = MpcConfig(planar_mode=True)
-        lo, hi = cfg.input_bounds()
-        assert lo[2] == 0.0 and hi[2] == 0.0
+        lo, hi = cfg.horizon_bounds()
+        assert lo[2::3] == hi[2::3] == (0.0,) * cfg.horizon
+        assert lo[:2] == (-1.0, -5.0) and hi[:2] == (24.0, 5.0)
 
     @pytest.mark.parametrize(
         "roundtrip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy],
         ids=["pickle", "deepcopy"],
     )
-    def test_copied_config_keeps_read_only_bounds(self, roundtrip):
+    def test_copied_config_keeps_bounds(self, roundtrip):
         cfg = MpcConfig(horizon=7, planar_mode=True, u_x_bounds=(-0.5, 0.25))
         back = roundtrip(cfg)
         assert back == cfg
-        for got, want in zip(back.horizon_bounds(), cfg.horizon_bounds()):
-            assert not got.flags.writeable
-            assert np.array_equal(got, want)
+        assert back.horizon_bounds() == cfg.horizon_bounds()
+        lo, hi = back.horizon_bounds()
+        assert lo == (-1.0, -0.5, 0.0) * 7 and hi == (24.0, 0.25, 0.0) * 7
 
     def test_horizon_bounds_tiling(self):
         lo, hi = CFG.horizon_bounds()
-        assert lo.shape == (3 * CFG.horizon,)
-        assert np.all(lo[0::3] == -1.0) and np.all(hi[0::3] == 24.0)
+        assert all(type(v) is float for v in lo + hi)
+        assert lo == (-1.0, -5.0, -5.0) * CFG.horizon
+        assert hi == (24.0, 5.0, 5.0) * CFG.horizon
 
 
 class TestHorizonCost:
@@ -139,10 +141,7 @@ class TestHorizonCost:
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         with pytest.raises(InvalidInputError):
             solve_horizon(s, np.zeros((5, 3)), CFG)
-        short = HorizonSolution(
-            inputs=tuple(to_inputs(np.zeros((3, 3)))), cost=0.0, solver_status="converged",
-            input_vector=np.zeros(9),
-        )
+        short = HorizonSolution(np.zeros(9), cost=0.0, solver_status="converged")
         with pytest.raises(InvalidInputError):
             solve_horizon(s, np.zeros((6, 3)), CFG, warm_start=short)
 
@@ -206,11 +205,11 @@ def horizon_instances(draw, coord=_coord):
     refs = state.p + np.array(draw(st.lists(
         st.tuples(_offset, _offset, _offset), min_size=n + 1, max_size=n + 1
     )))
-    lo, hi = cfg.input_bounds()
+    lo, hi = cfg.horizon_bounds()
     x = [
         draw(st.one_of(
-            st.sampled_from((float(lo[j]), float(hi[j]), 0.0)),
-            st.floats(float(lo[j]), float(hi[j])),
+            st.sampled_from((lo[j], hi[j], 0.0)),
+            st.floats(lo[j], hi[j]),
         ))
         for _ in range(n)
         for j in range(3)
@@ -264,10 +263,7 @@ class TestEulerCore:
     @settings(max_examples=40, deadline=None)
     def test_solve_never_exceeds_projected_warm_start_cost(self, inst):
         cfg, state, refs, x_prev = inst
-        warm = HorizonSolution(
-            inputs=tuple(to_inputs(x_prev.reshape(-1, 3))), cost=0.0,
-            solver_status="converged", input_vector=x_prev,
-        )
+        warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged")
         lo, hi = cfg.horizon_bounds()
         x0 = np.clip(np.concatenate((x_prev[3:], x_prev[-3:])), lo, hi)
         warm_cost, _ = horizon_cost(state, to_inputs(x0.reshape(-1, 3)), refs, cfg)
@@ -294,10 +290,7 @@ class TestTipRelativeFrame:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_warm_start_guarantee_far_from_origin(self, inst):
         cfg, state, refs, x_prev = inst
-        warm = HorizonSolution(
-            inputs=tuple(to_inputs(x_prev.reshape(-1, 3))), cost=0.0,
-            solver_status="converged", input_vector=x_prev,
-        )
+        warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged")
         lo, hi = cfg.horizon_bounds()
         x0 = np.clip(np.concatenate((x_prev[3:], x_prev[-3:])), lo, hi)
         sol = solve_horizon(state, refs, cfg, warm_start=warm)
@@ -355,8 +348,7 @@ class TestRolloutReuse:
 
         lo, hi = cfg.horizon_bounds()
         res = minimize(
-            BoxNlp(dimension=3 * cfg.horizon, objective=objective, lower=lo, upper=hi,
-                   objective_value=objective_value),
+            BoxNlp(objective=objective, lower=lo, upper=hi, objective_value=objective_value),
             np.zeros(3 * cfg.horizon),
         )
         assert res.iterations > 3 and counts["grad"] > 3
@@ -386,15 +378,16 @@ class TestSolveHorizon:
             state, refs, _ = random_instance(rng, CFG.horizon)
             sol = solve_horizon(state, refs, CFG)
             arr = np.array([(u.u_s, u.u_x, u.u_y) for u in sol.inputs]).ravel()
-            assert np.all(arr >= lo - 1e-15)
-            assert np.all(arr <= hi + 1e-15)
+            # elementwise: a tuple comparison would be lexicographic
+            assert np.all(arr >= np.asarray(lo) - 1e-15)
+            assert np.all(arr <= np.asarray(hi) + 1e-15)
 
     def test_predicted_states_consistent_with_euler(self):
         rng = np.random.default_rng(24)
         state, refs, _ = random_instance(rng, CFG.horizon)
         sol = solve_horizon(state, refs, CFG)
         # predict() returns tip-relative positions p_i - p_0
-        _, p, _, _ = _EulerHorizon(state, refs, CFG).predict(sol.input_vector.tolist())
+        _, p, _, _ = _EulerHorizon(state, refs, CFG).predict(list(sol.input_vector))
         s = state
         for i, u in enumerate(sol.inputs):
             s = step_euler(s, u, CFG.ts)
@@ -406,7 +399,8 @@ class TestSolveHorizon:
         refs = np.tile([0.0, 0.0, 1e200], (CFG.horizon + 1, 1))
         sol = solve_horizon(s, refs, CFG)
         assert (sol.solver_status, sol.stop) == ("fault", "fault")
-        assert sol.input_vector.tolist() == [0.0] * (3 * CFG.horizon)
+        assert sol.input_vector == (0.0,) * (3 * CFG.horizon)
+        assert all(type(v) is float for v in sol.input_vector)
         assert all(u == VirtualInput(0.0) for u in sol.inputs)
         assert sol.cost == float("inf")
         assert (sol.iterations, sol.value_evals, sol.grad_evals, sol.backtracks) == (0, 0, 0, 0)
@@ -418,14 +412,21 @@ class TestSolveHorizon:
         lo, hi = CFG.horizon_bounds()
         core = _EulerHorizon(state, refs, CFG)
         res = minimize(
-            BoxNlp(dimension=3 * CFG.horizon, objective=core.value_and_grad, lower=lo,
-                   upper=hi, objective_value=core.value),
+            BoxNlp(objective=core.value_and_grad, lower=lo, upper=hi, objective_value=core.value),
             np.zeros(3 * CFG.horizon),
         )
         assert res.value_evals > 0 and res.grad_evals > 1
         assert (sol.stop, sol.iterations, sol.value_evals, sol.grad_evals, sol.backtracks) == (
             res.stop, res.iterations, res.value_evals, res.grad_evals, res.backtracks
         )
+
+    def test_solution_holds_one_float_tuple(self):
+        rng = np.random.default_rng(28)
+        state, refs, _ = random_instance(rng, CFG.horizon)
+        sol = solve_horizon(state, refs, CFG)
+        assert type(sol.input_vector) is tuple and len(sol.input_vector) == 3 * CFG.horizon
+        assert all(type(v) is float for v in sol.input_vector)
+        assert sol.inputs == _inputs_from_flat(sol.input_vector)
 
     def test_non_finite_inputs_rejected_at_the_boundary(self):
         assert _inputs_from_flat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == (
@@ -509,6 +510,31 @@ class TestController:
         assert a2 == a1
 
 
+class TestWarmStartShift:
+    """A hand-built HorizonSolution may hold any sequence of numbers; the
+    warm start shifts its float tuple by one input and repeats the last."""
+
+    X = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]    # N = 3
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_shift_accepts_any_sequence(self, make):
+        warm = HorizonSolution(make(self.X), cost=0.0, solver_status="converged")
+        assert type(warm.input_vector) is tuple
+        assert all(type(v) is float for v in warm.input_vector)
+        assert warm == HorizonSolution(tuple(self.X), cost=0.0, solver_status="converged")
+        assert warm.inputs == (
+            VirtualInput(1.0, 2.0, 3.0), VirtualInput(4.0, 5.0, 6.0), VirtualInput(7.0, 8.0, 9.0)
+        )
+        assert mpc._shift_warm_start(warm, 3) == (4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 7.0, 8.0, 9.0)
+
+        cfg = MpcConfig(horizon=3)
+        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        refs = np.tile([5.0, -15.0, 150.0], (4, 1))
+        x0 = [4.0, 5.0, 5.0, 7.0, 5.0, 5.0, 7.0, 5.0, 5.0]    # shifted, then clipped
+        sol = solve_horizon(s, refs, cfg, warm_start=warm)
+        assert sol.cost <= horizon_cost(s, to_inputs(np.reshape(x0, (-1, 3))), refs, cfg)[0]
+
+
 class TestRoundingFloor:
     """A planar_fast horizon (step 38 of the preset, 17 digits) whose solve
     stalls on a line search that cannot lower the cost any more."""
@@ -542,10 +568,7 @@ class TestRoundingFloor:
 
         monkeypatch.setattr(_EulerHorizon, "value", counted_value)
         monkeypatch.setattr(_EulerHorizon, "value_and_grad", counted_value_and_grad)
-        warm = HorizonSolution(
-            inputs=tuple(to_inputs(self.WARM.reshape(-1, 3))), cost=0.0,
-            solver_status="stalled", input_vector=self.WARM,
-        )
+        warm = HorizonSolution(self.WARM, cost=0.0, solver_status="stalled")
         sol = solve_horizon(self.STATE, self.REFS, self.CFG, warm_start=warm)
         assert (sol.solver_status, sol.stop) == ("stalled", "floor")
         # the last run of value-only calls (v) is the final line search;

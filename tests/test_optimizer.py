@@ -24,7 +24,6 @@ def quadratic_problem(center, lower, upper, **kw):
         return float(e @ e), 2.0 * e
 
     return BoxNlp(
-        dimension=len(center),
         objective=objective,
         lower=np.asarray(lower, dtype=float),
         upper=np.asarray(upper, dtype=float),
@@ -76,26 +75,32 @@ class TestProblemValidation:
             quadratic_problem([0.0] * 3, lower=[0, 2, 5], upper=[1, 1, 1])
 
     def test_shape_mismatch_names_both_shapes(self):
+        # the dimension is len(lower); upper must match it
         with pytest.raises(
-            InvalidConfigError, match=r"^bounds must have shape \(3,\), got \(2,\) and \(3,\)$"
+            InvalidConfigError,
+            match=r"^bounds must have equal lengths of at least 1, got 2 and 3$",
         ):
             quadratic_problem([0.0] * 3, lower=[0, 0], upper=[1, 1, 1])
+        with pytest.raises(InvalidConfigError, match=r"got 0 and 0$"):
+            quadratic_problem([], lower=[], upper=[])
+        with pytest.raises(InvalidConfigError, match=r"^bounds must hold numbers only$"):
+            quadratic_problem([0.0] * 2, lower=[[0, 0]], upper=[1, 1])
 
     def test_infinite_bounds_accepted(self):
         inf = float("inf")
         p = quadratic_problem([0.5] * 3, lower=[-inf, -inf, 0.0], upper=[inf, 0.0, inf])
-        assert p.box == [(-inf, inf), (-inf, 0.0), (0.0, inf)]
-        assert all(type(v) is float for pair in p.box for v in pair)
-        assert minimize(p, x0=[0.0, 0.0, 0.0]).x.tolist() == [0.5, 0.0, 0.5]
+        assert (p.lower, p.upper) == ((-inf, -inf, 0.0), (inf, 0.0, inf))
+        assert all(type(v) is float for v in p.lower + p.upper)
+        assert minimize(p, x0=[0.0, 0.0, 0.0]).x == (0.5, 0.0, 0.5)
         # equal infinite ends are ordered, as -inf <= -inf and inf <= inf
-        assert quadratic_problem([0.0] * 2, lower=[-inf, inf], upper=[-inf, inf]).box == [
-            (-inf, -inf), (inf, inf)
-        ]
+        p = quadratic_problem([0.0] * 2, lower=[-inf, inf], upper=[-inf, inf])
+        assert (p.lower, p.upper) == ((-inf, inf), (-inf, inf))
 
     def test_start_outside_box_is_projected(self):
         p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
         res = minimize(p, x0=[10.0, -10.0])
-        assert np.all(res.x >= p.lower) and np.all(res.x <= p.upper)
+        # elementwise: a tuple comparison would be lexicographic
+        assert np.all(np.asarray(res.x) >= p.lower) and np.all(np.asarray(res.x) <= p.upper)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -121,13 +126,12 @@ class TestQuadratics:
         res = minimize(p, x0=np.array(x0))
         want = np.clip(c, -1.0, 1.0)
         assert res.x == pytest.approx(want, abs=1e-6)
-        assert np.all(res.x >= -1.0) and np.all(res.x <= 1.0)
+        assert np.all(np.asarray(res.x) >= -1.0) and np.all(np.asarray(res.x) <= 1.0)
 
 
 class TestRosenbrock:
     def test_value_matches_grid_refinement_oracle(self):
         p = BoxNlp(
-            dimension=2,
             objective=rosenbrock,
             lower=np.array([-2.0, -2.0]),
             upper=np.array([2.0, 2.0]),
@@ -149,7 +153,6 @@ class TestRosenbrock:
         values = []
         for k in (1, 3, 10, 30, 100, 300):
             p = BoxNlp(
-                dimension=2,
                 objective=rosenbrock,
                 lower=np.array([-2.0, -2.0]),
                 upper=np.array([2.0, 2.0]),
@@ -160,7 +163,6 @@ class TestRosenbrock:
 
     def test_iteration_cap_reported(self):
         p = BoxNlp(
-            dimension=2,
             objective=rosenbrock,
             lower=np.array([-2.0, -2.0]),
             upper=np.array([2.0, 2.0]),
@@ -183,7 +185,7 @@ class TestFeasibility:
     def test_iterates_feasible_at_return(self, lo, hi, cx, cy):
         p = quadratic_problem([cx, cy], lower=[lo, lo], upper=[hi, hi])
         res = minimize(p, x0=[0.0, 0.0])
-        assert np.all(res.x >= lo) and np.all(res.x <= hi)
+        assert np.all(np.asarray(res.x) >= lo) and np.all(np.asarray(res.x) <= hi)
 
     def test_every_objective_call_is_feasible(self):
         seen = []
@@ -194,7 +196,6 @@ class TestFeasibility:
             return float(e @ e), 2.0 * e
 
         p = BoxNlp(
-            dimension=2,
             objective=objective,
             lower=np.array([-1.0, -1.0]),
             upper=np.array([1.0, 1.0]),
@@ -215,7 +216,6 @@ class TestMultiStart:
 
     def test_multi_start_escapes_local_basin(self):
         p = BoxNlp(
-            dimension=2,
             objective=self.bumpy,
             lower=np.array([-1.0, -1.0]),
             upper=np.array([1.0, 1.0]),
@@ -227,19 +227,17 @@ class TestMultiStart:
 
     def test_same_seed_same_answer(self):
         p = BoxNlp(
-            dimension=2,
             objective=self.bumpy,
             lower=np.array([-1.0, -1.0]),
             upper=np.array([1.0, 1.0]),
         )
         a = minimize(p, x0=[0.0, 0.0], multi_start=5, seed=11)
         b = minimize(p, x0=[0.0, 0.0], multi_start=5, seed=11)
-        assert np.array_equal(a.x, b.x)
+        assert a.x == b.x
         assert a.value == b.value
 
     def test_multi_start_requires_finite_bounds(self):
         p = BoxNlp(
-            dimension=1,
             objective=lambda x: (float(x[0] ** 2), 2.0 * x),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
@@ -270,7 +268,6 @@ class TestFloatListLoop:
             return rosenbrock(x)[0]
 
         return BoxNlp(
-            dimension=2,
             objective=objective,
             objective_value=objective_value,
             lower=np.array([-0.5, 0.2]),
@@ -284,9 +281,21 @@ class TestFloatListLoop:
         minimize(p, x0=[-1.2, 1.0], multi_start=3, seed=1)
         assert calls
         for _, x in calls:
-            assert type(x) is list and len(x) == p.dimension
+            assert type(x) is list and len(x) == len(p.lower)
             assert all(isinstance(v, float) for v in x)
             assert all(lo <= v <= hi for v, lo, hi in zip(x, p.lower, p.upper))
+
+    @pytest.mark.parametrize("multi_start", [0, 3])
+    def test_result_point_is_a_tuple_of_floats(self, multi_start):
+        # numpy bounds and start; the objective computes on Python floats
+        def objective(x):
+            return (x[0] - 2.0) ** 2 + x[1] ** 2, [2.0 * (x[0] - 2.0), 2.0 * x[1]]
+
+        p = BoxNlp(objective=objective, lower=np.array([-1.0, -1.0]), upper=np.ones(2))
+        assert all(type(v) is float for v in p.lower + p.upper)
+        res = minimize(p, x0=np.array([0.5, 0.5]), multi_start=multi_start, seed=1)
+        assert type(res.x) is tuple and all(type(v) is float for v in res.x)
+        assert res.x == pytest.approx((1.0, 0.0), abs=1e-8)
 
     def test_accepted_values_never_increase(self):
         calls = []
@@ -326,12 +335,12 @@ class TestFloatListLoop:
 
         n = len(center)
         p = BoxNlp(
-            dimension=n, objective=objective, lower=-np.ones(n), upper=np.ones(n),
+            objective=objective, lower=-np.ones(n), upper=np.ones(n),
             gradient_tolerance=1e-10,
         )
         res = minimize(p, x0=x0)
         assert res.x == pytest.approx(np.clip(center, -1.0, 1.0), abs=1e-6)
-        assert np.all(res.x >= -1.0) and np.all(res.x <= 1.0)
+        assert np.all(np.asarray(res.x) >= -1.0) and np.all(np.asarray(res.x) <= 1.0)
 
     @staticmethod
     def clamp_draws(seed, count):
@@ -369,11 +378,11 @@ class TestFloatListLoop:
 
             n = len(center)
             p = BoxNlp(
-                dimension=n, objective=objective, lower=-np.ones(n), upper=np.ones(n),
+                objective=objective, lower=-np.ones(n), upper=np.ones(n),
                 gradient_tolerance=1e-10,
             )
             res = minimize(p, x0=x0)
-            if np.max(np.abs(res.x - np.clip(center, -1.0, 1.0))) > 1e-6:
+            if np.max(np.abs(np.asarray(res.x) - np.clip(center, -1.0, 1.0))) > 1e-6:
                 failed.append(i)
         assert failed == []
 
@@ -438,7 +447,7 @@ class TestFirstIterationInterpolation:
                 return value(x)
 
             n = len(center)
-            minimize(BoxNlp(dimension=n, objective=objective, objective_value=objective_value,
+            minimize(BoxNlp(objective=objective, objective_value=objective_value,
                             lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
                             gradient_tolerance=1e-10), x0=x0)
             accepted = [f for _, f, _ in iterations]
@@ -471,7 +480,6 @@ class TestExitPaths:
     def test_converged_on_no_descent_branch(self):
         # alpha * g * g underflows, so g'd is 0 although pg exceeds the tolerance
         p = BoxNlp(
-            dimension=1,
             objective=lambda x: (1e-170 * x[0], [1e-170]),
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
@@ -490,7 +498,7 @@ class TestExitPaths:
         assert res.status == STATUS_STALLED
         assert res.stop == "lambda_min"
         assert res.iterations == 1
-        assert res.x.tolist() == [0.0]
+        assert res.x == (0.0,)
         # a non-finite trial is halved, not interpolated: 1, 1/2, ... 2^-46
         assert (res.value_evals, res.grad_evals, res.backtracks) == (47, 1, 47)
 
@@ -498,7 +506,6 @@ class TestExitPaths:
         # every trial is rejected; at f = 1e10 the floor eps/10*(1 + |f|)
         # is about 2e-7, reached long before lam < 1e-14
         p = BoxNlp(
-            dimension=1,
             objective=lambda x: (1e10 + (x[0] - 0.5) ** 2, [2.0 * (x[0] - 0.5)]),
             objective_value=lambda x: 1e10 + 1.0,
             lower=np.array([-1.0]),
@@ -507,12 +514,11 @@ class TestExitPaths:
         )
         res = minimize(p, x0=[0.0])
         assert (res.status, res.stop, res.iterations) == (STATUS_STALLED, "floor", 1)
-        assert res.x.tolist() == [0.0]
+        assert res.x == (0.0,)
         assert res.value_evals == res.backtracks < 47
 
     def test_stalled_on_step_tolerance(self):
         p = BoxNlp(
-            dimension=2,
             objective=rosenbrock,
             lower=np.array([-2.0, -2.0]),
             upper=np.array([2.0, 2.0]),
@@ -527,7 +533,6 @@ class TestExitPaths:
 
     def test_max_iter_returns_last_accepted_iterate(self):
         p = BoxNlp(
-            dimension=2,
             objective=rosenbrock,
             lower=np.array([-2.0, -2.0]),
             upper=np.array([2.0, 2.0]),
@@ -537,7 +542,7 @@ class TestExitPaths:
         assert res.status == STATUS_MAX_ITER
         assert res.stop == "max_iter"
         assert res.iterations == 1
-        assert res.value == rosenbrock(res.x.tolist())[0] < rosenbrock([-1.2, 1.0])[0]
+        assert res.value == rosenbrock(res.x)[0] < rosenbrock([-1.2, 1.0])[0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_gradient_raises(self, bad):
@@ -546,7 +551,7 @@ class TestExitPaths:
             return e * e, [2.0 * e if x[0] < 0.25 else bad]
 
         p = BoxNlp(
-            dimension=1, objective=objective, lower=np.array([-1.0]), upper=np.array([1.0])
+            objective=objective, lower=np.array([-1.0]), upper=np.array([1.0])
         )
         with pytest.raises(NumericalFailureError):
             minimize(p, x0=[-1.0])
