@@ -29,7 +29,7 @@ from .errors import (
     key,
 )
 from .harness import _read_numeric_csv, _write_csv, _write_json
-from .kinematics import Array, NeedleState, rollout
+from .kinematics import NeedleState, rollout
 from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
 
 MANIFEST_NAME = "manifest.json"
@@ -43,7 +43,7 @@ class CalibrationRun:
 
     tendon_index: int = key("tendon_index", kind=int, choices=(1, 2, 3))
     tension: float = key("tension_N", ge=0.0)
-    tip_points: Array
+    tip_points: np.ndarray
 
     def __post_init__(self):
         try:
@@ -103,10 +103,11 @@ def simulate_calibration_run(
     steps: int = 100,
 ) -> CalibrationRun:
     """Synthesize the tip arc a physical calibration run would record."""
-    tau = np.zeros(3)
-    tau[tendon_index - 1] = tension
+    # CalibrationRun's checks of tendon_index and tension, before any rollout
+    CalibrationRun(tendon_index, tension, tip_points=np.zeros((3, 3)))
+    tau = tuple(tension if k == tendon_index else 0.0 for k in (1, 2, 3))
     u = rates_from_command(TendonCommand(u_s, tau), geometry)
-    s0 = NeedleState(p=np.zeros(3), d=(0.0, 0.0, 1.0))
+    s0 = NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
     states = rollout(s0, [u] * steps, ts, integrator="exact")
     return CalibrationRun(
         tendon_index=tendon_index,

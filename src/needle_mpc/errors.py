@@ -1,6 +1,9 @@
 """Exception types shared across the package, and the field schema of the
 config dataclasses: each field declares its JSON key, kind and bounds with
-key(), and check_fields checks it with messages that name the key."""
+key(), and check_fields checks it with messages that name the key.
+finite_float and finite_floats are the package's one number check, used by
+the config fields and by the per-step values (tip state, virtual input,
+tendon command) alike."""
 
 import dataclasses
 import math
@@ -21,25 +24,34 @@ class InvalidConfigError(NeedleMpcError, ValueError):
     """A configuration value is inconsistent or out of its allowed range."""
 
 
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        real = float(value)
-    except OverflowError:  # an integer beyond the float range
-        real = math.inf
+def finite_float(value, name: str, error=InvalidConfigError) -> float:
+    """value as a finite float. A bool, a str or bytes (text that float()
+    would parse), any other non-number or a non-finite value raises error
+    naming `name`."""
+    if type(value) is float:
+        real = value
+    else:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            real = float(value)
+        except OverflowError:  # an integer beyond the float range
+            real = math.inf
     if not math.isfinite(real):
-        raise InvalidConfigError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} has a non-finite value {value!r}")
     return real
 
 
-def _reals(value, name: str, count) -> tuple[float, ...]:
-    """count numbers (any count when count is None) as a tuple of floats."""
+def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[float, ...]:
+    """count numbers (any count when count is None) as a tuple of floats,
+    each checked by finite_float. A str or bytes, a non-iterable, another
+    count or nested entries (the rows of a 2-D array) raise error naming
+    `name`."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise InvalidConfigError(f"{name} must be a list of numbers, got {value!r}")
-    vals = tuple(_real(v, name) for v in value)
+        raise error(f"{name} must be a list of numbers, got {value!r}")
+    vals = tuple([finite_float(v, name, error) for v in value])
     if count is not None and len(vals) != count:
-        raise InvalidConfigError(f"{name} must have {count} entries, got {len(vals)}")
+        raise error(f"{name} must have shape ({count},), got {len(vals)} entries")
     return vals
 
 
@@ -93,14 +105,14 @@ def _checked(value, key, kind, n, ge, gt, le, choices):
     if kind == POINTS:
         if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
             raise InvalidConfigError(f"{key} must be a list of [x, y, z] points, got {value!r}")
-        rows = [_reals(row, key, 3) for row in value]
+        rows = [finite_floats(row, key, 3) for row in value]
         if len(rows) < 2:
             raise InvalidConfigError(f"{key} must hold at least 2 points, got {len(rows)}")
         return _read_only(rows)
     if kind is tuple or kind is np.ndarray:
-        vals = _reals(value, key, n)
+        vals = finite_floats(value, key, n)
     else:
-        value = kind(_real(value, key) if kind is float else value)
+        value = kind(finite_float(value, key) if kind is float else value)
         vals = (value,) if kind in (float, int) else ()
     for v in vals:
         if gt is not None and not v > gt:

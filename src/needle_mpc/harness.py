@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, check_fields, key
-from .kinematics import Array, NeedleState, VirtualInput, step_euler, step_exact
+from .kinematics import NeedleState, VirtualInput, step_euler, step_exact
 from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
 from .mpc import RecedingHorizonController
 from .references import FixedTarget, check_path_speed, horizon_samples
@@ -117,7 +117,7 @@ class StepRecord:
     t: float
     state: NeedleState
     measured: NeedleState
-    ref: Array
+    ref: np.ndarray
     applied: VirtualInput
     command: TendonCommand
     saturated: bool
@@ -143,7 +143,7 @@ class Summary:
 class ScenarioResult:
     records: tuple[StepRecord, ...]
     terminal_state: NeedleState
-    terminal_ref: Array
+    terminal_ref: np.ndarray
     summary: Summary
 
 
@@ -209,7 +209,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
     # true states of the last latency_steps + 1 step boundaries; the oldest
     # is the one the controller sees
     history = deque([state], maxlen=plant.latency_steps + 1)
-    prev_meas_p: Optional[Array] = None
+    prev_meas_p: Optional[np.ndarray] = None
     d_est = np.array(state.d)
     records: list[StepRecord] = []
     faults = 0
@@ -218,7 +218,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         t = k * cfg.ts
         delayed = history[0]
         if noisy:
-            p_meas = delayed.p + rng.standard_normal(3) * noise_std
+            p_meas = np.add(delayed.p, rng.standard_normal(3) * noise_std)
             if prev_meas_p is not None:
                 motion = p_meas - prev_meas_p
                 norm = np.linalg.norm(motion)
@@ -246,7 +246,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         true_rates = rates_from_command(inv.command, true_geometry)
         state_next = step_plant(state, true_rates, cfg.ts)
 
-        err = float(np.linalg.norm(state.p - refs[0]))
+        err = float(np.linalg.norm(np.subtract(state.p, refs[0])))
         pg_scaled = solution.projected_gradient_norm / (1.0 + abs(solution.cost))
         records.append(
             StepRecord(
@@ -262,14 +262,15 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         if (
             run.early_stop
             and isinstance(scenario.reference, FixedTarget)
-            and float(np.linalg.norm(state.p - scenario.reference.target)) < run.stop_tolerance_mm
+            and float(np.linalg.norm(np.subtract(state.p, scenario.reference.target)))
+            < run.stop_tolerance_mm
             and abs(applied.u_s) < run.stop_speed_mm_s
         ):
             break
 
     t_end = len(records) * cfg.ts
     terminal_ref = horizon_samples(scenario.reference, t_end, 1, cfg.ts)[0]
-    terminal_err = float(np.linalg.norm(state.p - terminal_ref))
+    terminal_err = float(np.linalg.norm(np.subtract(state.p, terminal_ref)))
     summary = compute_metrics(records, terminal_err, cfg.ts, run.exclude_terminal_s)
     return ScenarioResult(
         records=tuple(records),
@@ -285,7 +286,7 @@ class OpenLoopResult:
 
     model_states: tuple[NeedleState, ...]
     plant_states: tuple[NeedleState, ...]
-    errors: Array             # per-boundary model-vs-plant position error, mm
+    errors: np.ndarray        # per-boundary model-vs-plant position error, mm
     inserted_length_mm: float
     max_error_mm: float
     error_pct_of_insertion: Optional[float]
@@ -309,7 +310,7 @@ def run_open_loop(
         raise InvalidInputError("command sequence is empty")
     if not ts > 0.0:
         raise InvalidInputError(f"ts must be positive, got {ts!r}")
-    s0 = initial_state or NeedleState(p=np.zeros(3), d=(0.0, 0.0, 1.0))
+    s0 = initial_state or NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
     true_geometry = plant.true_geometry(model_geometry)
     step_plant = step_exact if plant.integrator == "exact" else step_euler
 
@@ -323,7 +324,7 @@ def run_open_loop(
 
     errors = np.array(
         [
-            float(np.linalg.norm(m.p - p.p))
+            float(np.linalg.norm(np.subtract(m.p, p.p)))
             for m, p in zip(model_states, plant_states)
         ]
     )
@@ -383,7 +384,7 @@ def summary_dict(result: ScenarioResult) -> dict:
         "inserted_length_mm": s.inserted_length_mm,
         "error_pct_of_insertion": s.error_pct_of_insertion,
         "steps": s.steps,
-        "terminal_position_mm": [float(v) for v in result.terminal_state.p],
+        "terminal_position_mm": list(result.terminal_state.p),
         "terminal_reference_mm": [float(v) for v in result.terminal_ref],
         "saturated_steps": sum(r.saturated for r in result.records),
         "fault_steps": sum(r.fault for r in result.records),
@@ -421,7 +422,7 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
     missing file raises FileNotFoundError.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != list(columns):

@@ -16,13 +16,17 @@ direction after each update, and an exact step that rotates d about the fixed
 bending axis and moves p along the corresponding circular arc. Units are mm,
 s and rad throughout; curvature is 1/mm.
 
-Both steps compute on plain Python floats with the scalar `math` module: at
-three components, per-element interpreter work is cheaper than numpy calls.
-Sums such as a norm or a dot product are evaluated left to right, so a
-step's bits do not depend on which BLAS kernel the CPU dispatches to. The
-returned state goes through the same checks as the public constructor (all
-values finite, direction norm within 1e-6 of 1, then renormalized); numpy
-appears only in the read-only p and d arrays of a NeedleState.
+A NeedleState holds p and d as tuples of three Python floats, and a
+VirtualInput holds three floats. Their constructors are the only way to
+build them: each accepts any three numbers (a tuple, a list, a 1-D array),
+converts them to floats and rejects bools, strings, bytes, other counts,
+nested rows and non-finite values with InvalidInputError naming the field,
+through the number check that config fields use as well. Both steps
+compute on those floats with the scalar `math` module and return a state
+built by the public constructor (all values finite, direction norm within
+1e-6 of 1, then renormalized). Sums such as a norm or a dot product are
+evaluated left to right, so a step's bits do not depend on which BLAS
+kernel the CPU dispatches to. The module does not use numpy.
 """
 
 from __future__ import annotations
@@ -31,62 +35,33 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import InvalidConfigError, InvalidInputError
-
-Array = np.ndarray
+from .errors import InvalidConfigError, InvalidInputError, finite_float, finite_floats
 
 _CONSTRUCT_TOL = 1e-6    # constructor renormalizes within this, rejects beyond
 _MIN_BEND_RATE = 1e-12   # rad/s below which the step is treated as straight
 
 
-def _vec3(value, name: str) -> list:
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise InvalidInputError(f"{name} must be a 3-vector, got shape {np.shape(value)}")
-    return v.tolist()
-
-
-def _fill_state(state: "NeedleState", p: list, d: list) -> "NeedleState":
-    """Set state.p and state.d from three floats each, checked as the public
-    constructor promises: all finite, |d| within 1e-6 of 1, d renormalized."""
-    for name, v in (("p", p), ("d", d)):
-        if not all(map(math.isfinite, v)):
-            raise InvalidInputError(f"{name} contains non-finite values")
-    dx, dy, dz = d
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if abs(norm - 1.0) > _CONSTRUCT_TOL:
-        raise InvalidInputError(
-            f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
-        )
-    p = np.array(p)
-    d = np.array((dx / norm, dy / norm, dz / norm))
-    p.setflags(write=False)
-    d.setflags(write=False)
-    object.__setattr__(state, "p", p)
-    object.__setattr__(state, "d", d)
-    return state
-
-
 @dataclass(frozen=True)
 class NeedleState:
-    """Tip position p (mm) and unit insertion direction d.
+    """Tip position p (mm) and unit insertion direction d, three floats each.
 
     The direction is renormalized on construction; a norm further than 1e-6
     from 1 is rejected rather than silently rescaled.
     """
 
-    p: Array
-    d: Array
+    p: tuple[float, float, float]
+    d: tuple[float, float, float]
 
     def __post_init__(self):
-        _fill_state(self, _vec3(self.p, "p"), _vec3(self.d, "d"))
-
-
-def _new_state(p: list, d: list) -> NeedleState:
-    """A NeedleState from float triples, without converting them to arrays first."""
-    return _fill_state(object.__new__(NeedleState), p, d)
+        p = finite_floats(self.p, "p", 3, InvalidInputError)
+        dx, dy, dz = finite_floats(self.d, "d", 3, InvalidInputError)
+        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if abs(norm - 1.0) > _CONSTRUCT_TOL:
+            raise InvalidInputError(
+                f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
+            )
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", (dx / norm, dy / norm, dz / norm))
 
 
 @dataclass(frozen=True)
@@ -99,30 +74,8 @@ class VirtualInput:
 
     def __post_init__(self):
         for name in ("u_s", "u_x", "u_y"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-
-
-def _inputs_from_flat(flat: list) -> tuple[VirtualInput, ...]:
-    """VirtualInputs from a flat float list (u_s_0, u_x_0, u_y_0, u_s_1, ...).
-
-    One finiteness check over the list stands in for the per-field checks of
-    the constructor; the entries must already be floats.
-    """
-    if not all(map(math.isfinite, flat)):
-        raise InvalidInputError(f"inputs must be finite, got {flat!r}")
-    new = object.__new__
-    out = []
-    for u_s, u_x, u_y in zip(flat[0::3], flat[1::3], flat[2::3]):
-        u = new(VirtualInput)
-        attrs = u.__dict__
-        attrs["u_s"] = u_s
-        attrs["u_x"] = u_x
-        attrs["u_y"] = u_y
-        out.append(u)
-    return tuple(out)
+            value = finite_float(getattr(self, name), name, InvalidInputError)
+            object.__setattr__(self, name, value)
 
 
 def _check_ts(ts: float) -> float:
@@ -145,14 +98,14 @@ def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     number. The position update uses the pre-step direction.
     """
     ts = _check_ts(ts)
-    px, py, pz = state.p.tolist()
-    dx, dy, dz = state.d.tolist()
+    px, py, pz = state.p
+    dx, dy, dz = state.d
     step = ts * u.u_s
     bx, by, bz = _bend(dx, dy, dz, u.u_x, u.u_y)
     rx, ry, rz = dx + ts * bx, dy + ts * by, dz + ts * bz
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-    return _new_state(
-        [px + step * dx, py + step * dy, pz + step * dz], [rx / norm, ry / norm, rz / norm]
+    return NeedleState(
+        (px + step * dx, py + step * dy, pz + step * dz), (rx / norm, ry / norm, rz / norm)
     )
 
 
@@ -164,12 +117,12 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     (a straight segment when w = 0).
     """
     ts = _check_ts(ts)
-    px, py, pz = state.p.tolist()
-    d = dx, dy, dz = state.d.tolist()
+    px, py, pz = state.p
+    d = dx, dy, dz = state.d
     rate = math.hypot(u.u_x, u.u_y)
     if rate < _MIN_BEND_RATE:
         step = ts * u.u_s
-        return _new_state([px + step * dx, py + step * dy, pz + step * dz], d)
+        return NeedleState((px + step * dx, py + step * dy, pz + step * dz), d)
     angle = rate * ts
     if not math.isfinite(angle):
         raise InvalidInputError(f"bend angle rate*ts overflows: rate {rate!r}, ts {ts!r}")
@@ -186,11 +139,11 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     # integral of the rotating direction over the step, the same three terms
     i_d, i_c, i_a = s / rate, (1.0 - c) / rate, (ts - s / rate) * along
     u_s = u.u_s
-    return _new_state(
-        [px + u_s * (i_d * dx + i_c * cx + i_a * ax),
+    return NeedleState(
+        (px + u_s * (i_d * dx + i_c * cx + i_a * ax),
          py + u_s * (i_d * dy + i_c * cy + i_a * ay),
-         pz + u_s * (i_d * dz + i_c * cz + i_a * 0.0)],
-        [nx / norm, ny / norm, nz / norm],
+         pz + u_s * (i_d * dz + i_c * cz + i_a * 0.0)),
+        (nx / norm, ny / norm, nz / norm),
     )
 
 

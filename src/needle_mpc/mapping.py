@@ -32,7 +32,11 @@ direction alone and saturated the same way.
 TendonGeometry builds A and C once, when it is constructed, as nested float
 lists. forward_map (which rates_from_command calls) and inverse_map run
 every control step; they read those entries as plain Python floats and sum
-left to right, so they make no numpy reduction.
+left to right, so they make no numpy reduction. A TendonCommand holds u_s
+as a float and tau as a tuple of three floats. Its constructor and
+forward_map check tensions with one function: three finite, nonnegative
+numbers, with str, bytes and 2-D arrays refused, and each fault raises
+InvalidInputError naming tau.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
@@ -46,8 +50,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidInputError, check_fields, key
-from .kinematics import Array, VirtualInput
+from .errors import (
+    DegenerateFitError,
+    InvalidInputError,
+    check_fields,
+    finite_float,
+    finite_floats,
+    key,
+)
+from .kinematics import VirtualInput
 
 DEFAULT_GAIN = 3.7e-4  # curvature per unit tension, 1/(mm N)
 DEFAULT_TAU_MAX = 7.0  # N
@@ -83,55 +94,32 @@ class TendonGeometry:
         object.__setattr__(self, "_unit_rows", unit.tolist())
 
 
-def _tension_list(tau) -> list:
-    v = np.asarray(tau, dtype=float).reshape(-1)
-    if v.shape != (N_TENDONS,):
-        raise InvalidInputError(f"tau must have shape ({N_TENDONS},), got {np.shape(tau)}")
-    return v.tolist()
-
-
-def _check_tensions(tau: list) -> list:
-    """Three tensions, checked as TendonCommand promises: finite and nonnegative."""
-    if not all(map(math.isfinite, tau)):
-        raise InvalidInputError("tau contains non-finite values")
+def _tensions(tau) -> tuple[float, float, float]:
+    """Three tensions as floats, checked as TendonCommand promises: finite
+    and nonnegative."""
+    tau = finite_floats(tau, "tau", N_TENDONS, InvalidInputError)
     if not all(t >= 0.0 for t in tau):
         raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
     return tau
 
 
-def _fill_command(command: "TendonCommand", u_s: float, tau: list) -> "TendonCommand":
-    """Set command.u_s and command.tau from floats, tau checked by _check_tensions."""
-    tau = np.array(_check_tensions(tau))
-    tau.setflags(write=False)
-    object.__setattr__(command, "u_s", u_s)
-    object.__setattr__(command, "tau", tau)
-    return command
-
-
 @dataclass(frozen=True)
 class TendonCommand:
-    """Insertion speed u_s (mm/s) plus a nonnegative tension triple (N)."""
+    """Insertion speed u_s (mm/s) plus a nonnegative tension triple (N),
+    held as floats."""
 
     u_s: float
-    tau: Array
+    tau: tuple[float, float, float]
 
     def __post_init__(self):
-        u_s = float(self.u_s)
-        if not math.isfinite(u_s):
-            raise InvalidInputError(f"u_s must be finite, got {u_s!r}")
-        _fill_command(self, u_s, _tension_list(self.tau))
-
-
-def _new_command(u_s: float, tau: list) -> TendonCommand:
-    """A TendonCommand from a finite u_s and three floats, without converting
-    them to an array first."""
-    return _fill_command(object.__new__(TendonCommand), u_s, tau)
+        object.__setattr__(self, "u_s", finite_float(self.u_s, "u_s", InvalidInputError))
+        object.__setattr__(self, "tau", _tensions(self.tau))
 
 
 def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> tuple[float, float]:
     """Curvature (kappa_x, kappa_y) (1/mm) produced by a tension triple,
     summed left to right over the entries of the cached matrix."""
-    t1, t2, t3 = _check_tensions(_tension_list(tau))
+    t1, t2, t3 = _tensions(tau)
     (a1, a2, a3), (b1, b2, b3) = geometry._amat_rows
     return a1 * t1 + a2 * t2 + a3 * t3, b1 * t1 + b2 * t2 + b3 * t3
 
@@ -211,7 +199,7 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     """
     u_s = u.u_s
     if abs(u_s) < U_S_EPS:
-        return InverseMapResult(command=_new_command(u_s, [0.0] * N_TENDONS), saturated=False)
+        return InverseMapResult(command=TendonCommand(u_s, (0.0,) * N_TENDONS), saturated=False)
     kx, ky = u.u_x / u_s, u.u_y / u_s
     far = not (math.isfinite(kx) and math.isfinite(ky))
     if far:
@@ -228,7 +216,7 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     saturated = tau is None
     if saturated:
         tau = _nearest_boundary(dots, geometry, far)
-    return InverseMapResult(command=_new_command(u_s, tau), saturated=saturated)
+    return InverseMapResult(command=TendonCommand(u_s, tau), saturated=saturated)
 
 
 def fit_gain(samples: Iterable[tuple[float, float]]) -> float:

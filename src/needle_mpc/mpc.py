@@ -46,13 +46,7 @@ from .errors import (
     key_of,
 )
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
-from .kinematics import (  # noqa: F401
-    Array,
-    NeedleState,
-    VirtualInput,
-    _inputs_from_flat,
-    rollout,
-)
+from .kinematics import NeedleState, VirtualInput, rollout  # noqa: F401
 from .optimizer import BoxNlp, minimize
 
 STATUS_FAULT = "fault"
@@ -129,10 +123,11 @@ class HorizonSolution:
     @property
     def inputs(self) -> tuple[VirtualInput, ...]:
         """input_vector as VirtualInputs; non-finite entries raise InvalidInputError."""
-        return _inputs_from_flat(self.input_vector)
+        x = self.input_vector
+        return tuple(map(VirtualInput, x[0::3], x[1::3], x[2::3]))
 
 
-def _check_refs(refs, horizon: int, p0: Array) -> list:
+def _check_refs(refs, horizon: int, p0: tuple[float, float, float]) -> list:
     """The (N+1, 3) references, checked, as the flat float list of ref_i - p_0."""
     refs = np.asarray(refs, dtype=float)
     if refs.shape != (horizon + 1, 3):
@@ -167,7 +162,7 @@ class _EulerHorizon:
     def __init__(self, s0: NeedleState, refs, config: MpcConfig):
         self.n = config.horizon
         self.ts = config.ts
-        self.d0 = list(map(float, s0.d))
+        self.d0 = s0.d
         self.refs = _check_refs(refs, self.n, s0.p)
         self.q = config.q_weights
         self.r = config.r_weights
@@ -327,4 +322,4 @@ class RecedingHorizonController:
         """Solve from the measured state; returns (applied first input, solution)."""
         solution = solve_horizon(measured, refs, self.config, self._warm)
         self._warm = None if solution.solver_status == STATUS_FAULT else solution
-        return solution.inputs[0], solution
+        return VirtualInput(*solution.input_vector[:3]), solution

@@ -22,7 +22,6 @@ from typing import Union
 import numpy as np
 
 from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields, key, key_of
-from .kinematics import Array
 
 _AXIS_PERMUTATION = {
     # (radial_1, radial_2, axial) -> world (x, y, z)
@@ -36,12 +35,12 @@ _AXIS_PERMUTATION = {
 class FixedTarget:
     """A single stationary target point (mm)."""
 
-    target: Array = key("target_mm", kind=np.ndarray, n=3)
+    target: np.ndarray = key("target_mm", kind=np.ndarray, n=3)
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> Array:
+    def samples(self, times) -> np.ndarray:
         return np.array([self.target.tolist()] * len(times))
 
 
@@ -58,14 +57,14 @@ class Helix:
     radius: float = key("radius_mm", ge=0.0)
     pitch: float = key("pitch_mm")
     rate: float = key("rate_rad_s")
-    center: Array = key("center_mm", (0.0, 0.0, 0.0), kind=np.ndarray, n=3)
+    center: np.ndarray = key("center_mm", (0.0, 0.0, 0.0), kind=np.ndarray, n=3)
     phase: float = key("phase_rad", 0.0)
     axis: str = key("axis", "z", kind=str, choices=tuple(_AXIS_PERMUTATION))
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> Array:
+    def samples(self, times) -> np.ndarray:
         radius, rate, phase = self.radius, self.rate, self.phase
         climb = self.pitch * rate
         i, j, k = _AXIS_PERMUTATION[self.axis]
@@ -79,7 +78,7 @@ class Helix:
         return np.array(rows)
 
 
-def _interp_path(points: Array, knots: Array, times) -> Array:
+def _interp_path(points: np.ndarray, knots: np.ndarray, times) -> np.ndarray:
     # np.interp clamps at both ends, which implements the hold behavior
     return np.stack([np.interp(times, knots, points[:, k]) for k in range(3)], axis=1)
 
@@ -92,9 +91,9 @@ class SharpTurn:
     direction jumps at every interior waypoint (that is the point).
     """
 
-    waypoints: Array = key("waypoints_mm", kind=POINTS)
+    waypoints: np.ndarray = key("waypoints_mm", kind=POINTS)
     speed: float = key("speed_mm_s", gt=0.0)
-    times: Array = field(init=False)
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -107,7 +106,7 @@ class SharpTurn:
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
-    def samples(self, times) -> Array:
+    def samples(self, times) -> np.ndarray:
         return _interp_path(self.waypoints, self.times, times)
 
 
@@ -120,14 +119,14 @@ class Sinusoidal:
     """
 
     axial_speed: float = key("axial_speed_mm_s")
-    amplitude: Array = key("amplitude_mm", (0.0, 0.0), kind=np.ndarray, n=2)
-    frequency: Array = key("frequency_hz", (0.0, 0.0), kind=np.ndarray, n=2)
-    phase: Array = key("phase_rad", (0.0, 0.0), kind=np.ndarray, n=2)
+    amplitude: np.ndarray = key("amplitude_mm", (0.0, 0.0), kind=np.ndarray, n=2)
+    frequency: np.ndarray = key("frequency_hz", (0.0, 0.0), kind=np.ndarray, n=2)
+    phase: np.ndarray = key("phase_rad", (0.0, 0.0), kind=np.ndarray, n=2)
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> Array:
+    def samples(self, times) -> np.ndarray:
         t = np.array(times, dtype=float)[:, None]
         arg = 2.0 * np.pi * self.frequency * t + self.phase
         return np.hstack([self.amplitude * np.sin(arg), self.axial_speed * t])
@@ -137,8 +136,8 @@ class Sinusoidal:
 class WaypointPath:
     """Linear interpolation through (time, point) samples, held at the ends."""
 
-    points: Array = key("points_mm", kind=POINTS)
-    times: Array = key("times_s", kind=np.ndarray)
+    points: np.ndarray = key("points_mm", kind=POINTS)
+    times: np.ndarray = key("times_s", kind=np.ndarray)
 
     def __post_init__(self):
         check_fields(self)
@@ -151,7 +150,7 @@ class WaypointPath:
         if np.any(np.diff(self.times) <= 0.0):
             raise InvalidConfigError(f"{times_key} must be strictly increasing")
 
-    def samples(self, times) -> Array:
+    def samples(self, times) -> np.ndarray:
         return _interp_path(self.points, self.times, times)
 
 
@@ -163,14 +162,14 @@ def _check_time(t: float) -> None:
         raise InvalidInputError(f"t must be nonnegative and finite, got {t!r}")
 
 
-def sample(spec: ReferenceSpec, t: float) -> Array:
+def sample(spec: ReferenceSpec, t: float) -> np.ndarray:
     """Target position (mm) at time t (s)."""
     t = float(t)
     _check_time(t)
     return spec.samples([t])[0]
 
 
-def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> Array:
+def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> np.ndarray:
     """Targets at t, t+ts, ..., t+n*ts as an (n+1, 3) array."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")

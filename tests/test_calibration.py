@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from needle_mpc import calibration
 from needle_mpc.calibration import (
     CalibrationRun,
     calibrate,
@@ -50,6 +51,17 @@ class TestSimulatedRuns:
     def test_point_count(self):
         run = simulate_calibration_run(2, 1.0, TRUE_GEO, steps=50)
         assert run.tip_points.shape == (51, 3)
+
+    @pytest.mark.parametrize("index", [0, 4, -1, True])
+    def test_tendon_index_checked_before_the_rollout(self, index, monkeypatch):
+        pts = np.zeros((3, 3))
+        with pytest.raises(InvalidInputError) as want:
+            CalibrationRun(tendon_index=index, tension=2.0, tip_points=pts)
+        monkeypatch.setattr(calibration, "rollout", None)  # any rollout would fail differently
+        with pytest.raises(InvalidInputError) as got:
+            simulate_calibration_run(index, 2.0, TRUE_GEO)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("tendon_index ")
 
 
 class TestCalibrate:

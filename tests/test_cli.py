@@ -414,6 +414,18 @@ class TestReplay:
         err = capsys.readouterr().err
         assert f"{bad}:3: " in err and message in err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with a BOM
+        bundled = resources.files("needle_mpc").joinpath("presets/replays/replay1.csv")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+        outs = tmp_path / "plain", tmp_path / "bom"
+        for commands, out in zip(("replay1", str(bom)), outs):
+            code = cli.main(["replay", commands, "--preset", "replay_clean", "--out", str(out)])
+            assert code == 0
+        for name in ("open_loop.csv", "open_loop_summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_undecodable_commands_csv_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "cmd.csv"
         bad.write_bytes(b"us_mm_s,tau1_N,tau2_N,tau3_N\n20,\xff,0,0\n")

@@ -35,7 +35,7 @@ def bend(d, u_x, u_y):
 def derivative(state, u):
     """sdot at (state, u): position rows from the step_euler position update
     over a unit step, direction rows from the bending term ddot = _bend(d)."""
-    pdot = step_euler(state, u, 1.0).p - state.p
+    pdot = np.subtract(step_euler(state, u, 1.0).p, state.p)
     return np.concatenate([pdot, bend(state.d, u.u_x, u.u_y)])
 
 
@@ -51,6 +51,55 @@ finite_coord = st.floats(-100.0, 100.0)
 direction_raw = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
 ).filter(lambda d: 0.3 < math.hypot(*d) < 1.7)
+
+
+# three numbers in the forms the per-step constructors accept, and values
+# they reject; each accepted form holds 0, 0, 1, a unit direction
+UNIT_TRIPLES = [
+    (0, 0, 1), [0.0, 0.0, 1.0], np.array([0.0, 0.0, 1.0]), np.array([0, 0, 1]),
+    (np.int64(0), np.float32(0.0), np.float64(1.0)),
+]
+BAD_TRIPLES = [
+    (0.0, 1.0), (0.0, 0.0, 1.0, 0.0), "001", b"001", None, ("0", 0.0, 1.0), (0, False, 1),
+    (0.0, math.nan, 1.0), (0.0, 0.0, math.inf), (-math.inf, 0.0, 1.0),
+    np.array([[0.0], [0.0], [1.0]]), np.array([[0.0, 0.0, 1.0]]),
+]
+BAD_SCALARS = ["3", b"1", None, True, math.nan, math.inf, -math.inf, np.array([3.0])]
+
+
+class TestValueContracts:
+    @pytest.mark.parametrize("field", ["p", "d"])
+    @pytest.mark.parametrize("value", UNIT_TRIPLES)
+    def test_state_holds_a_float_tuple(self, field, value):
+        s = NeedleState(**{"p": (1.0, 2.0, 3.0), "d": (0.0, 0.0, 1.0), field: value})
+        got = getattr(s, field)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert got == (0.0, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            got[0] = 1.0
+
+    @pytest.mark.parametrize("field", ["p", "d"])
+    @pytest.mark.parametrize("value", BAD_TRIPLES)
+    def test_state_rejects_naming_the_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            NeedleState(**{"p": (1.0, 2.0, 3.0), "d": (0.0, 0.0, 1.0), field: value})
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.float64(3.0), np.int64(3), np.float32(3.0)])
+    def test_input_holds_floats(self, value):
+        u = VirtualInput(value, value, value)
+        assert all(type(v) is float and v == 3.0 for v in (u.u_s, u.u_x, u.u_y))
+
+    @pytest.mark.parametrize("field", ["u_s", "u_x", "u_y"])
+    @pytest.mark.parametrize("value", BAD_SCALARS)
+    def test_input_rejects_naming_the_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} "):
+            VirtualInput(**{"u_s": 1.0, field: value})
+
+    def test_strings_are_not_parsed(self):
+        with pytest.raises(InvalidInputError, match="^u_s "):
+            VirtualInput("3", "0.5", b"1")
+        with pytest.raises(InvalidInputError, match="^p "):
+            NeedleState(p="123", d=(0.0, 0.0, 1.0))
 
 
 class TestStateValidation:
@@ -75,7 +124,7 @@ class TestStateValidation:
 
     def test_state_arrays_are_read_only(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             s.p[0] = 1.0
 
 
@@ -132,10 +181,10 @@ class TestDerivative:
         s = random_state(rng)
         for alpha in (0.5, 2.0, -3.0):
             assert np.allclose(
-                bend(alpha * s.d, u.u_x, u.u_y), alpha * bend(s.d, u.u_x, u.u_y)
+                bend(alpha * np.asarray(s.d), u.u_x, u.u_y), alpha * bend(s.d, u.u_x, u.u_y)
             )
         # the position rows have no p columns
-        moved = NeedleState(p=s.p + np.array([7.0, -3.0, 11.0]), d=s.d)
+        moved = NeedleState(p=np.add(s.p, [7.0, -3.0, 11.0]), d=s.d)
         assert np.allclose(derivative(moved, u)[:3], derivative(s, u)[:3], atol=1e-12)
 
     def test_additive_in_inputs(self):
@@ -188,7 +237,7 @@ class TestStepEuler:
         for ts in (0.1, 0.05, 0.025, 0.0125):
             a = step_euler(s, u, ts)
             b = step_exact(s, u, ts)
-            errs.append(np.linalg.norm(np.concatenate([a.p - b.p, a.d - b.d])))
+            errs.append(np.linalg.norm(np.subtract((*a.p, *a.d), (*b.p, *b.d))))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for r in ratios:
             assert 3.0 < r < 5.0
@@ -231,7 +280,7 @@ class TestStepExact:
         center = np.array([0.0, 10.0, 0.0])
         radii = np.linalg.norm(pts - center, axis=1)
         assert radii == pytest.approx(10.0, abs=1e-9)
-        assert np.linalg.norm(states[-1].p - states[0].p) < 1e-9
+        assert np.linalg.norm(np.subtract(states[-1].p, states[0].p)) < 1e-9
 
     def test_three_point_circle_fit_curvature(self):
         from needle_mpc.mapping import estimate_curvature
@@ -287,7 +336,7 @@ class TestStepExact:
         s = NeedleState(p=(1.0, 2.0, 3.0), d=unit((0.3, -0.4, 1.0)))
         below = step_exact(s, VirtualInput(10.0, 0.5 * _MIN_BEND_RATE, 0.0), 0.05)
         assert np.array_equal(below.d, s.d)
-        assert np.array_equal(below.p, s.p + 0.5 * s.d)
+        assert np.array_equal(below.p, np.add(s.p, 0.5 * np.asarray(s.d)))
         above = step_exact(s, VirtualInput(10.0, 2.0 * _MIN_BEND_RATE, 0.0), 0.05)
         assert np.allclose(above.p, below.p, atol=1e-12)
 
@@ -311,7 +360,7 @@ class TestStepChecks:
     def test_returned_state_is_read_only_and_unit(self, step, u):
         out = step(NeedleState(p=(1, 2, 3), d=unit((0.1, 0.2, 1.0))), u, 0.05)
         for arr in (out.p, out.d):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 arr[0] = 1.0
         assert abs(math.sqrt(sum(v * v for v in out.d)) - 1.0) <= 1e-15
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from needle_mpc import mpc
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.harness import run_closed_loop
-from needle_mpc.kinematics import NeedleState, VirtualInput, _inputs_from_flat, step_euler
+from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
 from needle_mpc.mpc import (
     HorizonSolution,
     MpcConfig,
@@ -245,10 +245,10 @@ class TestEulerCore:
         assert len(p) == len(d) == 3 * (cfg.horizon + 1)
         s = state
         for k, u in enumerate(to_inputs(x.reshape(-1, 3))):
-            assert np.max(np.abs(np.array(p[3 * k:3 * k + 3]) - (s.p - state.p))) <= 1e-12
+            assert np.max(np.abs(np.array(p[3 * k:3 * k + 3]) - np.subtract(s.p, state.p))) <= 1e-12
             assert np.max(np.abs(np.array(d[3 * k:3 * k + 3]) - s.d)) <= 1e-12
             s = step_euler(s, u, cfg.ts)
-        assert np.max(np.abs(np.array(p[-3:]) - (s.p - state.p))) <= 1e-12
+        assert np.max(np.abs(np.array(p[-3:]) - np.subtract(s.p, state.p))) <= 1e-12
 
     @given(horizon_instances())
     @settings(max_examples=50, deadline=None)
@@ -391,7 +391,7 @@ class TestSolveHorizon:
         s = state
         for i, u in enumerate(sol.inputs):
             s = step_euler(s, u, CFG.ts)
-            assert np.allclose(p[3 * i + 3:3 * i + 6], s.p - state.p, atol=1e-12)
+            assert np.allclose(p[3 * i + 3:3 * i + 6], np.subtract(s.p, state.p), atol=1e-12)
 
     def test_non_finite_cost_is_a_fault(self):
         # the cost at a target 1e200 mm away overflows to inf
@@ -426,14 +426,15 @@ class TestSolveHorizon:
         sol = solve_horizon(state, refs, CFG)
         assert type(sol.input_vector) is tuple and len(sol.input_vector) == 3 * CFG.horizon
         assert all(type(v) is float for v in sol.input_vector)
-        assert sol.inputs == _inputs_from_flat(sol.input_vector)
+        x = sol.input_vector
+        assert sol.inputs == tuple(VirtualInput(*x[k:k + 3]) for k in range(0, len(x), 3))
 
     def test_non_finite_inputs_rejected_at_the_boundary(self):
-        assert _inputs_from_flat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == (
-            VirtualInput(1.0, 2.0, 3.0), VirtualInput(4.0, 5.0, 6.0)
-        )
-        with pytest.raises(InvalidInputError, match="inputs must be finite"):
-            _inputs_from_flat([1.0, float("nan"), 0.0])
+        sol = HorizonSolution((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), cost=0.0, solver_status="converged")
+        assert sol.inputs == (VirtualInput(1.0, 2.0, 3.0), VirtualInput(4.0, 5.0, 6.0))
+        sol = HorizonSolution((1.0, float("nan"), 0.0), cost=0.0, solver_status="converged")
+        with pytest.raises(InvalidInputError, match="u_x has a non-finite value"):
+            sol.inputs
 
     def test_small_horizon_reaches_grid_refinement_cost(self):
         rng = np.random.default_rng(25)
