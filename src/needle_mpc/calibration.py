@@ -10,15 +10,20 @@ Runs load from a directory of per-run CSVs (columns x_mm, y_mm, z_mm)
 described by a manifest.json sidecar:
 
     {"runs": [{"file": "run01.csv", "tendon_index": 1, "tension_N": 2.0}, ...]}
+
+Tip points are held as tuples of (x, y, z) float tuples. The fits import
+numpy when they run (see mapping); loading, writing and simulating runs do
+not use it. A run builds the float array its circle fit reads once, at its
+first fit, so that refitting runs in other combinations (the gain from
+each choice of two tensions per tendon, say) converts no points again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateFitError,
@@ -26,6 +31,7 @@ from .errors import (
     InvalidInputError,
     SchemaError,
     check_fields,
+    finite_points,
     key,
 )
 from .harness import _read_numeric_csv, _write_csv, _write_json
@@ -38,27 +44,29 @@ RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
 
 @dataclass(frozen=True)
 class CalibrationRun:
-    """Recorded tip positions (n, 3) for one tendon (1, 2 or 3) held at one
-    tension (N). Every message starts with the field it names."""
+    """Recorded tip positions, n >= 3 (x, y, z) float tuples, for one tendon
+    (1, 2 or 3) held at one tension (N). Every message starts with the field
+    it names."""
 
     tendon_index: int = key("tendon_index", kind=int, choices=(1, 2, 3))
     tension: float = key("tension_N", ge=0.0)
-    tip_points: np.ndarray
+    tip_points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         try:
             check_fields(self)
         except InvalidConfigError as exc:  # a run is recorded input, not configuration
             raise InvalidInputError(str(exc)) from exc
-        pts = np.array(self.tip_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-            raise InvalidInputError(
-                f"tip_points must be (n, 3) with n >= 3, got shape {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("tip_points contain non-finite values")
-        pts.setflags(write=False)
+        pts = finite_points(self.tip_points, "tip_points", InvalidInputError)
+        if len(pts) < 3:
+            raise InvalidInputError(f"tip_points must hold at least 3 points, got {len(pts)}")
         object.__setattr__(self, "tip_points", pts)
+
+    @functools.cached_property
+    def _points_array(self):
+        import numpy as np
+
+        return np.array(self.tip_points)
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,10 @@ def calibrate(runs) -> CalibrationResult:
         raise DegenerateFitError(
             f"calibration needs at least 2 distinct tensions, got {sorted(set(tensions))}"
         )
-    curvatures = [estimate_curvature(r.tip_points) for r in runs]
+    curvatures = [estimate_curvature(r._points_array) for r in runs]
     gain = fit_gain(zip(tensions, curvatures))
+    import numpy as np  # numpy's mean sets the rms bits
+
     residuals = np.array(curvatures) - gain * np.array(tensions)
     return CalibrationResult(
         gain=gain,
@@ -104,7 +114,7 @@ def simulate_calibration_run(
 ) -> CalibrationRun:
     """Synthesize the tip arc a physical calibration run would record."""
     # CalibrationRun's checks of tendon_index and tension, before any rollout
-    CalibrationRun(tendon_index, tension, tip_points=np.zeros((3, 3)))
+    CalibrationRun(tendon_index, tension, tip_points=((0.0, 0.0, 0.0),) * 3)
     tau = tuple(tension if k == tendon_index else 0.0 for k in (1, 2, 3))
     u = rates_from_command(TendonCommand(u_s, tau), geometry)
     s0 = NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
@@ -112,7 +122,7 @@ def simulate_calibration_run(
     return CalibrationRun(
         tendon_index=tendon_index,
         tension=tension,
-        tip_points=np.array([s.p for s in states]),
+        tip_points=tuple(s.p for s in states),
     )
 
 
@@ -152,7 +162,7 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
             run = CalibrationRun(
                 tendon_index=entry["tendon_index"],
                 tension=entry["tension_N"],
-                tip_points=np.array(rows),
+                tip_points=rows,
             )
         except (InvalidConfigError, InvalidInputError) as exc:
             raise SchemaError(f"{where}.{exc}") from exc

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import calibration, harness, scenario as scenario_mod
 from .errors import (
@@ -160,6 +159,8 @@ def cmd_batch(args) -> int:
     if workers == 1:
         results = [_batch_worker(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled batch pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, jobs))
     for source, summary in results:

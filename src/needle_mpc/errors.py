@@ -3,13 +3,15 @@ config dataclasses: each field declares its JSON key, kind and bounds with
 key(), and check_fields checks it with messages that name the key.
 finite_float and finite_floats are the package's one number check, used by
 the config fields and by the per-step values (tip state, virtual input,
-tendon command) alike."""
+tendon command) alike; finite_points applies it to lists of [x, y, z]
+points (path waypoints, horizon references, calibration arcs). The module
+does not import numpy: a numpy bool is recognised through sys.modules,
+since none can exist before numpy is loaded."""
 
 import dataclasses
 import math
 import numbers
-
-import numpy as np
+import sys
 
 
 class NeedleMpcError(Exception):
@@ -49,10 +51,29 @@ def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[fl
     `name`."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise error(f"{name} must be a list of numbers, got {value!r}")
-    vals = tuple([finite_float(v, name, error) for v in value])
+    vals = tuple(value)
+    for v in vals:
+        # finite floats, the common case, pass as they are
+        if type(v) is not float or not math.isfinite(v):
+            vals = tuple([finite_float(v, name, error) for v in vals])
+            break
     if count is not None and len(vals) != count:
         raise error(f"{name} must have shape ({count},), got {len(vals)} entries")
     return vals
+
+
+def finite_points(value, name: str, error=InvalidConfigError) -> tuple[tuple[float, ...], ...]:
+    """value as a tuple of [x, y, z] points, each a tuple of three floats
+    checked by finite_floats. A str or bytes or a non-iterable raises error
+    naming `name`."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise error(f"{name} must be a list of [x, y, z] points, got {value!r}")
+    return tuple([finite_floats(row, name, 3, error) for row in value])
+
+
+def _is_bool(value) -> bool:
+    np = sys.modules.get("numpy")
+    return isinstance(value, bool) or (np is not None and isinstance(value, np.bool_))
 
 
 POINTS = "points"
@@ -63,9 +84,9 @@ def key(name: str, default=dataclasses.MISSING, *, kind=float, n=None, ge=None, 
     """A dataclass field read from and echoed to the JSON key `name`.
 
     kind is float, int, bool or str (strictly: no bool is a number, no
-    fraction an integer); tuple or np.ndarray for n numbers (any count when
-    n is None), kept as a tuple of floats or a read-only array; or POINTS
-    for at least 2 [x, y, z] points, kept as a read-only (m, 3) array. ge,
+    fraction an integer); tuple for n numbers (any count when n is None),
+    kept as a tuple of floats; or POINTS for at least 2 [x, y, z] points,
+    kept as a tuple of 3-float tuples. ge,
     gt and le bound every number, choices lists the allowed values, and a
     field without a default is a required key.
     """
@@ -96,20 +117,18 @@ def check_fields(obj) -> None:
 
 
 def _checked(value, key, kind, n, ge, gt, le, choices):
-    if kind is bool and not isinstance(value, (bool, np.bool_)):
+    if kind is bool and not _is_bool(value):
         raise InvalidConfigError(f"{key} must be true or false, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise InvalidConfigError(f"{key} must be a string, got {value!r}")
     if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
     if kind == POINTS:
-        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-            raise InvalidConfigError(f"{key} must be a list of [x, y, z] points, got {value!r}")
-        rows = [finite_floats(row, key, 3) for row in value]
+        rows = finite_points(value, key)
         if len(rows) < 2:
             raise InvalidConfigError(f"{key} must hold at least 2 points, got {len(rows)}")
-        return _read_only(rows)
-    if kind is tuple or kind is np.ndarray:
+        return rows
+    if kind is tuple:
         vals = finite_floats(value, key, n)
     else:
         value = kind(finite_float(value, key) if kind is float else value)
@@ -124,15 +143,7 @@ def _checked(value, key, kind, n, ge, gt, le, choices):
     if choices is not None and value not in choices:
         allowed = ", ".join(map(repr, choices))
         raise InvalidConfigError(f"{key} must be one of {allowed}, got {value!r}")
-    if kind is tuple:
-        return vals
-    return _read_only(vals) if kind is np.ndarray else value
-
-
-def _read_only(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
+    return vals if kind is tuple else value
 
 
 class DegenerateFitError(NeedleMpcError, ValueError):

@@ -11,6 +11,11 @@ mapping.
 Every file a run writes goes through one of two writers: _write_csv puts
 each number at 9 significant digits, and _write_json sorts the keys, so
 reruns of the same scenario and seed are byte-identical.
+
+A noise-free run does not load numpy: references, positions and errors are
+tuples of floats, and an error norm sums its squares left to right. Only a
+run with measurement noise imports numpy, in _NoisySensor, whose generator
+draws the noise.
 """
 
 from __future__ import annotations
@@ -23,10 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, check_fields, key
-from .kinematics import NeedleState, VirtualInput, step_euler, step_exact
+from .kinematics import NeedleState, VirtualInput, distance, step_euler, step_exact
 from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
 from .mpc import RecedingHorizonController
 from .references import FixedTarget, check_path_speed, horizon_samples
@@ -117,7 +120,7 @@ class StepRecord:
     t: float
     state: NeedleState
     measured: NeedleState
-    ref: np.ndarray
+    ref: tuple[float, float, float]
     applied: VirtualInput
     command: TendonCommand
     saturated: bool
@@ -143,7 +146,7 @@ class Summary:
 class ScenarioResult:
     records: tuple[StepRecord, ...]
     terminal_state: NeedleState
-    terminal_ref: np.ndarray
+    terminal_ref: tuple[float, float, float]
     summary: Summary
 
 
@@ -178,6 +181,35 @@ def compute_metrics(
     )
 
 
+class _NoisySensor:
+    """Measured states of a plant with Gaussian position noise.
+
+    The direction is re-estimated from the last two measured positions.
+    numpy draws the noise and takes the displacement's norm, so that a seed
+    keeps its stream and its bits; it is imported here, by noisy runs only.
+    """
+
+    def __init__(self, plant: PlantConfig, d0: tuple[float, float, float]):
+        import numpy as np
+
+        self._np = np
+        self._rng = np.random.default_rng(plant.seed)
+        self._std = np.array(plant.measurement_noise_std)
+        self._prev_p = None
+        self._d = d0
+
+    def measure(self, state: NeedleState) -> NeedleState:
+        np = self._np
+        p = np.add(state.p, self._rng.standard_normal(3) * self._std)
+        if self._prev_p is not None:
+            motion = p - self._prev_p
+            norm = np.linalg.norm(motion)
+            if 1e-9 < norm < math.inf:    # an overflowed norm keeps the estimate
+                self._d = motion / norm
+        self._prev_p = p
+        return NeedleState(p=p, d=self._d)
+
+
 def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
     """Simulate the controlled needle for one scenario.
 
@@ -198,9 +230,6 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
     true_geometry = plant.true_geometry(geometry)
     step_plant = step_exact if plant.integrator == "exact" else step_euler
-    rng = np.random.default_rng(plant.seed)
-    noise_std = np.array(plant.measurement_noise_std)
-    noisy = bool(np.any(noise_std > 0.0))
 
     check_path_speed(scenario.reference, run.steps * cfg.ts, cfg.u_s_bounds[1])
 
@@ -209,25 +238,15 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
     # true states of the last latency_steps + 1 step boundaries; the oldest
     # is the one the controller sees
     history = deque([state], maxlen=plant.latency_steps + 1)
-    prev_meas_p: Optional[np.ndarray] = None
-    d_est = np.array(state.d)
+    noisy = any(std > 0.0 for std in plant.measurement_noise_std)
+    sensor = _NoisySensor(plant, state.d) if noisy else None
     records: list[StepRecord] = []
     faults = 0
 
     for k in range(run.steps):
         t = k * cfg.ts
         delayed = history[0]
-        if noisy:
-            p_meas = np.add(delayed.p, rng.standard_normal(3) * noise_std)
-            if prev_meas_p is not None:
-                motion = p_meas - prev_meas_p
-                norm = np.linalg.norm(motion)
-                if 1e-9 < norm < math.inf:    # an overflowed norm keeps the estimate
-                    d_est = motion / norm
-            prev_meas_p = p_meas
-            measured = NeedleState(p=p_meas, d=d_est)
-        else:
-            measured = delayed
+        measured = sensor.measure(delayed) if sensor else delayed
 
         refs = horizon_samples(scenario.reference, t, cfg.horizon, cfg.ts)
         t0 = time.perf_counter()
@@ -246,7 +265,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         true_rates = rates_from_command(inv.command, true_geometry)
         state_next = step_plant(state, true_rates, cfg.ts)
 
-        err = float(np.linalg.norm(np.subtract(state.p, refs[0])))
+        err = distance(state.p, refs[0])
         pg_scaled = solution.projected_gradient_norm / (1.0 + abs(solution.cost))
         records.append(
             StepRecord(
@@ -262,15 +281,14 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         if (
             run.early_stop
             and isinstance(scenario.reference, FixedTarget)
-            and float(np.linalg.norm(np.subtract(state.p, scenario.reference.target)))
-            < run.stop_tolerance_mm
+            and distance(state.p, scenario.reference.target) < run.stop_tolerance_mm
             and abs(applied.u_s) < run.stop_speed_mm_s
         ):
             break
 
     t_end = len(records) * cfg.ts
     terminal_ref = horizon_samples(scenario.reference, t_end, 1, cfg.ts)[0]
-    terminal_err = float(np.linalg.norm(np.subtract(state.p, terminal_ref)))
+    terminal_err = distance(state.p, terminal_ref)
     summary = compute_metrics(records, terminal_err, cfg.ts, run.exclude_terminal_s)
     return ScenarioResult(
         records=tuple(records),
@@ -286,7 +304,7 @@ class OpenLoopResult:
 
     model_states: tuple[NeedleState, ...]
     plant_states: tuple[NeedleState, ...]
-    errors: np.ndarray        # per-boundary model-vs-plant position error, mm
+    errors: tuple[float, ...]   # per-boundary model-vs-plant position error, mm
     inserted_length_mm: float
     max_error_mm: float
     error_pct_of_insertion: Optional[float]
@@ -322,14 +340,9 @@ def run_open_loop(
         model_states.append(step_exact(model_states[-1], u_model, ts))
         plant_states.append(step_plant(plant_states[-1], u_plant, ts))
 
-    errors = np.array(
-        [
-            float(np.linalg.norm(np.subtract(m.p, p.p)))
-            for m, p in zip(model_states, plant_states)
-        ]
-    )
+    errors = tuple(distance(m.p, p.p) for m, p in zip(model_states, plant_states))
     inserted = sum(abs(cmd.u_s) for cmd in commands) * ts
-    max_err = float(errors.max())
+    max_err = max(errors)
     pct = 100.0 * max_err / inserted if inserted > 0.0 else None
     return OpenLoopResult(
         model_states=tuple(model_states),
@@ -385,7 +398,7 @@ def summary_dict(result: ScenarioResult) -> dict:
         "error_pct_of_insertion": s.error_pct_of_insertion,
         "steps": s.steps,
         "terminal_position_mm": list(result.terminal_state.p),
-        "terminal_reference_mm": [float(v) for v in result.terminal_ref],
+        "terminal_reference_mm": list(result.terminal_ref),
         "saturated_steps": sum(r.saturated for r in result.records),
         "fault_steps": sum(r.fault for r in result.records),
     }

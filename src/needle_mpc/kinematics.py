@@ -78,9 +78,15 @@ class VirtualInput:
             object.__setattr__(self, name, value)
 
 
+def distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """|a - b| for two 3-vectors, the squares summed left to right."""
+    x, y, z = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def _check_ts(ts: float) -> float:
-    ts = float(ts)
-    if not (math.isfinite(ts) and ts > 0.0):
+    ts = finite_float(ts, "ts", InvalidInputError)
+    if not ts > 0.0:
         raise InvalidInputError(f"time step must be positive and finite, got {ts!r}")
     return ts
 

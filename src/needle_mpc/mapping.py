@@ -40,15 +40,17 @@ InvalidInputError naming tau.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
+They check their inputs as finite numbers (str, bytes and bools refused)
+and then import numpy, whose dot products and SVD set their bits; the rest
+of the module does not use numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateFitError,
@@ -56,6 +58,7 @@ from .errors import (
     check_fields,
     finite_float,
     finite_floats,
+    finite_points,
     key,
 )
 from .kinematics import VirtualInput
@@ -88,10 +91,10 @@ class TendonGeometry:
         object.__setattr__(self, "theta_e", 0.0 if theta_e == 2.0 * math.pi else theta_e)
         # C and A = gain * C, built once as nested float lists for the
         # per-step maps
-        a = 2.0 * np.pi * np.arange(N_TENDONS) / N_TENDONS - self.theta_e
-        unit = np.vstack([np.cos(a), np.sin(a)])
-        object.__setattr__(self, "_amat_rows", (self.gain * unit).tolist())
-        object.__setattr__(self, "_unit_rows", unit.tolist())
+        a = [2.0 * math.pi * i / N_TENDONS - self.theta_e for i in range(N_TENDONS)]
+        unit = [[math.cos(v) for v in a], [math.sin(v) for v in a]]
+        object.__setattr__(self, "_amat_rows", [[self.gain * v for v in row] for row in unit])
+        object.__setattr__(self, "_unit_rows", unit)
 
 
 def _tensions(tau) -> tuple[float, float, float]:
@@ -224,15 +227,15 @@ def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
 
     Least squares with zero intercept: gain = sum(tau*kappa) / sum(tau^2).
     """
-    pairs = [(float(t), float(k)) for t, k in samples]
+    pairs = [finite_floats(pair, "samples", 2, InvalidInputError) for pair in samples]
     if len(pairs) < 2:
         raise InvalidInputError(f"need at least 2 samples, got {len(pairs)}")
+    if any(t < 0.0 for t, _ in pairs):
+        raise InvalidInputError("tensions must be nonnegative")
+    import numpy as np
+
     tau = np.array([p[0] for p in pairs])
     kappa = np.array([p[1] for p in pairs])
-    if np.any(~np.isfinite(tau)) or np.any(~np.isfinite(kappa)):
-        raise InvalidInputError("samples contain non-finite values")
-    if np.any(tau < 0.0):
-        raise InvalidInputError("tensions must be nonnegative")
     denom = float(tau @ tau)
     if denom == 0.0:
         raise DegenerateFitError("all tensions are zero; slope through origin is undefined")
@@ -245,12 +248,26 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     Fits the best plane through the centered points, projects into it, and
     runs an algebraic least-squares circle fit. Collinear input (within a
     relative singular-value tolerance) returns 0.
+
+    points are at least 3 [x, y, z] points of finite numbers; str, bytes and
+    bools are refused. A float array, which holds none of those (a
+    CalibrationRun keeps one for its fits), is taken as it is once its shape
+    and values are checked.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise InvalidInputError(f"need at least 3 points of dimension 3, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("points contain non-finite values")
+    np = sys.modules.get("numpy")  # no array can exist before numpy is loaded
+    if np is not None and isinstance(points, np.ndarray) and points.dtype == np.float64:
+        if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
+            raise InvalidInputError(
+                f"points must be finite [x, y, z] rows, got an array of shape {points.shape}"
+            )
+        pts = points
+    else:
+        rows = finite_points(points, "points", InvalidInputError)
+        import numpy as np
+
+        pts = np.array(rows)
+    if len(pts) < 3:
+        raise InvalidInputError(f"need at least 3 points of dimension 3, got {len(pts)}")
     centered = pts - pts.mean(axis=0)
     _, sing, vt = np.linalg.svd(centered, full_matrices=False)
     if sing[0] == 0.0 or sing[1] <= _COLLINEAR_RTOL * sing[0]:

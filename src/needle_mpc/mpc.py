@@ -35,13 +35,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NumericalFailureError,
     check_fields,
+    finite_points,
     key,
     key_of,
 )
@@ -128,15 +127,16 @@ class HorizonSolution:
 
 
 def _check_refs(refs, horizon: int, p0: tuple[float, float, float]) -> list:
-    """The (N+1, 3) references, checked, as the flat float list of ref_i - p_0."""
-    refs = np.asarray(refs, dtype=float)
-    if refs.shape != (horizon + 1, 3):
+    """The N+1 references, checked (three finite numbers each; str, bytes
+    and bools refused), as the flat float list of ref_i - p_0."""
+    rows = finite_points(refs, "refs", InvalidInputError)
+    if len(rows) != horizon + 1:
         raise InvalidInputError(
-            f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, got {refs.shape}"
+            f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, "
+            f"got ({len(rows)}, 3)"
         )
-    if not np.all(np.isfinite(refs)):
-        raise InvalidInputError("refs contain non-finite values")
-    return (refs - p0).ravel().tolist()
+    x0, y0, z0 = p0
+    return [v for x, y, z in rows for v in (x - x0, y - y0, z - z0)]
 
 
 class _EulerHorizon:

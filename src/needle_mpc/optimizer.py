@@ -50,8 +50,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 
 _ALPHA_MIN = 1e-12
@@ -282,7 +280,7 @@ def minimize(
 
     multi_start > 0 additionally solves from that many uniform random points
     in the box (seeded, so results are reproducible) and returns the best
-    solution by value. Requires finite bounds.
+    solution by value. Requires finite bounds. Only then is numpy imported.
     """
     lower, upper = problem.lower, problem.upper
     x0 = _floats(x0, "x0", InvalidInputError)
@@ -295,6 +293,8 @@ def minimize(
 
     best = _solve_from(problem, x0)
     if multi_start > 0:
+        import numpy as np  # its generator keeps each seed's start points
+
         rng = np.random.default_rng(seed)
         runs = [best]
         for _ in range(multi_start):

@@ -2,26 +2,31 @@
 
 Every generator maps a time t (s) to a target tip position (mm). Each kind
 has one method, samples(times), that returns the targets at a list of times
-as one (len(times), 3) array; sample(), horizon_samples() and
+as a tuple of (x, y, z) float tuples; sample(), horizon_samples() and
 check_path_speed() all go through it, so every time is sampled by the same
-arithmetic whether it is asked for alone or in a batch. Waypoint
+arithmetic whether it is asked for alone or in a batch. The arithmetic is
+scalar `math` that gives numpy's bits: paths interpolate as np.interp does,
+slope*(t - t0) + p0 with slope = (p1 - p0)/(t1 - t0), and norms sum their
+squares left to right, as np.linalg.norm over an axis does. Waypoint
 paths hold their last point once t passes the final timestamp, so a
 controller querying past the end sees a fixed target instead of an
 extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
 loads into a waypoint path. Numbers must be real numbers; strings and bools
-are rejected, not coerced.
+are rejected, not coerced. The module does not use numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Union
 
-import numpy as np
-
 from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields, key, key_of
+from .kinematics import distance
 
 _AXIS_PERMUTATION = {
     # (radial_1, radial_2, axial) -> world (x, y, z)
@@ -35,13 +40,13 @@ _AXIS_PERMUTATION = {
 class FixedTarget:
     """A single stationary target point (mm)."""
 
-    target: np.ndarray = key("target_mm", kind=np.ndarray, n=3)
+    target: tuple[float, float, float] = key("target_mm", kind=tuple, n=3)
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> np.ndarray:
-        return np.array([self.target.tolist()] * len(times))
+    def samples(self, times) -> tuple:
+        return (self.target,) * len(times)
 
 
 @dataclass(frozen=True)
@@ -57,30 +62,50 @@ class Helix:
     radius: float = key("radius_mm", ge=0.0)
     pitch: float = key("pitch_mm")
     rate: float = key("rate_rad_s")
-    center: np.ndarray = key("center_mm", (0.0, 0.0, 0.0), kind=np.ndarray, n=3)
+    center: tuple[float, float, float] = key("center_mm", (0.0, 0.0, 0.0), kind=tuple, n=3)
     phase: float = key("phase_rad", 0.0)
     axis: str = key("axis", "z", kind=str, choices=tuple(_AXIS_PERMUTATION))
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> np.ndarray:
+    def samples(self, times) -> tuple:
         radius, rate, phase = self.radius, self.rate, self.phase
         climb = self.pitch * rate
         i, j, k = _AXIS_PERMUTATION[self.axis]
-        cx, cy, cz = self.center.tolist()
+        cx, cy, cz = self.center
         rows = []
         for t in times:
             ang = rate * t + phase
             local = (radius * math.cos(ang), radius * math.sin(ang),
                      climb * t / (2.0 * math.pi))
             rows.append((cx + local[i], cy + local[j], cz + local[k]))
-        return np.array(rows)
+        return tuple(rows)
 
 
-def _interp_path(points: np.ndarray, knots: np.ndarray, times) -> np.ndarray:
-    # np.interp clamps at both ends, which implements the hold behavior
-    return np.stack([np.interp(times, knots, points[:, k]) for k in range(3)], axis=1)
+def _interp_path(points: tuple, knots: tuple, times) -> tuple:
+    """The path at each time, held at both ends, with np.interp's arithmetic."""
+    last = len(knots) - 1
+    rows = []
+    for t in times:
+        j = bisect_right(knots, t) - 1
+        if j < 0:
+            rows.append(points[0])
+        elif j == last or knots[j] == t:
+            rows.append(points[j])
+        else:
+            t0, t1 = knots[j], knots[j + 1]
+            row = []
+            for p0, p1 in zip(points[j], points[j + 1]):
+                slope = (p1 - p0) / (t1 - t0)
+                v = slope * (t - t0) + p0
+                if v != v:    # nan: np.interp retries from the right knot
+                    v = slope * (t - t1) + p1
+                    if v != v and p0 == p1:
+                        v = p0
+                row.append(v)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -91,22 +116,21 @@ class SharpTurn:
     direction jumps at every interior waypoint (that is the point).
     """
 
-    waypoints: np.ndarray = key("waypoints_mm", kind=POINTS)
+    waypoints: tuple[tuple[float, float, float], ...] = key("waypoints_mm", kind=POINTS)
     speed: float = key("speed_mm_s", gt=0.0)
-    times: np.ndarray = field(init=False)
+    times: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         check_fields(self)
-        seg = np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)
-        if np.any(seg == 0.0):
+        seg = list(map(distance, self.waypoints[1:], self.waypoints))
+        if 0.0 in seg:
             raise InvalidConfigError(
                 f"{key_of(self, 'waypoints')}: consecutive waypoints must be distinct"
             )
-        times = np.concatenate([[0.0], np.cumsum(seg)]) / self.speed
-        times.setflags(write=False)
+        times = tuple(s / self.speed for s in accumulate(seg, initial=0.0))
         object.__setattr__(self, "times", times)
 
-    def samples(self, times) -> np.ndarray:
+    def samples(self, times) -> tuple:
         return _interp_path(self.waypoints, self.times, times)
 
 
@@ -119,25 +143,29 @@ class Sinusoidal:
     """
 
     axial_speed: float = key("axial_speed_mm_s")
-    amplitude: np.ndarray = key("amplitude_mm", (0.0, 0.0), kind=np.ndarray, n=2)
-    frequency: np.ndarray = key("frequency_hz", (0.0, 0.0), kind=np.ndarray, n=2)
-    phase: np.ndarray = key("phase_rad", (0.0, 0.0), kind=np.ndarray, n=2)
+    amplitude: tuple[float, float] = key("amplitude_mm", (0.0, 0.0), kind=tuple, n=2)
+    frequency: tuple[float, float] = key("frequency_hz", (0.0, 0.0), kind=tuple, n=2)
+    phase: tuple[float, float] = key("phase_rad", (0.0, 0.0), kind=tuple, n=2)
 
     def __post_init__(self):
         check_fields(self)
 
-    def samples(self, times) -> np.ndarray:
-        t = np.array(times, dtype=float)[:, None]
-        arg = 2.0 * np.pi * self.frequency * t + self.phase
-        return np.hstack([self.amplitude * np.sin(arg), self.axial_speed * t])
+    def samples(self, times) -> tuple:
+        (ax, ay), (fx, fy), (phx, phy) = self.amplitude, self.frequency, self.phase
+        speed = self.axial_speed
+        return tuple([
+            (ax * math.sin(2.0 * math.pi * fx * t + phx),
+             ay * math.sin(2.0 * math.pi * fy * t + phy), speed * t)
+            for t in times
+        ])
 
 
 @dataclass(frozen=True)
 class WaypointPath:
     """Linear interpolation through (time, point) samples, held at the ends."""
 
-    points: np.ndarray = key("points_mm", kind=POINTS)
-    times: np.ndarray = key("times_s", kind=np.ndarray)
+    points: tuple[tuple[float, float, float], ...] = key("points_mm", kind=POINTS)
+    times: tuple[float, ...] = key("times_s", kind=tuple)
 
     def __post_init__(self):
         check_fields(self)
@@ -147,10 +175,10 @@ class WaypointPath:
                 f"{times_key} must have {len(self.points)} entries, one per point of "
                 f"{key_of(self, 'points')}, got {len(self.times)}"
             )
-        if np.any(np.diff(self.times) <= 0.0):
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise InvalidConfigError(f"{times_key} must be strictly increasing")
 
-    def samples(self, times) -> np.ndarray:
+    def samples(self, times) -> tuple:
         return _interp_path(self.points, self.times, times)
 
 
@@ -162,15 +190,15 @@ def _check_time(t: float) -> None:
         raise InvalidInputError(f"t must be nonnegative and finite, got {t!r}")
 
 
-def sample(spec: ReferenceSpec, t: float) -> np.ndarray:
+def sample(spec: ReferenceSpec, t: float) -> tuple[float, float, float]:
     """Target position (mm) at time t (s)."""
     t = float(t)
     _check_time(t)
     return spec.samples([t])[0]
 
 
-def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> np.ndarray:
-    """Targets at t, t+ts, ..., t+n*ts as an (n+1, 3) array."""
+def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> tuple:
+    """Targets at t, t+ts, ..., t+n*ts: n+1 (x, y, z) tuples."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not ts > 0.0:
@@ -190,16 +218,20 @@ def check_path_speed(
     """Largest finite-difference path speed over [0, duration] (mm/s).
 
     Warns when it exceeds u_s_max * margin, meaning not even straight-line
-    insertion at full speed could keep up with the reference.
+    insertion at full speed could keep up with the reference. The grid is
+    np.linspace's: i * dt, then duration itself.
     """
     if duration <= 0.0:
         raise InvalidInputError(f"duration must be positive, got {duration!r}")
-    grid = np.linspace(0.0, duration, samples)
-    _check_time(float(grid[-1]))
-    pts = spec.samples(grid.tolist())
-    dt = grid[1] - grid[0]
-    speeds = np.linalg.norm(np.diff(pts, axis=0), axis=1) / dt
-    top = float(speeds.max()) if speeds.size else 0.0
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
+        raise InvalidInputError(f"samples must be an integer >= 2, got {samples!r}")
+    duration = float(duration)
+    _check_time(duration)
+    dt = duration / (samples - 1)
+    pts = spec.samples([i * dt for i in range(samples - 1)] + [duration])
+    top = max(map(distance, pts[1:], pts))
+    # a grid step that underflows to 0 divides as numpy does: inf, or nan for 0/0
+    top = top / dt if dt else top * math.inf
     if top > u_s_max * margin:
         warnings.warn(
             f"reference path speed {top:.3g} mm/s exceeds the insertion speed bound "

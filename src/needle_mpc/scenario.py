@@ -20,8 +20,6 @@ import typing
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -69,15 +67,15 @@ class _Replay:
         samples its reference."""
         path = os.path.join(base_dir or "", self.csv_path)
         try:
-            data = np.array(_read_numeric_csv(path, REPLAY_CSV_COLUMNS, 2))
+            rows = _read_numeric_csv(path, REPLAY_CSV_COLUMNS, 2)
         except FileNotFoundError as exc:
             raise InvalidInputError(f"{path}: no such file") from exc
-        if abs(data[0, 0]) > 1e-12:
+        if abs(rows[0][0]) > 1e-12:
             raise InvalidInputError(
-                f"{path}: the first replay sample is at {data[0, 0]:g} s; "
+                f"{path}: the first replay sample is at {rows[0][0]:g} s; "
                 "a replay must start at t = 0"
             )
-        return WaypointPath(points=data[:, 1:], times=data[:, 0])
+        return WaypointPath(points=[row[1:] for row in rows], times=[row[0] for row in rows])
 
 
 # reference kind -> class; WaypointPath echoes as "waypoint_path"
@@ -148,14 +146,12 @@ def scenario_from_dict(doc: dict, base_dir=None) -> Scenario:
 
 
 def _echo(obj) -> dict:
-    """JSON section of obj's key() fields."""
+    """JSON section of obj's key() fields, tuples (points too) as lists."""
     section = {}
     for name, f in json_fields(obj).items():
         value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, tuple):
-            value = list(value)
+        if isinstance(value, tuple):
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
         section[name] = value
     return section
 

@@ -50,7 +50,7 @@ class TestSimulatedRuns:
 
     def test_point_count(self):
         run = simulate_calibration_run(2, 1.0, TRUE_GEO, steps=50)
-        assert run.tip_points.shape == (51, 3)
+        assert np.shape(run.tip_points) == (51, 3)
 
     @pytest.mark.parametrize("index", [0, 4, -1, True])
     def test_tendon_index_checked_before_the_rollout(self, index, monkeypatch):
@@ -86,7 +86,7 @@ class TestCalibrate:
         runs = []
         for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
             clean = simulate_calibration_run(1, t, TRUE_GEO)
-            noisy = clean.tip_points + rng.standard_normal(clean.tip_points.shape) * 0.1
+            noisy = clean.tip_points + rng.standard_normal(np.shape(clean.tip_points)) * 0.1
             runs.append(CalibrationRun(tendon_index=1, tension=t, tip_points=noisy))
         result = calibrate(runs)
 

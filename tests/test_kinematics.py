@@ -364,6 +364,16 @@ class TestStepChecks:
                 arr[0] = 1.0
         assert abs(math.sqrt(sum(v * v for v in out.d)) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("ts", ["0.05", b"0.05", True])
+    def test_time_step_must_be_a_number(self, ts):
+        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        u = VirtualInput(20.0, 1.0, 0.0)
+        for step in (step_euler, step_exact):
+            with pytest.raises(InvalidInputError, match="ts must be a number"):
+                step(s, u, ts)
+        with pytest.raises(InvalidInputError, match="ts must be a number"):
+            rollout(s, [u], ts)
+
 
 class TestRollout:
     def test_zero_inputs_constant_sequence(self):

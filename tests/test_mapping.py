@@ -481,6 +481,20 @@ class TestFitGain:
         with pytest.raises(DegenerateFitError):
             fit_gain([(0.0, 0.0), (0.0, 1e-5), (0.0, 2e-5)])
 
+    @pytest.mark.parametrize("samples", [
+        [("1", "0.0004"), ("2", "0.0008")],
+        [(1.0, b"4e-4"), (2.0, 8e-4)],
+        [(True, 4e-4), (2.0, 8e-4)],
+        "12",
+    ])
+    def test_strings_and_bools_are_not_parsed(self, samples):
+        with pytest.raises(InvalidInputError, match="^samples "):
+            fit_gain(samples)
+
+    def test_non_finite_sample_named(self):
+        with pytest.raises(InvalidInputError, match="^samples has a non-finite value"):
+            fit_gain([(1.0, 4e-4), (2.0, math.inf)])
+
 
 class TestEstimateCurvature:
     def test_exact_circle(self):
@@ -512,6 +526,22 @@ class TestEstimateCurvature:
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             estimate_curvature([(0, 0, 0), (1, 0, 0)])
+        with pytest.raises(InvalidInputError):
+            estimate_curvature(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("points", [
+        [("0", "0", "0"), ("1", "0", "0.1"), ("2", "0", "0.4")],
+        [(0.0, 0.0, 0.0), (1.0, 0.0, b"0.1"), (2.0, 0.0, 0.4)],
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.1), (2.0, False, 0.4)],
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.1), (2.0, 0.0, math.nan)],
+        "abc",
+        np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.1), (2.0, 0.0, math.inf)]),
+        np.zeros((4, 2)),
+        np.array(["0", "1", "2"]),
+    ])
+    def test_points_must_be_finite_numbers(self, points):
+        with pytest.raises(InvalidInputError, match="^points "):
+            estimate_curvature(points)
 
 
 class TestCalibrationCsv:

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -455,6 +456,34 @@ class TestSolveHorizon:
             sol = solve_horizon(state, refs, cfg)
             rel = (sol.cost - f_oracle) / max(1.0, abs(f_oracle))
             assert rel <= 1e-3
+
+
+class TestRefsContract:
+    """References are checked, not coerced: three finite numbers per row."""
+
+    S0 = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+
+    @pytest.mark.parametrize("bad", ["1.0", b"1.0", True, np.bool_(True), math.nan])
+    def test_entries_are_not_coerced(self, bad):
+        refs = [[0.0, 0.0, 50.0]] * (CFG.horizon + 1)
+        refs[2] = [0.0, bad, 50.0]
+        with pytest.raises(InvalidInputError, match="^refs "):
+            solve_horizon(self.S0, refs, CFG)
+
+    def test_shape_messages(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^refs must have shape \(6, 3\) for horizon 5, got \(5, 3\)$"):
+            solve_horizon(self.S0, np.zeros((5, 3)), CFG)
+        with pytest.raises(InvalidInputError, match=r"^refs must have shape \(3,\)"):
+            solve_horizon(self.S0, np.zeros((6, 2)), CFG)
+        with pytest.raises(InvalidInputError, match="^refs must be a list of"):
+            solve_horizon(self.S0, "refs", CFG)
+
+    def test_any_sequence_of_rows_gives_the_same_solve(self):
+        refs = [(1.0, -2.0, 30.0 + i) for i in range(CFG.horizon + 1)]
+        want = solve_horizon(self.S0, np.array(refs), CFG)
+        assert solve_horizon(self.S0, refs, CFG) == want
+        assert solve_horizon(self.S0, [list(r) for r in refs], CFG) == want
 
 
 class TestRecedingStep:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc.errors import InvalidConfigError, InvalidInputError, SchemaError
@@ -21,6 +21,7 @@ from needle_mpc.scenario import _reference_from_dict
 from oracles import helix_point
 
 times_st = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+finite_st = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestFixedTarget:
@@ -247,8 +248,8 @@ class TestHorizonSamples:
     def test_fixed_target_repeats(self):
         spec = FixedTarget(target=(5.0, -15.0, 150.0))
         refs = horizon_samples(spec, 2.0, 5, 0.05)
-        assert refs.shape == (6, 3)
-        assert np.all(refs == refs[0])
+        assert np.shape(refs) == (6, 3)
+        assert np.all(np.asarray(refs) == refs[0])
 
     def test_linear_path_equally_spaced(self):
         spec = WaypointPath(points=[(0.0, 0.0, 0.0), (0.0, 0.0, 100.0)], times=[0.0, 10.0])
@@ -301,16 +302,16 @@ class TestHorizonSamples:
         refs = horizon_samples(spec, 0.5, 12, 0.25)
         assert np.array_equal(refs, np.stack([sample(spec, 0.5 + i * 0.25) for i in range(13)]))
         for i, point in ((2, pts[1]), (6, pts[2]), (10, pts[3]), (12, pts[3])):
-            assert refs[i].tolist() == list(point)
+            assert list(refs[i]) == list(point)
 
     def test_waypoint_path_holds_both_ends(self):
         pts = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (-1.0, 0.0, 9.0)]
         spec = WaypointPath(points=pts, times=[1.0, 2.0, 4.0])
         refs = horizon_samples(spec, 0.0, 12, 0.5)
         assert np.array_equal(refs, np.stack([sample(spec, 0.5 * i) for i in range(13)]))
-        assert refs[0].tolist() == refs[1].tolist() == refs[2].tolist() == list(pts[0])
-        assert refs[4].tolist() == list(pts[1])
-        assert all(row.tolist() == list(pts[2]) for row in refs[8:])
+        assert list(refs[0]) == list(refs[1]) == list(refs[2]) == list(pts[0])
+        assert list(refs[4]) == list(pts[1])
+        assert all(list(row) == list(pts[2]) for row in refs[8:])
 
     @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: type(s).__name__)
     def test_path_speed_check_samples_the_same_points(self, spec):
@@ -334,8 +335,66 @@ class TestPathSpeedCheck:
         with pytest.warns(UserWarning, match="cannot be tracked"):
             check_path_speed(spec, duration=10.0, u_s_max=24.0)
 
+    @pytest.mark.parametrize("samples", [1, 0, -3, 2.0, True])
+    def test_grid_needs_two_samples(self, samples):
+        spec = FixedTarget(target=(0.0, 0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="samples must be an integer >= 2"):
+            check_path_speed(spec, 10.0, 24.0, samples=samples)
+
     def test_within_margin_does_not_warn(self, recwarn):
         # 4% over the bound is inside the 5% margin
         spec = WaypointPath(points=[(0.0, 0.0, 0.0), (0.0, 0.0, 249.6)], times=[0.0, 10.0])
         check_path_speed(spec, duration=10.0, u_s_max=24.0)
         assert len(recwarn) == 0
+
+
+def np_interp_path(points, knots, at):
+    """The oracle: np.interp per coordinate, stacked into (len(at), 3)."""
+    points = np.array(points, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.stack([np.interp(at, knots, points[:, k]) for k in range(3)], axis=1)
+
+
+class TestPathsMatchNpInterp:
+    """Waypoint and sharp-turn sampling equal np.interp bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_waypoint_path(self, data):
+        knots = sorted(set(data.draw(st.lists(finite_st, min_size=2, max_size=6))))
+        assume(len(knots) >= 2)
+        points = data.draw(st.lists(st.tuples(finite_st, finite_st, finite_st),
+                                    min_size=len(knots), max_size=len(knots)))
+        at = data.draw(st.lists(finite_st, max_size=8)) + knots
+        got = np.array(WaypointPath(points=points, times=knots).samples(at))
+        assert got.tobytes() == np_interp_path(points, knots, at).tobytes()
+
+    def test_overflowing_span_takes_the_same_fallback(self):
+        # t - t0 overflows, so slope*(t - t0) is 0*inf = nan; np.interp then
+        # interpolates from the right knot, and so does the path
+        knots = [-1e308, 1e308]
+        points = [(0.0, 5.0, -1e308), (1.0, 5.0, 1e308)]
+        at = [1e308, 0.0, 5e307]
+        got = np.array(WaypointPath(points=points, times=knots).samples(at))
+        assert got.tobytes() == np_interp_path(points, knots, at).tobytes()
+        assert got[0].tolist() == [1.0, 5.0, 1e308]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sharp_turn(self, data):
+        waypoints = data.draw(st.lists(st.tuples(finite_st, finite_st, finite_st),
+                                       min_size=2, max_size=6))
+        speed = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        with np.errstate(over="ignore"):
+            seg = np.linalg.norm(np.diff(np.array(waypoints), axis=0), axis=1)
+            knots = np.concatenate([[0.0], np.cumsum(seg)]) / speed
+        if np.any(seg == 0.0):
+            with pytest.raises(InvalidConfigError, match="must be distinct"):
+                SharpTurn(waypoints=waypoints, speed=speed)
+            return
+        spec = SharpTurn(waypoints=waypoints, speed=speed)
+        assert np.array(spec.times).tobytes() == knots.tobytes()
+        at = data.draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=8))
+        at += list(spec.times)
+        got = np.array(spec.samples(at))
+        assert got.tobytes() == np_interp_path(waypoints, spec.times, at).tobytes()
