@@ -13,9 +13,9 @@ described by a manifest.json sidecar:
 
 Tip points are held as tuples of (x, y, z) float tuples. The fits import
 numpy when they run (see mapping); loading, writing and simulating runs do
-not use it. A run builds the float array its circle fit reads once, at its
-first fit, so that refitting runs in other combinations (the gain from
-each choice of two tensions per tendon, say) converts no points again.
+not use it. A run fits its circle once, when its curvature is first read,
+so refitting runs in other combinations (the gain from each choice of two
+tensions per tendon, say) fits no arc again.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ class CalibrationRun:
         object.__setattr__(self, "tip_points", pts)
 
     @functools.cached_property
-    def _points_array(self):
-        import numpy as np
-
-        return np.array(self.tip_points)
+    def curvature(self) -> float:
+        """Circle-fit curvature of the tip arc (1/mm), fitted at the first read."""
+        return estimate_curvature(self.tip_points)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def calibrate(runs) -> CalibrationResult:
         raise DegenerateFitError(
             f"calibration needs at least 2 distinct tensions, got {sorted(set(tensions))}"
         )
-    curvatures = [estimate_curvature(r._points_array) for r in runs]
+    curvatures = [r.curvature for r in runs]
     gain = fit_gain(zip(tensions, curvatures))
     import numpy as np  # numpy's mean sets the rms bits
 

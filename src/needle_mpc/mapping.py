@@ -48,7 +48,6 @@ of the module does not use numpy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -247,25 +246,13 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
 
     Fits the best plane through the centered points, projects into it, and
     runs an algebraic least-squares circle fit. Collinear input (within a
-    relative singular-value tolerance) returns 0.
-
-    points are at least 3 [x, y, z] points of finite numbers; str, bytes and
-    bools are refused. A float array, which holds none of those (a
-    CalibrationRun keeps one for its fits), is taken as it is once its shape
-    and values are checked.
+    relative singular-value tolerance) returns 0. points are at least 3
+    [x, y, z] points of finite numbers; str, bytes and bools are refused.
     """
-    np = sys.modules.get("numpy")  # no array can exist before numpy is loaded
-    if np is not None and isinstance(points, np.ndarray) and points.dtype == np.float64:
-        if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
-            raise InvalidInputError(
-                f"points must be finite [x, y, z] rows, got an array of shape {points.shape}"
-            )
-        pts = points
-    else:
-        rows = finite_points(points, "points", InvalidInputError)
-        import numpy as np
+    rows = finite_points(points, "points", InvalidInputError)
+    import numpy as np
 
-        pts = np.array(rows)
+    pts = np.array(rows)
     if len(pts) < 3:
         raise InvalidInputError(f"need at least 3 points of dimension 3, got {len(pts)}")
     centered = pts - pts.mean(axis=0)

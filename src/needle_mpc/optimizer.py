@@ -46,11 +46,12 @@ at an equal point.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
+from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, finite_floats
 
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
@@ -102,8 +103,7 @@ class BoxNlp:
     objective_value: Optional[Callable[[list], float]] = None
 
     def __post_init__(self):
-        lower = _floats(self.lower, "bounds", InvalidConfigError)
-        upper = _floats(self.upper, "bounds", InvalidConfigError)
+        lower, upper = _bounds(self.lower), _bounds(self.upper)
         if not lower or len(lower) != len(upper):
             raise InvalidConfigError(
                 f"bounds must have equal lengths of at least 1, got {len(lower)} and {len(upper)}"
@@ -122,11 +122,21 @@ class BoxNlp:
         self.lower, self.upper = lower, upper
 
 
-def _floats(values, name: str, error: type) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, values))
-    except (TypeError, ValueError):
-        raise error(f"{name} must hold numbers only") from None
+def _bounds(values) -> tuple[float, ...]:
+    """values as a tuple of floats, inf included; str, bytes and bools are refused."""
+    if type(values) is tuple and all(type(v) is float for v in values):
+        return values  # a solve's own bounds, the common case
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise InvalidConfigError("bounds must hold numbers only")
+    vals = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):  # numpy bools are not Real
+            raise InvalidConfigError("bounds must hold numbers only")
+        try:
+            vals.append(float(v))
+        except OverflowError:  # an integer beyond the float range
+            vals.append(math.inf if v > 0 else -math.inf)
+    return tuple(vals)
 
 
 @dataclass
@@ -283,11 +293,7 @@ def minimize(
     solution by value. Requires finite bounds. Only then is numpy imported.
     """
     lower, upper = problem.lower, problem.upper
-    x0 = _floats(x0, "x0", InvalidInputError)
-    if len(x0) != len(lower):
-        raise InvalidInputError(f"x0 must have {len(lower)} entries, got {len(x0)}")
-    if not all(map(math.isfinite, x0)):
-        raise InvalidInputError("x0 contains non-finite values")
+    x0 = finite_floats(x0, "x0", len(lower), InvalidInputError)
     if multi_start > 0 and not all(map(math.isfinite, lower + upper)):
         raise InvalidConfigError("multi_start requires finite bounds")
 

@@ -75,12 +75,19 @@ class Helix:
         i, j, k = _AXIS_PERMUTATION[self.axis]
         cx, cy, cz = self.center
         rows = []
-        for t in times:
-            ang = rate * t + phase
-            local = (radius * math.cos(ang), radius * math.sin(ang),
-                     climb * t / (2.0 * math.pi))
-            rows.append((cx + local[i], cy + local[j], cz + local[k]))
+        try:
+            for t in times:
+                ang = rate * t + phase
+                local = (radius * math.cos(ang), radius * math.sin(ang),
+                         climb * t / (2.0 * math.pi))
+                rows.append((cx + local[i], cy + local[j], cz + local[k]))
+        except ValueError:  # math.cos of an angle that overflowed to inf
+            raise _angle_overflow(self, "rate", t) from None
         return tuple(rows)
+
+
+def _angle_overflow(spec, attr: str, t: float) -> InvalidInputError:
+    return InvalidInputError(f"{key_of(spec, attr)} overflows the reference angle at t = {t!r} s")
 
 
 def _interp_path(points: tuple, knots: tuple, times) -> tuple:
@@ -153,11 +160,14 @@ class Sinusoidal:
     def samples(self, times) -> tuple:
         (ax, ay), (fx, fy), (phx, phy) = self.amplitude, self.frequency, self.phase
         speed = self.axial_speed
-        return tuple([
-            (ax * math.sin(2.0 * math.pi * fx * t + phx),
-             ay * math.sin(2.0 * math.pi * fy * t + phy), speed * t)
-            for t in times
-        ])
+        rows = []
+        try:
+            for t in times:
+                rows.append((ax * math.sin(2.0 * math.pi * fx * t + phx),
+                             ay * math.sin(2.0 * math.pi * fy * t + phy), speed * t))
+        except ValueError:  # math.sin of an angle that overflowed to inf
+            raise _angle_overflow(self, "frequency", t) from None
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

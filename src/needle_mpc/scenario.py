@@ -18,7 +18,6 @@ import json
 import os
 import typing
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import (
     InvalidConfigError,
@@ -34,6 +33,10 @@ from .mpc import MpcConfig
 from .references import FixedTarget, Helix, ReferenceSpec, SharpTurn, Sinusoidal, WaypointPath
 
 SCHEMA_VERSION = 1
+
+# the bundled scenarios and command CSVs ship as real files beside the package
+PRESETS_DIR = os.path.join(os.path.dirname(__file__), "presets")
+REPLAYS_DIR = os.path.join(PRESETS_DIR, "replays")
 
 
 @dataclass(frozen=True)
@@ -187,31 +190,24 @@ def with_seed(scenario: Scenario, seed: int) -> Scenario:
 
 
 def preset_names() -> list[str]:
-    files = resources.files("needle_mpc").joinpath("presets")
-    return sorted(
-        p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json")
-    )
+    return sorted(n[: -len(".json")] for n in os.listdir(PRESETS_DIR) if n.endswith(".json"))
 
 
 def load_preset(name: str) -> Scenario:
-    path = resources.files("needle_mpc").joinpath("presets", f"{name}.json")
-    if not path.is_file():
-        raise InvalidInputError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    doc = json.loads(path.read_text())
-    return scenario_from_dict(doc)
+    path = os.path.join(PRESETS_DIR, f"{name}.json")
+    if not os.path.isfile(path):
+        raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return load_scenario(path)
 
 
 def replay_command_names() -> list[str]:
-    files = resources.files("needle_mpc").joinpath("presets", "replays")
-    return sorted(p.name[: -len(".csv")] for p in files.iterdir() if p.name.endswith(".csv"))
+    return sorted(n[: -len(".csv")] for n in os.listdir(REPLAYS_DIR) if n.endswith(".csv"))
 
 
-def replay_commands_path(name: str):
-    """Filesystem path of a bundled command CSV (they ship as real files)."""
-    path = resources.files("needle_mpc").joinpath("presets", "replays", f"{name}.csv")
-    if not path.is_file():
+def replay_commands_path(name: str) -> str:
+    """Filesystem path of a bundled command CSV."""
+    path = os.path.join(REPLAYS_DIR, f"{name}.csv")
+    if not os.path.isfile(path):
         raise InvalidInputError(
             f"unknown command file {name!r}; available: {', '.join(replay_command_names())}"
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -94,6 +95,31 @@ class TestCalibrate:
         assert result.gain == pytest.approx(g_oracle, rel=1e-9)
         assert abs(result.gain - TRUE_GEO.gain) <= 4.0 * se + 1e-8
 
+    def test_each_run_fits_its_arc_once(self, monkeypatch):
+        runs = synthetic_runs([1.0, 2.0, 3.0, 4.0], steps=20)
+        want = [calibrate(subset) for subset in (runs[:3], runs[1:], runs[::3])]
+        calls = []
+
+        def counting_fit(points):
+            calls.append(points)
+            return estimate_curvature(points)
+
+        monkeypatch.setattr(calibration, "estimate_curvature", counting_fit)
+        runs = synthetic_runs([1.0, 2.0, 3.0, 4.0], steps=20)
+        got = [calibrate(subset) for subset in (runs[:3], runs[1:], runs[::3])]
+        assert got == want
+        assert len(calls) == 4  # one fit per run, not one per run and subset
+        assert [r.curvature for r in runs] == [estimate_curvature(r.tip_points) for r in runs]
+        assert len(calls) == 4  # a cached curvature fits nothing
+
+    def test_curvature_is_not_a_field(self):
+        run, same = synthetic_runs([2.0, 2.0], steps=20)
+        assert run.curvature > 0.0
+        assert run == same and hash(run) == hash(same)
+        assert "curvature" not in {f.name for f in dataclasses.fields(CalibrationRun)}
+        with pytest.raises(TypeError):
+            CalibrationRun(tendon_index=1, tension=2.0, tip_points=run.tip_points, curvature=0.0)
+
     def test_scale_consistency(self):
         low = calibrate(synthetic_runs([1.0, 2.0, 3.0]))
         high = calibrate(synthetic_runs([2.0, 4.0, 6.0]))
@@ -158,6 +184,10 @@ class TestRunsDirectory:
         entry = {"file": "run00.csv", "tendon_index": 1}
         (tmp_path / "manifest.json").write_text(json.dumps({"runs": [entry]}))
         with pytest.raises(SchemaError, match="tension_N"):
+            load_runs_dir(tmp_path)
+
+        (tmp_path / "manifest.json").write_text(json.dumps({"runs": [["run00.csv", 1, 1.0]]}))
+        with pytest.raises(SchemaError, match=r"runs\[0\] must be an object$"):
             load_runs_dir(tmp_path)
 
     def test_run_csv_validation(self, tmp_path):

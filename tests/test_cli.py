@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -257,6 +258,24 @@ class TestRun:
         assert code in (0, 3)
         assert "direction norm" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("preset, key, value", [
+        ("helix", "rate_rad_s", 1e308),
+        ("sinusoidal", "frequency_hz", [1e307, 0.1]),
+    ])
+    def test_overflowing_reference_angle_named(self, tmp_path, capsys, preset, key, value):
+        # the angle (rate * t, or 2 pi f t) overflows to inf within the run
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", f"{preset}.json").read_text()
+        )
+        doc["reference"][key] = value
+        path = tmp_path / f"{preset}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: {key} overflows the reference angle at t = \d+\.\d+ s\n", err
+        )
+
     @pytest.mark.parametrize("t0", ["1", "-5"])
     def test_replay_must_start_at_zero(self, tmp_path, capsys, t0):
         (tmp_path / "tip.csv").write_text(f"t_s,x_mm,y_mm,z_mm\n{t0},0,0,0\n10,0,0,20\n")
@@ -404,6 +423,7 @@ class TestReplay:
             ("20,nan,0,0", "non-finite value"),
             ("inf,0,0,0", "non-finite value"),
             ("20,-1,0,0", "tensions must be nonnegative"),
+            ("20,0,0", "expected 4 columns, got 3"),
         ],
     )
     def test_invalid_command_row_names_file_and_line(self, tmp_path, capsys, row, message):
@@ -413,6 +433,17 @@ class TestReplay:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:3: " in err and message in err
+
+    def test_blank_rows_are_skipped_and_counted(self, tmp_path, capsys):
+        commands = tmp_path / "cmd.csv"
+        commands.write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n20,0,0,0\n\n20,1,0,0\n")
+        out = tmp_path / "o"
+        assert cli.main(["replay", str(commands), "--preset", "replay_clean", "--out", str(out)]) == 0
+        with open(out / "open_loop.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 3  # the start and two commands
+        commands.write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n20,0,0,0\n\n20,1\n")
+        assert cli.main(["replay", str(commands), "--preset", "replay_clean", "--out", str(out)]) == 2
+        assert f"{commands}:4: expected 4 columns, got 2" in capsys.readouterr().err
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start the file with a BOM

@@ -374,6 +374,21 @@ class TestStepChecks:
         with pytest.raises(InvalidInputError, match="ts must be a number"):
             rollout(s, [u], ts)
 
+    @pytest.mark.parametrize("ts", [0.0, -0.0, -0.05])
+    def test_time_step_must_be_positive(self, ts):
+        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        u = VirtualInput(20.0, 1.0, 0.0)
+        message = "^time step must be positive and finite, got "
+        for step in (step_euler, step_exact):
+            with pytest.raises(InvalidInputError, match=message):
+                step(s, u, ts)
+        with pytest.raises(InvalidInputError, match=message):
+            rollout(s, [u], ts)
+
+    def test_rollout_needs_an_input(self):
+        with pytest.raises(InvalidInputError, match="^input sequence is empty$"):
+            rollout(NeedleState(p=(0, 0, 0), d=(0, 0, 1)), [], 0.05)
+
 
 class TestRollout:
     def test_zero_inputs_constant_sequence(self):

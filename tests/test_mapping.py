@@ -477,6 +477,10 @@ class TestFitGain:
         with pytest.raises(InvalidInputError):
             fit_gain([(1.0, 3.7e-4)])
 
+    def test_negative_tension_rejected(self):
+        with pytest.raises(InvalidInputError, match="^tensions must be nonnegative$"):
+            fit_gain([(1.0, 3.7e-4), (-2.0, -7.4e-4)])
+
     def test_all_zero_tension_degenerate(self):
         with pytest.raises(DegenerateFitError):
             fit_gain([(0.0, 0.0), (0.0, 1e-5), (0.0, 2e-5)])

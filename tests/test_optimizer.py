@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -85,6 +86,45 @@ class TestProblemValidation:
             quadratic_problem([], lower=[], upper=[])
         with pytest.raises(InvalidConfigError, match=r"^bounds must hold numbers only$"):
             quadratic_problem([0.0] * 2, lower=[[0, 0]], upper=[1, 1])
+
+    @pytest.mark.parametrize("lower, upper", [
+        (("-1", b"-1"), (True, "1")),
+        ((-1.0, -1.0), (True, 1.0)),
+        ((-1.0, -1.0), (1.0, np.bool_(True))),
+        ((-1.0, b"-1"), (1.0, 1.0)),
+        (["-1", "-1"], [1, 1]),
+        (b"\x00\x00", (1.0, 1.0)),
+        ("00", (1.0, 1.0)),
+        (-1.0, 1.0),
+    ])
+    def test_bounds_are_not_coerced(self, lower, upper):
+        with pytest.raises(InvalidConfigError, match=r"^bounds must hold numbers only$"):
+            BoxNlp(objective=rosenbrock, lower=lower, upper=upper)
+
+    def test_bounds_beyond_the_float_range_are_infinite(self):
+        p = BoxNlp(objective=rosenbrock, lower=[-(10**400), np.int64(-1)], upper=[1, 10**400])
+        assert (p.lower, p.upper) == ((-math.inf, -1.0), (1.0, math.inf))
+        assert all(type(v) is float for v in p.lower + p.upper)
+
+    @pytest.mark.parametrize("x0, message", [
+        (["0.5", True], "x0 must be a number, got '0.5'"),
+        ([0.5, True], "x0 must be a number, got True"),
+        ([0.5, b"0.5"], "x0 must be a number, got b'0.5'"),
+        ("05", "x0 must be a list of numbers, got '05'"),
+        (0.5, "x0 must be a list of numbers, got 0.5"),
+        ([0.5], r"x0 must have shape \(2,\), got 1 entries"),
+        ([0.5, 0.5, 0.5], r"x0 must have shape \(2,\), got 3 entries"),
+        ([0.5, math.inf], "x0 has a non-finite value inf"),
+        (np.array([math.nan, 0.5]), r"x0 has a non-finite value \S*nan\S*"),
+    ])
+    def test_start_must_be_finite_numbers(self, x0, message):
+        p = BoxNlp(objective=rosenbrock, lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            minimize(p, x0)
+
+    def test_max_iterations_at_least_one(self):
+        with pytest.raises(InvalidConfigError, match=r"^max_iterations must be >= 1, got 0$"):
+            quadratic_problem([0.0], lower=[-1.0], upper=[1.0], max_iterations=0)
 
     def test_infinite_bounds_accepted(self):
         inf = float("inf")

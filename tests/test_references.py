@@ -341,6 +341,12 @@ class TestPathSpeedCheck:
         with pytest.raises(InvalidInputError, match="samples must be an integer >= 2"):
             check_path_speed(spec, 10.0, 24.0, samples=samples)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_duration_must_be_positive(self, duration):
+        spec = FixedTarget(target=(0.0, 0.0, 1.0))
+        with pytest.raises(InvalidInputError, match="^duration must be positive, got "):
+            check_path_speed(spec, duration, 24.0)
+
     def test_within_margin_does_not_warn(self, recwarn):
         # 4% over the bound is inside the 5% margin
         spec = WaypointPath(points=[(0.0, 0.0, 0.0), (0.0, 0.0, 249.6)], times=[0.0, 10.0])

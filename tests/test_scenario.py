@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import re
 from importlib import resources
 
 import numpy as np
@@ -68,9 +70,22 @@ class TestPresets:
         with pytest.raises(InvalidInputError, match="target1"):
             load_preset("nope")
 
+    def test_preset_loads_as_a_scenario_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_mod, "PRESETS_DIR", str(tmp_path))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(broken))}: not valid JSON"):
+            load_preset("broken")
+        # a relative csv_path resolves against the presets directory
+        (tmp_path / "tip.csv").write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,0,20\n")
+        doc = make_doc(reference={"kind": "replay", "csv_path": "tip.csv"})
+        (tmp_path / "recorded.json").write_text(json.dumps(doc))
+        assert load_preset("recorded").reference.points == ((0.0, 0.0, 0.0), (0.0, 0.0, 20.0))
+
     def test_bundled_command_files(self):
         assert replay_command_names() == ["replay1", "replay2", "replay3"]
-        assert replay_commands_path("replay1").is_file()
+        assert os.path.isfile(replay_commands_path("replay1"))
+        assert type(replay_commands_path("replay1")) is str
         with pytest.raises(InvalidInputError):
             replay_commands_path("replay9")
 
@@ -98,6 +113,11 @@ class TestSchemaValidation:
         del doc["plant"]
         with pytest.raises(SchemaError, match="plant"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["mpc", "reference", "run"])
+    def test_non_object_section_named(self, section):
+        with pytest.raises(SchemaError, match=f"^section '{section}' must be a JSON object$"):
+            scenario_from_dict(make_doc(**{section: [1]}))
 
     def test_unknown_top_level_key_named(self):
         with pytest.raises(SchemaError, match="extra_section"):
