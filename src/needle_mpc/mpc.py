@@ -157,7 +157,7 @@ class _EulerHorizon:
     search evaluated last, so each accepted iterate costs one rollout.
     """
 
-    __slots__ = ("n", "ts", "d0", "refs", "q", "r", "_last_x", "_last")
+    __slots__ = ("n", "ts", "d0", "refs", "q", "r", "q2", "r2", "_last_x", "_last")
 
     def __init__(self, s0: NeedleState, refs, config: MpcConfig):
         self.n = config.horizon
@@ -166,6 +166,9 @@ class _EulerHorizon:
         self.refs = _check_refs(refs, self.n, s0.p)
         self.q = config.q_weights
         self.r = config.r_weights
+        # the doubled weights of the gradient; doubling a float is exact
+        self.q2 = tuple(2.0 * w for w in self.q)
+        self.r2 = tuple(2.0 * w for w in self.r)
         self._last_x = self._last = None
 
     def predict(self, x: list) -> tuple[float, list, list, list]:
@@ -214,8 +217,8 @@ class _EulerHorizon:
         """Cost and its gradient (3N floats), accumulated in reverse."""
         cost, p, d, norms = self._last if x == self._last_x else self.predict(x)
         ts, refs = self.ts, self.refs
-        qx, qy, qz = (2.0 * w for w in self.q)
-        rs, rx, ry = (2.0 * w for w in self.r)
+        qx, qy, qz = self.q2
+        rs, rx, ry = self.r2
         grad = [0.0] * (3 * self.n)
         k = 3 * self.n
         # adjoints of p_i and d_i, seeded at the terminal error

@@ -2,10 +2,21 @@
 
 Iterates x+ = x + lam * (P(x - alpha*g) - x) with P the box projection,
 alpha a safeguarded Barzilai-Borwein steplength (a one-pair curvature
-estimate refreshed every iteration) and lam from a monotone Armijo
-backtracking line search. Every evaluated point, line-search trials
-included, is projected into the box, and the objective never increases
-across accepted steps.
+estimate refreshed every iteration) and lam from a nonmonotone Armijo
+backtracking line search: a trial passes when
+
+    f(trial) <= max(last 10 accepted values) + 1e-4 * lam * g'd,
+
+the test of Grippo, Lampariello and Lucidi (SIAM J. Numer. Anal. 1986)
+with the window of Birgin, Martinez and Raydan's SPG (SIAM J. Optim.
+2000). Barzilai-Borwein steps raise f now and then, and a monotone test
+(a window of 1) rejects them. Every evaluated point, line-search trials
+included, is projected into the box. No accepted value exceeds f(x0), as
+the window's largest value never does. A run returns the point that passed
+its stop test when it stops on gtol, no_descent or step_tol, and otherwise
+(max_iter, floor, lambda_min) its lowest accepted point, with that point's
+projected-gradient norm; so a run cut by its iteration budget returns the
+lowest value that budget reached.
 
 Convergence is declared when the unit-step projected gradient
 ||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|).
@@ -20,10 +31,12 @@ to the minimizer of the quadratic through f, g'd and the trial value,
 clamped to [1e-3 lam, lam/2] (the safeguarded interpolation of SPG2,
 Birgin, Martinez and Raydan, SIAM J. Optim. 2000). From iteration 2 on the
 BB steplength carries the scale and halving wastes fewer trials than
-interpolation. The search gives up, and the solve returns its last accepted
-point as stalled, once the next trial's predicted decrease lam * |g'd| is
-at most eps/10 * (1 + |f|), eps the machine epsilon: such a trial can only
-round back to f, so backtracking further spends value evaluations for
+interpolation. In the first iteration the window holds f(x0) alone, so the
+test there is the monotone one. The search gives up, and the solve returns
+its lowest accepted point as stalled, once the next trial's predicted
+decrease lam * |g'd| is at most eps/10 * (1 + |f|), f the current value
+and eps the machine epsilon: such a trial can only round back to f, so
+backtracking further spends value evaluations for
 nothing (the rounding stop of More and Thuente, ACM TOMS 1994). The floor
 sits at eps/10 rather than eps because the trials between the two still
 reach the minimizer of badly scaled problems; lam < 1e-14 stays as the
@@ -48,6 +61,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,6 +70,7 @@ from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
 _ARMIJO = 1e-4
+_GLL_WINDOW = 10   # a trial is tested against the largest of this many accepted values
 _LAMBDA_MIN = 1e-14
 # a trial whose predicted decrease lam*|g'd| is at most this times 1 + |f|
 # cannot show in f; the module docstring says why eps/10
@@ -143,8 +158,12 @@ def _bounds(values) -> tuple[float, ...]:
 class MinimizeResult:
     """The returned point, a tuple of floats, and how the solve got there.
 
-    iterations and stop describe the run that found x; value_evals,
-    grad_evals and backtracks total every run of a multi-start solve.
+    x is the point that passed the stop test when stop is gtol, no_descent
+    or step_tol, and the lowest accepted point of the run when stop is
+    max_iter, floor or lambda_min; value and projected_gradient_norm are
+    that point's. iterations and stop describe the run that found x;
+    value_evals, grad_evals and backtracks total every run of a multi-start
+    solve.
     """
 
     x: tuple[float, ...]
@@ -191,6 +210,9 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             pg_norm = a
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_norm, 1e-10)))
 
+    recent = deque((f,), maxlen=_GLL_WINDOW)   # the last accepted values
+    best = (x, f, pg_norm)                     # the lowest accepted point
+
     status = STATUS_MAX_ITER
     stop = STOP_MAX_ITER
     iteration = 0
@@ -219,6 +241,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             break
 
         lam = 1.0
+        f_ref = max(recent)
         floor = _DECREASE_FLOOR * (1.0 + abs(f))
         while True:
             trial = []
@@ -227,7 +250,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
                 trial.append(lo if t < lo else (hi if t > hi else t))
             f_trial = value_of(trial)
             value_evals += 1
-            if math.isfinite(f_trial) and f_trial <= f + _ARMIJO * lam * gtd:
+            if math.isfinite(f_trial) and f_trial <= f_ref + _ARMIJO * lam * gtd:
                 break
             backtracks += 1
             if iteration == 1 and math.isfinite(f_trial):
@@ -267,12 +290,17 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
                 x_norm = a
         alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, ss / sy)) if sy > 0.0 else _ALPHA_MAX
         x, f, g = trial, f_new, g_new
+        recent.append(f)
+        if f < best[1]:
+            best = (x, f, pg_norm)
 
         if step_norm <= stol * (1.0 + x_norm):
             status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
             stop = STOP_STEP_TOL
             break
 
+    if stop in (STOP_MAX_ITER, STOP_FLOOR, STOP_LAMBDA_MIN):
+        x, f, pg_norm = best
     return MinimizeResult(
         x=tuple(x), value=f, status=status, iterations=iteration,
         projected_gradient_norm=pg_norm, stop=stop, value_evals=value_evals,

@@ -12,7 +12,9 @@ paths hold their last point once t passes the final timestamp, so a
 controller querying past the end sees a fixed target instead of an
 extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
 loads into a waypoint path. Numbers must be real numbers; strings and bools
-are rejected, not coerced. The module does not use numpy.
+are rejected, not coerced. A helix or sinusoid whose angle overflows, or
+whose point at a sampled time has a squared norm that is not finite, raises
+InvalidInputError naming the key at fault. The module does not use numpy.
 """
 
 from __future__ import annotations
@@ -83,11 +85,32 @@ class Helix:
                 rows.append((cx + local[i], cy + local[j], cz + local[k]))
         except ValueError:  # math.cos of an angle that overflowed to inf
             raise _angle_overflow(self, "rate", t) from None
+
+        def blame(t):  # the key of the point's largest term at t
+            axial = abs(climb * t / (2.0 * math.pi))
+            if axial != axial:  # pitch*rate overflowed, and inf*0 at t = 0 is nan
+                return "pitch"
+            terms = ((radius, "radius"), (axial, "pitch"), (max(map(abs, self.center)), "center"))
+            return max(terms)[1]
+
+        _check_range(self, times, rows, blame)
         return tuple(rows)
 
 
 def _angle_overflow(spec, attr: str, t: float) -> InvalidInputError:
     return InvalidInputError(f"{key_of(spec, attr)} overflows the reference angle at t = {t!r} s")
+
+
+def _check_range(spec, times, rows: list, blame) -> None:
+    """Refuse the first point whose squared norm is not finite (nan and inf
+    coordinates included), naming the key that blame(t) returns: the
+    horizon cost squares the distance to every reference point, so such a
+    point can never be costed."""
+    for t, (x, y, z) in zip(times, rows):
+        if not math.isfinite(x * x + y * y + z * z):
+            raise InvalidInputError(
+                f"{key_of(spec, blame(t))} puts the reference out of range at t = {t!r} s"
+            )
 
 
 def _interp_path(points: tuple, knots: tuple, times) -> tuple:
@@ -167,6 +190,8 @@ class Sinusoidal:
                              ay * math.sin(2.0 * math.pi * fy * t + phy), speed * t))
         except ValueError:  # math.sin of an angle that overflowed to inf
             raise _angle_overflow(self, "frequency", t) from None
+        _check_range(self, times, rows, lambda t: max(
+            (max(abs(ax), abs(ay)), "amplitude"), (abs(speed * t), "axial_speed"))[1])
         return tuple(rows)
 
 

@@ -276,6 +276,27 @@ class TestRun:
             rf"error: {key} overflows the reference angle at t = \d+\.\d+ s\n", err
         )
 
+    @pytest.mark.parametrize("preset, changes, key", [
+        ("helix", {"pitch_mm": 1e308, "rate_rad_s": 10.0}, "pitch_mm"),
+        ("helix", {"radius_mm": 1e308}, "radius_mm"),
+        ("sinusoidal", {"amplitude_mm": [1e308, 0.0]}, "amplitude_mm"),
+        ("sinusoidal", {"axial_speed_mm_s": 1e308}, "axial_speed_mm_s"),
+    ])
+    def test_out_of_range_reference_named(self, tmp_path, capsys, preset, changes, key):
+        # a point whose squared norm overflows (or that is nan, as pitch*rate
+        # = inf times t = 0) can never be costed by the horizon
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", f"{preset}.json").read_text()
+        )
+        doc["reference"].update(changes)
+        path = tmp_path / f"{preset}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: {key} puts the reference out of range at t = \d+\.\d+ s\n", err
+        )
+
     @pytest.mark.parametrize("t0", ["1", "-5"])
     def test_replay_must_start_at_zero(self, tmp_path, capsys, t0):
         (tmp_path / "tip.csv").write_text(f"t_s,x_mm,y_mm,z_mm\n{t0},0,0,0\n10,0,0,20\n")

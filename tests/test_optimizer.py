@@ -298,7 +298,7 @@ class TestFloatListLoop:
     """The solver's contract with its objective callables."""
 
     @staticmethod
-    def recording_rosenbrock(calls):
+    def recording_rosenbrock(calls, lower=(-0.5, 0.2), upper=(0.8, 1.5)):
         def objective(x):
             calls.append(("grad", x))
             return rosenbrock(x)
@@ -310,8 +310,8 @@ class TestFloatListLoop:
         return BoxNlp(
             objective=objective,
             objective_value=objective_value,
-            lower=np.array([-0.5, 0.2]),
-            upper=np.array([0.8, 1.5]),
+            lower=np.array(lower),
+            upper=np.array(upper),
             max_iterations=300,
         )
 
@@ -337,12 +337,14 @@ class TestFloatListLoop:
         assert type(res.x) is tuple and all(type(v) is float for v in res.x)
         assert res.x == pytest.approx((1.0, 0.0), abs=1e-8)
 
-    def test_accepted_values_never_increase(self):
+    def test_accepted_values_never_exceed_the_window_maximum(self):
         calls = []
         minimize(self.recording_rosenbrock(calls), x0=[-1.2, 1.0])
         accepted = [rosenbrock(x)[0] for kind, x in calls if kind == "grad"]
         assert len(accepted) > 10
-        assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+        assert all(f <= max(accepted[max(0, k - 10):k]) for k, f in enumerate(accepted) if k)
+        # the window is used: some accepted step raises the value
+        assert any(b > a for a, b in zip(accepted, accepted[1:]))
 
     def test_accepted_point_is_the_last_trial_list(self):
         # the reuse contract: each value-and-gradient call after the first
@@ -431,8 +433,12 @@ class TestCounts:
     """value_evals, grad_evals and backtracks count the objective calls."""
 
     def test_counts_match_the_calls(self):
+        # a box on which the nonmonotone line search still rejects trials
         calls = []
-        res = minimize(TestFloatListLoop.recording_rosenbrock(calls), x0=[-1.2, 1.0])
+        res = minimize(
+            TestFloatListLoop.recording_rosenbrock(calls, lower=(-2.0, -2.0), upper=(2.0, 2.0)),
+            x0=[-1.2, 1.0],
+        )
         kinds = [kind for kind, _ in calls]
         assert res.value_evals == kinds.count("value") > res.iterations
         assert res.grad_evals == kinds.count("grad") > 1
@@ -448,6 +454,83 @@ class TestCounts:
         assert res.value_evals == kinds.count("value")
         assert res.grad_evals == kinds.count("grad")
         assert res.value_evals == res.backtracks + res.grad_evals - 4
+
+
+class TestNonmonotoneLineSearch:
+    """A trial is tested against the largest of the last 10 accepted values
+    (the line search of Grippo, Lampariello and Lucidi); a run that stops on
+    max_iter or at the rounding floor returns its lowest accepted point."""
+
+    @staticmethod
+    def recorded_run(objective, lower, upper, x0, max_iterations):
+        """The result and every accepted (point, value, pg norm), f(x0) first."""
+        accepted = []
+
+        def recorded(x):
+            f, g = objective(x)
+            pg = max(abs(v - min(max(v - gi, lo), hi))
+                     for v, gi, lo, hi in zip(x, g, lower, upper))
+            accepted.append((tuple(x), f, pg))
+            return f, g
+
+        p = BoxNlp(objective=recorded, objective_value=lambda x: objective(x)[0],
+                   lower=lower, upper=upper, max_iterations=max_iterations)
+        return minimize(p, x0), accepted
+
+    @staticmethod
+    def check_run(res, accepted):
+        values = [f for _, f, _ in accepted]
+        assert all(f <= values[0] for f in values)
+        assert all(f <= max(values[max(0, k - 10):k]) for k, f in enumerate(values) if k)
+        if res.stop in ("max_iter", "floor"):
+            lowest = values.index(min(values))
+            assert (res.x, res.value, res.projected_gradient_norm) == accepted[lowest]
+        assert res.value_evals == res.backtracks + res.grad_evals - 1
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                st.lists(st.floats(-2.0, 4.0), min_size=n, max_size=n),
+                st.lists(st.floats(-2.0, 0.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_quadratics(self, draw, max_iterations):
+        center, log_weights, lower, upper, x0 = draw
+        weights = [10.0 ** e for e in log_weights]
+
+        def objective(x):
+            e = [v - c for v, c in zip(x, center)]
+            return (
+                sum(w * t * t for w, t in zip(weights, e)),
+                [2.0 * w * t for w, t in zip(weights, e)],
+            )
+
+        self.check_run(*self.recorded_run(objective, lower, upper, x0, max_iterations))
+
+    @given(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rosenbrock_starts(self, x0, max_iterations):
+        self.check_run(*self.recorded_run(rosenbrock, [-2.0, -2.0], [2.0, 2.0], x0, max_iterations))
+
+    def test_max_iter_returns_the_lowest_accepted_point(self):
+        # budgets that end on an accepted increase return an earlier point
+        earlier = 0
+        for k in range(1, 70):
+            res, accepted = self.recorded_run(rosenbrock, [-2.0, -2.0], [2.0, 2.0], [-1.2, 1.0], k)
+            if res.stop != "max_iter":
+                break
+            self.check_run(res, accepted)
+            earlier += accepted[-1][1] > res.value
+        assert earlier > 0
 
 
 class TestFirstIterationInterpolation:
@@ -470,7 +553,7 @@ class TestFirstIterationInterpolation:
                 [c + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.5) for c in center],
             )
 
-    def test_steplength_ratios_and_monotone_values(self):
+    def test_steplength_ratios_and_window_values(self):
         first, later = [], []
         for center, weights, x0 in self.scaled_quadratic_draws(0, 150):
             def value(x):
@@ -491,7 +574,7 @@ class TestFirstIterationInterpolation:
                             lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
                             gradient_tolerance=1e-10), x0=x0)
             accepted = [f for _, f, _ in iterations]
-            assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+            assert all(f <= max(accepted[max(0, k - 10):k]) for k, f in enumerate(accepted) if k)
             for k, (x, _, trials) in enumerate(iterations):
                 # no bounds, so trial - x = lam * d: successive trials give lam'/lam
                 for a, b in zip(trials, trials[1:]):
