@@ -11,17 +11,20 @@ described by a manifest.json sidecar:
 
     {"runs": [{"file": "run01.csv", "tendon_index": 1, "tension_N": 2.0}, ...]}
 
-Tip points are held as tuples of (x, y, z) float tuples. The fits import
-numpy when they run (see mapping); loading, writing and simulating runs do
-not use it. A run fits its circle once, when its curvature is first read,
-so refitting runs in other combinations (the gain from each choice of two
-tensions per tendon, say) fits no arc again.
+Tip points are held as tuples of (x, y, z) float tuples. Only the arc fit
+imports numpy (see mapping); the gain and its residual rms are correctly
+rounded sums of floats (math.fsum), so their bits depend neither on the
+order of the runs nor on the host, and loading, writing and simulating runs
+do not use numpy either. A run fits its circle once, when its curvature is
+first read, so refitting runs in other combinations (the gain from each
+choice of two tensions per tendon, say) fits no arc again.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -92,14 +95,18 @@ def calibrate(runs) -> CalibrationResult:
         )
     curvatures = [r.curvature for r in runs]
     gain = fit_gain(zip(tensions, curvatures))
-    import numpy as np  # numpy's mean sets the rms bits
-
-    residuals = np.array(curvatures) - gain * np.array(tensions)
+    residuals = [k - gain * t for t, k in zip(tensions, curvatures)]
+    try:  # correctly rounded, so the order of the runs sets no bit
+        square_sum = math.fsum([r * r for r in residuals])
+    except OverflowError:  # a partial sum beyond the float range
+        square_sum = math.inf
+    if not math.isfinite(square_sum):
+        raise InvalidInputError("curvatures put the residual rms beyond the float range")
     return CalibrationResult(
         gain=gain,
         curvatures=tuple(curvatures),
         tensions=tuple(tensions),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        residual_rms=math.sqrt(square_sum / len(runs)),
     )
 
 

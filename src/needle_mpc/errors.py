@@ -80,20 +80,20 @@ POINTS = "points"
 
 
 def key(name: str, default=dataclasses.MISSING, *, kind=float, n=None, ge=None, gt=None,
-        le=None, choices=None):
+        le=None, mag=None, choices=None):
     """A dataclass field read from and echoed to the JSON key `name`.
 
     kind is float, int, bool or str (strictly: no bool is a number, no
     fraction an integer); tuple for n numbers (any count when n is None),
     kept as a tuple of floats; or POINTS for at least 2 [x, y, z] points,
-    kept as a tuple of 3-float tuples. ge,
-    gt and le bound every number, choices lists the allowed values, and a
-    field without a default is a required key.
+    kept as a tuple of 3-float tuples. ge, gt and le bound every number and
+    mag its magnitude (each coordinate of a point too), choices lists the
+    allowed values, and a field without a default is a required key.
     """
     return dataclasses.field(
         default=default,
         metadata={"key": name, "kind": kind, "n": n, "ge": ge, "gt": gt, "le": le,
-                  "choices": choices},
+                  "mag": mag, "choices": choices},
     )
 
 
@@ -116,7 +116,7 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, f.name, _checked(getattr(obj, f.name), **f.metadata))
 
 
-def _checked(value, key, kind, n, ge, gt, le, choices):
+def _checked(value, key, kind, n, ge, gt, le, mag, choices):
     if kind is bool and not _is_bool(value):
         raise InvalidConfigError(f"{key} must be true or false, got {value!r}")
     if kind is str and not isinstance(value, str):
@@ -124,12 +124,12 @@ def _checked(value, key, kind, n, ge, gt, le, choices):
     if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
     if kind == POINTS:
-        rows = finite_points(value, key)
-        if len(rows) < 2:
-            raise InvalidConfigError(f"{key} must hold at least 2 points, got {len(rows)}")
-        return rows
-    if kind is tuple:
-        vals = finite_floats(value, key, n)
+        value = finite_points(value, key)
+        if len(value) < 2:
+            raise InvalidConfigError(f"{key} must hold at least 2 points, got {len(value)}")
+        vals = [v for point in value for v in point]
+    elif kind is tuple:
+        value = vals = finite_floats(value, key, n)
     else:
         value = kind(finite_float(value, key) if kind is float else value)
         vals = (value,) if kind in (float, int) else ()
@@ -140,10 +140,12 @@ def _checked(value, key, kind, n, ge, gt, le, choices):
             raise InvalidConfigError(f"{key} must be >= {ge:g}, got {v!r}")
         if le is not None and not v <= le:
             raise InvalidConfigError(f"{key} must be <= {le:g}, got {v!r}")
+        if mag is not None and not abs(v) <= mag:
+            raise InvalidConfigError(f"{key} must be within +-{mag:g}, got {v!r}")
     if choices is not None and value not in choices:
         allowed = ", ".join(map(repr, choices))
         raise InvalidConfigError(f"{key} must be one of {allowed}, got {value!r}")
-    return vals if kind is tuple else value
+    return value
 
 
 class DegenerateFitError(NeedleMpcError, ValueError):

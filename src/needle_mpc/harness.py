@@ -8,9 +8,10 @@ own, possibly perturbed, geometry before integrating the true state. Model
 mismatch therefore enters exactly where it would on hardware, in the tension
 mapping.
 
-Every file a run writes goes through one of two writers: _write_csv puts
-each number at 9 significant digits, and _write_json sorts the keys, so
-reruns of the same scenario and seed are byte-identical.
+Every file a run writes goes through one of two writers: _write_csv formats
+each row with one format string, every number at 9 significant digits
+("%.9g") and CRLF line ends, and _write_json sorts the keys, so reruns of
+the same scenario and seed are byte-identical.
 
 A noise-free run does not load numpy: references, positions and errors are
 tuples of floats, and an error norm sums its squares left to right. Only a
@@ -32,7 +33,7 @@ from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 from .kinematics import NeedleState, VirtualInput, distance, step_euler, step_exact
 from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
 from .mpc import RecedingHorizonController
-from .references import FixedTarget, check_path_speed, horizon_samples
+from .references import MAX_POSITION_MM, FixedTarget, check_path_speed, horizon_samples
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -69,7 +70,8 @@ class PlantConfig:
     gain_error: float = key("gain_error", 0.0, gt=-1.0)  # the true gain stays positive
     theta_e_error: float = key("theta_e_error_rad", 0.0)
     measurement_noise_std: tuple[float, float, float] = key(
-        "measurement_noise_std_mm", (0.0, 0.0, 0.0), kind=tuple, n=3, ge=0.0
+        "measurement_noise_std_mm", (0.0, 0.0, 0.0), kind=tuple, n=3, ge=0.0,
+        le=MAX_POSITION_MM,
     )
     latency_steps: int = key("latency_steps", 0, kind=int, ge=0)
     seed: int = key("seed", 0, kind=int, ge=0)
@@ -92,7 +94,7 @@ class RunConfig:
 
     steps: int = key("steps", 210, kind=int, ge=1)
     initial_state: tuple[float, ...] = key(
-        "initial_state", (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), kind=tuple, n=6
+        "initial_state", (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), kind=tuple, n=6, mag=MAX_POSITION_MM
     )
     early_stop: bool = key("early_stop", False, kind=bool)   # fixed targets only
     stop_tolerance_mm: float = key("stop_tolerance_mm", 0.2, ge=0.0)
@@ -355,12 +357,12 @@ def run_open_loop(
 
 
 def _write_csv(path, columns: Sequence[str], rows) -> None:
-    """Header `columns`, then one line per row with every number written at
-    9 significant digits (a bool as 0 or 1)."""
+    """Header `columns`, then one line per row, formatted by one "%.9g"
+    field per column (a bool as 0 or 1), joined by commas and ended with
+    CRLF, the line end csv.writer writes. The file goes out in one write."""
+    line = ",".join(["%.9g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([f"{v:.9g}" for v in row] for row in rows)
+        fh.write(",".join(columns) + "\r\n" + "".join([line % tuple(row) for row in rows]))
 
 
 def _write_json(path, doc: dict) -> None:

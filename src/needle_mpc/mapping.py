@@ -40,9 +40,9 @@ InvalidInputError naming tau.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
-They check their inputs as finite numbers (str, bytes and bools refused)
-and then import numpy, whose dot products and SVD set their bits; the rest
-of the module does not use numpy.
+They check their inputs as finite numbers (str, bytes and bools refused).
+The circle fit then imports numpy, whose SVD sets its bits; the line fit
+sums with math.fsum, and the rest of the module does not use numpy.
 """
 
 from __future__ import annotations
@@ -224,21 +224,29 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
 def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
     """Through-origin slope of curvature (1/mm) against tension (N).
 
-    Least squares with zero intercept: gain = sum(tau*kappa) / sum(tau^2).
+    Least squares with zero intercept: gain = sum(tau*kappa) / sum(tau^2),
+    both sums correctly rounded (math.fsum), so the order of the samples
+    sets no bit. Sums or a slope beyond the float range raise InvalidInputError.
     """
     pairs = [finite_floats(pair, "samples", 2, InvalidInputError) for pair in samples]
     if len(pairs) < 2:
         raise InvalidInputError(f"need at least 2 samples, got {len(pairs)}")
     if any(t < 0.0 for t, _ in pairs):
         raise InvalidInputError("tensions must be nonnegative")
-    import numpy as np
-
-    tau = np.array([p[0] for p in pairs])
-    kappa = np.array([p[1] for p in pairs])
-    denom = float(tau @ tau)
+    try:
+        num = math.fsum([t * k for t, k in pairs])
+        denom = math.fsum([t * t for t, _ in pairs])
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        num = denom = math.inf
     if denom == 0.0:
         raise DegenerateFitError("all tensions are zero; slope through origin is undefined")
-    return float(tau @ kappa) / denom
+    gain = num / denom
+    if not (math.isfinite(denom) and math.isfinite(gain)):
+        raise InvalidInputError(
+            f"samples put sum(tau*kappa) / sum(tau^2) beyond the float range "
+            f"(largest tension {max(t for t, _ in pairs)!r} N)"
+        )
+    return gain
 
 
 def estimate_curvature(points: Sequence[Sequence[float]]) -> float:

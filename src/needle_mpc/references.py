@@ -14,7 +14,11 @@ extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
 loads into a waypoint path. Numbers must be real numbers; strings and bools
 are rejected, not coerced. A helix or sinusoid whose angle overflows, or
 whose point at a sampled time has a squared norm that is not finite, raises
-InvalidInputError naming the key at fault. The module does not use numpy.
+InvalidInputError naming the key at fault. Every position field (targets,
+centers, radii, pitches, amplitudes and path points) is bounded to
+MAX_POSITION_MM in magnitude, far outside any needle's workspace, so only
+a helix's climb or a sinusoid's axial advance, which grow with time, can
+leave the float range. The module does not use numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from typing import Union
 from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields, key, key_of
 from .kinematics import distance
 
+MAX_POSITION_MM = 1e6
+
 _AXIS_PERMUTATION = {
     # (radial_1, radial_2, axial) -> world (x, y, z)
     "x": (2, 0, 1),
@@ -42,7 +48,8 @@ _AXIS_PERMUTATION = {
 class FixedTarget:
     """A single stationary target point (mm)."""
 
-    target: tuple[float, float, float] = key("target_mm", kind=tuple, n=3)
+    target: tuple[float, float, float] = key("target_mm", kind=tuple, n=3,
+                                             mag=MAX_POSITION_MM)
 
     def __post_init__(self):
         check_fields(self)
@@ -61,10 +68,11 @@ class Helix:
     a straight line along the axis.
     """
 
-    radius: float = key("radius_mm", ge=0.0)
-    pitch: float = key("pitch_mm")
+    radius: float = key("radius_mm", ge=0.0, mag=MAX_POSITION_MM)
+    pitch: float = key("pitch_mm", mag=MAX_POSITION_MM)
     rate: float = key("rate_rad_s")
-    center: tuple[float, float, float] = key("center_mm", (0.0, 0.0, 0.0), kind=tuple, n=3)
+    center: tuple[float, float, float] = key("center_mm", (0.0, 0.0, 0.0), kind=tuple, n=3,
+                                             mag=MAX_POSITION_MM)
     phase: float = key("phase_rad", 0.0)
     axis: str = key("axis", "z", kind=str, choices=tuple(_AXIS_PERMUTATION))
 
@@ -85,15 +93,9 @@ class Helix:
                 rows.append((cx + local[i], cy + local[j], cz + local[k]))
         except ValueError:  # math.cos of an angle that overflowed to inf
             raise _angle_overflow(self, "rate", t) from None
-
-        def blame(t):  # the key of the point's largest term at t
-            axial = abs(climb * t / (2.0 * math.pi))
-            if axial != axial:  # pitch*rate overflowed, and inf*0 at t = 0 is nan
-                return "pitch"
-            terms = ((radius, "radius"), (axial, "pitch"), (max(map(abs, self.center)), "center"))
-            return max(terms)[1]
-
-        _check_range(self, times, rows, blame)
+        # radius and center are bounded, so only the climb (pitch*rate*t, or
+        # inf*0 = nan at t = 0 once pitch*rate overflows) leaves the range
+        _check_range(self, times, rows, "pitch")
         return tuple(rows)
 
 
@@ -101,15 +103,15 @@ def _angle_overflow(spec, attr: str, t: float) -> InvalidInputError:
     return InvalidInputError(f"{key_of(spec, attr)} overflows the reference angle at t = {t!r} s")
 
 
-def _check_range(spec, times, rows: list, blame) -> None:
+def _check_range(spec, times, rows: list, attr: str) -> None:
     """Refuse the first point whose squared norm is not finite (nan and inf
-    coordinates included), naming the key that blame(t) returns: the
-    horizon cost squares the distance to every reference point, so such a
-    point can never be costed."""
+    coordinates included), naming the key of spec's field attr: the horizon
+    cost squares the distance to every reference point, so such a point can
+    never be costed."""
     for t, (x, y, z) in zip(times, rows):
         if not math.isfinite(x * x + y * y + z * z):
             raise InvalidInputError(
-                f"{key_of(spec, blame(t))} puts the reference out of range at t = {t!r} s"
+                f"{key_of(spec, attr)} puts the reference out of range at t = {t!r} s"
             )
 
 
@@ -146,7 +148,8 @@ class SharpTurn:
     direction jumps at every interior waypoint (that is the point).
     """
 
-    waypoints: tuple[tuple[float, float, float], ...] = key("waypoints_mm", kind=POINTS)
+    waypoints: tuple[tuple[float, float, float], ...] = key("waypoints_mm", kind=POINTS,
+                                                            mag=MAX_POSITION_MM)
     speed: float = key("speed_mm_s", gt=0.0)
     times: tuple[float, ...] = field(init=False)
 
@@ -173,7 +176,8 @@ class Sinusoidal:
     """
 
     axial_speed: float = key("axial_speed_mm_s")
-    amplitude: tuple[float, float] = key("amplitude_mm", (0.0, 0.0), kind=tuple, n=2)
+    amplitude: tuple[float, float] = key("amplitude_mm", (0.0, 0.0), kind=tuple, n=2,
+                                         mag=MAX_POSITION_MM)
     frequency: tuple[float, float] = key("frequency_hz", (0.0, 0.0), kind=tuple, n=2)
     phase: tuple[float, float] = key("phase_rad", (0.0, 0.0), kind=tuple, n=2)
 
@@ -190,8 +194,7 @@ class Sinusoidal:
                              ay * math.sin(2.0 * math.pi * fy * t + phy), speed * t))
         except ValueError:  # math.sin of an angle that overflowed to inf
             raise _angle_overflow(self, "frequency", t) from None
-        _check_range(self, times, rows, lambda t: max(
-            (max(abs(ax), abs(ay)), "amplitude"), (abs(speed * t), "axial_speed"))[1])
+        _check_range(self, times, rows, "axial_speed")  # the amplitude is bounded
         return tuple(rows)
 
 
@@ -199,7 +202,8 @@ class Sinusoidal:
 class WaypointPath:
     """Linear interpolation through (time, point) samples, held at the ends."""
 
-    points: tuple[tuple[float, float, float], ...] = key("points_mm", kind=POINTS)
+    points: tuple[tuple[float, float, float], ...] = key("points_mm", kind=POINTS,
+                                                         mag=MAX_POSITION_MM)
     times: tuple[float, ...] = key("times_s", kind=tuple)
 
     def __post_init__(self):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needle_mpc import calibration
 from needle_mpc.calibration import (
@@ -18,6 +20,11 @@ from needle_mpc.mapping import TendonCommand, TendonGeometry, estimate_curvature
 from oracles import zero_intercept_gain
 
 TRUE_GEO = TendonGeometry(gain=3.7e-4)
+# a session of three tensions per tendon; each run fits its arc at its first use
+SESSION_RUNS = [
+    simulate_calibration_run(j, t, TendonGeometry(theta_e=0.7, gain=4.1e-4))
+    for j in (1, 2, 3) for t in (1.3, 3.9, 6.2)
+]
 
 
 def synthetic_runs(tensions, geometry=TRUE_GEO, tendon_index=1, steps=100):
@@ -111,6 +118,25 @@ class TestCalibrate:
         assert len(calls) == 4  # one fit per run, not one per run and subset
         assert [r.curvature for r in runs] == [estimate_curvature(r.tip_points) for r in runs]
         assert len(calls) == 4  # a cached curvature fits nothing
+
+    @given(st.permutations(range(9)))
+    @settings(max_examples=100, deadline=None)
+    def test_the_order_of_the_runs_sets_no_bit(self, order):
+        # noise-free runs: the residual rms is pure roundoff, the most
+        # order-sensitive bits a fit has
+        runs = SESSION_RUNS
+        want = calibrate(runs)
+        got = calibrate([runs[k] for k in order])
+        assert got.gain.hex() == want.gain.hex()
+        assert got.residual_rms.hex() == want.residual_rms.hex()
+
+    def test_residual_rms_beyond_the_float_range_is_invalid_input(self):
+        runs = synthetic_runs([1.0, 2.0], steps=20)
+        for run, kappa in zip(runs, (1e200, 1e-200)):
+            object.__setattr__(run, "curvature", kappa)  # as if fitted from an arc
+        # the gain, 2e199, is finite; the residuals' squares are not
+        with pytest.raises(InvalidInputError, match="residual rms beyond the float range"):
+            calibrate(runs)
 
     def test_curvature_is_not_a_field(self):
         run, same = synthetic_runs([2.0, 2.0], steps=20)

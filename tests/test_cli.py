@@ -243,20 +243,36 @@ class TestRun:
         tensions = [float(r[k]) for r in rows for k in ("tau1_N", "tau2_N", "tau3_N")]
         assert all(0.0 <= t <= tau_max for t in tensions)
 
-    def test_overflowing_noise_is_not_reported_as_invalid_input(self, tmp_path, capsys):
-        # the norm of a 1e200 mm measurement step overflows to inf; the
-        # direction estimate must keep its last value, not become motion / inf
+    @pytest.mark.parametrize("preset, section, key, value", [
+        ("target1", "reference", "target_mm", [1e200, 0.0, 0.0]),
+        ("target1", "plant", "measurement_noise_std_mm", [1e200, 0.0, 0.0]),
+        ("helix", "reference", "radius_mm", 1e154),
+        ("helix", "reference", "radius_mm", 1e308),
+        ("helix", "reference", "pitch_mm", 1e308),
+        ("sinusoidal", "reference", "amplitude_mm", [1e308, 0.0]),
+        ("sharp_turn", "reference", "waypoints_mm", [[0.0, 0.0, 0.0], [0.0, 0.0, -2e200]]),
+        ("target1", "run", "initial_state", [1e200, 0.0, 0.0, 0.0, 0.0, 1.0]),
+    ], ids=["target_mm", "measurement_noise_std_mm", "radius_mm-1e154", "radius_mm-1e308",
+            "pitch_mm", "amplitude_mm", "waypoints_mm", "initial_state"])
+    def test_position_or_noise_beyond_a_needle_named(
+        self, tmp_path, capsys, preset, section, key, value
+    ):
+        # each of these once reached the optimizer fault budget (exit 3) or
+        # a reference range check; the schema bounds them to 1e6 mm
         doc = json.loads(
-            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+            resources.files("needle_mpc").joinpath("presets", f"{preset}.json").read_text()
         )
-        doc["plant"]["measurement_noise_std_mm"] = [1e200, 0.0, 0.0]
-        path = tmp_path / "target1.json"
+        doc[section][key] = value
+        path = tmp_path / f"{preset}.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore"):
-            code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code in (0, 3)
-        assert "direction norm" not in captured.out + captured.err
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        if section == "reference":
+            section = f"reference (kind {doc['reference']['kind']})"
+        bound = "<= 1e+06" if section == "plant" else "within +-1e+06"
+        assert re.fullmatch(
+            rf"error: section '{re.escape(section)}': {key} must be {re.escape(bound)}, "
+            r"got -?\d(\.\d+)?e\+\d+\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("preset, key, value", [
         ("helix", "rate_rad_s", 1e308),
@@ -277,14 +293,16 @@ class TestRun:
         )
 
     @pytest.mark.parametrize("preset, changes, key", [
-        ("helix", {"pitch_mm": 1e308, "rate_rad_s": 10.0}, "pitch_mm"),
-        ("helix", {"radius_mm": 1e308}, "radius_mm"),
-        ("sinusoidal", {"amplitude_mm": [1e308, 0.0]}, "amplitude_mm"),
+        ("helix", {"pitch_mm": 1e6, "rate_rad_s": 1e303}, "pitch_mm"),
+        ("helix", {"pitch_mm": 1e6, "rate_rad_s": 1e300}, "pitch_mm"),
+        ("sinusoidal", {"axial_speed_mm_s": 1e200}, "axial_speed_mm_s"),
         ("sinusoidal", {"axial_speed_mm_s": 1e308}, "axial_speed_mm_s"),
     ])
     def test_out_of_range_reference_named(self, tmp_path, capsys, preset, changes, key):
         # a point whose squared norm overflows (or that is nan, as pitch*rate
-        # = inf times t = 0) can never be costed by the horizon
+        # = inf times t = 0) can never be costed by the horizon; within the
+        # schema's position bounds only the climb and the axial advance,
+        # which grow with time, get there
         doc = json.loads(
             resources.files("needle_mpc").joinpath("presets", f"{preset}.json").read_text()
         )
@@ -385,6 +403,21 @@ class TestCalibrate:
         code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
         assert code == 2
         assert f"runs[1].{field}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_tensions_whose_sums_overflow_are_invalid_input(self, tmp_path, capsys):
+        # sum(tau^2) of tensions scaled by 1e200 overflows; it once divided
+        # the slope to 0.0 and exited 0
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        manifest = json.loads((runs_dir / "manifest.json").read_text())
+        for entry in manifest["runs"]:
+            entry["tension_N"] *= 1e200
+        (runs_dir / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert re.fullmatch(r"error: samples put sum\(tau\*kappa\) / sum\(tau\^2\) beyond the "
+                            r"float range \(largest tension 2e\+200 N\)\n", capsys.readouterr().err)
         assert not (tmp_path / "c.json").exists()
 
     def test_undecodable_run_csv_is_invalid_input(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import csv
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from needle_mpc.errors import (
     InvalidConfigError,
@@ -33,6 +36,10 @@ from needle_mpc.mpc import MpcConfig
 from needle_mpc.references import FixedTarget
 from needle_mpc.scenario import Scenario, load_preset, scenario_from_dict, scenario_to_dict
 from oracles import chord_deflection
+
+# what a CSV row may hold: floats (nan, infinities, signed zeros and
+# subnormals included), bools and ints
+csv_value_st = st.one_of(st.floats(), st.booleans(), st.integers(-10**20, 10**20))
 
 WIDE_GEO = TendonGeometry(tau_max=1.0e6)   # virtual bounds bind, tendons never saturate
 HW_GEO = TendonGeometry()                  # hardware tension ceiling
@@ -395,3 +402,21 @@ class TestSerialization:
 
         rerun = run_closed_loop(scenario_from_dict(doc["scenario"]))
         assert summary_dict(rerun) == doc["summary"]
+
+    @given(st.integers(1, 19).flatmap(lambda width: st.lists(
+        st.lists(csv_value_st, min_size=width, max_size=width), max_size=8)))
+    @example([[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, True, False,
+               0, -7, 10**20, 1e16, 123456789.5, 0.1]])
+    @settings(max_examples=200, deadline=None)
+    def test_writer_writes_the_bytes_of_csv_writer(self, tmp_path_factory, rows):
+        # the reference is the writer the package used before: csv.writer
+        # with one f-string per value
+        width = len(rows[0]) if rows else 3
+        columns = [f"c{k}_mm" for k in range(width)]
+        out = tmp_path_factory.mktemp("csv")
+        harness._write_csv(out / "got.csv", columns, rows)
+        with open(out / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([f"{v:.9g}" for v in row] for row in rows)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError, InvalidInputError, SchemaError
+from needle_mpc.errors import InvalidConfigError, InvalidInputError, SchemaError, key_of
 from needle_mpc.references import (
+    MAX_POSITION_MM,
     FixedTarget,
     Helix,
     SharpTurn,
@@ -22,6 +24,7 @@ from oracles import helix_point
 
 times_st = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 finite_st = st.floats(allow_nan=False, allow_infinity=False)
+position_st = st.floats(min_value=-MAX_POSITION_MM, max_value=MAX_POSITION_MM)
 
 
 class TestFixedTarget:
@@ -215,6 +218,27 @@ ALL_SPECS = [
 ]
 
 
+class TestPositionBound:
+    """Every position field, a float, a tuple or points, is bounded in magnitude."""
+
+    @pytest.mark.parametrize("spec, attr, value", [
+        (ALL_SPECS[0], "target", lambda x: (0.0, x, 0.0)),
+        (ALL_SPECS[1], "radius", abs),
+        (ALL_SPECS[1], "pitch", lambda x: x),
+        (ALL_SPECS[1], "center", lambda x: (0.0, 0.0, x)),
+        (ALL_SPECS[2], "waypoints", lambda x: [(0.0, 0.0, 0.0), (0.0, 0.0, x)]),
+        (ALL_SPECS[3], "amplitude", lambda x: (0.0, x)),
+        (ALL_SPECS[4], "points", lambda x: [(x, 0.0, 0.0), (3.0, 0.0, 30.0)]),
+    ])
+    def test_bound_is_inclusive_and_named(self, spec, attr, value):
+        for x in (MAX_POSITION_MM, -MAX_POSITION_MM):
+            dataclasses.replace(spec, **{attr: value(x)})
+        beyond = math.nextafter(MAX_POSITION_MM, math.inf)
+        for x in (beyond, -beyond):
+            with pytest.raises(InvalidConfigError, match=rf"^{key_of(spec, attr)} must be within"):
+                dataclasses.replace(spec, **{attr: value(x)})
+
+
 # every kind, with the helix on each axis, a corner-laden turn and a path
 # whose times start after 0 so that both of its ends are held
 BATCH_SPECS = ALL_SPECS + [
@@ -369,7 +393,7 @@ class TestPathsMatchNpInterp:
     def test_waypoint_path(self, data):
         knots = sorted(set(data.draw(st.lists(finite_st, min_size=2, max_size=6))))
         assume(len(knots) >= 2)
-        points = data.draw(st.lists(st.tuples(finite_st, finite_st, finite_st),
+        points = data.draw(st.lists(st.tuples(position_st, position_st, position_st),
                                     min_size=len(knots), max_size=len(knots)))
         at = data.draw(st.lists(finite_st, max_size=8)) + knots
         got = np.array(WaypointPath(points=points, times=knots).samples(at))
@@ -379,16 +403,16 @@ class TestPathsMatchNpInterp:
         # t - t0 overflows, so slope*(t - t0) is 0*inf = nan; np.interp then
         # interpolates from the right knot, and so does the path
         knots = [-1e308, 1e308]
-        points = [(0.0, 5.0, -1e308), (1.0, 5.0, 1e308)]
+        points = [(0.0, 5.0, -MAX_POSITION_MM), (1.0, 5.0, MAX_POSITION_MM)]
         at = [1e308, 0.0, 5e307]
         got = np.array(WaypointPath(points=points, times=knots).samples(at))
         assert got.tobytes() == np_interp_path(points, knots, at).tobytes()
-        assert got[0].tolist() == [1.0, 5.0, 1e308]
+        assert got[0].tolist() == [1.0, 5.0, MAX_POSITION_MM]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_sharp_turn(self, data):
-        waypoints = data.draw(st.lists(st.tuples(finite_st, finite_st, finite_st),
+        waypoints = data.draw(st.lists(st.tuples(position_st, position_st, position_st),
                                        min_size=2, max_size=6))
         speed = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
         with np.errstate(over="ignore"):
