@@ -25,6 +25,12 @@ rolling out again: one rollout per accepted iterate.
 The first SPG iteration of a solve backtracks by quadratic interpolation
 (see `optimizer`); the solution reports the solver's evaluation counts and
 stop reason.
+The solver steps in a diagonal metric that `_EulerHorizon.metric` builds
+once per solve: the square root of the Gauss-Newton diagonal of J with the
+direction frozen at d_0. At T_s = 1 s J's curvature in a stage's bending
+rate is hundreds of times its curvature in insertion speed, and one
+unit-metric steplength cannot serve both. The solver's stop test stays in
+input units, so projected_gradient_norm keeps its meaning.
 The first input of the optimized sequence is applied; the shifted remainder
 of the flat input vector warm-starts the next step.
 """
@@ -49,6 +55,7 @@ from .kinematics import NeedleState, VirtualInput, rollout  # noqa: F401
 from .optimizer import BoxNlp, minimize
 
 STATUS_FAULT = "fault"
+MAX_PERIOD_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,9 @@ class MpcConfig:
     the default pickle and deepcopy of the frozen dataclass restore them.
     """
 
-    ts: float = key("T_s_s", 0.05, gt=0.0)            # control period, s
+    # control period, s; at 10 s one step at the default 24 mm/s covers
+    # 240 mm, a whole insertion (the presets use 0.05 s and 1 s)
+    ts: float = key("T_s_s", 0.05, gt=0.0, le=MAX_PERIOD_S)
     horizon: int = key("horizon", 5, kind=int, ge=1, le=1000)  # number of inputs N
     q_weights: tuple[float, float, float] = key("q_weights", (100.0, 100.0, 200.0),
                                                 kind=tuple, n=3, ge=0.0)
@@ -129,13 +138,26 @@ class HorizonSolution:
 def _check_refs(refs, horizon: int, p0: tuple[float, float, float]) -> list:
     """The N+1 references, checked (three finite numbers each; str, bytes
     and bools refused), as the flat float list of ref_i - p_0."""
+    x0, y0, z0 = p0
+    if type(refs) is tuple and len(refs) == horizon + 1:
+        # the form horizon_samples returns: a tuple of three-float tuples
+        flat = []
+        for row in refs:
+            if type(row) is not tuple or len(row) != 3:
+                break
+            x, y, z = row
+            # a finite sum means three finite entries
+            if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
+                break
+            flat += (x - x0, y - y0, z - z0)
+        else:
+            return flat
     rows = finite_points(refs, "refs", InvalidInputError)
     if len(rows) != horizon + 1:
         raise InvalidInputError(
             f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, "
             f"got ({len(rows)}, 3)"
         )
-    x0, y0, z0 = p0
     return [v for x, y, z in rows for v in (x - x0, y - y0, z - z0)]
 
 
@@ -155,6 +177,7 @@ class _EulerHorizon:
     value_and_grad() at an equal point (== on the lists) reads that rollout
     instead of predicting again. The optimizer accepts the point its line
     search evaluated last, so each accepted iterate costs one rollout.
+    metric() gives the solver's diagonal metric for the solve's start point.
     """
 
     __slots__ = ("n", "ts", "d0", "refs", "q", "r", "q2", "r2", "_last_x", "_last")
@@ -207,6 +230,46 @@ class _EulerHorizon:
             cost += rs * us * us + rx * ux * ux + ry * uy * uy
             cost += qx * ex * ex + qy * ey * ey + qz * ez * ez
         return cost, p, d, norms
+
+    def metric(self, x0) -> Optional[tuple[float, ...]]:
+        """The solver's diagonal metric at the start point x0 (3N floats):
+        the square roots of the Gauss-Newton diagonal of J, with every
+        direction frozen at d_0 and the stage speeds u_s,j read from x0.
+
+            h(u_s,i) = 2 r_s + 2 T_s^2 (N - i) sum_a q_a d_0a^2
+            h(u_x,i) = 2 r_x + 2 T_s^4 (q_y d_0z^2 + q_z d_0y^2) sum_k S_ik^2
+            h(u_y,i) = 2 r_y + 2 T_s^4 (q_x d_0z^2 + q_z d_0x^2) sum_k S_ik^2
+
+        with S_ik = u_s,i+1 + ... + u_s,k summed over k = i+1 .. N-1: a bend
+        at stage i moves p_k+1 by T_s^2 S_ik times the rotated direction.
+        A zero entry (a zero weight on an input the horizon cannot see)
+        takes the smallest positive one. None, the identity, when an entry
+        is not finite or none is positive.
+        """
+        n, ts = self.n, self.ts
+        dx, dy, dz = self.d0
+        qx, qy, qz = self.q
+        rs, rx, ry = self.r2
+        ts2 = ts * ts
+        a_s = 2.0 * ts2 * (qx * dx * dx + qy * dy * dy + qz * dz * dz)
+        a_x = 2.0 * ts2 * ts2 * (qy * dz * dz + qz * dy * dy)
+        a_y = 2.0 * ts2 * ts2 * (qx * dz * dz + qz * dx * dx)
+        us = x0[0::3]
+        diag = []
+        for i in range(n):
+            s = ss = 0.0
+            for u in us[i + 1:]:
+                s += u
+                ss += s * s
+            diag += (rs + a_s * (n - i), rx + a_x * ss, ry + a_y * ss)
+        if not all(map(math.isfinite, diag)):
+            return None
+        if not min(diag) > 0.0:
+            smallest = min((h for h in diag if h > 0.0), default=0.0)
+            if smallest == 0.0:
+                return None
+            diag = [h if h > 0.0 else smallest for h in diag]
+        return tuple(map(math.sqrt, diag))
 
     def value(self, x: list) -> float:
         rolled = self.predict(x)
@@ -278,6 +341,7 @@ def solve_horizon(
     n = config.horizon
     core = _EulerHorizon(s0, refs, config)
     lo, hi = config.horizon_bounds()
+    x0 = (0.0,) * (3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
 
     problem = BoxNlp(
         objective=core.value_and_grad,
@@ -286,8 +350,8 @@ def solve_horizon(
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
         objective_value=core.value,
+        scale=core.metric(x0),
     )
-    x0 = (0.0,) * (3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
 
     try:
         res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)

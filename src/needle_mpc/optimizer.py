@@ -1,9 +1,11 @@
 """Box-constrained smooth minimization via spectral projected gradient.
 
-Iterates x+ = x + lam * (P(x - alpha*g) - x) with P the box projection,
-alpha a safeguarded Barzilai-Borwein steplength (a one-pair curvature
-estimate refreshed every iteration) and lam from a nonmonotone Armijo
-backtracking line search: a trial passes when
+Iterates x+ = x + lam * (P(x - alpha*g/h) - x) with P the box projection,
+h a fixed positive diagonal metric (the problem's `scale`, the identity by
+default), alpha a safeguarded Barzilai-Borwein steplength in that metric,
+alpha = sum(h*s*s) / sum(s*y) (a one-pair curvature estimate refreshed
+every iteration), and lam from a nonmonotone Armijo backtracking line
+search: a trial passes when
 
     f(trial) <= max(last 10 accepted values) + 1e-4 * lam * g'd,
 
@@ -19,12 +21,20 @@ projected-gradient norm; so a run cut by its iteration budget returns the
 lowest value that budget reached.
 
 Convergence is declared when the unit-step projected gradient
-||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|).
+||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|). The
+metric changes the steps only: this stop test and step_tolerance stay in
+the problem's own units whatever h is. A metric that follows the
+objective's curvature, entry by entry, lets one steplength serve variables
+whose curvatures differ by orders of magnitude (scaled gradient
+projection: Bonettini, Zanella and Zanni, Inverse Problems 2009). Under
+the identity every division by h and product with it is exact, so a
+problem without a scale runs the unscaled method bit for bit.
 
 The backtracking halves lam until a trial passes the Armijo test, except in
 the first iteration of a solve. There the first steplength alpha_0 =
-1/||pg|| knows nothing of the problem's scale, so a rejected trial sets lam
-to the minimizer of the quadratic through f, g'd and the trial value,
+1/||x - P(x - g/h)||_inf knows nothing of the problem's scale, so a
+rejected trial sets lam to the minimizer of the quadratic through f, g'd
+and the trial value,
 
     lam <- -lam^2 g'd / (2 (f(lam) - f - lam g'd)),
 
@@ -53,7 +63,8 @@ point are therefore tuples of floats, and the objective callables receive
 list[float] points. The accepted point of an iteration is the list that
 the last line-search trial evaluated, so an objective may keep the work of
 its last value-only evaluation and reuse it for the value-and-gradient call
-at an equal point.
+at an equal point. The lam = 1 trial is built in the pass that builds the
+direction; only a backtrack builds another.
 """
 
 from __future__ import annotations
@@ -107,6 +118,11 @@ class BoxNlp:
     lower and upper may be any sequences of numbers. They are checked once,
     here, and kept as tuples of floats, whose length n is the dimension and
     which every solve reads; they must not change after construction.
+
+    scale, when given, is the solver's diagonal metric h: n finite positive
+    numbers, checked once and kept as a tuple of floats. The steps run in
+    it (see the module docstring); the stop tests do not. None is the
+    identity.
     """
 
     objective: Callable[[list], tuple[float, Sequence[float]]]
@@ -116,6 +132,7 @@ class BoxNlp:
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
     objective_value: Optional[Callable[[list], float]] = None
+    scale: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         lower, upper = _bounds(self.lower), _bounds(self.upper)
@@ -134,6 +151,10 @@ class BoxNlp:
             raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.gradient_tolerance > 0.0 and self.step_tolerance > 0.0):
             raise InvalidConfigError("tolerances must be positive")
+        if self.scale is not None:
+            self.scale = finite_floats(self.scale, "scale", len(lower))
+            if not all(h > 0.0 for h in self.scale):
+                raise InvalidConfigError("scale must be positive")
         self.lower, self.upper = lower, upper
 
 
@@ -193,6 +214,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     objective = problem.objective
     value_of = problem.objective_value or (lambda z: objective(z)[0])
     lower, upper = problem.lower, problem.upper
+    metric = problem.scale or (1.0,) * len(lower)
     gtol = problem.gradient_tolerance
     stol = problem.step_tolerance
 
@@ -202,13 +224,18 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     value_evals = backtracks = 0
     grad_evals = 1
 
-    pg_norm = 0.0
-    for v, gi, lo, hi in zip(x, g, lower, upper):
+    # the unit-step projected gradient, and the same step in the metric
+    pg_norm = pg_metric = 0.0
+    for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
         t = v - gi
         a = abs(v - (lo if t < lo else (hi if t > hi else t)))
         if a > pg_norm:
             pg_norm = a
-    alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_norm, 1e-10)))
+        t = v - gi / h
+        a = abs(v - (lo if t < lo else (hi if t > hi else t)))
+        if a > pg_metric:
+            pg_metric = a
+    alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_metric, 1e-10)))
 
     recent = deque((f,), maxlen=_GLL_WINDOW)   # the last accepted values
     best = (x, f, pg_norm)                     # the lowest accepted point
@@ -221,17 +248,21 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             status, stop = STATUS_CONVERGED, STOP_GTOL
             break
 
-        # d = P(x - alpha*g) - x, with g'd and whether any d_i != 0
+        # d = P(x - alpha*g/h) - x, with g'd, whether any d_i != 0 and the
+        # lam = 1 trial P(x + d), which most line searches accept
         d = []
+        trial = []
         gtd = 0.0
         moved = False
-        for v, gi, lo, hi in zip(x, g, lower, upper):
-            t = v - alpha * gi
+        for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
+            t = v - alpha * gi / h
             di = (lo if t < lo else (hi if t > hi else t)) - v
             d.append(di)
             gtd += gi * di
             if di != 0.0:
                 moved = True
+            t = v + di
+            trial.append(lo if t < lo else (hi if t > hi else t))
         if not moved or gtd >= 0.0:
             # projection arc gives no descent direction: x is stationary
             status = STATUS_CONVERGED if pg_norm <= math.sqrt(gtol) * (
@@ -244,10 +275,6 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         f_ref = max(recent)
         floor = _DECREASE_FLOOR * (1.0 + abs(f))
         while True:
-            trial = []
-            for v, di, lo, hi in zip(x, d, lower, upper):
-                t = v + lam * di
-                trial.append(lo if t < lo else (hi if t > hi else t))
             f_trial = value_of(trial)
             value_evals += 1
             if math.isfinite(f_trial) and f_trial <= f_ref + _ARMIJO * lam * gtd:
@@ -264,6 +291,10 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
                 stop = STOP_LAMBDA_MIN if lam < _LAMBDA_MIN else STOP_FLOOR
                 trial = None
                 break
+            trial = []
+            for v, di, lo, hi in zip(x, d, lower, upper):
+                t = v + lam * di
+                trial.append(lo if t < lo else (hi if t > hi else t))
         if trial is None:
             status = STATUS_STALLED
             break
@@ -273,11 +304,11 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         _check_evaluation(f_new, g_new, trial, iteration)
 
         # s = x_new - x, y = g_new - g; pg and the norms at the new point
-        sy = ss = step_norm = pg_norm = x_norm = 0.0
-        for v, vn, gi, gn, lo, hi in zip(x, trial, g, g_new, lower, upper):
+        sy = shs = step_norm = pg_norm = x_norm = 0.0
+        for v, vn, gi, gn, h, lo, hi in zip(x, trial, g, g_new, metric, lower, upper):
             si = vn - v
             sy += si * (gn - gi)
-            ss += si * si
+            shs += h * si * si
             a = abs(si)
             if a > step_norm:
                 step_norm = a
@@ -288,7 +319,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             a = abs(vn)
             if a > x_norm:
                 x_norm = a
-        alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, ss / sy)) if sy > 0.0 else _ALPHA_MAX
+        alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, shs / sy)) if sy > 0.0 else _ALPHA_MAX
         x, f, g = trial, f_new, g_new
         recent.append(f)
         if f < best[1]:

@@ -274,6 +274,21 @@ class TestRun:
             r"got -?\d(\.\d+)?e\+\d+\n", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("period", [1e30, 1e300])
+    def test_absurd_control_period_named(self, tmp_path, capsys, period):
+        # such a period once ran the whole run without inserting the needle
+        # and exited 0
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["mpc"]["T_s_s"] = period
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert re.fullmatch(
+            r"error: section 'mpc': T_s_s must be <= 10, got 1e\+\d+\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("preset, key, value", [
         ("helix", "rate_rad_s", 1e308),
         ("sinusoidal", "frequency_hz", [1e307, 0.1]),

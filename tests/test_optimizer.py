@@ -533,6 +533,119 @@ class TestNonmonotoneLineSearch:
         assert earlier > 0
 
 
+def result_bits(res):
+    """Every field of a MinimizeResult, floats by their hex form."""
+    return (tuple(map(float.hex, res.x)), res.value.hex(), res.projected_gradient_norm.hex(),
+            res.status, res.stop, res.iterations, res.value_evals, res.grad_evals,
+            res.backtracks)
+
+
+class TestScaledMetric:
+    """BoxNlp.scale, the solver's diagonal metric h: the steps run in it,
+    the stop tests stay in the problem's units."""
+
+    @pytest.mark.parametrize("scale, message", [
+        ((1.0,), "scale must have shape"),
+        ((1.0, 0.0), "scale must be positive"),
+        ((1.0, -2.0), "scale must be positive"),
+        ((1.0, math.inf), "scale has a non-finite"),
+        ((math.nan, 1.0), "scale has a non-finite"),
+        ((True, 1.0), "scale must be a number"),
+        ("12", "scale must be a list"),
+    ])
+    def test_scale_is_checked(self, scale, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            quadratic_problem([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], scale=scale)
+
+    def test_scale_kept_as_float_tuple(self):
+        p = quadratic_problem([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], scale=np.array([2, 3]))
+        assert p.scale == (2.0, 3.0) and all(type(h) is float for h in p.scale)
+
+    @staticmethod
+    def runs(objective, lower, upper, x0, max_iterations):
+        """(result bits, every evaluated point) under scale None and ones."""
+        out = []
+        for scale in (None, (1.0,) * len(lower)):
+            calls = []
+
+            def recorded(x):
+                calls.append(("g", tuple(map(float.hex, x))))
+                return objective(x)
+
+            def recorded_value(x):
+                calls.append(("v", tuple(map(float.hex, x))))
+                return objective(x)[0]
+
+            p = BoxNlp(objective=recorded, objective_value=recorded_value, lower=lower,
+                       upper=upper, max_iterations=max_iterations, scale=scale)
+            out.append((result_bits(minimize(p, x0)), calls))
+        return out
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+                st.lists(st.floats(-2.0, 4.0), min_size=n, max_size=n),
+                st.lists(st.floats(-2.0, 0.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unit_scale_is_the_unscaled_solver_on_quadratics(self, draw, max_iterations):
+        center, log_weights, lower, upper, x0 = draw
+        weights = [10.0 ** e for e in log_weights]
+
+        def objective(x):
+            e = [v - c for v, c in zip(x, center)]
+            return (
+                sum(w * t * t for w, t in zip(weights, e)),
+                [2.0 * w * t for w, t in zip(weights, e)],
+            )
+
+        unscaled, unit = self.runs(objective, lower, upper, x0, max_iterations)
+        assert unit == unscaled
+
+    @given(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unit_scale_is_the_unscaled_solver_on_rosenbrock(self, x0, max_iterations):
+        unscaled, unit = self.runs(rosenbrock, [-2.0, -2.0], [2.0, 2.0], x0, max_iterations)
+        assert unit == unscaled
+
+    def test_curvature_metric_ends_an_ill_conditioned_tail(self):
+        # a diagonal quadratic with curvatures spread over 6 decades, some
+        # minimizers outside the box; the metric h = the Hessian's diagonal
+        # makes every BB step after the first a Newton step (the first,
+        # alpha_0 = 1/||x0 - P(x0 - g/h)||_inf, is not one from this x0)
+        n = 12
+        weights = [10.0 ** (6 * i / (n - 1)) for i in range(n)]
+        center = [0.5 * (-1) ** i * (1 + i % 3) for i in range(n)]
+
+        def objective(x):
+            e = [v - c for v, c in zip(x, center)]
+            return (sum(w * t * t for w, t in zip(weights, e)),
+                    [2.0 * w * t for w, t in zip(weights, e)])
+
+        def solve(scale):
+            return minimize(BoxNlp(objective=objective, lower=(-1.0,) * n, upper=(1.0,) * n,
+                                   gradient_tolerance=1e-12, scale=scale), [0.2] * n)
+
+        unscaled = solve(None)
+        scaled = solve(tuple(2.0 * w for w in weights))
+        assert scaled.stop == unscaled.stop == "gtol"
+        assert scaled.iterations == 3 and unscaled.iterations > 50
+        assert scaled.x == pytest.approx(np.clip(center, -1.0, 1.0), abs=1e-12)
+        # the stop test measures the unit step, in the problem's units
+        g = objective(list(scaled.x))[1]
+        pg = max(abs(v - min(max(v - gi, -1.0), 1.0)) for v, gi in zip(scaled.x, g))
+        assert scaled.projected_gradient_norm == pg <= 1e-12 * (1.0 + abs(scaled.value))
+
+
 class TestFirstIterationInterpolation:
     """The first line search of a solve interpolates; later ones halve."""
 
