@@ -11,13 +11,12 @@ described by a manifest.json sidecar:
 
     {"runs": [{"file": "run01.csv", "tendon_index": 1, "tension_N": 2.0}, ...]}
 
-Tip points are held as tuples of (x, y, z) float tuples. Only the arc fit
-imports numpy (see mapping); the gain and its residual rms are correctly
-rounded sums of floats (math.fsum), so their bits depend neither on the
-order of the runs nor on the host, and loading, writing and simulating runs
-do not use numpy either. A run fits its circle once, when its curvature is
-first read, so refitting runs in other combinations (the gain from each
-choice of two tensions per tendon, say) fits no arc again.
+Tip points are held as tuples of (x, y, z) float tuples. The gain and its
+residual rms are correctly rounded sums of floats (math.fsum), so their
+bits do not depend on the order of the runs. A run fits its circle once,
+when its curvature is first read, so refitting runs in other combinations
+(the gain from each choice of two tensions per tendon, say) fits no arc
+again.
 """
 
 from __future__ import annotations

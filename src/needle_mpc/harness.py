@@ -13,10 +13,9 @@ each row with one format string, every number at 9 significant digits
 ("%.9g") and CRLF line ends, and _write_json sorts the keys, so reruns of
 the same scenario and seed are byte-identical.
 
-A noise-free run does not load numpy: references, positions and errors are
-tuples of floats, and an error norm sums its squares left to right. Only a
-run with measurement noise imports numpy, in _NoisySensor, whose generator
-draws the noise.
+References, positions and errors are tuples of floats, and an error norm
+sums its squares left to right. Measurement noise comes from a
+random.Random seeded with the plant seed.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -186,28 +186,26 @@ def compute_metrics(
 class _NoisySensor:
     """Measured states of a plant with Gaussian position noise.
 
-    The direction is re-estimated from the last two measured positions.
-    numpy draws the noise and takes the displacement's norm, so that a seed
-    keeps its stream and its bits; it is imported here, by noisy runs only.
+    Each measurement draws one normal deviate per axis, in x, y, z order,
+    from a random.Random seeded with the plant seed. The direction is
+    re-estimated from the last two measured positions.
     """
 
     def __init__(self, plant: PlantConfig, d0: tuple[float, float, float]):
-        import numpy as np
-
-        self._np = np
-        self._rng = np.random.default_rng(plant.seed)
-        self._std = np.array(plant.measurement_noise_std)
+        self._rng = random.Random(plant.seed)
+        self._std = plant.measurement_noise_std
         self._prev_p = None
         self._d = d0
 
     def measure(self, state: NeedleState) -> NeedleState:
-        np = self._np
-        p = np.add(state.p, self._rng.standard_normal(3) * self._std)
-        if self._prev_p is not None:
-            motion = p - self._prev_p
-            norm = np.linalg.norm(motion)
+        gauss = self._rng.gauss
+        p = tuple(v + gauss(0.0, std) for v, std in zip(state.p, self._std))
+        prev = self._prev_p
+        if prev is not None:
+            norm = distance(p, prev)
             if 1e-9 < norm < math.inf:    # an overflowed norm keeps the estimate
-                self._d = motion / norm
+                self._d = ((p[0] - prev[0]) / norm, (p[1] - prev[1]) / norm,
+                           (p[2] - prev[2]) / norm)
         self._prev_p = p
         return NeedleState(p=p, d=self._d)
 

@@ -26,7 +26,7 @@ compute on those floats with the scalar `math` module and return a state
 built by the public constructor (all values finite, direction norm within
 1e-6 of 1, then renormalized). Sums such as a norm or a dot product are
 evaluated left to right, so a step's bits do not depend on which BLAS
-kernel the CPU dispatches to. The module does not use numpy.
+kernel the CPU dispatches to.
 """
 
 from __future__ import annotations

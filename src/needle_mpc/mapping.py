@@ -32,22 +32,21 @@ direction alone and saturated the same way.
 TendonGeometry builds A and C once, when it is constructed, as nested float
 lists. forward_map (which rates_from_command calls) and inverse_map run
 every control step; they read those entries as plain Python floats and sum
-left to right, so they make no numpy reduction. A TendonCommand holds u_s
-as a float and tau as a tuple of three floats. Its constructor and
-forward_map check tensions with one function: three finite, nonnegative
-numbers, with str, bytes and 2-D arrays refused, and each fault raises
-InvalidInputError naming tau.
+left to right. A TendonCommand holds u_s as a float and tau as a tuple of
+three floats. Its constructor and forward_map check tensions with one
+function: three finite, nonnegative numbers, with str, bytes and 2-D arrays
+refused, and each fault raises InvalidInputError naming tau.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
 They check their inputs as finite numbers (str, bytes and bools refused).
-The circle fit then imports numpy, whose SVD sets its bits; the line fit
-sums with math.fsum, and the rest of the module does not use numpy.
+The circle fit sums left to right; the line fit sums with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,7 +66,9 @@ DEFAULT_TAU_MAX = 7.0  # N
 N_TENDONS = 3
 
 U_S_EPS = 1e-6         # mm/s; below this no curvature is defined, tensions are zeroed
-_COLLINEAR_RTOL = 1e-9  # singular-value ratio below which points count as collinear
+_COLLINEAR_RTOL = 1e-9  # in-plane spread ratio below which points count as collinear
+_JACOBI_SWEEPS = 16     # a 3x3 scatter matrix takes about 4
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -253,30 +254,99 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     """Curvature (1/mm) of a point set lying near a planar circular arc.
 
     Fits the best plane through the centered points, projects into it, and
-    runs an algebraic least-squares circle fit. Collinear input (within a
-    relative singular-value tolerance) returns 0. points are at least 3
+    runs an algebraic least-squares circle fit. points are at least 3
     [x, y, z] points of finite numbers; str, bytes and bools are refused.
+
+    The plane is spanned by the two leading eigenvectors of the centered
+    points' scatter matrix, found by cyclic Jacobi rotations. u and v are
+    the points' coordinates along those eigenvectors, and the points are
+    collinear, with curvature 0, when sqrt(sum(v^2)) <= 1e-9 * sqrt(sum(u^2)).
+    The circle's center (cu, cv) solves the normal equations of minimizing
+    sum((u-cu)^2 + (v-cv)^2 - R^2) linearized in (cu, cv, R^2) (Kasa's fit),
+    and the radius is the points' mean distance from it.
     """
     rows = finite_points(points, "points", InvalidInputError)
-    import numpy as np
-
-    pts = np.array(rows)
-    if len(pts) < 3:
-        raise InvalidInputError(f"need at least 3 points of dimension 3, got {len(pts)}")
-    centered = pts - pts.mean(axis=0)
-    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
-    if sing[0] == 0.0 or sing[1] <= _COLLINEAR_RTOL * sing[0]:
+    n = len(rows)
+    if n < 3:
+        raise InvalidInputError(f"need at least 3 points of dimension 3, got {n}")
+    mx = my = mz = 0.0
+    for x, y, z in rows:
+        mx += x
+        my += y
+        mz += z
+    mx, my, mz = mx / n, my / n, mz / n
+    sxx = sxy = sxz = syy = syz = szz = 0.0
+    for x, y, z in rows:
+        x -= mx
+        y -= my
+        z -= mz
+        sxx += x * x
+        sxy += x * y
+        sxz += x * z
+        syy += y * y
+        syz += y * z
+        szz += z * z
+    a = [[sxx, sxy, sxz], [sxy, syy, syz], [sxz, syz, szz]]
+    e = _jacobi_eigenvectors(a)
+    i, j = sorted(range(3), key=lambda k: a[k][k], reverse=True)[:2]
+    ux, uy, uz = e[0][i], e[1][i], e[2][i]
+    vx, vy, vz = e[0][j], e[1][j], e[2][j]
+    mu, mv = mx * ux + my * uy + mz * uz, mx * vx + my * vy + mz * vz
+    us = [x * ux + y * uy + z * uz - mu for x, y, z in rows]
+    vs = [x * vx + y * vy + z * vz - mv for x, y, z in rows]
+    suu = suv = svv = suw = svw = 0.0
+    for u, v in zip(us, vs):
+        uu = u * u
+        vv = v * v
+        suu += uu
+        suv += u * v
+        svv += vv
+        w = uu + vv
+        suw += u * w
+        svw += v * w
+    if not math.isfinite(suu + svv + suw + svw):
+        raise InvalidInputError("points spread so far that the fit's sums leave the float range")
+    if math.sqrt(svv) <= _COLLINEAR_RTOL * math.sqrt(suu):
         return 0.0
-    xy = centered @ vt[:2].T
-    x, y = xy[:, 0], xy[:, 1]
-    # algebraic circle fit: center (cx, cy) solves the normal equations of
-    # minimizing sum((x-cx)^2 + (y-cy)^2 - R^2) linearized in (cx, cy, R^2)
-    suu, suv, svv = float(x @ x), float(x @ y), float(y @ y)
-    z = x * x + y * y
-    rhs = np.array([0.5 * float(x @ z), 0.5 * float(y @ z)])
-    center = np.linalg.solve(np.array([[suu, suv], [suv, svv]]), rhs)
-    radius = float(np.mean(np.hypot(x - center[0], y - center[1])))
-    if radius == 0.0:
-        return 0.0
+    # [[suu, suv], [suv, svv]] (cu, cv) = (suw, svw) / 2, eliminated on suu >= svv
+    ru, rv = 0.5 * suw, 0.5 * svw
+    ratio = suv / suu
+    cv = (rv - ratio * ru) / (svv - ratio * suv)
+    cu = (ru - suv * cv) / suu
+    radius = 0.0
+    for u, v in zip(us, vs):
+        radius += math.hypot(u - cu, v - cv)
+    radius /= n  # > 0: points that are not collinear do not all sit on the center
     return 1.0 / radius
 
+
+def _jacobi_eigenvectors(a: list[list[float]]) -> list[list[float]]:
+    """Eigenvectors (the columns of the result) of the symmetric 3x3 a,
+    which is diagonalized in place by cyclic Jacobi rotations. A rotation
+    is skipped once its off-diagonal entry is below the float resolution of
+    its two diagonal entries, and the sweeps end when none rotates."""
+    e = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            if not abs(apq) > _EPS * (abs(app) + abs(aqq)):  # also skips inf and nan
+                continue
+            rotated = True
+            theta = (aqq - app) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p] = app - t * apq
+            a[q][q] = aqq + t * apq
+            a[p][q] = a[q][p] = 0.0
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            for row in e:
+                ep, eq = row[p], row[q]
+                row[p] = c * ep - s * eq
+                row[q] = s * ep + c * eq
+        if not rotated:
+            break
+    return e

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -349,7 +350,8 @@ def minimize(
 
     multi_start > 0 additionally solves from that many uniform random points
     in the box (seeded, so results are reproducible) and returns the best
-    solution by value. Requires finite bounds. Only then is numpy imported.
+    solution by value. Requires finite bounds. Each point draws its
+    coordinates in order from a random.Random seeded with seed.
     """
     lower, upper = problem.lower, problem.upper
     x0 = finite_floats(x0, "x0", len(lower), InvalidInputError)
@@ -358,12 +360,10 @@ def minimize(
 
     best = _solve_from(problem, x0)
     if multi_start > 0:
-        import numpy as np  # its generator keeps each seed's start points
-
-        rng = np.random.default_rng(seed)
+        uniform = random.Random(seed).uniform
         runs = [best]
         for _ in range(multi_start):
-            res = _solve_from(problem, rng.uniform(lower, upper).tolist())
+            res = _solve_from(problem, [uniform(lo, hi) for lo, hi in zip(lower, upper)])
             runs.append(res)
             if res.value < best.value:
                 best = res

@@ -18,7 +18,7 @@ InvalidInputError naming the key at fault. Every position field (targets,
 centers, radii, pitches, amplitudes and path points) is bounded to
 MAX_POSITION_MM in magnitude, far outside any needle's workspace, so only
 a helix's climb or a sinusoid's axial advance, which grow with time, can
-leave the float range. The module does not use numpy.
+leave the float range.
 """
 
 from __future__ import annotations

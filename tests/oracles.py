@@ -83,6 +83,29 @@ def zero_intercept_gain(taus, kappas):
     return g, se
 
 
+def circle_fit_svd(points, collinear_rtol=1e-9):
+    """Curvature of a point set near a planar arc: the plane of the SVD of
+    the centered points, then Kasa's algebraic circle fit in that plane.
+
+    Collinear points (second singular value at most collinear_rtol times
+    the first) give 0.
+    """
+    pts = np.asarray(points, dtype=float)
+    centered = pts - pts.mean(axis=0)
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    if sing[0] == 0.0 or sing[1] <= collinear_rtol * sing[0]:
+        return 0.0
+    xy = centered @ vt[:2].T
+    x, y = xy[:, 0], xy[:, 1]
+    # the center (cx, cy) solves the normal equations of minimizing
+    # sum((x-cx)^2 + (y-cy)^2 - R^2) linearized in (cx, cy, R^2)
+    z = x * x + y * y
+    normal = np.array([[x @ x, x @ y], [x @ y, y @ y]])
+    center = np.linalg.solve(normal, 0.5 * np.array([x @ z, y @ z]))
+    radius = float(np.mean(np.hypot(x - center[0], y - center[1])))
+    return 0.0 if radius == 0.0 else 1.0 / radius
+
+
 def curvature_pair(theta_e, gain, tau):
     """Superposed curvature components, one tendon at a time."""
     kx = 0.0

@@ -271,6 +271,45 @@ def _record(t, err, u_s):
     )
 
 
+class TestNoisySensor:
+    STD = (0.3, 1.5, 0.0)
+    DRAWS = 4000
+
+    def measured(self, seed, state):
+        sensor = harness._NoisySensor(PlantConfig(measurement_noise_std=self.STD, seed=seed),
+                                      state.d)
+        return [sensor.measure(state) for _ in range(self.DRAWS)]
+
+    def test_noise_statistics(self):
+        # zero-mean, std sigma per axis: over n draws the sample mean lies
+        # within 4 sigma/sqrt(n) of 0 and the sample std within
+        # 4 sigma/sqrt(2n) of sigma (four standard errors each)
+        state = NeedleState(p=(1.0, -2.0, 30.0), d=(0.0, 0.0, 1.0))
+        noise = np.array([m.p for m in self.measured(5, state)]) - np.array(state.p)
+        n = self.DRAWS
+        for axis, sigma in enumerate(self.STD[:2]):
+            assert abs(noise[:, axis].mean()) <= 4.0 * sigma / math.sqrt(n)
+            assert abs(noise[:, axis].std(ddof=1) - sigma) <= 4.0 * sigma / math.sqrt(2 * n)
+
+    def test_zero_std_axis_stays_exact(self):
+        state = NeedleState(p=(1.0, -2.0, 30.0), d=(0.0, 0.0, 1.0))
+        assert all(m.p[2] == 30.0 for m in self.measured(5, state))
+
+    def test_same_seed_same_draws(self):
+        state = NeedleState(p=(1.0, -2.0, 30.0), d=(0.0, 0.0, 1.0))
+        first, again, other = (self.measured(seed, state) for seed in (9, 9, 10))
+        assert [(m.p, m.d) for m in first] == [(m.p, m.d) for m in again]
+        assert [m.p for m in first] != [m.p for m in other]
+
+    def test_direction_from_the_last_two_positions(self):
+        state = NeedleState(p=(1.0, -2.0, 30.0), d=(0.0, 0.0, 1.0))
+        measured = self.measured(3, state)
+        assert measured[0].d == state.d  # one position has no displacement yet
+        for prev, cur in zip(measured, measured[1:]):
+            motion = np.subtract(cur.p, prev.p)
+            np.testing.assert_allclose(cur.d, motion / np.linalg.norm(motion), rtol=1e-12)
+
+
 class TestComputeMetrics:
     def test_single_step_onto_target(self):
         summary = compute_metrics([_record(0.0, 1.0, 20.0)], terminal_err=0.0, ts=0.05)

@@ -24,6 +24,7 @@ from needle_mpc.mapping import (
 )
 from oracles import (
     _channel_matrix,
+    circle_fit_svd,
     curvature_pair,
     feasible_set_excess,
     tension_grid_full,
@@ -558,6 +559,46 @@ class TestEstimateCurvature:
         states = rollout(s, [VirtualInput(10.0, 1.0, 0.0)] * 50, 0.05, integrator="exact")
         pts = [st_.p for st_ in states]
         assert estimate_curvature(pts) == pytest.approx(0.1, rel=1e-6)
+
+    @staticmethod
+    def _tilted_arc(rng, count):
+        """count points of a circular arc in a random plane, as 3-float tuples."""
+        radius = rng.uniform(20.0, 2000.0)
+        ang = rng.uniform(0.0, 2.0 * math.pi) + np.linspace(0.0, rng.uniform(0.05, 3.0), count)
+        frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        planar = radius * np.stack([np.cos(ang), np.sin(ang), np.zeros(count)], axis=1)
+        return planar @ frame.T + rng.uniform(-200.0, 200.0, 3)
+
+    def test_matches_the_svd_fit(self):
+        # tilted arcs, the same arcs under 0.2 mm noise per axis, and 3-point
+        # arcs: the float fit agrees with numpy's SVD plane and Kasa fit
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            arc = self._tilted_arc(rng, int(rng.integers(20, 120)))
+            noisy = arc + rng.normal(0.0, 0.2, arc.shape)
+            three = self._tilted_arc(rng, 3)
+            for pts in (arc, noisy, three):
+                want = circle_fit_svd(pts)
+                assert want > 0.0
+                got = estimate_curvature([tuple(p) for p in pts.tolist()])
+                assert abs(got - want) <= 1e-10 * want
+
+    def test_collinear_in_any_direction_is_zero(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            direction = rng.normal(size=3)
+            t = rng.uniform(-100.0, 100.0, int(rng.integers(3, 60)))
+            pts = np.outer(t, direction) + rng.uniform(-200.0, 200.0, 3)
+            assert circle_fit_svd(pts) == 0.0
+            assert estimate_curvature([tuple(p) for p in pts.tolist()]) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e110, 1e160, 1e300])
+    def test_sums_beyond_the_float_range_are_invalid_input(self, scale):
+        # the third powers of the in-plane coordinates overflow from about
+        # 1e103 mm, their squares from 1e154 mm
+        pts = [(scale * math.cos(0.1 * k), scale * math.sin(0.1 * k), 0.0) for k in range(10)]
+        with pytest.raises(InvalidInputError, match="^points spread"):
+            estimate_curvature(pts)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
