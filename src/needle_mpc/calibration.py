@@ -141,6 +141,8 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
             manifest = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{manifest_path}: JSON nested too deeply to read") from None
     if not isinstance(manifest, dict) or "runs" not in manifest:
         raise SchemaError(f"{manifest_path}: expected an object with a 'runs' array")
     entries = manifest["runs"]
@@ -160,7 +162,10 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
         if not isinstance(entry["file"], str):
             raise SchemaError(f"{where}.file must be a string, got {entry['file']!r}")
         try:
-            rows = _read_numeric_csv(os.path.join(directory, entry["file"]), RUN_CSV_COLUMNS, 3)
+            # rows as float tuples, which CalibrationRun checks in one pass
+            rows = _read_numeric_csv(
+                os.path.join(directory, entry["file"]), RUN_CSV_COLUMNS, 3, convert=tuple
+            )
         except InvalidInputError as exc:
             raise InvalidInputError(f"{where}.file: {exc}") from exc
         try:

@@ -4,7 +4,11 @@ key(), and check_fields checks it with messages that name the key.
 finite_float and finite_floats are the package's one number check, used by
 the config fields and by the per-step values (tip state, virtual input,
 tendon command) alike; finite_points applies it to lists of [x, y, z]
-points (path waypoints, horizon references, calibration arcs). The module
+points (path waypoints, horizon references, calibration arcs). The form
+the package builds itself, a tuple of finite floats or a tuple (or list)
+of such 3-tuples, is checked in one pass and comes back as it is; any
+other input is checked entry by entry, with the same accepted values and
+the same messages. The module
 does not import numpy: a numpy bool is recognised through sys.modules,
 since none can exist before numpy is loaded."""
 
@@ -48,7 +52,13 @@ def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[fl
     """count numbers (any count when count is None) as a tuple of floats,
     each checked by finite_float. A str or bytes, a non-iterable, another
     count or nested entries (the rows of a 2-D array) raise error naming
-    `name`."""
+    `name`. A tuple of count finite floats is returned as it is."""
+    if type(value) is tuple and (count is None or len(value) == count):
+        for v in value:
+            if type(v) is not float or not math.isfinite(v):
+                break
+        else:
+            return value
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise error(f"{name} must be a list of numbers, got {value!r}")
     vals = tuple(value)
@@ -65,7 +75,19 @@ def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[fl
 def finite_points(value, name: str, error=InvalidConfigError) -> tuple[tuple[float, ...], ...]:
     """value as a tuple of [x, y, z] points, each a tuple of three floats
     checked by finite_floats. A str or bytes or a non-iterable raises error
-    naming `name`."""
+    naming `name`. A tuple (or list) of 3-tuples of floats with finite sums
+    is checked in one pass: the tuple is returned as it is, a list as a
+    tuple of its rows."""
+    if type(value) is tuple or type(value) is list:
+        for row in value:
+            if type(row) is not tuple or len(row) != 3:
+                break
+            x, y, z = row
+            # a finite sum means three finite entries
+            if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
+                break
+        else:
+            return value if type(value) is tuple else tuple(value)
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise error(f"{name} must be a list of [x, y, z] points, got {value!r}")
     return tuple([finite_floats(row, name, 3, error) for row in value])

@@ -152,6 +152,16 @@ class ScenarioResult:
     summary: Summary
 
 
+def _inserted_length(speeds, ts: float) -> float:
+    """Sum of |u_s| times ts, summed left to right: builtin sum()
+    compensates its float sums from Python 3.12 on, which would make the
+    bits depend on the Python version."""
+    total = 0.0
+    for u_s in speeds:
+        total += abs(u_s)
+    return total * ts
+
+
 def compute_metrics(
     records: Sequence[StepRecord],
     terminal_err: float,
@@ -172,7 +182,7 @@ def compute_metrics(
     if t_end < cutoff or math.isclose(t_end, cutoff):
         errs.append(terminal_err)
     max_err = max(errs) if errs else terminal_err
-    inserted = sum(abs(r.applied.u_s) for r in records) * ts
+    inserted = _inserted_length([r.applied.u_s for r in records], ts)
     pct = 100.0 * terminal_err / inserted if inserted > 0.0 else None
     return Summary(
         final_error_mm=terminal_err,
@@ -341,7 +351,7 @@ def run_open_loop(
         plant_states.append(step_plant(plant_states[-1], u_plant, ts))
 
     errors = tuple(distance(m.p, p.p) for m, p in zip(model_states, plant_states))
-    inserted = sum(abs(cmd.u_s) for cmd in commands) * ts
+    inserted = _inserted_length([cmd.u_s for cmd in commands], ts)
     max_err = max(errors)
     pct = 100.0 * max_err / inserted if inserted > 0.0 else None
     return OpenLoopResult(
@@ -429,7 +439,8 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
 
     Blank rows are skipped. convert, when given, turns each row into the
     item returned for it. A wrong header, a row of the wrong width, a
-    non-numeric or non-finite value, a row that convert rejects, fewer than
+    non-numeric or non-finite value, a row that convert rejects, a row the
+    csv module cannot parse (a field over its size limit), fewer than
     min_rows rows or a file that cannot be read as text raise
     InvalidInputError naming the file (and the line, for row faults); a
     missing file raises FileNotFoundError.
@@ -443,9 +454,10 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
                     f"{path}: expected header {','.join(columns)!r}, got {header}"
                 )
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num  # the row's last line: a quoted field may span lines
                 if len(row) != len(columns):
                     raise InvalidInputError(
                         f"{path}:{lineno}: expected {len(columns)} columns, got {len(row)}"
@@ -466,6 +478,8 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
         raise
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not a text file: {exc}") from None
+    except csv.Error as exc:  # a field beyond csv.field_size_limit(), say
+        raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot be read: {exc.strerror or exc}") from None
     if len(rows) < min_rows:

@@ -138,26 +138,13 @@ class HorizonSolution:
 def _check_refs(refs, horizon: int, p0: tuple[float, float, float]) -> list:
     """The N+1 references, checked (three finite numbers each; str, bytes
     and bools refused), as the flat float list of ref_i - p_0."""
-    x0, y0, z0 = p0
-    if type(refs) is tuple and len(refs) == horizon + 1:
-        # the form horizon_samples returns: a tuple of three-float tuples
-        flat = []
-        for row in refs:
-            if type(row) is not tuple or len(row) != 3:
-                break
-            x, y, z = row
-            # a finite sum means three finite entries
-            if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
-                break
-            flat += (x - x0, y - y0, z - z0)
-        else:
-            return flat
     rows = finite_points(refs, "refs", InvalidInputError)
     if len(rows) != horizon + 1:
         raise InvalidInputError(
             f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, "
             f"got ({len(rows)}, 3)"
         )
+    x0, y0, z0 = p0
     return [v for x, y, z in rows for v in (x - x0, y - y0, z - z0)]
 
 

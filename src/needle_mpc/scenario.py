@@ -181,6 +181,8 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
     return scenario_from_dict(doc, base_dir=os.path.dirname(path))
 
 

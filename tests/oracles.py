@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except horizon_cost is written from the model equations
-directly, without importing from needle_mpc, so that agreement between
-package and oracle is evidence rather than tautology. Oracles favor clarity
+Everything here except horizon_cost and the per-entry number checks is
+written from the model equations directly, without importing from
+needle_mpc, so that agreement between package and oracle is evidence
+rather than tautology. The per-entry checks build on the package's scalar
+check finite_float, which is what they compose. Oracles favor clarity
 over speed; the only vectorized ones are those the acceptance suite calls
 in bulk.
 """
@@ -13,6 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
 
+from needle_mpc.errors import finite_float
 from needle_mpc.mpc import _EulerHorizon
 
 # Frozen value of the six scalar state equations at
@@ -307,3 +310,22 @@ def horizon_cost(s0, inputs, refs, config):
     core = _EulerHorizon(s0, np.asarray(refs, dtype=float), config)
     cost, grad = core.value_and_grad([v for u in inputs for v in (u.u_s, u.u_x, u.u_y)])
     return cost, np.array(grad)
+
+
+def finite_floats_per_entry(value, name, count, error):
+    """errors.finite_floats without its one-pass path: every entry through
+    finite_float, then the count."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise error(f"{name} must be a list of numbers, got {value!r}")
+    vals = tuple([finite_float(v, name, error) for v in value])
+    if count is not None and len(vals) != count:
+        raise error(f"{name} must have shape ({count},), got {len(vals)} entries")
+    return vals
+
+
+def finite_points_per_entry(value, name, error):
+    """errors.finite_points without its one-pass path: every row through
+    finite_floats_per_entry."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise error(f"{name} must be a list of [x, y, z] points, got {value!r}")
+    return tuple([finite_floats_per_entry(row, name, 3, error) for row in value])

@@ -360,6 +360,14 @@ class TestRun:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys):
+        # the JSON decoder recurses once per level: 100000 exhaust the stack
+        path = tmp_path / "deep.json"
+        path.write_text('{"mpc": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+        assert not (tmp_path / "out").exists()
+
     def test_preset_and_path_are_exclusive(self, tmp_path, capsys):
         path = quick_scenario(tmp_path)
         code = cli.main(["run", str(path), "--preset", "target1", "--out", str(tmp_path)])
@@ -444,6 +452,27 @@ class TestCalibrate:
         assert "run00.csv" in capsys.readouterr().err
 
 
+    def test_deeply_nested_manifest_is_a_schema_error(self, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        manifest = runs_dir / "manifest.json"
+        manifest.write_text('{"runs": ' + "[" * 100000 + "]" * 100000 + "}")
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {manifest}: JSON nested too deeply to read\n"
+        assert not (tmp_path / "c.json").exists()
+
+    def test_oversized_csv_field_names_file_and_line(self, tmp_path, capsys):
+        # the csv module refuses a field over its 131072-character limit
+        runs_dir = tmp_path / "runs"
+        write_runs_dir([simulate_calibration_run(1, t, GEO, steps=20) for t in (1.0, 2.0)], runs_dir)
+        (runs_dir / "run00.csv").write_text("x_mm,y_mm,z_mm\n0,0,0\n0,0," + "1" * 140000 + "\n0,0,2\n")
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "run00.csv:3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestReplay:
     def test_zero_perturbation_bundled_commands(self, tmp_path):
         out = tmp_path / "out"
@@ -486,6 +515,13 @@ class TestReplay:
         assert code == 2
         assert ":2" in capsys.readouterr().err
 
+    def test_row_after_a_multiline_field_names_its_own_line(self, tmp_path, capsys):
+        bad = tmp_path / "cmd.csv"
+        bad.write_text('us_mm_s,tau1_N,tau2_N,tau3_N\n"20\n",0,0,0\n20,oops,0,0\n')
+        code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {bad}:4: non-numeric value" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -525,6 +561,14 @@ class TestReplay:
             assert code == 0
         for name in ("open_loop.csv", "open_loop_summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_oversized_csv_field_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "cmd.csv"
+        bad.write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n20,0,0,0\n20," + "1" * 140000 + ",0,0\n")
+        code = cli.main(["replay", str(bad), "--preset", "replay_clean", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {bad}:3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_undecodable_commands_csv_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "cmd.csv"

@@ -336,6 +336,16 @@ class TestComputeMetrics:
         with pytest.raises(InvalidInputError):
             compute_metrics([], terminal_err=0.0, ts=0.05)
 
+    def test_insertion_sums_left_to_right(self):
+        # 1e16 + 1 is a tie that rounds back to 1e16, twice; a compensated
+        # sum (builtin sum() from Python 3.12 on) gives 1e16 + 2
+        records = [_record(k * 1.0, 0.0, u_s) for k, u_s in enumerate([1e16, -1.0, 1.0])]
+        summary = compute_metrics(records, terminal_err=0.0, ts=1.0)
+        assert summary.inserted_length_mm == 1e16
+        result = run_open_loop([TendonCommand(u_s=u_s, tau=(0.0, 0.0, 0.0))
+                                for u_s in (1e16, -1.0, 1.0)], PlantConfig(), HW_GEO, ts=1.0)
+        assert result.inserted_length_mm == 1e16
+
 
 class TestOpenLoop:
     def test_zero_perturbation_zero_error(self):

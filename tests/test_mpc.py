@@ -1,10 +1,11 @@
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc import mpc
@@ -635,6 +636,9 @@ class TestHorizonMetric:
         st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0)),
         st.integers(0, 2**32 - 1),
     )
+    # a squared metric in the subnormals, 1 spacing (5e-324) from the oracle
+    @example(n=2, ts=1.0, weights=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+             d0=(0.0, 1.5439687497155313e-158, 1.0), seed=0)
     @settings(max_examples=100, deadline=None)
     def test_matches_the_frozen_direction_jacobian(self, n, ts, weights, d0, seed):
         cfg = MpcConfig(ts=ts, horizon=n, q_weights=weights[:3], r_weights=weights[3:])
@@ -648,7 +652,11 @@ class TestHorizonMetric:
             assert metric is None
             return
         want[want == 0.0] = want[want > 0.0].min()
-        np.testing.assert_allclose(np.square(metric), want, rtol=1e-12)
+        got = np.square(metric)
+        normal = want >= sys.float_info.min
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12)
+        # a subnormal keeps too few bits for a relative bound: a few spacings
+        np.testing.assert_allclose(got[~normal], want[~normal], rtol=0.0, atol=4 * math.ulp(0.0))
 
     @given(
         st.integers(1, 6),
