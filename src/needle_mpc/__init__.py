@@ -58,7 +58,6 @@ from .references import (
     WaypointPath,
     check_path_speed,
     horizon_samples,
-    sample,
 )
 from .scenario import (
     Scenario,

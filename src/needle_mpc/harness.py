@@ -117,7 +117,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Everything logged for one control step (pre-step state at time t)."""
+    """Everything logged for one control step (pre-step state at time t).
+
+    pg_norm_scaled is the solve's projected gradient norm over 1 + |cost|,
+    the figure its stop test compares with gradient_tolerance.
+    """
 
     t: float
     state: NeedleState

@@ -15,22 +15,20 @@ shifted to ref_i - p_0, so the cost is J exactly but its rounding error
 scales with the horizon's travel and tracking error, not with |p_0| (up to
 a few hundred mm). Near a target J is tiny, and in absolute coordinates its
 rounding noise would sit far above the solver's rounding floor, which
-scales with |J|. The cost value and its gradient both read that output.
-The gradient is accumulated in reverse through the rollout,
-renormalization included, so it is exact to roundoff. The optimizer passes
-points as lists of floats and accepts the point its line search evaluated
-last, so the core keeps that rollout and computes the gradient there without
-rolling out again: one rollout per accepted iterate.
+scales with |J|. The solver's one objective, `value_and_grad`, reads
+that output for the cost and accumulates the gradient in reverse through
+the rollout, renormalization included, so it is exact to roundoff: one
+rollout per line-search trial, and no state kept between calls.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
 The first SPG iteration of a solve backtracks by quadratic interpolation
-(see `optimizer`); the solution reports the solver's evaluation counts and
-stop reason.
+(see `optimizer`); the solution reports the solver's evaluation count,
+backtracks and stop reason.
 The solver steps in a diagonal metric that `_EulerHorizon.metric` builds
 once per solve: the square root of the Gauss-Newton diagonal of J with the
 direction frozen at d_0. At T_s = 1 s J's curvature in a stage's bending
 rate is hundreds of times its curvature in insertion speed, and one
-unit-metric steplength cannot serve both. The solver's stop test stays in
-input units, so projected_gradient_norm keeps its meaning.
+unit-metric steplength cannot serve both. The solver's stop test reads the
+projected gradient, in the cost's units, whatever the metric.
 The first input of the optimized sequence is applied; the shifted remainder
 of the flat input vector warm-starts the next step.
 """
@@ -112,7 +110,8 @@ class HorizonSolution:
     inputs reads it as VirtualInputs and the warm start shifts it.
     stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
     "fault" for the zero-input fallback, whose counts are 0: a failed solve
-    returns no result to count from.
+    returns no result to count from. projected_gradient_norm is the
+    solver's stop measure, the projected gradient in the cost's units.
     """
 
     input_vector: tuple[float, ...]
@@ -121,8 +120,7 @@ class HorizonSolution:
     projected_gradient_norm: float = float("nan")
     iterations: int = 0
     stop: str = ""
-    value_evals: int = 0
-    grad_evals: int = 0
+    evaluations: int = 0
     backtracks: int = 0
 
     def __post_init__(self):
@@ -156,18 +154,13 @@ class _EulerHorizon:
     references are stored as ref_i - p_0, so predict() returns the
     displacements p_i - p_0 and the cost is the same J as in absolute
     coordinates, with rounding noise that no longer grows with |p_0|.
-    predict() is the only Euler rollout; value() and value_and_grad() both
-    read its output. Flat vectors are lists ordered (x_0, y_0, z_0, x_1,
-    ...), three entries per step.
-
-    value() keeps the last point it evaluated with its rollout, and
-    value_and_grad() at an equal point (== on the lists) reads that rollout
-    instead of predicting again. The optimizer accepts the point its line
-    search evaluated last, so each accepted iterate costs one rollout.
-    metric() gives the solver's diagonal metric for the solve's start point.
+    predict() is the only Euler rollout; value_and_grad() reads its output.
+    Flat vectors are lists ordered (x_0, y_0, z_0, x_1, ...), three entries
+    per step. metric() gives the solver's diagonal metric for the solve's
+    start point.
     """
 
-    __slots__ = ("n", "ts", "d0", "refs", "q", "r", "q2", "r2", "_last_x", "_last")
+    __slots__ = ("n", "ts", "d0", "refs", "q", "r", "q2", "r2")
 
     def __init__(self, s0: NeedleState, refs, config: MpcConfig):
         self.n = config.horizon
@@ -179,7 +172,6 @@ class _EulerHorizon:
         # the doubled weights of the gradient; doubling a float is exact
         self.q2 = tuple(2.0 * w for w in self.q)
         self.r2 = tuple(2.0 * w for w in self.r)
-        self._last_x = self._last = None
 
     def predict(self, x: list) -> tuple[float, list, list, list]:
         """Roll the flat inputs x out; returns (cost, p, d, norms).
@@ -258,14 +250,9 @@ class _EulerHorizon:
             diag = [h if h > 0.0 else smallest for h in diag]
         return tuple(map(math.sqrt, diag))
 
-    def value(self, x: list) -> float:
-        rolled = self.predict(x)
-        self._last_x, self._last = list(x), rolled
-        return rolled[0]
-
     def value_and_grad(self, x: list) -> tuple[float, list]:
         """Cost and its gradient (3N floats), accumulated in reverse."""
-        cost, p, d, norms = self._last if x == self._last_x else self.predict(x)
+        cost, p, d, norms = self.predict(x)
         ts, refs = self.ts, self.refs
         qx, qy, qz = self.q2
         rs, rx, ry = self.r2
@@ -336,7 +323,6 @@ def solve_horizon(
         upper=hi,
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
-        objective_value=core.value,
         scale=core.metric(x0),
     )
 
@@ -345,7 +331,7 @@ def solve_horizon(
     except NumericalFailureError:
         x = [min(max(0.0, a), b) for a, b in zip(lo, hi)]   # zero input, projected
         return HorizonSolution(
-            x, cost=core.value(x), solver_status=STATUS_FAULT, stop=STATUS_FAULT,
+            x, cost=core.predict(x)[0], solver_status=STATUS_FAULT, stop=STATUS_FAULT,
         )
 
     return HorizonSolution(
@@ -355,8 +341,7 @@ def solve_horizon(
         projected_gradient_norm=res.projected_gradient_norm,
         iterations=res.iterations,
         stop=res.stop,
-        value_evals=res.value_evals,
-        grad_evals=res.grad_evals,
+        evaluations=res.evaluations,
         backtracks=res.backtracks,
     )
 

@@ -20,14 +20,16 @@ its stop test when it stops on gtol, no_descent or step_tol, and otherwise
 projected-gradient norm; so a run cut by its iteration budget returns the
 lowest value that budget reached.
 
-Convergence is declared when the unit-step projected gradient
-||x - P(x - g)||_inf drops below gradient_tolerance * (1 + |f|). The
-metric changes the steps only: this stop test and step_tolerance stay in
-the problem's own units whatever h is. A metric that follows the
-objective's curvature, entry by entry, lets one steplength serve variables
-whose curvatures differ by orders of magnitude (scaled gradient
-projection: Bonettini, Zanella and Zanni, Inverse Problems 2009). Under
-the identity every division by h and product with it is exact, so a
+Convergence is declared when the projected gradient, g zeroed where x
+sits on a bound and -g points out of the box, has an inf-norm at most
+gradient_tolerance * (1 + |f|). Both sides scale with f, so scaling f
+leaves the test as it is once |f| >> 1; the unit step ||x - P(x - g)||_inf
+would not, as it never exceeds the box width. The metric changes the
+steps only: the stop tests and step_tolerance ignore h. A metric that
+follows the objective's curvature, entry by entry, lets one steplength
+serve variables whose curvatures differ by orders of magnitude (scaled
+gradient projection: Bonettini, Zanella and Zanni, Inverse Problems 2009).
+Under the identity every division by h and product with it is exact, so a
 problem without a scale runs the unscaled method bit for bit.
 
 The backtracking halves lam until a trial passes the Armijo test, except in
@@ -46,25 +48,24 @@ test there is the monotone one. The search gives up, and the solve returns
 its lowest accepted point as stalled, once the next trial's predicted
 decrease lam * |g'd| is at most eps/10 * (1 + |f|), f the current value
 and eps the machine epsilon: such a trial can only round back to f, so
-backtracking further spends value evaluations for
-nothing (the rounding stop of More and Thuente, ACM TOMS 1994). The floor
-sits at eps/10 rather than eps because the trials between the two still
-reach the minimizer of badly scaled problems; lam < 1e-14 stays as the
-guard against non-finite trials.
+backtracking further spends evaluations for nothing (the rounding stop of
+More and Thuente, ACM TOMS 1994). The floor sits at eps/10 rather than eps
+because the trials between the two still reach the minimizer of badly
+scaled problems; lam < 1e-14 stays as the guard against non-finite trials.
 
-A result records why its run stopped (`stop`: gtol, no_descent, floor,
-lambda_min, step_tol or max_iter) and how many value-only calls,
-value-and-gradient calls and rejected line-search trials it made.
+Each line-search trial is one objective call for value and gradient. A
+trial whose value is not finite or fails the test is rejected, its gradient
+unread; the accepted trial's gradient, checked finite, is the next
+iteration's. A result records why its run stopped (`stop`: gtol,
+no_descent, floor, lambda_min, step_tol or max_iter), its objective calls
+(`evaluations`) and its rejected trials (`backtracks`).
 
 The iteration runs over plain Python floats: at the problem sizes of a
 control horizon (a few dozen variables) per-element interpreter work is
 cheaper than the fixed cost of numpy calls. The bounds and the returned
-point are therefore tuples of floats, and the objective callables receive
-list[float] points. The accepted point of an iteration is the list that
-the last line-search trial evaluated, so an objective may keep the work of
-its last value-only evaluation and reuse it for the value-and-gradient call
-at an equal point. The lam = 1 trial is built in the pass that builds the
-direction; only a backtrack builds another.
+point are therefore tuples of floats, and the objective receives list[float]
+points. The lam = 1 trial is built in the pass that builds the direction;
+only a backtrack builds another.
 """
 
 from __future__ import annotations
@@ -110,11 +111,8 @@ class BoxNlp:
     """A smooth objective with elementwise bounds.
 
     objective maps a point, a list of n floats inside the bounds, to
-    (value, gradient), the gradient a sequence of n floats. objective_value,
-    when given, is a cheaper value-only path used inside the line search; it
-    must agree with objective's value to roundoff. The solver reads both
-    attributes when a solve starts and passes each accepted point as the
-    very list its line search last evaluated.
+    (value, gradient), the gradient a sequence of n floats. The solver
+    reads it when a solve starts and calls it once per line-search trial.
 
     lower and upper may be any sequences of numbers. They are checked once,
     here, and kept as tuples of floats, whose length n is the dimension and
@@ -132,8 +130,9 @@ class BoxNlp:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
     step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
-    objective_value: Optional[Callable[[list], float]] = None
     scale: Optional[tuple[float, ...]] = None
+    # not a field, and always None; perfbench/tracer.py reads that name
+    objective_value = None
 
     def __post_init__(self):
         lower, upper = _bounds(self.lower), _bounds(self.upper)
@@ -184,8 +183,8 @@ class MinimizeResult:
     or step_tol, and the lowest accepted point of the run when stop is
     max_iter, floor or lambda_min; value and projected_gradient_norm are
     that point's. iterations and stop describe the run that found x;
-    value_evals, grad_evals and backtracks total every run of a multi-start
-    solve.
+    evaluations (objective calls) and backtracks (rejected trials) total
+    every run of a multi-start solve.
     """
 
     x: tuple[float, ...]
@@ -194,8 +193,7 @@ class MinimizeResult:
     iterations: int = 0
     projected_gradient_norm: float = float("nan")
     stop: str = STOP_MAX_ITER
-    value_evals: int = 0
-    grad_evals: int = 0
+    evaluations: int = 0
     backtracks: int = 0
 
 
@@ -213,7 +211,6 @@ def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> 
 def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     """One SPG run from x0."""
     objective = problem.objective
-    value_of = problem.objective_value or (lambda z: objective(z)[0])
     lower, upper = problem.lower, problem.upper
     metric = problem.scale or (1.0,) * len(lower)
     gtol = problem.gradient_tolerance
@@ -222,16 +219,16 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
     f, g = objective(x)
     _check_evaluation(f, g, x, 0)
-    value_evals = backtracks = 0
-    grad_evals = 1
+    evaluations, backtracks = 1, 0
 
-    # the unit-step projected gradient, and the same step in the metric
+    # the projected gradient's norm, and the unit step in the metric
     pg_norm = pg_metric = 0.0
     for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
-        t = v - gi
-        a = abs(v - (lo if t < lo else (hi if t > hi else t)))
-        if a > pg_norm:
-            pg_norm = a
+        if gi > 0.0:
+            if v > lo and gi > pg_norm:
+                pg_norm = gi
+        elif v < hi and -gi > pg_norm:
+            pg_norm = -gi
         t = v - gi / h
         a = abs(v - (lo if t < lo else (hi if t > hi else t)))
         if a > pg_metric:
@@ -276,14 +273,14 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         f_ref = max(recent)
         floor = _DECREASE_FLOOR * (1.0 + abs(f))
         while True:
-            f_trial = value_of(trial)
-            value_evals += 1
-            if math.isfinite(f_trial) and f_trial <= f_ref + _ARMIJO * lam * gtd:
+            f_new, g_new = objective(trial)
+            evaluations += 1
+            if math.isfinite(f_new) and f_new <= f_ref + _ARMIJO * lam * gtd:
                 break
             backtracks += 1
-            if iteration == 1 and math.isfinite(f_trial):
-                # minimizer of the quadratic through f, g'd and f_trial
-                q = -0.5 * lam * lam * gtd / (f_trial - f - lam * gtd)
+            if iteration == 1 and math.isfinite(f_new):
+                # minimizer of the quadratic through f, g'd and f_new
+                q = -0.5 * lam * lam * gtd / (f_new - f - lam * gtd)
                 lam = max(_INTERP_MIN * lam, min(_INTERP_MAX * lam, q))
             else:
                 lam *= 0.5
@@ -299,9 +296,6 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         if trial is None:
             status = STATUS_STALLED
             break
-
-        f_new, g_new = objective(trial)
-        grad_evals += 1
         _check_evaluation(f_new, g_new, trial, iteration)
 
         # s = x_new - x, y = g_new - g; pg and the norms at the new point
@@ -313,10 +307,11 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             a = abs(si)
             if a > step_norm:
                 step_norm = a
-            t = vn - gn
-            a = abs(vn - (lo if t < lo else (hi if t > hi else t)))
-            if a > pg_norm:
-                pg_norm = a
+            if gn > 0.0:
+                if vn > lo and gn > pg_norm:
+                    pg_norm = gn
+            elif vn < hi and -gn > pg_norm:
+                pg_norm = -gn
             a = abs(vn)
             if a > x_norm:
                 x_norm = a
@@ -335,8 +330,8 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         x, f, pg_norm = best
     return MinimizeResult(
         x=tuple(x), value=f, status=status, iterations=iteration,
-        projected_gradient_norm=pg_norm, stop=stop, value_evals=value_evals,
-        grad_evals=grad_evals, backtracks=backtracks,
+        projected_gradient_norm=pg_norm, stop=stop, evaluations=evaluations,
+        backtracks=backtracks,
     )
 
 
@@ -367,7 +362,6 @@ def minimize(
             runs.append(res)
             if res.value < best.value:
                 best = res
-        best.value_evals = sum(r.value_evals for r in runs)
-        best.grad_evals = sum(r.grad_evals for r in runs)
+        best.evaluations = sum(r.evaluations for r in runs)
         best.backtracks = sum(r.backtracks for r in runs)
     return best

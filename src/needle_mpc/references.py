@@ -2,9 +2,9 @@
 
 Every generator maps a time t (s) to a target tip position (mm). Each kind
 has one method, samples(times), that returns the targets at a list of times
-as a tuple of (x, y, z) float tuples; sample(), horizon_samples() and
-check_path_speed() all go through it, so every time is sampled by the same
-arithmetic whether it is asked for alone or in a batch. The arithmetic is
+as a tuple of (x, y, z) float tuples; horizon_samples() and
+check_path_speed() both go through it, so every time is sampled by the
+same arithmetic whether it is asked for alone or in a batch. The arithmetic is
 scalar `math` that gives numpy's bits: paths interpolate as np.interp does,
 slope*(t - t0) + p0 with slope = (p1 - p0)/(t1 - t0), and norms sum their
 squares left to right, as np.linalg.norm over an axis does. Waypoint
@@ -227,13 +227,6 @@ ReferenceSpec = Union[FixedTarget, Helix, SharpTurn, Sinusoidal, WaypointPath]
 def _check_time(t: float) -> None:
     if not math.isfinite(t) or t < 0.0:
         raise InvalidInputError(f"t must be nonnegative and finite, got {t!r}")
-
-
-def sample(spec: ReferenceSpec, t: float) -> tuple[float, float, float]:
-    """Target position (mm) at time t (s)."""
-    t = float(t)
-    _check_time(t)
-    return spec.samples([t])[0]
 
 
 def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> tuple:

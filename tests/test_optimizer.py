@@ -1,11 +1,14 @@
 import math
 import random
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from needle_mpc import optimizer
 from needle_mpc.errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 from needle_mpc.optimizer import (
     STATUS_CONVERGED,
@@ -42,6 +45,43 @@ def rosenbrock(x):
         ]
     )
     return float(f), g
+
+
+def logged_minimize(problem, x0, **kwargs):
+    """minimize(problem, x0) and a log of the solve: ("eval", x, f, g) per
+    objective call, in order, and ("accept",) after each line-search trial
+    that is accepted. The solver accepts a trial by appending its value to
+    its window of recent values, which the log watches; the accepted trial
+    is the one evaluated last."""
+    log = []
+    objective = problem.objective
+
+    def logged(x):
+        f, g = objective(x)
+        log.append(("eval", x, f, g))
+        return f, g
+
+    class Window(deque):
+        def append(self, f):
+            assert f == log[-1][2]
+            log.append(("accept",))
+            super().append(f)
+
+    problem.objective = logged
+    with mock.patch.object(optimizer, "deque", Window):
+        return minimize(problem, x0, **kwargs), log
+
+
+def accepted_points(log):
+    """The ("eval", x, f, g) entries of the trials a line search accepted."""
+    return [log[k - 1] for k, entry in enumerate(log) if entry[0] == "accept"]
+
+
+def projected_gradient_norm(x, g, lower, upper):
+    """The solver's stop measure: ||g||_inf with the entries zeroed where x
+    sits on a bound and -g points out of the box."""
+    return max(0.0 if (gi > 0.0 and v <= lo) or (gi < 0.0 and v >= hi) else abs(gi)
+               for v, gi, lo, hi in zip(x, g, lower, upper))
 
 
 class TestProblemValidation:
@@ -121,6 +161,13 @@ class TestProblemValidation:
         p = BoxNlp(objective=rosenbrock, lower=(-1.0, -1.0), upper=(1.0, 1.0))
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             minimize(p, x0)
+
+    def test_no_value_only_objective(self):
+        # one objective for value and gradient; the name stays readable
+        with pytest.raises(TypeError, match="objective_value"):
+            BoxNlp(objective=rosenbrock, lower=(-1.0,), upper=(1.0,),
+                   objective_value=lambda x: rosenbrock(x)[0])
+        assert BoxNlp(objective=rosenbrock, lower=(-1.0,), upper=(1.0,)).objective_value is None
 
     def test_max_iterations_at_least_one(self):
         with pytest.raises(InvalidConfigError, match=r"^max_iterations must be >= 1, got 0$"):
@@ -298,29 +345,20 @@ class TestFloatListLoop:
     """The solver's contract with its objective callables."""
 
     @staticmethod
-    def recording_rosenbrock(calls, lower=(-0.5, 0.2), upper=(0.8, 1.5)):
-        def objective(x):
-            calls.append(("grad", x))
-            return rosenbrock(x)
-
-        def objective_value(x):
-            calls.append(("value", x))
-            return rosenbrock(x)[0]
-
+    def rosenbrock_box(lower=(-0.5, 0.2), upper=(0.8, 1.5)):
         return BoxNlp(
-            objective=objective,
-            objective_value=objective_value,
+            objective=rosenbrock,
             lower=np.array(lower),
             upper=np.array(upper),
             max_iterations=300,
         )
 
     def test_every_call_gets_a_list_of_floats_inside_the_box(self):
-        calls = []
-        p = self.recording_rosenbrock(calls)
-        minimize(p, x0=[-1.2, 1.0], multi_start=3, seed=1)
+        p = self.rosenbrock_box()
+        _, log = logged_minimize(p, x0=[-1.2, 1.0], multi_start=3, seed=1)
+        calls = [entry[1] for entry in log if entry[0] == "eval"]
         assert calls
-        for _, x in calls:
+        for x in calls:
             assert type(x) is list and len(x) == len(p.lower)
             assert all(isinstance(v, float) for v in x)
             assert all(lo <= v <= hi for v, lo, hi in zip(x, p.lower, p.upper))
@@ -338,22 +376,22 @@ class TestFloatListLoop:
         assert res.x == pytest.approx((1.0, 0.0), abs=1e-8)
 
     def test_accepted_values_never_exceed_the_window_maximum(self):
-        calls = []
-        minimize(self.recording_rosenbrock(calls), x0=[-1.2, 1.0])
-        accepted = [rosenbrock(x)[0] for kind, x in calls if kind == "grad"]
+        _, log = logged_minimize(self.rosenbrock_box(), x0=[-1.2, 1.0])
+        accepted = [f for _, _, f, _ in [log[0]] + accepted_points(log)]
         assert len(accepted) > 10
         assert all(f <= max(accepted[max(0, k - 10):k]) for k, f in enumerate(accepted) if k)
         # the window is used: some accepted step raises the value
         assert any(b > a for a, b in zip(accepted, accepted[1:]))
 
     def test_accepted_point_is_the_last_trial_list(self):
-        # the reuse contract: each value-and-gradient call after the first
-        # receives the very list the last value-only call evaluated
-        calls = []
-        minimize(self.recording_rosenbrock(calls), x0=[-1.2, 1.0])
-        for (kind, x), (next_kind, y) in zip(calls, calls[1:]):
-            if next_kind == "grad":
-                assert kind == "value" and y is x
+        # the window takes the value of the trial evaluated last (checked in
+        # logged_minimize), and a gtol stop returns that very point
+        res, log = logged_minimize(self.rosenbrock_box(), x0=[-1.2, 1.0])
+        assert res.stop == "gtol"
+        last = accepted_points(log)[-1]
+        assert res.x == tuple(last[1]) and res.value == last[2]
+        assert res.projected_gradient_norm == projected_gradient_norm(
+            last[1], last[3], (-0.5, 0.2), (0.8, 1.5))
 
     @given(
         st.integers(1, 15).flatmap(
@@ -430,30 +468,25 @@ class TestFloatListLoop:
 
 
 class TestCounts:
-    """value_evals, grad_evals and backtracks count the objective calls."""
+    """evaluations counts the objective calls, backtracks the rejected trials."""
 
     def test_counts_match_the_calls(self):
         # a box on which the nonmonotone line search still rejects trials
-        calls = []
-        res = minimize(
-            TestFloatListLoop.recording_rosenbrock(calls, lower=(-2.0, -2.0), upper=(2.0, 2.0)),
+        res, log = logged_minimize(
+            TestFloatListLoop.rosenbrock_box(lower=(-2.0, -2.0), upper=(2.0, 2.0)),
             x0=[-1.2, 1.0],
         )
-        kinds = [kind for kind, _ in calls]
-        assert res.value_evals == kinds.count("value") > res.iterations
-        assert res.grad_evals == kinds.count("grad") > 1
+        calls = sum(entry[0] == "eval" for entry in log)
+        assert res.evaluations == calls > res.iterations
         assert res.backtracks > 0
-        # every trial is either rejected or accepted with one gradient call
-        assert res.value_evals == res.backtracks + res.grad_evals - 1
+        # one call at the start; every trial is either rejected or accepted
+        assert res.evaluations == 1 + res.backtracks + len(accepted_points(log))
 
     def test_multi_start_counts_total_every_run(self):
-        calls = []
-        res = minimize(TestFloatListLoop.recording_rosenbrock(calls), x0=[-1.2, 1.0],
-                       multi_start=3, seed=1)
-        kinds = [kind for kind, _ in calls]
-        assert res.value_evals == kinds.count("value")
-        assert res.grad_evals == kinds.count("grad")
-        assert res.value_evals == res.backtracks + res.grad_evals - 4
+        res, log = logged_minimize(TestFloatListLoop.rosenbrock_box(), x0=[-1.2, 1.0],
+                                   multi_start=3, seed=1)
+        assert res.evaluations == sum(entry[0] == "eval" for entry in log)
+        assert res.evaluations == 4 + res.backtracks + len(accepted_points(log))
 
 
 class TestNonmonotoneLineSearch:
@@ -464,18 +497,10 @@ class TestNonmonotoneLineSearch:
     @staticmethod
     def recorded_run(objective, lower, upper, x0, max_iterations):
         """The result and every accepted (point, value, pg norm), f(x0) first."""
-        accepted = []
-
-        def recorded(x):
-            f, g = objective(x)
-            pg = max(abs(v - min(max(v - gi, lo), hi))
-                     for v, gi, lo, hi in zip(x, g, lower, upper))
-            accepted.append((tuple(x), f, pg))
-            return f, g
-
-        p = BoxNlp(objective=recorded, objective_value=lambda x: objective(x)[0],
-                   lower=lower, upper=upper, max_iterations=max_iterations)
-        return minimize(p, x0), accepted
+        p = BoxNlp(objective=objective, lower=lower, upper=upper, max_iterations=max_iterations)
+        res, log = logged_minimize(p, x0)
+        return res, [(tuple(x), f, projected_gradient_norm(x, g, p.lower, p.upper))
+                     for _, x, f, g in [log[0]] + accepted_points(log)]
 
     @staticmethod
     def check_run(res, accepted):
@@ -485,7 +510,8 @@ class TestNonmonotoneLineSearch:
         if res.stop in ("max_iter", "floor"):
             lowest = values.index(min(values))
             assert (res.x, res.value, res.projected_gradient_norm) == accepted[lowest]
-        assert res.value_evals == res.backtracks + res.grad_evals - 1
+        # the start and every trial: accepted (after the start) or rejected
+        assert res.evaluations == res.backtracks + len(accepted)
 
     @given(
         st.integers(1, 6).flatmap(
@@ -536,8 +562,7 @@ class TestNonmonotoneLineSearch:
 def result_bits(res):
     """Every field of a MinimizeResult, floats by their hex form."""
     return (tuple(map(float.hex, res.x)), res.value.hex(), res.projected_gradient_norm.hex(),
-            res.status, res.stop, res.iterations, res.value_evals, res.grad_evals,
-            res.backtracks)
+            res.status, res.stop, res.iterations, res.evaluations, res.backtracks)
 
 
 class TestScaledMetric:
@@ -569,15 +594,11 @@ class TestScaledMetric:
             calls = []
 
             def recorded(x):
-                calls.append(("g", tuple(map(float.hex, x))))
+                calls.append(tuple(map(float.hex, x)))
                 return objective(x)
 
-            def recorded_value(x):
-                calls.append(("v", tuple(map(float.hex, x))))
-                return objective(x)[0]
-
-            p = BoxNlp(objective=recorded, objective_value=recorded_value, lower=lower,
-                       upper=upper, max_iterations=max_iterations, scale=scale)
+            p = BoxNlp(objective=recorded, lower=lower, upper=upper,
+                       max_iterations=max_iterations, scale=scale)
             out.append((result_bits(minimize(p, x0)), calls))
         return out
 
@@ -640,9 +661,9 @@ class TestScaledMetric:
         assert scaled.stop == unscaled.stop == "gtol"
         assert scaled.iterations == 3 and unscaled.iterations > 50
         assert scaled.x == pytest.approx(np.clip(center, -1.0, 1.0), abs=1e-12)
-        # the stop test measures the unit step, in the problem's units
+        # the stop test measures the projected gradient, in the problem's units
         g = objective(list(scaled.x))[1]
-        pg = max(abs(v - min(max(v - gi, -1.0), 1.0)) for v, gi in zip(scaled.x, g))
+        pg = projected_gradient_norm(scaled.x, g, (-1.0,) * n, (1.0,) * n)
         assert scaled.projected_gradient_norm == pg <= 1e-12 * (1.0 + abs(scaled.value))
 
 
@@ -672,20 +693,20 @@ class TestFirstIterationInterpolation:
             def value(x):
                 return sum(w * (v - c) ** 2 for v, c, w in zip(x, center, weights))
 
-            iterations = []     # (accepted point, its value, line-search trials)
-
             def objective(x):
-                iterations.append((x, value(x), []))
                 return value(x), [2.0 * w * (v - c) for v, c, w in zip(x, center, weights)]
 
-            def objective_value(x):
-                iterations[-1][2].append(x)
-                return value(x)
-
             n = len(center)
-            minimize(BoxNlp(objective=objective, objective_value=objective_value,
-                            lower=np.full(n, -np.inf), upper=np.full(n, np.inf),
-                            gradient_tolerance=1e-10), x0=x0)
+            _, log = logged_minimize(BoxNlp(objective=objective, lower=np.full(n, -np.inf),
+                                            upper=np.full(n, np.inf), gradient_tolerance=1e-10),
+                                     x0=x0)
+            # (accepted point, its value, the line-search trials from it)
+            iterations = [(log[0][1], log[0][2], [])]
+            for last, entry in zip(log, log[1:]):
+                if entry[0] == "eval":
+                    iterations[-1][2].append(entry[1])
+                else:
+                    iterations.append((last[1], last[2], []))
             accepted = [f for _, f, _ in iterations]
             assert all(f <= max(accepted[max(0, k - 10):k]) for k, f in enumerate(accepted) if k)
             for k, (x, _, trials) in enumerate(iterations):
@@ -728,22 +749,24 @@ class TestExitPaths:
         assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
 
     def test_stalled_on_line_search_underflow(self):
-        p = quadratic_problem([0.5], lower=[-1], upper=[1])
-        p.objective_value = lambda x: float("nan")
+        # every trial's value is nan, and so rejected
+        p = BoxNlp(
+            objective=lambda x: (0.25 if x == [0.0] else math.nan, [2.0 * (x[0] - 0.5)]),
+            lower=(-1.0,), upper=(1.0,),
+        )
         res = minimize(p, x0=[0.0])
         assert res.status == STATUS_STALLED
         assert res.stop == "lambda_min"
         assert res.iterations == 1
         assert res.x == (0.0,)
         # a non-finite trial is halved, not interpolated: 1, 1/2, ... 2^-46
-        assert (res.value_evals, res.grad_evals, res.backtracks) == (47, 1, 47)
+        assert (res.evaluations, res.backtracks) == (48, 47)
 
     def test_stalled_on_rounding_floor(self):
         # every trial is rejected; at f = 1e10 the floor eps/10*(1 + |f|)
         # is about 2e-7, reached long before lam < 1e-14
         p = BoxNlp(
-            objective=lambda x: (1e10 + (x[0] - 0.5) ** 2, [2.0 * (x[0] - 0.5)]),
-            objective_value=lambda x: 1e10 + 1.0,
+            objective=lambda x: (1e10 + (0.25 if x == [0.0] else 1.0), [2.0 * (x[0] - 0.5)]),
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
             gradient_tolerance=1e-300,
@@ -751,7 +774,7 @@ class TestExitPaths:
         res = minimize(p, x0=[0.0])
         assert (res.status, res.stop, res.iterations) == (STATUS_STALLED, "floor", 1)
         assert res.x == (0.0,)
-        assert res.value_evals == res.backtracks < 47
+        assert res.evaluations - 1 == res.backtracks < 47
 
     def test_stalled_on_step_tolerance(self):
         p = BoxNlp(
@@ -791,6 +814,23 @@ class TestExitPaths:
         )
         with pytest.raises(NumericalFailureError):
             minimize(p, x0=[-1.0])
+
+    @pytest.mark.parametrize("value", [None, math.nan, math.inf])
+    def test_rejected_trial_with_non_finite_gradient_does_not_raise(self, value):
+        # from x0 = 0 the first trial, x = 1, is rejected (its value is
+        # f(x0) or not finite); only an accepted trial's gradient is checked
+        rejected = []
+
+        def objective(x):
+            e = x[0] - 0.5
+            if x[0] > 0.75:
+                rejected.append(x)
+                return (e * e if value is None else value), [math.nan]
+            return e * e, [2.0 * e]
+
+        res = minimize(BoxNlp(objective=objective, lower=(-1.0,), upper=(1.0,)), x0=[0.0])
+        assert rejected == [[1.0]] and res.backtracks == 1
+        assert (res.status, res.x) == (STATUS_CONVERGED, (0.5,))
 
 
 class TestGradientCheck:

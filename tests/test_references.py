@@ -17,7 +17,6 @@ from needle_mpc.references import (
     WaypointPath,
     check_path_speed,
     horizon_samples,
-    sample,
 )
 from needle_mpc.scenario import _reference_from_dict
 from oracles import helix_point
@@ -31,7 +30,7 @@ class TestFixedTarget:
     def test_constant_at_any_time(self):
         spec = FixedTarget(target=(5.0, -15.0, 150.0))
         for t in (0.0, 0.37, 12.0, 1e6):
-            assert np.array_equal(sample(spec, t), [5.0, -15.0, 150.0])
+            assert np.array_equal(spec.samples([t])[0], [5.0, -15.0, 150.0])
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidConfigError):
@@ -47,12 +46,12 @@ class TestHelix:
         speed = 40.0 * 1.2 / (2.0 * math.pi)
         for t in (0.0, 1.0, 5.5):
             np.testing.assert_allclose(
-                sample(spec, t), [1.0, 2.0, 3.0 + speed * t], atol=1e-12
+                spec.samples([t])[0], [1.0, 2.0, 3.0 + speed * t], atol=1e-12
             )
 
     def test_starts_on_circle_at_phase(self):
         spec = Helix(radius=10.0, pitch=40.0, rate=1.2, phase=0.5)
-        p0 = sample(spec, 0.0)
+        p0 = spec.samples([0.0])[0]
         np.testing.assert_allclose(
             p0, [10.0 * math.cos(0.5), 10.0 * math.sin(0.5), 0.0], atol=1e-12
         )
@@ -65,12 +64,12 @@ class TestHelix:
         )
         for t in np.linspace(0.0, 20.0, 17):
             expected = helix_point(t, 7.5, 25.0, 0.8, (-3.0, 4.0, 1.0), 0.2, axis)
-            np.testing.assert_allclose(sample(spec, t), expected, atol=1e-12)
+            np.testing.assert_allclose(spec.samples([t])[0], expected, atol=1e-12)
 
     def test_radial_distance_constant(self):
         spec = Helix(radius=10.0, pitch=40.0, rate=1.2, center=(-10.0, 0.0, 0.0))
         for t in np.linspace(0.0, 10.0, 11):
-            p = sample(spec, t)
+            p = spec.samples([t])[0]
             assert math.hypot(p[0] + 10.0, p[1]) == pytest.approx(10.0, abs=1e-12)
 
     def test_validation(self):
@@ -85,7 +84,7 @@ class TestHelix:
 class TestSharpTurn:
     def test_two_waypoint_interpolation(self):
         spec = SharpTurn(waypoints=[(0.0, 0.0, 0.0), (0.0, 0.0, 100.0)], speed=10.0)
-        np.testing.assert_allclose(sample(spec, 5.0), [0.0, 0.0, 50.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([5.0])[0], [0.0, 0.0, 50.0], atol=1e-12)
 
     def test_constant_speed_between_corners(self):
         spec = SharpTurn(
@@ -94,12 +93,12 @@ class TestSharpTurn:
         )
         # both legs are 60 mm, so the corner sits at t = 5 s and the end at 10 s
         np.testing.assert_allclose(spec.times[1:-1], [5.0])
-        np.testing.assert_allclose(sample(spec, 2.5), [0.0, 0.0, 30.0], atol=1e-12)
-        np.testing.assert_allclose(sample(spec, 7.5), [30.0, 0.0, 60.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([2.5])[0], [0.0, 0.0, 30.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([7.5])[0], [30.0, 0.0, 60.0], atol=1e-12)
 
     def test_holds_last_point(self):
         spec = SharpTurn(waypoints=[(0.0, 0.0, 0.0), (0.0, 0.0, 60.0)], speed=12.0)
-        np.testing.assert_array_equal(sample(spec, 99.0), [0.0, 0.0, 60.0])
+        np.testing.assert_array_equal(spec.samples([99.0])[0], [0.0, 0.0, 60.0])
 
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -122,24 +121,24 @@ class TestSinusoidal:
                 6.0 * math.sin(2.0 * math.pi * 0.1 * t - 0.2),
                 18.0 * t,
             ]
-            np.testing.assert_allclose(sample(spec, t), expected, atol=1e-12)
+            np.testing.assert_allclose(spec.samples([t])[0], expected, atol=1e-12)
 
     def test_zero_amplitude_is_straight_insertion(self):
         spec = Sinusoidal(axial_speed=24.0)
-        np.testing.assert_allclose(sample(spec, 3.0), [0.0, 0.0, 72.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([3.0])[0], [0.0, 0.0, 72.0], atol=1e-12)
 
 
 class TestWaypointPath:
     def test_linear_interpolation(self):
         spec = WaypointPath(points=[(0.0, 0.0, 0.0), (0.0, 0.0, 100.0)], times=[0.0, 10.0])
-        np.testing.assert_allclose(sample(spec, 5.0), [0.0, 0.0, 50.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([5.0])[0], [0.0, 0.0, 50.0], atol=1e-12)
 
     def test_holds_at_both_ends(self):
         spec = WaypointPath(
             points=[(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], times=[1.0, 2.0]
         )
-        np.testing.assert_array_equal(sample(spec, 0.0), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(sample(spec, 10.0), [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(spec.samples([0.0])[0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(spec.samples([10.0])[0], [4.0, 5.0, 6.0])
 
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -166,9 +165,9 @@ class TestReplay:
         self._write_csv(f, rows)
         spec = self._load(f)
         assert isinstance(spec, WaypointPath)
-        np.testing.assert_allclose(sample(spec, 0.5), [0.5, -1.0, 10.0], atol=1e-12)
-        np.testing.assert_allclose(sample(spec, 2.0), [2.5, -3.0, 40.0], atol=1e-12)
-        np.testing.assert_array_equal(sample(spec, 5.0), sample(spec, 2.0))
+        np.testing.assert_allclose(spec.samples([0.5])[0], [0.5, -1.0, 10.0], atol=1e-12)
+        np.testing.assert_allclose(spec.samples([2.0])[0], [2.5, -3.0, 40.0], atol=1e-12)
+        np.testing.assert_array_equal(spec.samples([5.0])[0], spec.samples([2.0])[0])
 
     def test_first_sample_after_zero_rejected_at_load(self, tmp_path):
         f = tmp_path / "late.csv"
@@ -177,7 +176,7 @@ class TestReplay:
             self._load(f)
         # a first sample at t = 0, within roundoff, is fine
         self._write_csv(f, [(1e-13, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 10.0)])
-        np.testing.assert_array_equal(sample(self._load(f), 0.0), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(self._load(f).samples([0.0])[0], [0.0, 0.0, 0.0])
 
     def test_rejects_wrong_header(self, tmp_path):
         f = tmp_path / "tip.csv"
@@ -201,10 +200,10 @@ class TestReplay:
 class TestSampleGuards:
     def test_negative_time_rejected(self):
         spec = FixedTarget(target=(0.0, 0.0, 1.0))
-        with pytest.raises(InvalidInputError):
-            sample(spec, -0.1)
-        with pytest.raises(InvalidInputError):
-            sample(spec, math.nan)
+        with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+            horizon_samples(spec, -0.1, 1, 0.05)
+        with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+            horizon_samples(spec, math.nan, 1, 0.05)
 
 
 ALL_SPECS = [
@@ -256,7 +255,7 @@ class TestContinuity:
     def test_small_time_step_small_motion(self, spec):
         # every generator is C0: adjacent samples on a fine grid stay close
         grid = np.linspace(0.0, 15.0, 3001)
-        pts = np.stack([sample(spec, t) for t in grid])
+        pts = np.stack([spec.samples([t])[0] for t in grid])
         jumps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         # fastest configured reference moves ~24 mm/s; dt = 5 ms
         assert jumps.max() < 24.0 * 0.005 * 1.5
@@ -265,7 +264,7 @@ class TestContinuity:
     @given(t=times_st)
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, spec, t):
-        np.testing.assert_array_equal(sample(spec, t), sample(spec, t))
+        np.testing.assert_array_equal(spec.samples([t])[0], spec.samples([t])[0])
 
 
 class TestHorizonSamples:
@@ -299,7 +298,7 @@ class TestHorizonSamples:
     def test_first_row_equals_direct_sample(self, t):
         spec = Sinusoidal(axial_speed=18.0, amplitude=(10.0, 6.0), frequency=(0.15, 0.1))
         refs = horizon_samples(spec, t, 3, 0.05)
-        np.testing.assert_array_equal(refs[0], sample(spec, t))
+        np.testing.assert_array_equal(refs[0], spec.samples([t])[0])
 
     def test_validation(self):
         spec = FixedTarget(target=(0.0, 0.0, 1.0))
@@ -316,7 +315,7 @@ class TestHorizonSamples:
     @given(t=st.floats(0.0, 20.0), n=st.integers(1, 40), ts=st.floats(1e-3, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_batch_equals_stacked_samples(self, spec, t, n, ts):
-        want = np.stack([sample(spec, t + i * ts) for i in range(n + 1)])
+        want = np.stack([spec.samples([t + i * ts])[0] for i in range(n + 1)])
         assert np.array_equal(horizon_samples(spec, t, n, ts), want)
 
     def test_sharp_turn_corners_are_hit_exactly(self):
@@ -324,7 +323,8 @@ class TestHorizonSamples:
         pts = [(0.0, 0.0, 0.0), (0.0, 0.0, 12.0), (12.0, 0.0, 12.0), (12.0, 12.0, 12.0)]
         spec = SharpTurn(waypoints=pts, speed=12.0)
         refs = horizon_samples(spec, 0.5, 12, 0.25)
-        assert np.array_equal(refs, np.stack([sample(spec, 0.5 + i * 0.25) for i in range(13)]))
+        want = [spec.samples([0.5 + i * 0.25])[0] for i in range(13)]
+        assert np.array_equal(refs, np.stack(want))
         for i, point in ((2, pts[1]), (6, pts[2]), (10, pts[3]), (12, pts[3])):
             assert list(refs[i]) == list(point)
 
@@ -332,7 +332,7 @@ class TestHorizonSamples:
         pts = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (-1.0, 0.0, 9.0)]
         spec = WaypointPath(points=pts, times=[1.0, 2.0, 4.0])
         refs = horizon_samples(spec, 0.0, 12, 0.5)
-        assert np.array_equal(refs, np.stack([sample(spec, 0.5 * i) for i in range(13)]))
+        assert np.array_equal(refs, np.stack([spec.samples([0.5 * i])[0] for i in range(13)]))
         assert list(refs[0]) == list(refs[1]) == list(refs[2]) == list(pts[0])
         assert list(refs[4]) == list(pts[1])
         assert all(list(row) == list(pts[2]) for row in refs[8:])
@@ -340,7 +340,7 @@ class TestHorizonSamples:
     @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: type(s).__name__)
     def test_path_speed_check_samples_the_same_points(self, spec):
         grid = np.linspace(0.0, 12.0, 512)
-        pts = np.stack([sample(spec, t) for t in grid])
+        pts = np.stack([spec.samples([t])[0] for t in grid])
         top = float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1))) / (grid[1] - grid[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

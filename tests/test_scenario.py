@@ -18,7 +18,6 @@ from needle_mpc.references import (
     SharpTurn,
     Sinusoidal,
     WaypointPath,
-    sample,
 )
 from needle_mpc.scenario import (
     load_preset,
@@ -196,7 +195,7 @@ class TestReferenceKinds:
         rebuilt = scenario_from_dict(scenario_to_dict(scenario))
         for t in (0.0, 0.5, 1.7, 3.0):
             np.testing.assert_array_equal(
-                sample(rebuilt.reference, t), sample(scenario.reference, t)
+                rebuilt.reference.samples([t])[0], scenario.reference.samples([t])[0]
             )
 
     def test_replay_missing_file(self, tmp_path):
