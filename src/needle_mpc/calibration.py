@@ -22,7 +22,6 @@ again.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .errors import (
     finite_points,
     key,
 )
-from .harness import _read_numeric_csv, _write_csv, _write_json
+from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
 from .kinematics import NeedleState, rollout
 from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
 
@@ -123,7 +122,7 @@ def simulate_calibration_run(
     tau = tuple(tension if k == tendon_index else 0.0 for k in (1, 2, 3))
     u = rates_from_command(TendonCommand(u_s, tau), geometry)
     s0 = NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
-    states = rollout(s0, [u] * steps, ts, integrator="exact")
+    states = rollout(s0, [u] * steps, ts)
     return CalibrationRun(
         tendon_index=tendon_index,
         tension=tension,
@@ -136,13 +135,7 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise InvalidInputError(f"no {MANIFEST_NAME} found in {directory}")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"{manifest_path}: not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaError(f"{manifest_path}: JSON nested too deeply to read") from None
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict) or "runs" not in manifest:
         raise SchemaError(f"{manifest_path}: expected an object with a 'runs' array")
     entries = manifest["runs"]

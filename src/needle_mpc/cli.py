@@ -3,7 +3,7 @@
     needle-mpc run (SCENARIO.json | --preset NAME) [--out DIR] [--seed N]
     needle-mpc calibrate RUNS_DIR [--out FILE]
     needle-mpc replay COMMANDS.csv (SCENARIO.json | --preset NAME) [--out DIR]
-    needle-mpc batch (SCENARIO.json ... | --preset all) [--out DIR] [--seed N]
+    needle-mpc batch (SCENARIO.json ... | --preset (NAME | all)) [--out DIR] [--seed N]
 
 Exit codes: 0 success, 2 invalid scenario/input or an unwritable output, 3
 runtime failure. Batch parallelism is capped by the NEEDLE_MPC_THREADS
@@ -37,19 +37,21 @@ _VALIDATION_ERRORS = (
 )
 
 THREADS_ENV = "NEEDLE_MPC_THREADS"
+_NOT_BOTH = "give either a scenario path or --preset, not both"
 
 
-def _load_scenario(args) -> scenario_mod.Scenario:
-    if args.preset and args.scenario:
-        raise InvalidInputError("give either a scenario path or --preset, not both")
-    if args.preset:
-        scn = scenario_mod.load_preset(args.preset)
-    elif args.scenario:
-        scn = scenario_mod.load_scenario(args.scenario)
+def _load_scenario(path, preset, seed=None) -> scenario_mod.Scenario:
+    """The scenario in a file or a bundled preset, given exactly one."""
+    if preset and path:
+        raise InvalidInputError(_NOT_BOTH)
+    if preset:
+        scn = scenario_mod.load_preset(preset)
+    elif path:
+        scn = scenario_mod.load_scenario(path)
     else:
         raise InvalidInputError("a scenario path or --preset is required")
-    if getattr(args, "seed", None) is not None:
-        scn = scenario_mod.with_seed(scn, args.seed)
+    if seed is not None:
+        scn = scenario_mod.with_seed(scn, seed)
     return scn
 
 
@@ -64,7 +66,7 @@ def _run_and_write(scn: scenario_mod.Scenario, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    scn = _load_scenario(args)
+    scn = _load_scenario(args.scenario, args.preset, args.seed)
     summary = _run_and_write(scn, args.out)
     pct = summary["error_pct_of_insertion"]
     pct_text = f"{pct:.3g}%" if pct is not None else "n/a"
@@ -93,7 +95,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    scn = _load_scenario(args)
+    scn = _load_scenario(args.scenario, args.preset)
     commands_path = args.commands
     if not os.path.exists(commands_path):
         # fall back to a bundled command file of that name
@@ -117,15 +119,11 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(job: tuple[str, str, int | None]) -> tuple[str, dict]:
-    source, out_dir, seed = job
-    if os.path.exists(source):
-        scn = scenario_mod.load_scenario(source)
-    else:
-        scn = scenario_mod.load_preset(source)
-    if seed is not None:
-        scn = scenario_mod.with_seed(scn, seed)
-    return source, _run_and_write(scn, out_dir)
+def _batch_worker(job: tuple[str | None, str | None, str, int | None]) -> tuple[str, dict]:
+    """Run one job: (scenario path, preset name), exactly one of them set,
+    then its output directory and seed override."""
+    path, preset, out_dir, seed = job
+    return path or preset, _run_and_write(_load_scenario(path, preset, seed), out_dir)
 
 
 def _worker_cap(n_jobs: int) -> int:
@@ -143,18 +141,19 @@ def _worker_cap(n_jobs: int) -> int:
 
 
 def cmd_batch(args) -> int:
-    if args.preset == "all":
-        sources = scenario_mod.preset_names()
-    elif args.preset:
-        sources = [args.preset]
+    if args.preset and args.scenarios:
+        raise InvalidInputError(_NOT_BOTH)
+    if args.preset:
+        names = scenario_mod.preset_names() if args.preset == "all" else [args.preset]
+        sources = [(None, name) for name in names]
     else:
-        sources = list(args.scenarios)
+        sources = [(path, None) for path in args.scenarios]
     if not sources:
         raise InvalidInputError("batch needs scenario paths or --preset")
     jobs = []
-    for src in sources:
-        label = os.path.splitext(os.path.basename(src))[0]
-        jobs.append((src, os.path.join(args.out, label), args.seed))
+    for path, preset in sources:
+        label = os.path.splitext(os.path.basename(path or preset))[0]
+        jobs.append((path, preset, os.path.join(args.out, label), args.seed))
     workers = _worker_cap(len(jobs))
     if workers == 1:
         results = [_batch_worker(j) for j in jobs]

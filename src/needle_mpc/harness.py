@@ -29,7 +29,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, check_fields, key
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    NumericalFailureError,
+    SchemaError,
+    check_fields,
+    key,
+)
 from .kinematics import NeedleState, VirtualInput, distance, step_euler, step_exact
 from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
 from .mpc import RecedingHorizonController
@@ -382,6 +389,19 @@ def _write_json(path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path):
+    """The document in a JSON file. Text that is not JSON, or nests too
+    deeply to read, raises SchemaError naming the file; a missing file
+    raises FileNotFoundError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
 
 
 def write_step_csv(result: ScenarioResult, path) -> None:

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidConfigError, InvalidInputError, finite_float, finite_floats
+from .errors import InvalidInputError, finite_float, finite_floats
 
 _CONSTRUCT_TOL = 1e-6    # constructor renormalizes within this, rejects beyond
 _MIN_BEND_RATE = 1e-12   # rad/s below which the step is treated as straight
@@ -153,25 +153,12 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     )
 
 
-_INTEGRATORS = {"euler": step_euler, "exact": step_exact}
-
-
-def rollout(
-    state: NeedleState,
-    inputs: Sequence[VirtualInput],
-    ts: float,
-    integrator: str = "exact",
-) -> list[NeedleState]:
-    """Apply a sequence of piecewise-constant inputs; returns N+1 states."""
-    try:
-        step = _INTEGRATORS[integrator]
-    except KeyError:
-        raise InvalidConfigError(
-            f"unknown integrator {integrator!r}, expected one of {sorted(_INTEGRATORS)}"
-        ) from None
+def rollout(state: NeedleState, inputs: Sequence[VirtualInput], ts: float) -> list[NeedleState]:
+    """Apply a sequence of piecewise-constant inputs by the exact step;
+    returns N+1 states."""
     if len(inputs) == 0:
         raise InvalidInputError("input sequence is empty")
     states = [state]
     for u in inputs:
-        states.append(step(states[-1], u, ts))
+        states.append(step_exact(states[-1], u, ts))
     return states

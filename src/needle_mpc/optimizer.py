@@ -24,11 +24,14 @@ Convergence is declared when the projected gradient, g zeroed where x
 sits on a bound and -g points out of the box, has an inf-norm at most
 gradient_tolerance * (1 + |f|). Both sides scale with f, so scaling f
 leaves the test as it is once |f| >> 1; the unit step ||x - P(x - g)||_inf
-would not, as it never exceeds the box width. The metric changes the
-steps only: the stop tests and step_tolerance ignore h. A metric that
-follows the objective's curvature, entry by entry, lets one steplength
-serve variables whose curvatures differ by orders of magnitude (scaled
-gradient projection: Bonettini, Zanella and Zanni, Inverse Problems 2009).
+would not, as it never exceeds the box width. A run also stops (step_tol)
+once an accepted step has an inf-norm at most 1e-12 * (1 + ||x||_inf), a
+constant; it is converged if the gradient test holds there, and stalled
+otherwise. The metric changes the steps only: the stop tests ignore h. A
+metric that follows the objective's curvature, entry by entry, lets one
+steplength serve variables whose curvatures differ by orders of magnitude
+(scaled gradient projection: Bonettini, Zanella and Zanni, Inverse Problems
+2009).
 Under the identity every division by h and product with it is exact, so a
 problem without a scale runs the unscaled method bit for bit.
 
@@ -85,6 +88,7 @@ _ALPHA_MAX = 1e10
 _ARMIJO = 1e-4
 _GLL_WINDOW = 10   # a trial is tested against the largest of this many accepted values
 _LAMBDA_MIN = 1e-14
+_STEP_TOL = 1e-12  # step_tol: a step of at most this times 1 + ||x||_inf
 # a trial whose predicted decrease lam*|g'd| is at most this times 1 + |f|
 # cannot show in f; the module docstring says why eps/10
 _DECREASE_FLOOR = sys.float_info.epsilon / 10.0
@@ -129,7 +133,6 @@ class BoxNlp:
     upper: tuple[float, ...]
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8   # scaled by 1 + |f|
-    step_tolerance: float = 1e-12      # scaled by 1 + ||x||_inf
     scale: Optional[tuple[float, ...]] = None
     # not a field, and always None; perfbench/tracer.py reads that name
     objective_value = None
@@ -149,8 +152,8 @@ class BoxNlp:
                 )
         if self.max_iterations < 1:
             raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.gradient_tolerance > 0.0 and self.step_tolerance > 0.0):
-            raise InvalidConfigError("tolerances must be positive")
+        if not self.gradient_tolerance > 0.0:
+            raise InvalidConfigError("gradient_tolerance must be positive")
         if self.scale is not None:
             self.scale = finite_floats(self.scale, "scale", len(lower))
             if not all(h > 0.0 for h in self.scale):
@@ -214,7 +217,6 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     lower, upper = problem.lower, problem.upper
     metric = problem.scale or (1.0,) * len(lower)
     gtol = problem.gradient_tolerance
-    stol = problem.step_tolerance
 
     x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
     f, g = objective(x)
@@ -321,7 +323,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         if f < best[1]:
             best = (x, f, pg_norm)
 
-        if step_norm <= stol * (1.0 + x_norm):
+        if step_norm <= _STEP_TOL * (1.0 + x_norm):
             status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
             stop = STOP_STEP_TOL
             break

@@ -14,17 +14,16 @@ extrapolation. A recorded tip trajectory (a scenario's "replay" reference)
 loads into a waypoint path. Numbers must be real numbers; strings and bools
 are rejected, not coerced. A helix or sinusoid whose angle overflows, or
 whose point at a sampled time has a squared norm that is not finite, raises
-InvalidInputError naming the key at fault. Every position field (targets,
+InvalidInputError naming the keys at fault. Every position field (targets,
 centers, radii, pitches, amplitudes and path points) is bounded to
 MAX_POSITION_MM in magnitude, far outside any needle's workspace, so only
-a helix's climb or a sinusoid's axial advance, which grow with time, can
-leave the float range.
+a helix's climb (pitch_mm * rate_rad_s) or a sinusoid's axial advance,
+which grow with time, can leave the float range.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -35,6 +34,8 @@ from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields,
 from .kinematics import distance
 
 MAX_POSITION_MM = 1e6
+_SPEED_MARGIN = 1.05   # check_path_speed warns beyond this times the speed bound
+_SPEED_SAMPLES = 512   # grid points of check_path_speed
 
 _AXIS_PERMUTATION = {
     # (radial_1, radial_2, axial) -> world (x, y, z)
@@ -95,7 +96,7 @@ class Helix:
             raise _angle_overflow(self, "rate", t) from None
         # radius and center are bounded, so only the climb (pitch*rate*t, or
         # inf*0 = nan at t = 0 once pitch*rate overflows) leaves the range
-        _check_range(self, times, rows, "pitch")
+        _check_range(self, times, rows, "pitch", "rate")
         return tuple(rows)
 
 
@@ -103,16 +104,15 @@ def _angle_overflow(spec, attr: str, t: float) -> InvalidInputError:
     return InvalidInputError(f"{key_of(spec, attr)} overflows the reference angle at t = {t!r} s")
 
 
-def _check_range(spec, times, rows: list, attr: str) -> None:
+def _check_range(spec, times, rows: list, *attrs: str) -> None:
     """Refuse the first point whose squared norm is not finite (nan and inf
-    coordinates included), naming the key of spec's field attr: the horizon
-    cost squares the distance to every reference point, so such a point can
-    never be costed."""
+    coordinates included), naming the keys of spec's fields attrs, whose
+    product grows with time: the horizon cost squares the distance to every
+    reference point, so such a point can never be costed."""
     for t, (x, y, z) in zip(times, rows):
         if not math.isfinite(x * x + y * y + z * z):
-            raise InvalidInputError(
-                f"{key_of(spec, attr)} puts the reference out of range at t = {t!r} s"
-            )
+            keys = " * ".join(key_of(spec, attr) for attr in attrs)
+            raise InvalidInputError(f"{keys} puts the reference out of range at t = {t!r} s")
 
 
 def _interp_path(points: tuple, knots: tuple, times) -> tuple:
@@ -243,31 +243,27 @@ def horizon_samples(spec: ReferenceSpec, t: float, n: int, ts: float) -> tuple:
     return spec.samples(times)
 
 
-def check_path_speed(
-    spec: ReferenceSpec, duration: float, u_s_max: float, margin: float = 1.05,
-    samples: int = 512,
-) -> float:
+def check_path_speed(spec: ReferenceSpec, duration: float, u_s_max: float) -> float:
     """Largest finite-difference path speed over [0, duration] (mm/s).
 
-    Warns when it exceeds u_s_max * margin, meaning not even straight-line
-    insertion at full speed could keep up with the reference. The grid is
-    np.linspace's: i * dt, then duration itself.
+    Warns when it exceeds u_s_max by more than 5% (_SPEED_MARGIN), meaning
+    not even straight-line insertion at full speed could keep up with the
+    reference. The grid is np.linspace's over _SPEED_SAMPLES = 512 points:
+    i * dt, then duration itself.
     """
     if duration <= 0.0:
         raise InvalidInputError(f"duration must be positive, got {duration!r}")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
-        raise InvalidInputError(f"samples must be an integer >= 2, got {samples!r}")
     duration = float(duration)
     _check_time(duration)
-    dt = duration / (samples - 1)
-    pts = spec.samples([i * dt for i in range(samples - 1)] + [duration])
+    dt = duration / (_SPEED_SAMPLES - 1)
+    pts = spec.samples([i * dt for i in range(_SPEED_SAMPLES - 1)] + [duration])
     top = max(map(distance, pts[1:], pts))
     # a grid step that underflows to 0 divides as numpy does: inf, or nan for 0/0
     top = top / dt if dt else top * math.inf
-    if top > u_s_max * margin:
+    if top > u_s_max * _SPEED_MARGIN:
         warnings.warn(
             f"reference path speed {top:.3g} mm/s exceeds the insertion speed bound "
-            f"{u_s_max:.3g} mm/s by more than {100 * (margin - 1):.0f}%; "
+            f"{u_s_max:.3g} mm/s by more than {100 * (_SPEED_MARGIN - 1):.0f}%; "
             "the trajectory cannot be tracked",
             stacklevel=2,
         )

@@ -14,7 +14,6 @@ output file.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import typing
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .errors import (
     json_fields,
     key,
 )
-from .harness import PlantConfig, RunConfig, _read_numeric_csv
+from .harness import PlantConfig, RunConfig, _read_json, _read_numeric_csv
 from .mapping import TendonGeometry
 from .mpc import MpcConfig
 from .references import FixedTarget, Helix, ReferenceSpec, SharpTurn, Sinusoidal, WaypointPath
@@ -176,14 +175,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     """Scenario from a JSON file; a relative replay csv_path resolves
     against the file's directory."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
-    return scenario_from_dict(doc, base_dir=os.path.dirname(path))
+    return scenario_from_dict(_read_json(path), base_dir=os.path.dirname(path))
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

@@ -312,12 +312,14 @@ class TestRun:
         ("helix", {"pitch_mm": 1e6, "rate_rad_s": 1e300}, "pitch_mm"),
         ("sinusoidal", {"axial_speed_mm_s": 1e200}, "axial_speed_mm_s"),
         ("sinusoidal", {"axial_speed_mm_s": 1e308}, "axial_speed_mm_s"),
+        ("helix", {"rate_rad_s": 1e160}, "rate_rad_s"),
     ])
     def test_out_of_range_reference_named(self, tmp_path, capsys, preset, changes, key):
         # a point whose squared norm overflows (or that is nan, as pitch*rate
         # = inf times t = 0) can never be costed by the horizon; within the
         # schema's position bounds only the climb and the axial advance,
-        # which grow with time, get there
+        # which grow with time, get there. The climb is pitch*rate*t, so a
+        # helix's message names both keys, whichever of them was raised
         doc = json.loads(
             resources.files("needle_mpc").joinpath("presets", f"{preset}.json").read_text()
         )
@@ -326,9 +328,11 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
+        named = {"helix": r"pitch_mm \* rate_rad_s", "sinusoidal": key}[preset]
         assert re.fullmatch(
-            rf"error: {key} puts the reference out of range at t = \d+\.\d+ s\n", err
+            rf"error: {named} puts the reference out of range at t = \d+\.\d+ s\n", err
         )
+        assert key in err
 
     @pytest.mark.parametrize("t0", ["1", "-5"])
     def test_replay_must_start_at_zero(self, tmp_path, capsys, t0):
@@ -623,6 +627,32 @@ class TestBatch:
     def test_batch_needs_sources(self, tmp_path, capsys):
         assert cli.main(["batch", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    def test_file_named_like_a_preset_does_not_shadow_it(self, tmp_path, capsys, monkeypatch):
+        # a scenario file named target1 in the working directory; --preset
+        # target1 still runs the bundled preset
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        monkeypatch.chdir(tmp_path)
+        quick_scenario(tmp_path, name="target1")
+        assert cli.main(["batch", "--preset", "target1", "--out", "batch"]) == 0
+        assert cli.main(["run", "--preset", "target1", "--out", "run"]) == 0
+        capsys.readouterr()
+        for name in ("steps.csv", "summary.json"):
+            assert (tmp_path / "batch/target1" / name).read_bytes() == (
+                tmp_path / "run" / name).read_bytes()
+
+    def test_missing_path_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["batch", str(missing), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_path_and_preset_are_exclusive(self, tmp_path, capsys):
+        path = quick_scenario(tmp_path)
+        code = cli.main(["batch", str(path), "--preset", "target2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: give either a scenario path or --preset, not both\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputs:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError, InvalidInputError
+from needle_mpc.errors import InvalidInputError
 from needle_mpc.kinematics import (
     _MIN_BEND_RATE,
     NeedleState,
@@ -274,7 +274,7 @@ class TestStepExact:
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         u = VirtualInput(10.0, 1.0, 0.0)
         ts = 2.0 * math.pi / 200.0
-        states = rollout(s, [u] * 200, ts, integrator="exact")
+        states = rollout(s, [u] * 200, ts)
         pts = np.array([st_.p for st_ in states])
         assert pts[:, 0] == pytest.approx(0.0, abs=1e-12)
         center = np.array([0.0, 10.0, 0.0])
@@ -289,7 +289,7 @@ class TestStepExact:
         # not a helix; the angle between d and (u_x, u_y, 0) is invariant
         s = NeedleState(p=(0, 0, 0), d=(0.0, 0.0, 1.0))
         u = VirtualInput(12.0, 0.9, -0.7)
-        states = rollout(s, [u] * 40, 0.05, integrator="exact")
+        states = rollout(s, [u] * 40, 0.05)
         pts = np.array([st_.p for st_ in states])
         want = math.hypot(u.u_x, u.u_y) / u.u_s
         got = estimate_curvature(pts[[0, 20, 40]])
@@ -404,15 +404,6 @@ class TestRollout:
         states = rollout(s, [VirtualInput(24.0, 0.0, 0.0)] * 210, 0.05)
         assert states[-1].p[2] == pytest.approx(252.0, abs=1e-9)
 
-    def test_euler_and_exact_integrators_selected(self):
-        s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
-        u = [VirtualInput(20.0, 2.0, 1.0)] * 10
-        eu = rollout(s, u, 0.05, integrator="euler")
-        ex = rollout(s, u, 0.05, integrator="exact")
-        assert not np.allclose(eu[-1].p, ex[-1].p, atol=1e-9)
-        with pytest.raises(InvalidConfigError):
-            rollout(s, u, 0.05, integrator="rk4")
-
     def test_unit_norm_over_long_mixed_rollout(self):
         rng = np.random.default_rng(17)
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
@@ -420,6 +411,8 @@ class TestRollout:
             VirtualInput(rng.uniform(-1, 24), rng.uniform(-5, 5), rng.uniform(-5, 5))
             for _ in range(500)
         ]
-        for integ in ("euler", "exact"):
-            for st_ in rollout(s, inputs, 0.05, integrator=integ):
-                assert abs(np.linalg.norm(st_.d) - 1.0) <= 1e-9
+        euler = [s]
+        for u in inputs:
+            euler.append(step_euler(euler[-1], u, 0.05))
+        for st_ in euler + rollout(s, inputs, 0.05):
+            assert abs(np.linalg.norm(st_.d) - 1.0) <= 1e-9

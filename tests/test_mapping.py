@@ -556,7 +556,7 @@ class TestEstimateCurvature:
 
     def test_constant_input_rollout(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
-        states = rollout(s, [VirtualInput(10.0, 1.0, 0.0)] * 50, 0.05, integrator="exact")
+        states = rollout(s, [VirtualInput(10.0, 1.0, 0.0)] * 50, 0.05)
         pts = [st_.p for st_ in states]
         assert estimate_curvature(pts) == pytest.approx(0.1, rel=1e-6)
 

@@ -777,18 +777,25 @@ class TestExitPaths:
         assert res.evaluations - 1 == res.backtracks < 47
 
     def test_stalled_on_step_tolerance(self):
-        p = BoxNlp(
-            objective=rosenbrock,
-            lower=np.array([-2.0, -2.0]),
-            upper=np.array([2.0, 2.0]),
-            step_tolerance=10.0,
-        )
-        res = minimize(p, x0=[-1.2, 1.0])
-        assert res.status == STATUS_STALLED
-        assert res.stop == "step_tol"
-        assert res.iterations == 1
-        assert res.value < rosenbrock([-1.2, 1.0])[0]
+        # a valley of curvature 1e8 across and 2 along: near the minimum at
+        # 0 the steps shrink below 1e-12 before the gradient reaches 1e-8
+        def valley(x):
+            a, b = x
+            r = b - a * a
+            return a * a + 1e8 * r * r, [2.0 * a - 4e8 * a * r, 2e8 * r]
+
+        p = BoxNlp(objective=valley, lower=[-2.0, -2.0], upper=[2.0, 2.0])
+        res, log = logged_minimize(p, x0=[1.5, 1.0])
+        assert (res.status, res.stop, res.iterations) == (STATUS_STALLED, "step_tol", 78)
+        assert res.value < valley([1.5, 1.0])[0]
         assert res.projected_gradient_norm > p.gradient_tolerance * (1.0 + abs(res.value))
+        # the last accepted step is within the constant tolerance, no other is
+        points = [entry[1] for entry in accepted_points(log)]
+        steps = [
+            max(abs(u - v) for u, v in zip(x1, x0)) / (1.0 + max(map(abs, x1)))
+            for x0, x1 in zip([[1.5, 1.0]] + points, points)
+        ]
+        assert steps[-1] <= 1e-12 < min(steps[:-1])
 
     def test_max_iter_returns_last_accepted_iterate(self):
         p = BoxNlp(

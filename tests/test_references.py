@@ -359,12 +359,6 @@ class TestPathSpeedCheck:
         with pytest.warns(UserWarning, match="cannot be tracked"):
             check_path_speed(spec, duration=10.0, u_s_max=24.0)
 
-    @pytest.mark.parametrize("samples", [1, 0, -3, 2.0, True])
-    def test_grid_needs_two_samples(self, samples):
-        spec = FixedTarget(target=(0.0, 0.0, 1.0))
-        with pytest.raises(InvalidInputError, match="samples must be an integer >= 2"):
-            check_path_speed(spec, 10.0, 24.0, samples=samples)
-
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration_must_be_positive(self, duration):
         spec = FixedTarget(target=(0.0, 0.0, 1.0))
