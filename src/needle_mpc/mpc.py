@@ -7,17 +7,18 @@ Each control step minimizes
 over the N inputs of a short horizon, subject to per-channel box bounds.
 Predictions use the Euler-discretized model with direction renormalization.
 
-One scalar core serves a solve: `_EulerHorizon.predict` runs the Euler
-rollout once over plain Python floats and keeps the positions, directions
-and pre-normalization norms. It rolls out in the tip-relative frame: the
+One scalar core serves a solve: `_EulerHorizon._rollout` runs the Euler
+rollout once over plain Python floats and keeps one tuple per stage: the
+tracking error, the directions before and after, the pre-normalization
+norm, the inputs and the position. It rolls out in the tip-relative frame: the
 positions are displacements from the start p_0 and the references are
 shifted to ref_i - p_0, so the cost is J exactly but its rounding error
 scales with the horizon's travel and tracking error, not with |p_0| (up to
 a few hundred mm). Near a target J is tiny, and in absolute coordinates its
 rounding noise would sit far above the solver's rounding floor, which
 scales with |J|. The solver's one objective, `value_and_grad`, reads
-that output for the cost and accumulates the gradient in reverse through
-the rollout, renormalization included, so it is exact to roundoff: one
+that output for the cost and accumulates the gradient in reverse over the
+stage tuples, renormalization included, so it is exact to roundoff: one
 rollout per line-search trial, and no state kept between calls.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
 The first SPG iteration of a solve backtracks by quadratic interpolation
@@ -154,7 +155,8 @@ class _EulerHorizon:
     references are stored as ref_i - p_0, so predict() returns the
     displacements p_i - p_0 and the cost is the same J as in absolute
     coordinates, with rounding noise that no longer grows with |p_0|.
-    predict() is the only Euler rollout; value_and_grad() reads its output.
+    _rollout() is the only Euler rollout; value_and_grad() and predict()
+    read its stage tuples.
     Flat vectors are lists ordered (x_0, y_0, z_0, x_1, ...), three entries
     per step. metric() gives the solver's diagonal metric for the solve's
     start point.
@@ -173,6 +175,45 @@ class _EulerHorizon:
         self.q2 = tuple(2.0 * w for w in self.q)
         self.r2 = tuple(2.0 * w for w in self.r)
 
+    def _rollout(self, x: list) -> tuple[float, list, tuple]:
+        """Roll the flat inputs x out once; returns (cost, stages, terminal).
+
+        stages holds one tuple per stage i < N,
+
+            (e_i, d_i, d_i+1, norm_i, u_i, p_i)
+
+        flattened to 16 floats: the error e_i = p_i - ref_i, the directions
+        before and after the stage, the norm of the raw Euler direction
+        before renormalization, the stage's inputs (u_s, u_x, u_y) and the
+        displacement p_i - p_0. terminal is (e_N, p_N - p_0), 6 floats.
+        """
+        ts, refs = self.ts, self.refs
+        qx, qy, qz = self.q
+        rs, rx, ry = self.r
+        px = py = pz = 0.0
+        dx, dy, dz = self.d0
+        stages = []
+        ex, ey, ez = px - refs[0], py - refs[1], pz - refs[2]
+        cost = qx * ex * ex + qy * ey * ey + qz * ez * ez
+        for k in range(0, 3 * self.n, 3):
+            us, ux, uy = x[k], x[k + 1], x[k + 2]
+            # raw = d + ts * (d x (u_x, u_y, 0))
+            ax = dx - ts * (uy * dz)
+            ay = dy + ts * (ux * dz)
+            az = dz + ts * (uy * dx - ux * dy)
+            nrm = math.sqrt(ax * ax + ay * ay + az * az)
+            nx, ny, nz = ax / nrm, ay / nrm, az / nrm
+            stages.append((ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy, px, py, pz))
+            step = ts * us
+            px += step * dx
+            py += step * dy
+            pz += step * dz
+            dx, dy, dz = nx, ny, nz
+            ex, ey, ez = px - refs[k + 3], py - refs[k + 4], pz - refs[k + 5]
+            cost += rs * us * us + rx * ux * ux + ry * uy * uy
+            cost += qx * ex * ex + qy * ey * ey + qz * ez * ez
+        return cost, stages, (ex, ey, ez, px, py, pz)
+
     def predict(self, x: list) -> tuple[float, list, list, list]:
         """Roll the flat inputs x out; returns (cost, p, d, norms).
 
@@ -180,34 +221,14 @@ class _EulerHorizon:
         norms holds the N norms of the raw Euler directions before
         renormalization.
         """
-        ts, refs = self.ts, self.refs
-        qx, qy, qz = self.q
-        rs, rx, ry = self.r
-        px = py = pz = 0.0
-        dx, dy, dz = self.d0
-        p = [px, py, pz]
-        d = [dx, dy, dz]
-        norms = []
-        ex, ey, ez = px - refs[0], py - refs[1], pz - refs[2]
-        cost = qx * ex * ex + qy * ey * ey + qz * ez * ez
-        for k in range(0, 3 * self.n, 3):
-            us, ux, uy = x[k], x[k + 1], x[k + 2]
-            step = ts * us
-            px += step * dx
-            py += step * dy
-            pz += step * dz
-            # raw = d + ts * (d x (u_x, u_y, 0))
-            ax = dx - ts * (uy * dz)
-            ay = dy + ts * (ux * dz)
-            az = dz + ts * (uy * dx - ux * dy)
-            nrm = math.sqrt(ax * ax + ay * ay + az * az)
-            dx, dy, dz = ax / nrm, ay / nrm, az / nrm
-            p += (px, py, pz)
-            d += (dx, dy, dz)
-            norms.append(nrm)
-            ex, ey, ez = px - refs[k + 3], py - refs[k + 4], pz - refs[k + 5]
-            cost += rs * us * us + rx * ux * ux + ry * uy * uy
-            cost += qx * ex * ex + qy * ey * ey + qz * ez * ez
+        cost, stages, terminal = self._rollout(x)
+        p, d, norms = [], [], []
+        for stage in stages:
+            p += stage[13:]
+            d += stage[3:6]
+            norms.append(stage[9])
+        p += terminal[3:]
+        d += stages[-1][6:9]
         return cost, p, d, norms
 
     def metric(self, x0) -> Optional[tuple[float, ...]]:
@@ -251,41 +272,37 @@ class _EulerHorizon:
         return tuple(map(math.sqrt, diag))
 
     def value_and_grad(self, x: list) -> tuple[float, list]:
-        """Cost and its gradient (3N floats), accumulated in reverse."""
-        cost, p, d, norms = self.predict(x)
-        ts, refs = self.ts, self.refs
+        """Cost and its gradient (3N floats), accumulated in reverse over
+        the stages of one rollout."""
+        cost, stages, (ex, ey, ez, _, _, _) = self._rollout(x)
+        ts = self.ts
         qx, qy, qz = self.q2
         rs, rx, ry = self.r2
-        grad = [0.0] * (3 * self.n)
-        k = 3 * self.n
         # adjoints of p_i and d_i, seeded at the terminal error
-        lpx = qx * (p[k] - refs[k])
-        lpy = qy * (p[k + 1] - refs[k + 1])
-        lpz = qz * (p[k + 2] - refs[k + 2])
+        lpx, lpy, lpz = qx * ex, qy * ey, qz * ez
         ldx = ldy = ldz = 0.0
-        for i in range(self.n - 1, -1, -1):
-            k = 3 * i
-            us, ux, uy = x[k], x[k + 1], x[k + 2]
-            dx, dy, dz = d[k], d[k + 1], d[k + 2]
-            nx, ny, nz = d[k + 3], d[k + 4], d[k + 5]
-            # p_{i+1} = p_i + ts*us*d_i
-            grad[k] = ts * (dx * lpx + dy * lpy + dz * lpz) + rs * us
+        grad = []   # built last stage first, (u_y, u_x, u_s) each, then reversed
+        for ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy, _, _, _ in reversed(stages):
             # d_{i+1} = raw / ||raw||, raw = (I + ts*K) d_i with skew K
             c = nx * ldx + ny * ldy + nz * ldz
-            nrm = norms[i]
             lrx = (ldx - c * nx) / nrm
             lry = (ldy - c * ny) / nrm
             lrz = (ldz - c * nz) / nrm
-            grad[k + 1] = ts * (dz * lry - dy * lrz) + rx * ux
-            grad[k + 2] = ts * (dx * lrz - dz * lrx) + ry * uy
+            grad += (
+                ts * (dx * lrz - dz * lrx) + ry * uy,
+                ts * (dz * lry - dy * lrz) + rx * ux,
+                # p_{i+1} = p_i + ts*us*d_i
+                ts * (dx * lpx + dy * lpy + dz * lpz) + rs * us,
+            )
             step = ts * us
             # (I + ts*K)' = I - ts*K
             ldx = step * lpx + lrx + ts * (uy * lrz)
             ldy = step * lpy + lry - ts * (ux * lrz)
             ldz = step * lpz + lrz - ts * (uy * lrx - ux * lry)
-            lpx += qx * (p[k] - refs[k])
-            lpy += qy * (p[k + 1] - refs[k + 1])
-            lpz += qz * (p[k + 2] - refs[k + 2])
+            lpx += qx * ex
+            lpy += qy * ey
+            lpz += qz * ez
+        grad.reverse()
         return cost, grad
 
 
@@ -331,7 +348,7 @@ def solve_horizon(
     except NumericalFailureError:
         x = [min(max(0.0, a), b) for a, b in zip(lo, hi)]   # zero input, projected
         return HorizonSolution(
-            x, cost=core.predict(x)[0], solver_status=STATUS_FAULT, stop=STATUS_FAULT,
+            x, cost=core._rollout(x)[0], solver_status=STATUS_FAULT, stop=STATUS_FAULT,
         )
 
     return HorizonSolution(

@@ -306,17 +306,22 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
             si = vn - v
             sy += si * (gn - gi)
             shs += h * si * si
-            a = abs(si)
-            if a > step_norm:
-                step_norm = a
+            # the norms by sign, not abs(): this loop runs once per iteration
+            if si < 0.0:
+                if -si > step_norm:
+                    step_norm = -si
+            elif si > step_norm:
+                step_norm = si
             if gn > 0.0:
                 if vn > lo and gn > pg_norm:
                     pg_norm = gn
             elif vn < hi and -gn > pg_norm:
                 pg_norm = -gn
-            a = abs(vn)
-            if a > x_norm:
-                x_norm = a
+            if vn < 0.0:
+                if -vn > x_norm:
+                    x_norm = -vn
+            elif vn > x_norm:
+                x_norm = vn
         alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, shs / sy)) if sy > 0.0 else _ALPHA_MAX
         x, f, g = trial, f_new, g_new
         recent.append(f)

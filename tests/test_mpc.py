@@ -313,9 +313,9 @@ class TestTipRelativeFrame:
 class _CountingCore(_EulerHorizon):
     __slots__ = ("predictions",)
 
-    def predict(self, x):
+    def _rollout(self, x):
         self.predictions += 1
-        return super().predict(x)
+        return super()._rollout(x)
 
 
 class TestRolloutReuse:
