@@ -30,8 +30,15 @@ direction frozen at d_0. At T_s = 1 s J's curvature in a stage's bending
 rate is hundreds of times its curvature in insertion speed, and one
 unit-metric steplength cannot serve both. The solver's stop test reads the
 projected gradient, in the cost's units, whatever the metric.
-The first input of the optimized sequence is applied; the shifted remainder
-of the flat input vector warm-starts the next step.
+The first input of the optimized sequence is applied, and the whole
+sequence warm-starts the next step. That solve costs two starts, each
+projected into the bounds, by one rollout each: the plan shifted by one
+input (last input repeated) and the plan held as it is. It starts from the
+held plan only when that is strictly cheaper, which in steady tracking it
+mostly is; a tie starts from the shifted plan. A run from the held plan
+that stalls is solved again from the shifted plan, and that run is
+returned, so the returned cost never exceeds the shifted plan's cost, the
+bound of the usual stability argument (Mayne et al., Automatica 2000).
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .errors import (
 )
 # rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
 from .kinematics import NeedleState, VirtualInput, rollout  # noqa: F401
-from .optimizer import BoxNlp, minimize
+from .optimizer import STATUS_STALLED, BoxNlp, minimize
 
 STATUS_FAULT = "fault"
 MAX_PERIOD_S = 10.0
@@ -315,25 +322,13 @@ def _shift_warm_start(warm: HorizonSolution, horizon: int) -> tuple[float, ...]:
     return x_prev[3:] + x_prev[-3:]
 
 
-def solve_horizon(
-    s0: NeedleState,
-    refs,
-    config: MpcConfig,
-    warm_start: Optional[HorizonSolution] = None,
-) -> HorizonSolution:
-    """Optimize the input sequence for one horizon.
+def _project(x, lo, hi) -> list:
+    return [a if v < a else (b if v > b else v) for v, a, b in zip(x, lo, hi)]
 
-    The start point is the shifted previous solution (last input repeated)
-    when given, otherwise zero inputs; either way it is projected into the
-    bounds first, so the returned cost never exceeds the warm-start cost. A
-    numerical failure inside the solver falls back to zero input and is
-    reported via solver_status = "fault" instead of raising.
-    """
-    n = config.horizon
-    core = _EulerHorizon(s0, refs, config)
+
+def _minimize_from(core: _EulerHorizon, x0, config: MpcConfig):
+    """One solve of the horizon from x0, in the metric built at x0."""
     lo, hi = config.horizon_bounds()
-    x0 = (0.0,) * (3 * n) if warm_start is None else _shift_warm_start(warm_start, n)
-
     problem = BoxNlp(
         objective=core.value_and_grad,
         lower=lo,
@@ -342,9 +337,49 @@ def solve_horizon(
         gradient_tolerance=config.gradient_tolerance,
         scale=core.metric(x0),
     )
+    return minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
+
+
+def solve_horizon(
+    s0: NeedleState,
+    refs,
+    config: MpcConfig,
+    warm_start: Optional[HorizonSolution] = None,
+) -> HorizonSolution:
+    """Optimize the input sequence for one horizon.
+
+    Without a warm start the solve starts from zero inputs. With one it
+    costs two candidates, each projected into the bounds, by one rollout
+    each (not counted in evaluations): the shifted previous solution (last
+    input repeated) and the previous solution held as it is. It starts
+    from the held plan only when that is strictly cheaper, and otherwise
+    from the shifted one. A solve from the held plan that ends stalled is
+    run again from the shifted plan, and that second run is returned, with
+    the evaluations and backtracks of both. So the returned cost never
+    exceeds the shifted candidate's cost, and it does not exceed the held
+    candidate's cost unless the held run stalled. A numerical failure
+    inside the solver falls back to zero input and is reported via
+    solver_status = "fault" instead of raising.
+    """
+    n = config.horizon
+    core = _EulerHorizon(s0, refs, config)
+    lo, hi = config.horizon_bounds()
+    if warm_start is None:
+        starts = [(0.0,) * (3 * n)]
+    else:
+        shifted = _project(_shift_warm_start(warm_start, n), lo, hi)
+        held = _project(warm_start.input_vector, lo, hi)
+        starts = [shifted]
+        if core._rollout(held)[0] < core._rollout(shifted)[0]:
+            starts.insert(0, held)
 
     try:
-        res = minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
+        res = _minimize_from(core, starts[0], config)
+        if len(starts) == 2 and res.status == STATUS_STALLED:
+            again = _minimize_from(core, starts[1], config)
+            again.evaluations += res.evaluations
+            again.backtracks += res.backtracks
+            res = again
     except NumericalFailureError:
         x = [min(max(0.0, a), b) for a, b in zip(lo, hi)]   # zero input, projected
         return HorizonSolution(
