@@ -94,13 +94,22 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _is_bundled_name(commands: str) -> bool:
+    """A bare name (no path separator, no .csv suffix) names a bundled
+    command file; anything else is a file path."""
+    separators = (os.sep, os.altsep) if os.altsep else (os.sep,)
+    return not commands.endswith(".csv") and not any(c in commands for c in separators)
+
+
 def cmd_replay(args) -> int:
     scn = _load_scenario(args.scenario, args.preset)
     commands_path = args.commands
-    if not os.path.exists(commands_path):
-        # fall back to a bundled command file of that name
-        commands_path = scenario_mod.replay_commands_path(args.commands)
-    commands = harness.read_commands_csv(commands_path)
+    if _is_bundled_name(commands_path):
+        commands_path = scenario_mod.replay_commands_path(commands_path)
+    try:
+        commands = harness.read_commands_csv(commands_path)
+    except FileNotFoundError:
+        raise InvalidInputError(f"no such command file {commands_path!r}") from None
     result = harness.run_open_loop(
         commands, scn.plant, scn.geometry, scn.mpc.ts, scn.run.state()
     )
@@ -187,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal_p.set_defaults(func=cmd_calibrate)
 
     rep_p = sub.add_parser("replay", help="replay recorded tendon commands open loop")
-    rep_p.add_argument("commands", help="commands CSV (or a bundled name like replay1)")
+    rep_p.add_argument("commands", help="commands CSV path (with a separator or a .csv "
+                       "suffix), or a bundled name like replay1")
     rep_p.add_argument("scenario", nargs="?", help="scenario JSON providing geometry and plant")
     rep_p.add_argument("--preset", help="bundled scenario name")
     rep_p.add_argument("--out", default="out", help="output directory (default: out)")

@@ -188,10 +188,11 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str) -> Scenario:
-    path = os.path.join(PRESETS_DIR, f"{name}.json")
-    if not os.path.isfile(path):
-        raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return load_scenario(path)
+    """A bundled scenario by its name in preset_names(); a path is refused."""
+    names = preset_names()
+    if name not in names:
+        raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    return load_scenario(os.path.join(PRESETS_DIR, f"{name}.json"))
 
 
 def replay_command_names() -> list[str]:
@@ -199,10 +200,9 @@ def replay_command_names() -> list[str]:
 
 
 def replay_commands_path(name: str) -> str:
-    """Filesystem path of a bundled command CSV."""
-    path = os.path.join(REPLAYS_DIR, f"{name}.csv")
-    if not os.path.isfile(path):
-        raise InvalidInputError(
-            f"unknown command file {name!r}; available: {', '.join(replay_command_names())}"
-        )
-    return path
+    """Filesystem path of a bundled command CSV, by its name in
+    replay_command_names(); a path is refused."""
+    names = replay_command_names()
+    if name not in names:
+        raise InvalidInputError(f"unknown command file {name!r}; available: {', '.join(names)}")
+    return os.path.join(REPLAYS_DIR, f"{name}.csv")

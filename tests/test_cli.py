@@ -10,7 +10,7 @@ import pytest
 
 from needle_mpc import cli, scenario
 from needle_mpc.calibration import simulate_calibration_run, write_runs_dir
-from needle_mpc.errors import json_fields
+from needle_mpc.errors import InvalidInputError, json_fields
 from needle_mpc.mapping import TendonGeometry, forward_map
 from oracles import chord_deflection
 
@@ -604,6 +604,34 @@ class TestReplay:
         assert len(lines) == 72  # header + 71 state boundaries
 
 
+    def test_missing_command_file_is_named(self, tmp_path, capsys, monkeypatch):
+        # a .csv suffix or a separator makes the argument a path, never a name
+        monkeypatch.chdir(tmp_path)
+        for commands in ("missing.csv", str(tmp_path / "replay1")):
+            code = cli.main(["replay", commands, "--preset", "replay_clean", "--out", "o"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: no such command file {commands!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bare_name_runs_the_bundled_file_not_a_local_one(self, tmp_path, capsys, monkeypatch):
+        # a one-row command file named replay1 in the working directory;
+        # the bare name replay1 still runs the bundled 70-row replay1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "replay1").write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n10,0,0,0\n")
+        assert cli.main(["replay", "replay1", "--preset", "replay_clean", "--out", "bare"]) == 0
+        assert cli.main(["replay", "./replay1", "--preset", "replay_clean", "--out", "local"]) == 0
+        capsys.readouterr()
+        bare = json.loads((tmp_path / "bare/open_loop_summary.json").read_text())
+        local = json.loads((tmp_path / "local/open_loop_summary.json").read_text())
+        assert bare["inserted_length_mm"] == pytest.approx(70.0)
+        assert local["inserted_length_mm"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", ["../replays/replay1", "replays/replay1", "replay1.csv"])
+    def test_bundled_lookup_takes_names_only(self, name):
+        with pytest.raises(InvalidInputError, match=re.escape(f"unknown command file {name!r}")):
+            scenario.replay_commands_path(name)
+
+
 class TestBatch:
     def test_serial_batch_runs_all_jobs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "1")
@@ -640,6 +668,19 @@ class TestBatch:
         for name in ("steps.csv", "summary.json"):
             assert (tmp_path / "batch/target1" / name).read_bytes() == (
                 tmp_path / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_preset_takes_names_only(self, tmp_path, capsys, monkeypatch, command):
+        # mine.json exists, and replays/../target1 joined onto the presets
+        # directory is target1.json; --preset names bundled presets only
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        quick_scenario(tmp_path, name="mine.json")
+        for value in (str(tmp_path / "mine"), "../target1", "replays/../target1"):
+            code = cli.main([command, "--preset", value, "--out", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: unknown preset {value!r}; available: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_path_is_named(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
