@@ -94,17 +94,11 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _is_bundled_name(commands: str) -> bool:
-    """A bare name (no path separator, no .csv suffix) names a bundled
-    command file; anything else is a file path."""
-    separators = (os.sep, os.altsep) if os.altsep else (os.sep,)
-    return not commands.endswith(".csv") and not any(c in commands for c in separators)
-
-
 def cmd_replay(args) -> int:
     scn = _load_scenario(args.scenario, args.preset)
     commands_path = args.commands
-    if _is_bundled_name(commands_path):
+    # a bare name (no directory part, no .csv suffix) names a bundled file
+    if not os.path.dirname(commands_path) and not commands_path.endswith(".csv"):
         commands_path = scenario_mod.replay_commands_path(commands_path)
     try:
         commands = harness.read_commands_csv(commands_path)

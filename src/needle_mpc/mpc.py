@@ -381,7 +381,7 @@ def solve_horizon(
             again.backtracks += res.backtracks
             res = again
     except NumericalFailureError:
-        x = [min(max(0.0, a), b) for a, b in zip(lo, hi)]   # zero input, projected
+        x = _project((0.0,) * (3 * n), lo, hi)   # zero input, projected
         return HorizonSolution(
             x, cost=core._rollout(x)[0], solver_status=STATUS_FAULT, stop=STATUS_FAULT,
         )
