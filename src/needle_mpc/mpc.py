@@ -115,7 +115,8 @@ class HorizonSolution:
 
     input_vector holds the inputs flat, (u_s_0, u_x_0, u_y_0, u_s_1, ...),
     as a tuple of floats (any sequence of numbers given is converted);
-    inputs reads it as VirtualInputs and the warm start shifts it.
+    inputs reads it as VirtualInputs, and the next solve starts from it
+    held or shifted.
     stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
     "fault" for the zero-input fallback, whose counts are 0: a failed solve
     returns no result to count from. projected_gradient_norm is the

@@ -671,8 +671,8 @@ class TestStartSelection:
         monkeypatch.setattr(mpc, "solve_horizon", recorded_solve)
         starts = record_starts(monkeypatch)
         run_closed_loop(load_preset("planar_fast"))
-        # from the held plan alone, the standstill steps 186-209 stop on
-        # floor at iteration 1; the shifted reruns all end on gtol
+        # without the fallback, 23 standstill solves stop on floor from the
+        # held plan; the shifted reruns all end on gtol
         assert len(solutions) == 210
         assert all(s.stop == "gtol" for s in solutions)
         assert len(starts) > len(solutions)
@@ -845,7 +845,7 @@ class TestEvaluationBudget:
 
     The planar presets, measured: planar_fast 2174 trials, planar_slow 745,
     every planar_fast solve on gtol. From the shifted plan alone they took
-    2769 and 412. With the unit metric they took 3486 and 1281 and stalled
+    2769 and 700. With the unit metric they took 3486 and 1281 and stalled
     once each; under the monotone test 6254 and 2776, stalling 134 and 4
     times.
 
