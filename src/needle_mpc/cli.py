@@ -153,18 +153,20 @@ def cmd_batch(args) -> int:
         sources = [(path, None) for path in args.scenarios]
     if not sources:
         raise InvalidInputError("batch needs scenario paths or --preset")
-    jobs = []
+    jobs = {}   # by output label; preset names are distinct, so a clash is two paths
     for path, preset in sources:
         label = os.path.splitext(os.path.basename(path or preset))[0]
-        jobs.append((path, preset, os.path.join(args.out, label), args.seed))
+        if label in jobs:
+            raise InvalidInputError(f"{jobs[label][0]} and {path} both write {jobs[label][2]}")
+        jobs[label] = (path, preset, os.path.join(args.out, label), args.seed)
     workers = _worker_cap(len(jobs))
     if workers == 1:
-        results = [_batch_worker(j) for j in jobs]
+        results = [_batch_worker(j) for j in jobs.values()]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled batch pays its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
+            results = list(pool.map(_batch_worker, jobs.values()))
     for source, summary in results:
         print(f"{source}: final error {summary['final_error_mm']:.3g} mm, {summary['steps']} steps")
     return EXIT_OK

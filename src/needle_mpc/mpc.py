@@ -10,7 +10,7 @@ Predictions use the Euler-discretized model with direction renormalization.
 One scalar core serves a solve: `_EulerHorizon._rollout` runs the Euler
 rollout once over plain Python floats and keeps one tuple per stage: the
 tracking error, the directions before and after, the pre-normalization
-norm, the inputs and the position. It rolls out in the tip-relative frame: the
+norm and the inputs. It rolls out in the tip-relative frame: the
 positions are displacements from the start p_0 and the references are
 shifted to ref_i - p_0, so the cost is J exactly but its rounding error
 scales with the horizon's travel and tracking error, not with |p_0| (up to
@@ -31,14 +31,8 @@ rate is hundreds of times its curvature in insertion speed, and one
 unit-metric steplength cannot serve both. The solver's stop test reads the
 projected gradient, in the cost's units, whatever the metric.
 The first input of the optimized sequence is applied, and the whole
-sequence warm-starts the next step. That solve costs two starts, each
-projected into the bounds, by one rollout each: the plan shifted by one
-input (last input repeated) and the plan held as it is. It starts from the
-held plan only when that is strictly cheaper, which in steady tracking it
-mostly is; a tie starts from the shifted plan. A run from the held plan
-that stalls is solved again from the shifted plan, and that run is
-returned, so the returned cost never exceeds the shifted plan's cost, the
-bound of the usual stability argument (Mayne et al., Automatica 2000).
+sequence warm-starts the next step, from the previous plan held or
+shifted by one input (see `solve_horizon` for the rule).
 """
 
 from __future__ import annotations
@@ -160,11 +154,10 @@ class _EulerHorizon:
 
     Holds the per-solve constants (start direction, references, weights).
     Positions are tip-relative: the rollout starts at the origin and the
-    references are stored as ref_i - p_0, so predict() returns the
-    displacements p_i - p_0 and the cost is the same J as in absolute
-    coordinates, with rounding noise that no longer grows with |p_0|.
-    _rollout() is the only Euler rollout; value_and_grad() and predict()
-    read its stage tuples.
+    references are stored as ref_i - p_0, so the errors p_i - ref_i and the
+    cost are the same as in absolute coordinates, with rounding noise that
+    no longer grows with |p_0|. _rollout() is the only Euler rollout;
+    value_and_grad() reads its stage tuples.
     Flat vectors are lists ordered (x_0, y_0, z_0, x_1, ...), three entries
     per step. metric() gives the solver's diagonal metric for the solve's
     start point.
@@ -188,12 +181,12 @@ class _EulerHorizon:
 
         stages holds one tuple per stage i < N,
 
-            (e_i, d_i, d_i+1, norm_i, u_i, p_i)
+            (e_i, d_i, d_i+1, norm_i, u_i)
 
-        flattened to 16 floats: the error e_i = p_i - ref_i, the directions
+        flattened to 13 floats: the error e_i = p_i - ref_i, the directions
         before and after the stage, the norm of the raw Euler direction
-        before renormalization, the stage's inputs (u_s, u_x, u_y) and the
-        displacement p_i - p_0. terminal is (e_N, p_N - p_0), 6 floats.
+        before renormalization and the stage's inputs (u_s, u_x, u_y).
+        terminal is e_N, 3 floats.
         """
         ts, refs = self.ts, self.refs
         qx, qy, qz = self.q
@@ -211,7 +204,7 @@ class _EulerHorizon:
             az = dz + ts * (uy * dx - ux * dy)
             nrm = math.sqrt(ax * ax + ay * ay + az * az)
             nx, ny, nz = ax / nrm, ay / nrm, az / nrm
-            stages.append((ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy, px, py, pz))
+            stages.append((ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy))
             step = ts * us
             px += step * dx
             py += step * dy
@@ -220,24 +213,7 @@ class _EulerHorizon:
             ex, ey, ez = px - refs[k + 3], py - refs[k + 4], pz - refs[k + 5]
             cost += rs * us * us + rx * ux * ux + ry * uy * uy
             cost += qx * ex * ex + qy * ey * ey + qz * ez * ez
-        return cost, stages, (ex, ey, ez, px, py, pz)
-
-    def predict(self, x: list) -> tuple[float, list, list, list]:
-        """Roll the flat inputs x out; returns (cost, p, d, norms).
-
-        p and d hold the N+1 displacements p_i - p_0 and directions, flat.
-        norms holds the N norms of the raw Euler directions before
-        renormalization.
-        """
-        cost, stages, terminal = self._rollout(x)
-        p, d, norms = [], [], []
-        for stage in stages:
-            p += stage[13:]
-            d += stage[3:6]
-            norms.append(stage[9])
-        p += terminal[3:]
-        d += stages[-1][6:9]
-        return cost, p, d, norms
+        return cost, stages, (ex, ey, ez)
 
     def metric(self, x0) -> Optional[tuple[float, ...]]:
         """The solver's diagonal metric at the start point x0 (3N floats):
@@ -282,7 +258,7 @@ class _EulerHorizon:
     def value_and_grad(self, x: list) -> tuple[float, list]:
         """Cost and its gradient (3N floats), accumulated in reverse over
         the stages of one rollout."""
-        cost, stages, (ex, ey, ez, _, _, _) = self._rollout(x)
+        cost, stages, (ex, ey, ez) = self._rollout(x)
         ts = self.ts
         qx, qy, qz = self.q2
         rs, rx, ry = self.r2
@@ -290,7 +266,7 @@ class _EulerHorizon:
         lpx, lpy, lpz = qx * ex, qy * ey, qz * ez
         ldx = ldy = ldz = 0.0
         grad = []   # built last stage first, (u_y, u_x, u_s) each, then reversed
-        for ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy, _, _, _ in reversed(stages):
+        for ex, ey, ez, dx, dy, dz, nx, ny, nz, nrm, us, ux, uy in reversed(stages):
             # d_{i+1} = raw / ||raw||, raw = (I + ts*K) d_i with skew K
             c = nx * ldx + ny * ldy + nz * ldz
             lrx = (ldx - c * nx) / nrm

@@ -183,26 +183,31 @@ def with_seed(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, plant=dataclasses.replace(scenario.plant, seed=seed))
 
 
+def _bundled_names(directory: str, suffix: str) -> list[str]:
+    return sorted(n[: -len(suffix)] for n in os.listdir(directory) if n.endswith(suffix))
+
+
+def _bundled_path(name: str, directory: str, suffix: str, what: str) -> str:
+    """The bundled file listed as name; any other name, a path too, is refused."""
+    names = _bundled_names(directory, suffix)
+    if name not in names:
+        raise InvalidInputError(f"unknown {what} {name!r}; available: {', '.join(names)}")
+    return os.path.join(directory, name + suffix)
+
+
 def preset_names() -> list[str]:
-    return sorted(n[: -len(".json")] for n in os.listdir(PRESETS_DIR) if n.endswith(".json"))
+    return _bundled_names(PRESETS_DIR, ".json")
 
 
 def load_preset(name: str) -> Scenario:
     """A bundled scenario by its name in preset_names(); a path is refused."""
-    names = preset_names()
-    if name not in names:
-        raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(names)}")
-    return load_scenario(os.path.join(PRESETS_DIR, f"{name}.json"))
+    return load_scenario(_bundled_path(name, PRESETS_DIR, ".json", "preset"))
 
 
 def replay_command_names() -> list[str]:
-    return sorted(n[: -len(".csv")] for n in os.listdir(REPLAYS_DIR) if n.endswith(".csv"))
+    return _bundled_names(REPLAYS_DIR, ".csv")
 
 
 def replay_commands_path(name: str) -> str:
-    """Filesystem path of a bundled command CSV, by its name in
-    replay_command_names(); a path is refused."""
-    names = replay_command_names()
-    if name not in names:
-        raise InvalidInputError(f"unknown command file {name!r}; available: {', '.join(names)}")
-    return os.path.join(REPLAYS_DIR, f"{name}.csv")
+    """Path of a bundled command CSV by its name in replay_command_names()."""
+    return _bundled_path(name, REPLAYS_DIR, ".csv", "command file")

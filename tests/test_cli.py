@@ -682,6 +682,24 @@ class TestBatch:
             assert err.startswith(f"error: unknown preset {value!r}; available: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shared_base_name_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                        threads):
+        # both would write out/x; the second used to overwrite the first
+        monkeypatch.setenv(cli.THREADS_ENV, threads)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = quick_scenario(tmp_path / "a", name="x.json")
+        second = quick_scenario(tmp_path / "b", name="x.json")
+        out = tmp_path / "out"
+        code = cli.main(["batch", str(first), str(second), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {first} and {second} both write {out / 'x'}\n")
+        assert not out.exists()
+
     def test_missing_path_is_named(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert cli.main(["batch", str(missing), "--out", str(tmp_path / "out")]) == 2

@@ -188,7 +188,7 @@ def fd5_gradient(core, x, h_scale=1e-3):
         def f(t):
             y = x.copy()
             y[k] += t
-            return core.predict(y.tolist())[0]
+            return core._rollout(y.tolist())[0]
 
         fd[k] = (f(-2.0 * h) - 8.0 * f(-h) + 8.0 * f(h) - f(2.0 * h)) / (12.0 * h)
     return fd
@@ -230,13 +230,13 @@ class TestEulerCore:
     def test_value_path_equals_gradient_path_value(self, inst):
         cfg, state, refs, x = inst
         core = _EulerHorizon(state, refs, cfg)
-        assert core.predict(x.tolist())[0] == core.value_and_grad(x.tolist())[0]
+        assert core._rollout(x.tolist())[0] == core.value_and_grad(x.tolist())[0]
 
     @given(horizon_instances())
     @settings(max_examples=100, deadline=None)
     def test_value_matches_batch_oracle(self, inst):
         cfg, state, refs, x = inst
-        got = _EulerHorizon(state, refs, cfg).predict(x.tolist())[0]
+        got = _EulerHorizon(state, refs, cfg)._rollout(x.tolist())[0]
         want = euler_cost_batch(
             state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
             x.reshape(1, -1, 3),
@@ -247,15 +247,17 @@ class TestEulerCore:
     @settings(max_examples=100, deadline=None)
     def test_predicted_states_match_step_euler_chain(self, inst):
         cfg, state, refs, x = inst
-        # predict() returns tip-relative positions p_i - p_0
-        _, p, d, _ = _EulerHorizon(state, refs, cfg).predict(x.tolist())
-        assert len(p) == len(d) == 3 * (cfg.horizon + 1)
+        # each stage starts (e_i, d_i, d_i+1), e_i = p_i - ref_i; the terminal is e_N
+        _, stages, terminal = _EulerHorizon(state, refs, cfg)._rollout(x.tolist())
+        assert len(stages) == cfg.horizon
         s = state
-        for k, u in enumerate(to_inputs(x.reshape(-1, 3))):
-            assert np.max(np.abs(np.array(p[3 * k:3 * k + 3]) - np.subtract(s.p, state.p))) <= 1e-12
-            assert np.max(np.abs(np.array(d[3 * k:3 * k + 3]) - s.d)) <= 1e-12
-            s = step_euler(s, u, cfg.ts)
-        assert np.max(np.abs(np.array(p[-3:]) - np.subtract(s.p, state.p))) <= 1e-12
+        for stage, ref, u in zip(stages, refs, to_inputs(x.reshape(-1, 3))):
+            nxt = step_euler(s, u, cfg.ts)
+            assert np.max(np.abs(np.array(stage[0:3]) - np.subtract(s.p, ref))) <= 1e-12
+            assert np.max(np.abs(np.array(stage[3:6]) - s.d)) <= 1e-12
+            assert np.max(np.abs(np.array(stage[6:9]) - nxt.d)) <= 1e-12
+            s = nxt
+        assert np.max(np.abs(np.array(terminal) - np.subtract(s.p, refs[-1]))) <= 1e-12
 
     @given(horizon_instances())
     @settings(max_examples=50, deadline=None)
@@ -286,7 +288,7 @@ class TestTipRelativeFrame:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_cost_equals_absolute_frame_cost(self, inst):
         cfg, state, refs, x = inst
-        got = _EulerHorizon(state, refs, cfg).predict(x.tolist())[0]
+        got = _EulerHorizon(state, refs, cfg)._rollout(x.tolist())[0]
         want = euler_cost_batch(
             state.p, state.d, refs, cfg.q_weights, cfg.r_weights, cfg.ts,
             x.reshape(1, -1, 3),
@@ -387,12 +389,14 @@ class TestSolveHorizon:
         rng = np.random.default_rng(24)
         state, refs, _ = random_instance(rng, CFG.horizon)
         sol = solve_horizon(state, refs, CFG)
-        # predict() returns tip-relative positions p_i - p_0
-        _, p, _, _ = _EulerHorizon(state, refs, CFG).predict(list(sol.input_vector))
+        # stage i holds e_i = p_i - ref_i and d_i+1 at [6:9]; the terminal is e_N
+        _, stages, terminal = _EulerHorizon(state, refs, CFG)._rollout(list(sol.input_vector))
+        errors = [stage[:3] for stage in stages[1:]] + [terminal]
         s = state
         for i, u in enumerate(sol.inputs):
             s = step_euler(s, u, CFG.ts)
-            assert np.allclose(p[3 * i + 3:3 * i + 6], np.subtract(s.p, state.p), atol=1e-12)
+            assert np.allclose(errors[i], np.subtract(s.p, refs[i + 1]), atol=1e-12)
+            assert np.allclose(stages[i][6:9], s.d, atol=1e-12)
 
     def test_non_finite_cost_is_a_fault(self):
         # the cost at a target 1e200 mm away overflows to inf
@@ -631,7 +635,7 @@ class TestStartSelection:
         shifted = np.clip(np.concatenate((x_prev[3:], x_prev[-3:])), lo, hi).tolist()
         held = np.clip(x_prev, lo, hi).tolist()
         core = _EulerHorizon(state, refs, cfg)
-        c_shifted, c_held = core.predict(shifted)[0], core.predict(held)[0]
+        c_shifted, c_held = core._rollout(shifted)[0], core._rollout(held)[0]
         if tie:
             assert c_held == c_shifted
         with pytest.MonkeyPatch.context() as patch:
@@ -654,7 +658,7 @@ class TestStartSelection:
         x_prev = [0.0, 1.0, -1.0, 0.0, 2.0, 0.5, 0.0, -3.0, 4.0]
         shifted = x_prev[3:] + x_prev[-3:]
         core = _EulerHorizon(state, refs, cfg)
-        assert core.predict(x_prev)[0] == core.predict(shifted)[0]
+        assert core._rollout(x_prev)[0] == core._rollout(shifted)[0]
         starts = record_starts(monkeypatch)
         warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged")
         solve_horizon(state, refs, cfg, warm_start=warm)
@@ -825,7 +829,7 @@ class TestRoundingFloor:
 
         lo, hi = self.CFG.horizon_bounds()
         x0 = np.clip(np.concatenate((self.WARM[3:], self.WARM[-3:])), lo, hi)
-        assert sol.cost <= _EulerHorizon(self.STATE, self.REFS, self.CFG).predict(x0.tolist())[0]
+        assert sol.cost <= _EulerHorizon(self.STATE, self.REFS, self.CFG)._rollout(x0.tolist())[0]
 
 
 class TestEvaluationBudget:
