@@ -234,22 +234,18 @@ class _EulerHorizon:
         dx, dy, dz = self.d0
         qx, qy, qz = self.q
         rs, rx, ry = self.r2
-        # each entry of J is formed and squared before it is weighted, so a
-        # square that falls into the subnormals rounds once and is not
-        # scaled up by T_s or S_ik afterwards
-        sx, sy, sz = dx * ts, dy * ts, dz * ts      # d p_k / d u_s,i
-        cx, cy, cz = sx * ts, sy * ts, sz * ts      # T_s^2 d_0
-        h_s = sx * sx * qx + sy * sy * qy + sz * sz * qz
+        ts2 = ts * ts
+        a_s = 2.0 * ts2 * (qx * dx * dx + qy * dy * dy + qz * dz * dz)
+        a_x = 2.0 * ts2 * ts2 * (qy * dz * dz + qz * dy * dy)
+        a_y = 2.0 * ts2 * ts2 * (qx * dz * dz + qz * dx * dx)
         us = x0[0::3]
         diag = []
         for i in range(n):
-            s = h_x = h_y = 0.0
+            s = ss = 0.0
             for u in us[i + 1:]:
                 s += u
-                jx, jy, jz = cx * s, cy * s, cz * s
-                h_x += jz * jz * qy + jy * jy * qz
-                h_y += jz * jz * qx + jx * jx * qz
-            diag += (rs + 2.0 * (n - i) * h_s, rx + 2.0 * h_x, ry + 2.0 * h_y)
+                ss += s * s
+            diag += (rs + a_s * (n - i), rx + a_x * ss, ry + a_y * ss)
         if not all(map(math.isfinite, diag)):
             return None
         if not min(diag) > 0.0:
