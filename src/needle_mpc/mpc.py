@@ -16,14 +16,17 @@ shifted to ref_i - p_0, so the cost is J exactly but its rounding error
 scales with the horizon's travel and tracking error, not with |p_0| (up to
 a few hundred mm). Near a target J is tiny, and in absolute coordinates its
 rounding noise would sit far above the solver's rounding floor, which
-scales with |J|. The solver's one objective, `value_and_grad`, reads
-that output for the cost and accumulates the gradient in reverse over the
-stage tuples, renormalization included, so it is exact to roundoff: one
-rollout per line-search trial, and no state kept between calls.
+scales with |J|. `_EulerHorizon._reverse` reads that output for the cost
+and accumulates the gradient in reverse over the stage tuples,
+renormalization included, so it is exact to roundoff. The solver's one
+objective, `value_and_grad`, is the two in turn: one rollout per
+line-search trial, and no state kept between calls. A solve's start point
+is already rolled out when the start is chosen, so its reverse pass alone
+gives the solver its start evaluation.
 `NeedleState` and `VirtualInput` objects appear only at the API boundary.
 The first SPG iteration of a solve backtracks by quadratic interpolation
 (see `optimizer`); the solution reports the solver's evaluation count,
-backtracks and stop reason.
+backtracks, stop reason and last steplength.
 The solver steps in a diagonal metric that `_EulerHorizon.metric` builds
 once per solve: the square root of the Gauss-Newton diagonal of J with the
 direction frozen at d_0. At T_s = 1 s J's curvature in a stage's bending
@@ -32,7 +35,10 @@ unit-metric steplength cannot serve both. The solver's stop test reads the
 projected gradient, in the cost's units, whatever the metric.
 The first input of the optimized sequence is applied, and the whole
 sequence warm-starts the next step, from the previous plan held or
-shifted by one input (see `solve_horizon` for the rule).
+shifted by one input (see `solve_horizon` for the rule). A warm start
+carries the solver's last Barzilai-Borwein steplength too, which caps the
+next solve's first one. The bounds, iteration cap and tolerance of the
+solver's problem are checked once, by `MpcConfig`, and not again per solve.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ class MpcConfig:
     u_y_bounds: tuple[float, float] = key("u_y_bounds_rad_s", (-5.0, 5.0), kind=tuple, n=2)
     planar_mode: bool = key("planar_mode", False, kind=bool)
     max_iterations: int = key("max_iterations", 500, kind=int, ge=1)
-    gradient_tolerance: float = key("gradient_tolerance", 1e-8, gt=0.0)
+    gradient_tolerance: float = key("gradient_tolerance", 1e-8, gt=0.0, le=1e-4)
     multi_start: int = key("multi_start", 0, kind=int, ge=0)
     seed: int = key("seed", 0, kind=int, ge=0)
 
@@ -112,9 +118,12 @@ class HorizonSolution:
     inputs reads it as VirtualInputs, and the next solve starts from it
     held or shifted.
     stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
-    "fault" for the zero-input fallback, whose counts are 0: a failed solve
-    returns no result to count from. projected_gradient_norm is the
-    solver's stop measure, the projected gradient in the cost's units.
+    "fault" for the zero-input fallback, whose counts are 0 and whose
+    steplength is None: a failed solve returns no result to count from.
+    projected_gradient_norm is the solver's stop measure, the projected
+    gradient in the cost's units. steplength is the returned run's last
+    steplength, which a solve warm-started from this one begins with when
+    it is smaller than its own first; None starts from the solver's own.
     """
 
     input_vector: tuple[float, ...]
@@ -125,6 +134,7 @@ class HorizonSolution:
     stop: str = ""
     evaluations: int = 0
     backtracks: int = 0
+    steplength: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "input_vector", tuple(map(float, self.input_vector)))
@@ -157,7 +167,7 @@ class _EulerHorizon:
     references are stored as ref_i - p_0, so the errors p_i - ref_i and the
     cost are the same as in absolute coordinates, with rounding noise that
     no longer grows with |p_0|. _rollout() is the only Euler rollout;
-    value_and_grad() reads its stage tuples.
+    _reverse() reads its stage tuples, and value_and_grad() is the two.
     Flat vectors are lists ordered (x_0, y_0, z_0, x_1, ...), three entries
     per step. metric() gives the solver's diagonal metric for the solve's
     start point.
@@ -234,18 +244,23 @@ class _EulerHorizon:
         dx, dy, dz = self.d0
         qx, qy, qz = self.q
         rs, rx, ry = self.r2
-        ts2 = ts * ts
-        a_s = 2.0 * ts2 * (qx * dx * dx + qy * dy * dy + qz * dz * dz)
-        a_x = 2.0 * ts2 * ts2 * (qy * dz * dz + qz * dy * dy)
-        a_y = 2.0 * ts2 * ts2 * (qx * dz * dz + qz * dx * dx)
+        # each Jacobian entry is formed and squared before it is weighted,
+        # so a square that rounds into the subnormals is not scaled up by
+        # T_s or S_ik afterwards
+        sx, sy, sz = dx * ts, dy * ts, dz * ts      # d p_k / d u_s,i
+        cx, cy, cz = sx * ts, sy * ts, sz * ts      # T_s^2 d_0
+        h_s = sx * sx * qx + sy * sy * qy + sz * sz * qz
         us = x0[0::3]
         diag = []
         for i in range(n):
-            s = ss = 0.0
+            s = h_x = h_y = 0.0
             for u in us[i + 1:]:
                 s += u
-                ss += s * s
-            diag += (rs + a_s * (n - i), rx + a_x * ss, ry + a_y * ss)
+                jx, jy, jz = cx * s, cy * s, cz * s
+                zz = jz * jz
+                h_x += zz * qy + jy * jy * qz
+                h_y += zz * qx + jx * jx * qz
+            diag += (rs + 2.0 * (n - i) * h_s, rx + 2.0 * h_x, ry + 2.0 * h_y)
         if not all(map(math.isfinite, diag)):
             return None
         if not min(diag) > 0.0:
@@ -256,9 +271,13 @@ class _EulerHorizon:
         return tuple(map(math.sqrt, diag))
 
     def value_and_grad(self, x: list) -> tuple[float, list]:
-        """Cost and its gradient (3N floats), accumulated in reverse over
-        the stages of one rollout."""
-        cost, stages, (ex, ey, ez) = self._rollout(x)
+        """Cost and its gradient (3N floats) at x, by one rollout."""
+        return self._reverse(self._rollout(x))
+
+    def _reverse(self, rollout: tuple) -> tuple[float, list]:
+        """Cost and its gradient (3N floats) from the output of _rollout(),
+        the gradient accumulated in reverse over its stages."""
+        cost, stages, (ex, ey, ez) = rollout
         ts = self.ts
         qx, qy, qz = self.q2
         rs, rx, ry = self.r2
@@ -299,14 +318,18 @@ def _shift_warm_start(warm: HorizonSolution, horizon: int) -> tuple[float, ...]:
     return x_prev[3:] + x_prev[-3:]
 
 
-def _project(x, lo, hi) -> list:
-    return [a if v < a else (b if v > b else v) for v, a, b in zip(x, lo, hi)]
+def _project(x, lo, hi) -> tuple[float, ...]:
+    return tuple([a if v < a else (b if v > b else v) for v, a, b in zip(x, lo, hi)])
 
 
-def _minimize_from(core: _EulerHorizon, x0, config: MpcConfig):
-    """One solve of the horizon from x0, in the metric built at x0."""
+def _minimize_from(core: _EulerHorizon, x0: tuple, rollout: tuple, steplength,
+                   config: MpcConfig):
+    """One solve of the horizon from x0, a point in the bounds that
+    rollout is the rollout of, in the metric built at x0. The config
+    checked the bounds, the iteration cap and the tolerance; metric()
+    returns finite positive floats or None."""
     lo, hi = config.horizon_bounds()
-    problem = BoxNlp(
+    problem = BoxNlp._prechecked(
         objective=core.value_and_grad,
         lower=lo,
         upper=hi,
@@ -314,7 +337,8 @@ def _minimize_from(core: _EulerHorizon, x0, config: MpcConfig):
         gradient_tolerance=config.gradient_tolerance,
         scale=core.metric(x0),
     )
-    return minimize(problem, x0, multi_start=config.multi_start, seed=config.seed)
+    return minimize(problem, x0, multi_start=config.multi_start, seed=config.seed,
+                    start=core._reverse(rollout), steplength=steplength)
 
 
 def solve_horizon(
@@ -325,35 +349,46 @@ def solve_horizon(
 ) -> HorizonSolution:
     """Optimize the input sequence for one horizon.
 
-    Without a warm start the solve starts from zero inputs. With one it
-    costs two candidates, each projected into the bounds, by one rollout
-    each (not counted in evaluations): the shifted previous solution (last
-    input repeated) and the previous solution held as it is. It starts
-    from the held plan only when that is strictly cheaper, and otherwise
-    from the shifted one. A solve from the held plan that ends stalled is
-    run again from the shifted plan, and that second run is returned, with
-    the evaluations and backtracks of both. So the returned cost never
-    exceeds the shifted candidate's cost, and it does not exceed the held
+    Without a warm start the solve starts from zero inputs, projected into
+    the bounds. With one it costs two candidates, each projected into the
+    bounds, by one rollout each: the shifted previous solution (last input
+    repeated) and the previous solution held as it is. It starts from the
+    held plan only when that is strictly cheaper, and otherwise from the
+    shifted one. A solve from the held plan that ends stalled is run again
+    from the shifted plan, and that second run is returned, with the
+    evaluations and backtracks of both. So the returned cost never exceeds
+    the shifted candidate's cost, and it does not exceed the held
     candidate's cost unless the held run stalled. A numerical failure
     inside the solver falls back to zero input and is reported via
     solver_status = "fault" instead of raising.
+
+    A warm start carries its plan and its steplength: the run from the
+    first start begins at the smaller of warm_start.steplength and the
+    solver's own first steplength. The fallback run from the shifted plan,
+    multi_start's random starts and a warm start whose steplength is None
+    begin at the solver's own. Each run's start evaluation is the reverse
+    pass of its start's rollout, counted as one evaluation.
     """
     n = config.horizon
     core = _EulerHorizon(s0, refs, config)
     lo, hi = config.horizon_bounds()
     if warm_start is None:
-        starts = [(0.0,) * (3 * n)]
+        zero = _project((0.0,) * (3 * n), lo, hi)
+        runs = [(zero, core._rollout(zero), None)]
     else:
         shifted = _project(_shift_warm_start(warm_start, n), lo, hi)
         held = _project(warm_start.input_vector, lo, hi)
-        starts = [shifted]
-        if core._rollout(held)[0] < core._rollout(shifted)[0]:
-            starts.insert(0, held)
+        shifted_rollout, held_rollout = core._rollout(shifted), core._rollout(held)
+        carried = warm_start.steplength
+        if held_rollout[0] < shifted_rollout[0]:
+            runs = [(held, held_rollout, carried), (shifted, shifted_rollout, None)]
+        else:
+            runs = [(shifted, shifted_rollout, carried)]
 
     try:
-        res = _minimize_from(core, starts[0], config)
-        if len(starts) == 2 and res.status == STATUS_STALLED:
-            again = _minimize_from(core, starts[1], config)
+        res = _minimize_from(core, *runs[0], config)
+        if len(runs) == 2 and res.status == STATUS_STALLED:
+            again = _minimize_from(core, *runs[1], config)
             again.evaluations += res.evaluations
             again.backtracks += res.backtracks
             res = again
@@ -372,6 +407,7 @@ def solve_horizon(
         stop=res.stop,
         evaluations=res.evaluations,
         backtracks=res.backtracks,
+        steplength=res.steplength,
     )
 
 

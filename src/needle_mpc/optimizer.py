@@ -35,11 +35,21 @@ steplength serve variables whose curvatures differ by orders of magnitude
 Under the identity every division by h and product with it is exact, so a
 problem without a scale runs the unscaled method bit for bit.
 
+A run's first steplength is alpha_0 = 1/||x - P(x - g/h)||_inf, the
+inverse of the unit step in the metric, which knows nothing of the
+problem's scale. A run that warm-starts from an earlier solve's plan may
+be given that solve's last steplength, the Barzilai-Borwein value it would
+have stepped with next and so a measure of the scale; the run then begins
+at min(alpha_0, carried). The min keeps a long step carried from a flatter
+problem from overshooting this one: the carried value alone raised the
+stalled and max_iter solves of planar_slow's noise sweep. A run without a
+carried steplength, the random starts of multi_start included, begins at
+alpha_0.
+
 The backtracking halves lam until a trial passes the Armijo test, except in
-the first iteration of a solve. There the first steplength alpha_0 =
-1/||x - P(x - g/h)||_inf knows nothing of the problem's scale, so a
-rejected trial sets lam to the minimizer of the quadratic through f, g'd
-and the trial value,
+the first iteration of a solve. There the first steplength may not fit the
+problem's scale, so a rejected trial sets lam to the minimizer of the
+quadratic through f, g'd and the trial value,
 
     lam <- -lam^2 g'd / (2 (f(lam) - f - lam g'd)),
 
@@ -61,7 +71,9 @@ trial whose value is not finite or fails the test is rejected, its gradient
 unread; the accepted trial's gradient, checked finite, is the next
 iteration's. A result records why its run stopped (`stop`: gtol,
 no_descent, floor, lambda_min, step_tol or max_iter), its objective calls
-(`evaluations`) and its rejected trials (`backtracks`).
+(`evaluations`) and its rejected trials (`backtracks`). A caller that has
+already evaluated the start point may hand that evaluation to the run in
+place of its first objective call; it is checked and counted as one.
 
 The iteration runs over plain Python floats: at the problem sizes of a
 control horizon (a few dozen variables) per-element interpreter work is
@@ -160,6 +172,20 @@ class BoxNlp:
                 raise InvalidConfigError("scale must be positive")
         self.lower, self.upper = lower, upper
 
+    @classmethod
+    def _prechecked(cls, objective, lower, upper, max_iterations, gradient_tolerance,
+                    scale) -> BoxNlp:
+        """A BoxNlp from fields that hold what __post_init__ would leave:
+        bounds and scale as tuples of floats that pass its checks. Built
+        without checking them again, for a caller that checked them once
+        (mpc builds one per solve from an MpcConfig)."""
+        problem = cls.__new__(cls)
+        problem.__dict__.update(
+            objective=objective, lower=lower, upper=upper, max_iterations=max_iterations,
+            gradient_tolerance=gradient_tolerance, scale=scale,
+        )
+        return problem
+
 
 def _bounds(values) -> tuple[float, ...]:
     """values as a tuple of floats, inf included; str, bytes and bools are refused."""
@@ -185,7 +211,8 @@ class MinimizeResult:
     x is the point that passed the stop test when stop is gtol, no_descent
     or step_tol, and the lowest accepted point of the run when stop is
     max_iter, floor or lambda_min; value and projected_gradient_norm are
-    that point's. iterations and stop describe the run that found x;
+    that point's. iterations, stop and steplength describe the run that
+    found x, steplength being the one its next iteration would have taken;
     evaluations (objective calls) and backtracks (rejected trials) total
     every run of a multi-start solve.
     """
@@ -198,6 +225,7 @@ class MinimizeResult:
     stop: str = STOP_MAX_ITER
     evaluations: int = 0
     backtracks: int = 0
+    steplength: Optional[float] = None
 
 
 def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> None:
@@ -211,15 +239,15 @@ def _check_evaluation(f: float, g: Sequence[float], x: list, iteration: int) -> 
         )
 
 
-def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
-    """One SPG run from x0."""
+def _solve_from(problem: BoxNlp, x0, start=None, steplength=None) -> MinimizeResult:
+    """One SPG run from x0; start and steplength as in minimize."""
     objective = problem.objective
     lower, upper = problem.lower, problem.upper
     metric = problem.scale or (1.0,) * len(lower)
     gtol = problem.gradient_tolerance
 
     x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
-    f, g = objective(x)
+    f, g = objective(x) if start is None else start
     _check_evaluation(f, g, x, 0)
     evaluations, backtracks = 1, 0
 
@@ -236,6 +264,8 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
         if a > pg_metric:
             pg_metric = a
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(pg_metric, 1e-10)))
+    if steplength is not None and steplength < alpha:
+        alpha = steplength
 
     recent = deque((f,), maxlen=_GLL_WINDOW)   # the last accepted values
     best = (x, f, pg_norm)                     # the lowest accepted point
@@ -338,7 +368,7 @@ def _solve_from(problem: BoxNlp, x0: list) -> MinimizeResult:
     return MinimizeResult(
         x=tuple(x), value=f, status=status, iterations=iteration,
         projected_gradient_norm=pg_norm, stop=stop, evaluations=evaluations,
-        backtracks=backtracks,
+        backtracks=backtracks, steplength=alpha,
     )
 
 
@@ -347,6 +377,8 @@ def minimize(
     x0,
     multi_start: int = 0,
     seed: int = 0,
+    start: Optional[tuple[float, Sequence[float]]] = None,
+    steplength: Optional[float] = None,
 ) -> MinimizeResult:
     """Minimize a BoxNlp from x0 (clipped into the box first).
 
@@ -354,13 +386,24 @@ def minimize(
     in the box (seeded, so results are reproducible) and returns the best
     solution by value. Requires finite bounds. Each point draws its
     coordinates in order from a random.Random seeded with seed.
+
+    start, when given, is the objective's (value, gradient) at x0 clipped
+    into the box, taken in place of the run's first objective call.
+    steplength, when given, is a previous run's last steplength, a number
+    in [1e-12, 1e10]; the run from x0 begins at the smaller of it and its
+    own first steplength (see the module docstring). Neither applies to the
+    random starts.
     """
     lower, upper = problem.lower, problem.upper
     x0 = finite_floats(x0, "x0", len(lower), InvalidInputError)
+    if steplength is not None and not _ALPHA_MIN <= steplength <= _ALPHA_MAX:
+        raise InvalidInputError(
+            f"steplength must be in [{_ALPHA_MIN:g}, {_ALPHA_MAX:g}], got {steplength!r}"
+        )
     if multi_start > 0 and not all(map(math.isfinite, lower + upper)):
         raise InvalidConfigError("multi_start requires finite bounds")
 
-    best = _solve_from(problem, x0)
+    best = _solve_from(problem, x0, start, steplength)
     if multi_start > 0:
         uniform = random.Random(seed).uniform
         runs = [best]

@@ -289,6 +289,21 @@ class TestRun:
             r"error: section 'mpc': T_s_s must be <= 10, got 1e\+\d+\n", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tolerance, shown", [(1e-3, "0.001"), (1e300, "1e+300")])
+    def test_loose_gradient_tolerance_named(self, tmp_path, capsys, tolerance, shown):
+        # the stop test is relative, so at such a tolerance every start
+        # point passed it: target1 once exited 0 with 0 mm inserted
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["mpc"]["gradient_tolerance"] = tolerance
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: section 'mpc': gradient_tolerance must be <= 0.0001, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("preset, key, value", [
         ("helix", "rate_rad_s", 1e308),
         ("sinusoidal", "frequency_hz", [1e307, 0.1]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc import mpc
+from needle_mpc import mpc, optimizer
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.harness import run_closed_loop
 from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
@@ -682,6 +682,147 @@ class TestStartSelection:
         assert len(starts) > len(solutions)
 
 
+def record_runs(patch) -> list:
+    """Patch mpc.minimize to record (problem, x0, kwargs, result) of every
+    solver run."""
+    runs = []
+    run = mpc.minimize
+
+    def recorded(problem, x0, **kwargs):
+        runs.append((problem, x0, kwargs, run(problem, x0, **kwargs)))
+        return runs[-1][3]
+
+    patch.setattr(mpc, "minimize", recorded)
+    return runs
+
+
+def first_trial(patch) -> list:
+    """Patch mpc.minimize to record the first objective call of each run."""
+    trials = []
+    run = mpc.minimize
+
+    def recorded(problem, x0, **kwargs):
+        objective = problem.objective
+        calls = []
+
+        def logged(x):
+            calls.append(list(x))
+            return objective(x)
+
+        problem.objective = logged
+        res = run(problem, x0, **kwargs)
+        trials.append((x0, calls[0] if calls else None))
+        return res
+
+    patch.setattr(mpc, "minimize", recorded)
+    return trials
+
+
+_steplengths = st.floats(math.log10(optimizer._ALPHA_MIN), math.log10(optimizer._ALPHA_MAX)).map(
+    lambda e: 10.0 ** e)
+
+
+class TestCarriedState:
+    """A warm start carries its plan and its last steplength; the run from
+    its first start begins at the smaller of that steplength and the
+    solver's own first one, and takes its start evaluation from the
+    rollout that chose the start."""
+
+    @given(horizon_instances(), _steplengths)
+    @settings(max_examples=60, deadline=None)
+    def test_first_step_never_longer_and_steplength_in_range(self, inst, steplength):
+        cfg, state, refs, x_prev = inst
+        solutions, trials = [], []
+        for carried in (None, steplength):
+            warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged",
+                                   steplength=carried)
+            with pytest.MonkeyPatch.context() as patch:
+                runs = first_trial(patch)
+                solutions.append(solve_horizon(state, refs, cfg, warm_start=warm))
+            trials.append(runs[0])
+        own, capped = solutions
+        if capped.solver_status == "fault":
+            assert own.solver_status == "fault" and capped.steplength is None
+            return
+        assert optimizer._ALPHA_MIN <= capped.steplength <= optimizer._ALPHA_MAX
+        (x0, t_own), (x0_capped, t_capped) = trials
+        assert x0 == x0_capped
+        if t_own is None:   # the start passed the stop test
+            assert t_capped is None
+            return
+        # the trial is P(x0 - alpha g/h), which moves each coordinate
+        # monotonically in alpha: a smaller alpha moves none further
+        for v, a, b in zip(x0, t_own, t_capped):
+            assert (b - v) * (a - v) >= 0.0 and abs(b - v) <= abs(a - v)
+
+    @given(horizon_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_no_steplength_solves_as_the_solver_alone(self, inst):
+        cfg, state, refs, x_prev = inst
+        warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged")
+        with pytest.MonkeyPatch.context() as patch:
+            runs = record_runs(patch)
+            sol = solve_horizon(state, refs, cfg, warm_start=warm)
+        assert sol == solve_horizon(state, refs, cfg, warm_start=dataclasses.replace(
+            warm, steplength=optimizer._ALPHA_MAX))
+        if sol.solver_status == "fault":
+            return
+        # each run as a checked problem, evaluated at its start by the solver
+        lo, hi = cfg.horizon_bounds()
+        for problem, x0, kwargs, res in runs:
+            assert kwargs["steplength"] is None
+            alone = minimize(BoxNlp(objective=problem.objective, lower=lo, upper=hi,
+                                    max_iterations=cfg.max_iterations,
+                                    gradient_tolerance=cfg.gradient_tolerance,
+                                    scale=problem.scale), x0)
+            assert alone == res
+
+    @given(horizon_instances(), _steplengths)
+    @settings(max_examples=40, deadline=None)
+    def test_reused_start_is_the_evaluated_start(self, inst, steplength):
+        cfg, state, refs, x_prev = inst
+        warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged",
+                               steplength=steplength)
+        with pytest.MonkeyPatch.context() as patch:
+            runs = record_runs(patch)
+            solve_horizon(state, refs, cfg, warm_start=warm)
+        for problem, x0, kwargs, res in runs:
+            start = problem.objective(list(x0))
+            assert kwargs["start"] == start
+            evaluated = dict(kwargs, start=None)
+            assert minimize(problem, x0, **evaluated) == res
+
+    def test_fallback_run_uses_the_solver_steplength(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        solutions = []
+        solve = mpc.solve_horizon
+
+        def recorded_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            solutions.append((len(runs), sol))
+            return sol
+
+        monkeypatch.setattr(mpc, "solve_horizon", recorded_solve)
+        run_closed_loop(load_preset("planar_fast"))
+        carried = [None] + [sol.steplength for _, sol in solutions[:-1]]
+        first = [0] + [end for end, _ in solutions[:-1]]
+        fallbacks = 0
+        for (end, _), start, warm in zip(solutions, first, carried):
+            assert runs[start][2]["steplength"] == warm
+            assert all(kwargs["steplength"] is None for _, _, kwargs, _ in runs[start + 1:end])
+            fallbacks += end - start - 1
+        assert fallbacks > 0
+
+    def test_fault_carries_no_steplength(self):
+        state = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
+        refs = np.tile([0.0, 0.0, 1e200], (CFG.horizon + 1, 1))
+        warm = HorizonSolution((1.0,) * (3 * CFG.horizon), cost=0.0, solver_status="converged",
+                               steplength=0.5)
+        for start in (None, warm):
+            sol = solve_horizon(state, refs, CFG, warm_start=start)
+            assert (sol.solver_status, sol.steplength) == ("fault", None)
+
+
 def frozen_gauss_newton_diagonal(cfg, d0, x0):
     """2 diag(J'QJ) + 2 diag(R) of the horizon cost, J the Jacobian of the
     positions p_1..p_N in the inputs with every direction frozen at d_0,
@@ -719,6 +860,15 @@ class TestHorizonMetric:
     # a squared metric in the subnormals, 1 spacing (5e-324) from the oracle
     @example(n=2, ts=1.0, weights=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
              d0=(0.0, 1.5439687497155313e-158, 1.0), seed=0)
+    # a subnormal d_0a^2 or (T_s^2 d_0a)^2, scaled up by 2 T_s^2 (N - i) or
+    # by S_ik^2 after rounding, once landed 8, ~60 and 19 spacings from the
+    # oracle
+    @example(n=1, ts=3.0, weights=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+             d0=(7.452975657424565e-158, 0.0, 1.0), seed=0)
+    @example(n=3, ts=1.0, weights=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+             d0=(0.0, 1.9688879194649657e-160, 1.0), seed=0)
+    @example(n=3, ts=1.0, weights=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+             d0=(0.0, 3.099555435415325e-162, 1.0), seed=0)
     @settings(max_examples=100, deadline=None)
     def test_matches_the_frozen_direction_jacobian(self, n, ts, weights, d0, seed):
         cfg = MpcConfig(ts=ts, horizon=n, q_weights=weights[:3], r_weights=weights[3:])
@@ -767,13 +917,13 @@ class TestHorizonMetric:
 
     def test_solve_uses_the_metric_and_falls_back_to_the_identity(self, monkeypatch):
         scales = []
-        box = mpc.BoxNlp
+        run = mpc.minimize
 
-        def recorded(**kwargs):
-            scales.append(kwargs["scale"])
-            return box(**kwargs)
+        def recorded(problem, *args, **kwargs):
+            scales.append(problem.scale)
+            return run(problem, *args, **kwargs)
 
-        monkeypatch.setattr(mpc, "BoxNlp", recorded)
+        monkeypatch.setattr(mpc, "minimize", recorded)
         state = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         refs = [(3.0, -2.0, 40.0)] * (CFG.horizon + 1)
         solve_horizon(state, refs, CFG)
@@ -835,10 +985,13 @@ class TestRoundingFloor:
 class TestEvaluationBudget:
     """Solver work over the six 20 Hz presets, read from the counts that
     every HorizonSolution carries: line-search trials, one objective call
-    each, are a solve's evaluations less its start point's.
+    each, are a solve's evaluations less its start point's, the reverse
+    pass of the start's rollout.
 
-    Measured: 11695 trials and no stalled solve. Started from the shifted
-    plan alone, as before the held plan was a candidate, the same runs took
+    Measured: 9978 trials and no stalled solve. With each solve's first
+    steplength rebuilt from the start point, not capped by the one the
+    warm start carries, they took 11695. Started from the shifted plan
+    alone, as before the held plan was a candidate, the same runs took
     17126 trials. With the unit metric in place of the horizon's
     Gauss-Newton metric they took 18401 trials and stalled once; under a
     monotone Armijo test, which rejected Barzilai-Borwein steps that raise
@@ -847,42 +1000,43 @@ class TestEvaluationBudget:
     34279 trials and stalled 126 times: the cost's rounding noise, which
     grew with |p|, sat above the rounding floor.
 
-    The planar presets, measured: planar_fast 2174 trials, planar_slow 745,
-    every planar_fast solve on gtol. From the shifted plan alone they took
-    2769 and 700. With the unit metric they took 3486 and 1281 and stalled
+    The planar presets, measured: planar_fast 1874 trials, planar_slow 641,
+    every planar_fast solve on gtol. Without the carried steplength they
+    took 2174 and 745; from the shifted plan alone 2769 and 700. With the unit metric they took 3486 and 1281 and stalled
     once each; under the monotone test 6254 and 2776, stalling 134 and 4
     times.
 
     planar_slow over noise seeds 0-29, measured: 1 solve cut at
-    max_iterations and 15455 trials. With the unit metric 13 solves ran
+    max_iterations and 13131 trials (13464 without the carried
+    steplength). With the unit metric 13 solves ran
     into the 500-iteration cap and the sweep took 30810 trials: at T_s = 1 s
     the cost's curvature in a bending rate is hundreds of times its
     curvature in insertion speed.
     """
 
     PRESETS = ("target1", "target2", "target3", "helix", "sharp_turn", "sinusoidal")
-    MAX_VALUE_EVALS = 12900
+    MAX_VALUE_EVALS = 11000
     MAX_STALLED = 5
-    PLANAR_MAX_VALUE_EVALS = 3200
-    SWEEP_MAX_VALUE_EVALS = 17000
+    PLANAR_MAX_VALUE_EVALS = 2750
+    SWEEP_MAX_VALUE_EVALS = 14500
     SWEEP_MAX_ITER_SOLVES = 2
 
     def test_twenty_hz_presets_within_budget(self, monkeypatch):
         calls = []
         solutions = {}
-        value_and_grad = _EulerHorizon.value_and_grad
+        reverse = _EulerHorizon._reverse
         solve = mpc.solve_horizon
 
-        def counted_value_and_grad(core, x):
-            calls.append(x)
-            return value_and_grad(core, x)
+        def counted_reverse(core, rollout):
+            calls.append(rollout)
+            return reverse(core, rollout)
 
         def recorded_solve(*args, **kwargs):
             sol = solve(*args, **kwargs)
             solutions[name].append((args, sol))
             return sol
 
-        monkeypatch.setattr(_EulerHorizon, "value_and_grad", counted_value_and_grad)
+        monkeypatch.setattr(_EulerHorizon, "_reverse", counted_reverse)
         monkeypatch.setattr(mpc, "solve_horizon", recorded_solve)
         for name in self.PRESETS:
             calls.clear()
@@ -896,8 +1050,9 @@ class TestEvaluationBudget:
         assert sum(s.solver_status == "stalled" for s in every) <= self.MAX_STALLED
         # the first line search of a tracking solve accepts its first or its
         # interpolated second trial: each solve cut after its first
-        # iteration backtracks at most once (measured from the held plan:
-        # once in 202 of 210 helix solves and 207 of 210 sinusoidal ones)
+        # iteration backtracks at most once (measured with the carried
+        # steplength: once in 36 of 210 helix solves and 64 of 210
+        # sinusoidal ones; without it, 202 and 207)
         for name in ("helix", "sinusoidal"):
             assert len(solutions[name]) == 210
             for (s0, refs, config, warm), _ in solutions[name]:

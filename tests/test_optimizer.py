@@ -489,6 +489,66 @@ class TestCounts:
         assert res.evaluations == 4 + res.backtracks + len(accepted_points(log))
 
 
+class TestWarmStartedRun:
+    """minimize's start and steplength: an evaluation of x0 taken in place
+    of the first objective call, and a cap on the first steplength. Both
+    apply to the run from x0 alone."""
+
+    @staticmethod
+    def problem():
+        # unbounded, so the first trial is x0 - alpha g
+        center = (0.3, -0.2, 0.1)
+
+        def objective(x):
+            e = [v - c for v, c in zip(x, center)]
+            return sum(v * v for v in e), [2.0 * v for v in e]
+
+        return BoxNlp(objective=objective, lower=(-math.inf,) * 3, upper=(math.inf,) * 3)
+
+    X0 = [2.0, 1.0, -3.0]
+
+    def test_given_start_replaces_the_first_call(self):
+        p = self.problem()
+        evaluated, log = logged_minimize(self.problem(), self.X0)
+        start = log[0][2], log[0][3]
+        given, given_log = logged_minimize(p, self.X0, start=start)
+        assert given == evaluated
+        assert given_log == log[1:]
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(NumericalFailureError):
+            minimize(self.problem(), self.X0, start=(math.nan, [0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("steplength", [1e-6, 1e-3, 0.1, 1e10])
+    def test_first_steplength_is_the_smaller(self, steplength):
+        res, log = logged_minimize(self.problem(), self.X0, steplength=steplength)
+        x0, g = np.array(log[0][1]), np.array(log[0][3])
+        alpha_0 = 1.0 / np.abs(g).max()       # identity metric, no bounds
+        alpha = (x0 - np.array(log[1][1])) / g
+        # read back from x0 - trial, to the rounding of that difference
+        np.testing.assert_allclose(alpha, min(alpha_0, steplength), rtol=1e-9)
+        assert optimizer._ALPHA_MIN <= res.steplength <= optimizer._ALPHA_MAX
+        if steplength >= alpha_0:
+            assert (res, log) == logged_minimize(self.problem(), self.X0)
+
+    @pytest.mark.parametrize("steplength", [0.0, -1.0, 1e-13, 1e11, math.nan, math.inf])
+    def test_steplength_out_of_range_rejected(self, steplength):
+        with pytest.raises(InvalidInputError, match=r"steplength must be in \[1e-12, 1e\+10\]"):
+            minimize(self.problem(), self.X0, steplength=steplength)
+
+    def test_random_starts_keep_their_own_steplength(self):
+        p = TestFloatListLoop.rosenbrock_box()
+        logs = {}
+        for steplength in (None, 1e-6):
+            single = minimize(p, [-1.2, 1.0], steplength=steplength).evaluations
+            _, log = logged_minimize(p, [-1.2, 1.0], multi_start=3, seed=1,
+                                     steplength=steplength)
+            calls = [entry[1] for entry in log if entry[0] == "eval"]
+            logs[steplength] = calls[:single], calls[single:]
+        assert logs[None][0] != logs[1e-6][0]
+        assert logs[None][1] == logs[1e-6][1] != []
+
+
 class TestNonmonotoneLineSearch:
     """A trial is tested against the largest of the last 10 accepted values
     (the line search of Grippo, Lampariello and Lucidi); a run that stops on
