@@ -683,27 +683,13 @@ class TestStartSelection:
 
 
 def record_runs(patch) -> list:
-    """Patch mpc.minimize to record (problem, x0, kwargs, result) of every
-    solver run."""
+    """Patch mpc.minimize to record (problem, x0, kwargs, result, first
+    objective call or None) of every solver run."""
     runs = []
     run = mpc.minimize
 
     def recorded(problem, x0, **kwargs):
-        runs.append((problem, x0, kwargs, run(problem, x0, **kwargs)))
-        return runs[-1][3]
-
-    patch.setattr(mpc, "minimize", recorded)
-    return runs
-
-
-def first_trial(patch) -> list:
-    """Patch mpc.minimize to record the first objective call of each run."""
-    trials = []
-    run = mpc.minimize
-
-    def recorded(problem, x0, **kwargs):
-        objective = problem.objective
-        calls = []
+        objective, calls = problem.objective, []
 
         def logged(x):
             calls.append(list(x))
@@ -711,11 +697,12 @@ def first_trial(patch) -> list:
 
         problem.objective = logged
         res = run(problem, x0, **kwargs)
-        trials.append((x0, calls[0] if calls else None))
+        problem.objective = objective
+        runs.append((problem, x0, kwargs, res, calls[0] if calls else None))
         return res
 
     patch.setattr(mpc, "minimize", recorded)
-    return trials
+    return runs
 
 
 _steplengths = st.floats(math.log10(optimizer._ALPHA_MIN), math.log10(optimizer._ALPHA_MAX)).map(
@@ -737,9 +724,9 @@ class TestCarriedState:
             warm = HorizonSolution(x_prev, cost=0.0, solver_status="converged",
                                    steplength=carried)
             with pytest.MonkeyPatch.context() as patch:
-                runs = first_trial(patch)
+                runs = record_runs(patch)
                 solutions.append(solve_horizon(state, refs, cfg, warm_start=warm))
-            trials.append(runs[0])
+            trials.append((runs[0][1], runs[0][4]))
         own, capped = solutions
         if capped.solver_status == "fault":
             assert own.solver_status == "fault" and capped.steplength is None
@@ -769,7 +756,7 @@ class TestCarriedState:
             return
         # each run as a checked problem, evaluated at its start by the solver
         lo, hi = cfg.horizon_bounds()
-        for problem, x0, kwargs, res in runs:
+        for problem, x0, kwargs, res, _ in runs:
             assert kwargs["steplength"] is None
             alone = minimize(BoxNlp(objective=problem.objective, lower=lo, upper=hi,
                                     max_iterations=cfg.max_iterations,
@@ -786,7 +773,7 @@ class TestCarriedState:
         with pytest.MonkeyPatch.context() as patch:
             runs = record_runs(patch)
             solve_horizon(state, refs, cfg, warm_start=warm)
-        for problem, x0, kwargs, res in runs:
+        for problem, x0, kwargs, res, _ in runs:
             start = problem.objective(list(x0))
             assert kwargs["start"] == start
             evaluated = dict(kwargs, start=None)
@@ -809,7 +796,7 @@ class TestCarriedState:
         fallbacks = 0
         for (end, _), start, warm in zip(solutions, first, carried):
             assert runs[start][2]["steplength"] == warm
-            assert all(kwargs["steplength"] is None for _, _, kwargs, _ in runs[start + 1:end])
+            assert all(kwargs["steplength"] is None for _, _, kwargs, _, _ in runs[start + 1:end])
             fallbacks += end - start - 1
         assert fallbacks > 0
 
@@ -1002,16 +989,16 @@ class TestEvaluationBudget:
 
     The planar presets, measured: planar_fast 1874 trials, planar_slow 641,
     every planar_fast solve on gtol. Without the carried steplength they
-    took 2174 and 745; from the shifted plan alone 2769 and 700. With the unit metric they took 3486 and 1281 and stalled
-    once each; under the monotone test 6254 and 2776, stalling 134 and 4
-    times.
+    took 2174 and 745; from the shifted plan alone 2769 and 700. With the
+    unit metric they took 3486 and 1281 and stalled once each; under the
+    monotone test 6254 and 2776, stalling 134 and 4 times.
 
     planar_slow over noise seeds 0-29, measured: 1 solve cut at
     max_iterations and 13131 trials (13464 without the carried
-    steplength). With the unit metric 13 solves ran
-    into the 500-iteration cap and the sweep took 30810 trials: at T_s = 1 s
-    the cost's curvature in a bending rate is hundreds of times its
-    curvature in insertion speed.
+    steplength). With the unit metric 13 solves ran into the 500-iteration
+    cap and the sweep took 30810 trials: at T_s = 1 s the cost's curvature
+    in a bending rate is hundreds of times its curvature in insertion
+    speed.
     """
 
     PRESETS = ("target1", "target2", "target3", "helix", "sharp_turn", "sinusoidal")
