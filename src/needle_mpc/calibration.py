@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
     key,
 )
 from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
-from .kinematics import NeedleState, rollout
+from .kinematics import _check_ts, _exact_flow, _settle
 from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
 
 MANIFEST_NAME = "manifest.json"
@@ -116,17 +117,26 @@ def simulate_calibration_run(
     ts: float = 0.05,
     steps: int = 100,
 ) -> CalibrationRun:
-    """Synthesize the tip arc a physical calibration run would record."""
-    # CalibrationRun's checks of tendon_index and tension, before any rollout
+    """Synthesize the tip arc a physical calibration run would record: steps
+    (an integer >= 2) exact steps under one command from the origin along
+    +z, taken on floats and settled as NeedleState settles a state, so the
+    points are those of a step_exact chain bit for bit."""
+    # CalibrationRun's checks of tendon_index and tension, before any step
     CalibrationRun(tendon_index, tension, tip_points=((0.0, 0.0, 0.0),) * 3)
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
+        raise InvalidInputError(f"steps must be an integer >= 2, got {steps!r}")
     tau = tuple(tension if k == tendon_index else 0.0 for k in (1, 2, 3))
     u = rates_from_command(TendonCommand(u_s, tau), geometry)
-    s0 = NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
-    states = rollout(s0, [u] * steps, ts)
+    ts = _check_ts(ts)
+    state = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+    points = [state[0]]
+    for _ in range(steps):
+        state = _settle(*_exact_flow(*state, u.u_s, u.u_x, u.u_y, ts))
+        points.append(state[0])
     return CalibrationRun(
         tendon_index=tendon_index,
         tension=tension,
-        tip_points=tuple(s.p for s in states),
+        tip_points=tuple(points),
     )
 
 

@@ -37,8 +37,24 @@ from .errors import (
     check_fields,
     key,
 )
-from .kinematics import NeedleState, VirtualInput, distance, step_euler, step_exact
-from .mapping import TendonCommand, TendonGeometry, inverse_map, rates_from_command
+from .kinematics import (
+    NeedleState,
+    VirtualInput,
+    _check_ts,
+    _euler_flow,
+    _exact_flow,
+    _settle,
+    distance,
+    step_euler,
+    step_exact,
+)
+from .mapping import (
+    TendonCommand,
+    TendonGeometry,
+    _command_rates,
+    inverse_map,
+    rates_from_command,
+)
 from .mpc import RecedingHorizonController
 from .references import MAX_POSITION_MM, FixedTarget, check_path_speed, horizon_samples
 
@@ -321,10 +337,11 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
 @dataclass(frozen=True)
 class OpenLoopResult:
-    """Model and plant trajectories under an identical command sequence."""
+    """Model and plant tip positions under an identical command sequence,
+    one (x, y, z) float tuple per step boundary."""
 
-    model_states: tuple[NeedleState, ...]
-    plant_states: tuple[NeedleState, ...]
+    model_positions: tuple[tuple[float, float, float], ...]
+    plant_positions: tuple[tuple[float, float, float], ...]
     errors: tuple[float, ...]   # per-boundary model-vs-plant position error, mm
     inserted_length_mm: float
     max_error_mm: float
@@ -344,30 +361,37 @@ def run_open_loop(
     rates; the plant side uses its configured integrator and perturbed
     geometry. The error series is the position discrepancy at every step
     boundary, the standard open-loop validation of model fidelity.
+
+    Both sides step on floats: ts is checked once, each command's rates as
+    a VirtualInput would check them, and each step's state is settled as a
+    NeedleState would be, so the positions are those of step_exact and
+    step_euler bit for bit.
     """
     if len(commands) == 0:
         raise InvalidInputError("command sequence is empty")
-    if not ts > 0.0:
-        raise InvalidInputError(f"ts must be positive, got {ts!r}")
+    ts = _check_ts(ts)
     s0 = initial_state or NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
     true_geometry = plant.true_geometry(model_geometry)
-    step_plant = step_exact if plant.integrator == "exact" else step_euler
+    plant_flow = _exact_flow if plant.integrator == "exact" else _euler_flow
 
-    model_states = [s0]
-    plant_states = [s0]
+    model = true = (s0.p, s0.d)
+    model_positions, plant_positions = [s0.p], [s0.p]
     for cmd in commands:
-        u_model = rates_from_command(cmd, model_geometry)
-        u_plant = rates_from_command(cmd, true_geometry)
-        model_states.append(step_exact(model_states[-1], u_model, ts))
-        plant_states.append(step_plant(plant_states[-1], u_plant, ts))
+        u_s, tau = cmd.u_s, cmd.tau
+        model_x, model_y = _command_rates(u_s, tau, model_geometry)
+        true_x, true_y = _command_rates(u_s, tau, true_geometry)
+        model = _settle(*_exact_flow(*model, u_s, model_x, model_y, ts))
+        true = _settle(*plant_flow(*true, u_s, true_x, true_y, ts))
+        model_positions.append(model[0])
+        plant_positions.append(true[0])
 
-    errors = tuple(distance(m.p, p.p) for m, p in zip(model_states, plant_states))
+    errors = tuple(map(distance, model_positions, plant_positions))
     inserted = _inserted_length([cmd.u_s for cmd in commands], ts)
     max_err = max(errors)
     pct = 100.0 * max_err / inserted if inserted > 0.0 else None
     return OpenLoopResult(
-        model_states=tuple(model_states),
-        plant_states=tuple(plant_states),
+        model_positions=tuple(model_positions),
+        plant_positions=tuple(plant_positions),
         errors=errors,
         inserted_length_mm=inserted,
         max_error_mm=max_err,
@@ -418,8 +442,8 @@ def write_step_csv(result: ScenarioResult, path) -> None:
 
 def write_open_loop_csv(result: OpenLoopResult, ts: float, path) -> None:
     _write_csv(path, OPEN_LOOP_CSV_COLUMNS, (
-        [k * ts, *m.p, *p.p, result.errors[k]]
-        for k, (m, p) in enumerate(zip(result.model_states, result.plant_states))
+        [k * ts, *m, *p, result.errors[k]]
+        for k, (m, p) in enumerate(zip(result.model_positions, result.plant_positions))
     ))
 
 

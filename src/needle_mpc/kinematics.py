@@ -53,15 +53,10 @@ class NeedleState:
     d: tuple[float, float, float]
 
     def __post_init__(self):
-        p = finite_floats(self.p, "p", 3, InvalidInputError)
-        dx, dy, dz = finite_floats(self.d, "d", 3, InvalidInputError)
-        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if abs(norm - 1.0) > _CONSTRUCT_TOL:
-            raise InvalidInputError(
-                f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
-            )
+        p, d = _settle(finite_floats(self.p, "p", 3, InvalidInputError),
+                       finite_floats(self.d, "d", 3, InvalidInputError))
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", (dx / norm, dy / norm, dz / norm))
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -91,50 +86,56 @@ def _check_ts(ts: float) -> float:
     return ts
 
 
+def _settle(p: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """The state (p, d) as NeedleState holds it: every value finite and the
+    direction's norm within 1e-6 of 1, then renormalized. p and d are float
+    3-tuples; a fault raises the constructor's InvalidInputError."""
+    px, py, pz = p
+    dx, dy, dz = d
+    if not math.isfinite(px + py + pz + dx + dy + dz):
+        # a non-finite entry, or a sum that overflowed; the checks name the field
+        finite_floats(p, "p", 3, InvalidInputError)
+        finite_floats(d, "d", 3, InvalidInputError)
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if abs(norm - 1.0) > _CONSTRUCT_TOL:
+        raise InvalidInputError(
+            f"direction norm {norm:.6g} differs from 1 by more than {_CONSTRUCT_TOL:g}"
+        )
+    return p, (dx / norm, dy / norm, dz / norm)
+
+
 def _bend(dx: float, dy: float, dz: float, u_x: float, u_y: float) -> tuple:
     # ddot = d x (u_x, u_y, 0)
     return -u_y * dz, u_x * dz, u_y * dx - u_x * dy
 
 
-def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
-    """One forward-Euler step of length ts (s), direction renormalized.
-
-    The raw Euler update leaves the direction with norm sqrt(1 + (ts*w)^2)
-    for bending rate w, so the renormalization never divides by a small
-    number. The position update uses the pre-step direction.
-    """
-    ts = _check_ts(ts)
-    px, py, pz = state.p
-    dx, dy, dz = state.d
-    step = ts * u.u_s
-    bx, by, bz = _bend(dx, dy, dz, u.u_x, u.u_y)
+def _euler_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
+                ts: float) -> tuple[tuple, tuple]:
+    """step_euler's arithmetic on floats: the raw (p, d) after one step."""
+    px, py, pz = p
+    dx, dy, dz = d
+    step = ts * u_s
+    bx, by, bz = _bend(dx, dy, dz, u_x, u_y)
     rx, ry, rz = dx + ts * bx, dy + ts * by, dz + ts * bz
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-    return NeedleState(
-        (px + step * dx, py + step * dy, pz + step * dz), (rx / norm, ry / norm, rz / norm)
-    )
+    return (px + step * dx, py + step * dy, pz + step * dz), (rx / norm, ry / norm, rz / norm)
 
 
-def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
-    """Exact flow of the model over ts under constant input.
-
-    ddot = d x w with w = (u_x, u_y, 0), so d rotates at rate |w| about the
-    fixed axis -w/|w| and p traces a circular arc of curvature |w| / u_s
-    (a straight segment when w = 0).
-    """
-    ts = _check_ts(ts)
-    px, py, pz = state.p
-    d = dx, dy, dz = state.d
-    rate = math.hypot(u.u_x, u.u_y)
+def _exact_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
+                ts: float) -> tuple[tuple, tuple]:
+    """step_exact's arithmetic on floats: the raw (p, d) after one step."""
+    px, py, pz = p
+    dx, dy, dz = d
+    rate = math.hypot(u_x, u_y)
     if rate < _MIN_BEND_RATE:
-        step = ts * u.u_s
-        return NeedleState((px + step * dx, py + step * dy, pz + step * dz), d)
+        step = ts * u_s
+        return (px + step * dx, py + step * dy, pz + step * dz), d
     angle = rate * ts
     if not math.isfinite(angle):
         raise InvalidInputError(f"bend angle rate*ts overflows: rate {rate!r}, ts {ts!r}")
     # the axis is (ax, ay, 0); its zero terms stay in, so zero results keep
     # the signs numpy's elementwise cross product gave them
-    ax, ay = -u.u_x / rate, -u.u_y / rate
+    ax, ay = -u_x / rate, -u_y / rate
     c, s = math.cos(angle), math.sin(angle)
     along = ax * dx + ay * dy + 0.0 * dz
     cx, cy, cz = ay * dz - 0.0 * dy, 0.0 * dx - ax * dz, ax * dy - ay * dx
@@ -144,13 +145,32 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     norm = math.sqrt(nx * nx + ny * ny + nz * nz)
     # integral of the rotating direction over the step, the same three terms
     i_d, i_c, i_a = s / rate, (1.0 - c) / rate, (ts - s / rate) * along
-    u_s = u.u_s
-    return NeedleState(
+    return (
         (px + u_s * (i_d * dx + i_c * cx + i_a * ax),
          py + u_s * (i_d * dy + i_c * cy + i_a * ay),
          pz + u_s * (i_d * dz + i_c * cz + i_a * 0.0)),
         (nx / norm, ny / norm, nz / norm),
     )
+
+
+def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
+    """One forward-Euler step of length ts (s), direction renormalized.
+
+    The raw Euler update leaves the direction with norm sqrt(1 + (ts*w)^2)
+    for bending rate w, so the renormalization never divides by a small
+    number. The position update uses the pre-step direction.
+    """
+    return NeedleState(*_euler_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
+
+
+def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
+    """Exact flow of the model over ts under constant input.
+
+    ddot = d x w with w = (u_x, u_y, 0), so d rotates at rate |w| about the
+    fixed axis -w/|w| and p traces a circular arc of curvature |w| / u_s
+    (a straight segment when w = 0).
+    """
+    return NeedleState(*_exact_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
 
 
 def rollout(state: NeedleState, inputs: Sequence[VirtualInput], ts: float) -> list[NeedleState]:

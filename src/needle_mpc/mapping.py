@@ -30,9 +30,10 @@ kappa itself, and no path squares the gain, so a gain far from 1 (1e-300 or
 direction alone and saturated the same way.
 
 TendonGeometry builds A and C once, when it is constructed, as nested float
-lists. forward_map (which rates_from_command calls) and inverse_map run
-every control step; they read those entries as plain Python floats and sum
-left to right. A TendonCommand holds u_s as a float and tau as a tuple of
+lists. forward_map, rates_from_command and inverse_map run every control
+step; they read those entries as plain Python floats and sum left to right.
+The open-loop replay forms its rates on floats, by the same _command_rates
+that rates_from_command wraps in a VirtualInput. A TendonCommand holds u_s as a float and tau as a tuple of
 three floats. Its constructor and forward_map check tensions with one
 function: three finite, nonnegative numbers, with str, bytes and 2-D arrays
 refused, and each fault raises InvalidInputError naming tau.
@@ -119,19 +120,33 @@ class TendonCommand:
         object.__setattr__(self, "tau", _tensions(self.tau))
 
 
-def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> tuple[float, float]:
-    """Curvature (kappa_x, kappa_y) (1/mm) produced by a tension triple,
-    summed left to right over the entries of the cached matrix."""
-    t1, t2, t3 = _tensions(tau)
+def _curvature(tau: tuple, geometry: TendonGeometry) -> tuple[float, float]:
+    """forward_map's sums, for tensions already checked."""
+    t1, t2, t3 = tau
     (a1, a2, a3), (b1, b2, b3) = geometry._amat_rows
     return a1 * t1 + a2 * t2 + a3 * t3, b1 * t1 + b2 * t2 + b3 * t3
 
 
+def forward_map(tau: Sequence[float], geometry: TendonGeometry) -> tuple[float, float]:
+    """Curvature (kappa_x, kappa_y) (1/mm) produced by a tension triple,
+    summed left to right over the entries of the cached matrix."""
+    return _curvature(_tensions(tau), geometry)
+
+
+def _command_rates(u_s: float, tau: tuple, geometry: TendonGeometry) -> tuple[float, float]:
+    """Bending rates (u_x, u_y) = kappa * u_s of a checked command's floats.
+    A rate beyond the float range raises VirtualInput's InvalidInputError."""
+    kx, ky = _curvature(tau, geometry)
+    u_x, u_y = kx * u_s, ky * u_s
+    if not math.isfinite(u_x + u_y):
+        VirtualInput(u_s, u_x, u_y)  # names the rate, unless only the sum overflowed
+    return u_x, u_y
+
+
 def rates_from_command(command: TendonCommand, geometry: TendonGeometry) -> VirtualInput:
     """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s."""
-    kx, ky = forward_map(command.tau, geometry)
     u_s = command.u_s
-    return VirtualInput(u_s=u_s, u_x=kx * u_s, u_y=ky * u_s)
+    return VirtualInput(u_s, *_command_rates(u_s, _tensions(command.tau), geometry))
 
 
 @dataclass(frozen=True)

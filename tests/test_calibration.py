@@ -16,7 +16,13 @@ from needle_mpc.calibration import (
 )
 from needle_mpc.errors import DegenerateFitError, InvalidInputError, SchemaError
 from needle_mpc.harness import PlantConfig, run_open_loop
-from needle_mpc.mapping import TendonCommand, TendonGeometry, estimate_curvature
+from needle_mpc.kinematics import NeedleState, step_exact
+from needle_mpc.mapping import (
+    TendonCommand,
+    TendonGeometry,
+    estimate_curvature,
+    rates_from_command,
+)
 from oracles import zero_intercept_gain
 
 TRUE_GEO = TendonGeometry(gain=3.7e-4)
@@ -65,11 +71,39 @@ class TestSimulatedRuns:
         pts = np.zeros((3, 3))
         with pytest.raises(InvalidInputError) as want:
             CalibrationRun(tendon_index=index, tension=2.0, tip_points=pts)
-        monkeypatch.setattr(calibration, "rollout", None)  # any rollout would fail differently
+        monkeypatch.setattr(calibration, "_exact_flow", None)  # any step would fail differently
         with pytest.raises(InvalidInputError) as got:
             simulate_calibration_run(index, 2.0, TRUE_GEO)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("tendon_index ")
+
+    @pytest.mark.parametrize("steps", [2.5, True, False, 1, 0, -3, "100", None, 2.0])
+    def test_steps_must_be_an_integer_of_at_least_two(self, steps):
+        with pytest.raises(InvalidInputError, match=r"^steps must be an integer >= 2, got "):
+            simulate_calibration_run(1, 2.0, TRUE_GEO, steps=steps)
+
+    @pytest.mark.parametrize("steps", [2, np.int64(3)])
+    def test_fewest_steps_give_three_points(self, steps):
+        assert len(simulate_calibration_run(1, 2.0, TRUE_GEO, steps=steps).tip_points) == steps + 1
+
+    def test_points_are_a_step_exact_chain(self):
+        geometry = TendonGeometry(theta_e=0.7, gain=4.1e-4)
+        run = simulate_calibration_run(3, 6.2, geometry, u_s=12.0, ts=0.1, steps=40)
+        u = rates_from_command(TendonCommand(12.0, (0.0, 0.0, 6.2)), geometry)
+        state = NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
+        points = [state.p]
+        for _ in range(40):
+            state = step_exact(state, u, 0.1)
+            points.append(state.p)
+        assert run.tip_points == tuple(points)
+
+    @pytest.mark.parametrize("ts, message", [
+        ("0.05", "^ts must be a number"), (0.0, "^time step must be positive"),
+        (float("nan"), "^ts has a non-finite value"),
+    ])
+    def test_time_step_checked(self, ts, message):
+        with pytest.raises(InvalidInputError, match=message):
+            simulate_calibration_run(1, 2.0, TRUE_GEO, ts=ts)
 
 
 class TestCalibrate:

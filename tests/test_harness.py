@@ -384,6 +384,42 @@ class TestOpenLoop:
                 [TendonCommand(u_s=20.0, tau=(0.0, 0.0, 0.0))], PlantConfig(), HW_GEO, ts=0.0
             )
 
+    @pytest.mark.parametrize("ts, message", [
+        ("0.05", "^ts must be a number, got '0.05'$"), (b"0.05", "^ts must be a number"),
+        (True, "^ts must be a number"), (-0.05, "^time step must be positive and finite"),
+        (math.nan, "^ts has a non-finite value nan$"), (math.inf, "^ts has a non-finite value"),
+    ])
+    def test_time_step_checked_up_front(self, ts, message):
+        commands = [TendonCommand(u_s=20.0, tau=(3.0, 0.0, 0.0))] * 3
+        with pytest.raises(InvalidInputError, match=message):
+            run_open_loop(commands, PlantConfig(), HW_GEO, ts=ts)
+
+    def test_overflowing_rates_named_as_a_virtual_input_names_them(self):
+        geometry = TendonGeometry(gain=1e307)
+        command = TendonCommand(u_s=24.0, tau=(7.0, 0.0, 0.0))
+        with pytest.raises(InvalidInputError) as want:
+            rates_from_command(command, geometry)
+        with pytest.raises(InvalidInputError) as got:
+            run_open_loop([command], PlantConfig(), geometry, ts=0.05)
+        assert str(got.value) == str(want.value) == "u_x has a non-finite value inf"
+
+    @pytest.mark.parametrize("integrator", harness.INTEGRATORS)
+    def test_positions_are_step_chains_on_objects(self, integrator):
+        rng = np.random.default_rng(5)
+        commands = [TendonCommand(u_s=rng.uniform(-1.0, 24.0), tau=rng.uniform(0.0, 7.0, 3))
+                    for _ in range(40)]
+        plant = PlantConfig(integrator=integrator, gain_error=0.2, theta_e_error=0.1)
+        start = NeedleState(p=(1.0, -2.0, 3.0), d=(0.6, 0.0, 0.8))
+        result = run_open_loop(commands, plant, HW_GEO, ts=0.05, initial_state=start)
+        step_plant = harness.step_exact if integrator == "exact" else step_euler
+        true_geometry = plant.true_geometry(HW_GEO)
+        model, true = [start], [start]
+        for cmd in commands:
+            model.append(harness.step_exact(model[-1], rates_from_command(cmd, HW_GEO), 0.05))
+            true.append(step_plant(true[-1], rates_from_command(cmd, true_geometry), 0.05))
+        assert result.model_positions == tuple(s.p for s in model)
+        assert result.plant_positions == tuple(s.p for s in true)
+
 
 class TestSerialization:
     def _short_result(self):
@@ -409,7 +445,7 @@ class TestSerialization:
         write_open_loop_csv(result, 0.05, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(OPEN_LOOP_CSV_COLUMNS)
-        assert len(lines) == 1 + len(result.model_states)
+        assert len(lines) == 1 + len(result.model_positions)
 
     def test_commands_csv_roundtrip(self, tmp_path):
         commands = [

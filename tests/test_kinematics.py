@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc.errors import InvalidInputError
@@ -11,10 +11,14 @@ from needle_mpc.kinematics import (
     NeedleState,
     VirtualInput,
     _bend,
+    _euler_flow,
+    _exact_flow,
+    _settle,
     rollout,
     step_euler,
     step_exact,
 )
+from needle_mpc.mapping import TendonCommand, TendonGeometry, _command_rates, rates_from_command
 from oracles import FROZEN_DERIVATIVE, exact_step_rotation, state_derivative_scalar
 
 
@@ -416,3 +420,93 @@ class TestRollout:
             euler.append(step_euler(euler[-1], u, 0.05))
         for st_ in euler + rollout(s, inputs, 0.05):
             assert abs(np.linalg.norm(st_.d) - 1.0) <= 1e-9
+
+
+def _outcome(fn):
+    """fn()'s state as float.hex text, so -0.0 and 0.0 differ, or the
+    message of the InvalidInputError it raised."""
+    try:
+        out = fn()
+    except InvalidInputError as exc:
+        return "raised", str(exc)
+    if isinstance(out, NeedleState):
+        out = out.p, out.d
+    return tuple(tuple(v.hex() for v in vector) for vector in out)
+
+
+# rates across the straight-step cutoff, ordinary bends and the float range
+bend_rate = (
+    st.just(0.0)
+    | st.floats(-0.5 * _MIN_BEND_RATE, 0.5 * _MIN_BEND_RATE)
+    | st.floats(-2.0 * _MIN_BEND_RATE, 2.0 * _MIN_BEND_RATE)
+    | st.floats(-10.0, 10.0)
+    | st.floats(-1e308, 1e308)
+)
+
+
+class TestFloatPath:
+    """The float-level flows that replays and calibration arcs step with,
+    each state settled by _settle, agree bit for bit with step_exact and
+    step_euler on NeedleState and VirtualInput, faults included."""
+
+    @pytest.mark.parametrize("flow, step", [(_exact_flow, step_exact), (_euler_flow, step_euler)])
+    @given(
+        p=st.tuples(finite_coord, finite_coord, finite_coord),
+        d=direction_raw,
+        u_s=st.just(0.0) | st.floats(-50.0, 50.0) | st.floats(-1e308, 1e308),
+        u_x=bend_rate,
+        u_y=bend_rate,
+        ts=st.floats(1e-6, 1.0) | st.floats(1.0, 1e12),
+    )
+    @example(p=(1.0, 2.0, 3.0), d=(0.3, -0.4, 1.0), u_s=10.0, u_x=0.5 * _MIN_BEND_RATE,
+             u_y=0.0, ts=0.05)                                 # the straight branch
+    @example(p=(1.0, 2.0, 3.0), d=(0.3, -0.4, 1.0), u_s=0.0, u_x=1.5, u_y=-0.5, ts=0.05)
+    @example(p=(1.0, 2.0, 3.0), d=(0.3, -0.4, 1.0), u_s=-1.0, u_x=1.5, u_y=-0.5, ts=0.05)
+    @example(p=(1.0, 2.0, 3.0), d=(0.3, -0.4, 1.0), u_s=20.0, u_x=1.5, u_y=-0.5, ts=1e6)
+    @example(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0), u_s=1.0, u_x=1e300, u_y=1e300,
+             ts=1e10)                                          # the bend angle overflows
+    @example(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0), u_s=1e308, u_x=0.0, u_y=0.0,
+             ts=10.0)                                          # the position overflows
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_flow_then_settle_is_the_step(self, flow, step, p, d, u_s, u_x, u_y, ts):
+        state = NeedleState(p=p, d=unit(d))
+        floats = _outcome(lambda: _settle(*flow(state.p, state.d, u_s, u_x, u_y, ts)))
+        objects = _outcome(lambda: step(state, VirtualInput(u_s, u_x, u_y), ts))
+        assert floats == objects
+
+    @given(
+        p=st.tuples(finite_coord, finite_coord, finite_coord),
+        d=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    @example(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0 + 2e-6))      # off the unit norm
+    @example(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0 + 5e-7))      # renormalized
+    @example(p=(1e308, 1e308, 0.0), d=(0.0, 0.0, 1.0))         # the sum overflows
+    @example(p=(math.inf, 0.0, 0.0), d=(0.0, math.nan, 1.0))
+    @example(p=(0.0, 0.0, 0.0), d=(math.nan, 0.0, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_settle_is_the_constructor(self, p, d):
+        assert _outcome(lambda: _settle(p, d)) == _outcome(lambda: NeedleState(p=p, d=d))
+
+    @given(
+        u_s=st.floats(-1e308, 1e308),
+        tau=st.tuples(*[st.floats(0.0, 1e308)] * 3),
+        log_gain=st.floats(-300.0, 307.0),
+        theta_e=st.floats(0.0, 6.3),
+    )
+    @example(u_s=1e300, tau=(7.0, 0.0, 0.0), log_gain=10.0, theta_e=0.0)  # u_x overflows
+    @example(u_s=1e300, tau=(7.0, 0.0, 0.0), log_gain=10.0,
+             theta_e=1.5 * math.pi)                                  # u_y overflows
+    @example(u_s=1e300, tau=(7.0, 0.0, 0.0), log_gain=7.384,
+             theta_e=1.75 * math.pi)                                 # only the sum overflows
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_command_rates_are_rates_from_command(self, u_s, tau, log_gain, theta_e):
+        geometry = TendonGeometry(theta_e=theta_e, gain=10.0**log_gain)
+
+        def objects():
+            u = rates_from_command(TendonCommand(u_s, tau), geometry)
+            return ((u.u_s, u.u_x, u.u_y),)
+
+        def floats():
+            return ((u_s, *_command_rates(u_s, tau, geometry)),)
+
+        assert _outcome(floats) == _outcome(objects)
