@@ -16,6 +16,11 @@ the same scenario and seed are byte-identical.
 References, positions and errors are tuples of floats, and an error norm
 sums its squares left to right. Measurement noise comes from a
 random.Random seeded with the plant seed.
+
+The closed loop steps the plant on NeedleState objects. The open loop has
+no controller to hand states to, so both of its sides step on floats,
+through the kinematics flows and _settle that step_exact and step_euler
+wrap, and keep only the positions they write.
 """
 
 from __future__ import annotations

@@ -17,16 +17,24 @@ bending axis and moves p along the corresponding circular arc. Units are mm,
 s and rad throughout; curvature is 1/mm.
 
 A NeedleState holds p and d as tuples of three Python floats, and a
-VirtualInput holds three floats. Their constructors are the only way to
-build them: each accepts any three numbers (a tuple, a list, a 1-D array),
-converts them to floats and rejects bools, strings, bytes, other counts,
-nested rows and non-finite values with InvalidInputError naming the field,
-through the number check that config fields use as well. Both steps
-compute on those floats with the scalar `math` module and return a state
-built by the public constructor (all values finite, direction norm within
-1e-6 of 1, then renormalized). Sums such as a norm or a dot product are
-evaluated left to right, so a step's bits do not depend on which BLAS
-kernel the CPU dispatches to.
+VirtualInput holds three floats. Their constructors accept any three
+numbers (a tuple, a list, a 1-D array), convert them to floats and reject
+bools, strings, bytes, other counts, nested rows and non-finite values with
+InvalidInputError naming the field, through the number check that config
+fields use as well.
+
+Each integrator has one arithmetic path in two parts. Its flow
+(_exact_flow, _euler_flow) takes a state's p and d as float 3-tuples, the
+three rates and a checked ts, and returns the raw next (p, d) computed with
+the scalar `math` module. _settle then checks and settles a state as the
+constructor does: all values finite, the direction norm within 1e-6 of 1,
+then renormalized; the constructor calls it once its input is converted.
+step_exact and step_euler run the flow on a NeedleState and a
+VirtualInput and build the next NeedleState. Loops that need only floats
+(open-loop replays, simulated calibration arcs) call flow and _settle
+directly: the same bits and the same messages, without an object per step.
+Sums such as a norm or a dot product are evaluated left to right, so a
+step's bits do not depend on which BLAS kernel the CPU dispatches to.
 """
 
 from __future__ import annotations

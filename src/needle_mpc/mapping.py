@@ -33,10 +33,11 @@ TendonGeometry builds A and C once, when it is constructed, as nested float
 lists. forward_map, rates_from_command and inverse_map run every control
 step; they read those entries as plain Python floats and sum left to right.
 The open-loop replay forms its rates on floats, by the same _command_rates
-that rates_from_command wraps in a VirtualInput. A TendonCommand holds u_s as a float and tau as a tuple of
-three floats. Its constructor and forward_map check tensions with one
-function: three finite, nonnegative numbers, with str, bytes and 2-D arrays
-refused, and each fault raises InvalidInputError naming tau.
+that rates_from_command wraps in a VirtualInput. A TendonCommand holds u_s
+as a float and tau as a tuple of three floats. Its constructor and
+forward_map check tensions with one function: three finite, nonnegative
+numbers, with str, bytes and 2-D arrays refused, and each fault raises
+InvalidInputError naming tau.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
