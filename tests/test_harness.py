@@ -30,7 +30,7 @@ from needle_mpc.harness import (
     write_step_csv,
     write_summary_json,
 )
-from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
+from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler, step_exact
 from needle_mpc.mapping import TendonCommand, TendonGeometry, forward_map, rates_from_command
 from needle_mpc.mpc import MpcConfig
 from needle_mpc.references import FixedTarget
@@ -394,7 +394,7 @@ class TestOpenLoop:
         with pytest.raises(InvalidInputError, match=message):
             run_open_loop(commands, PlantConfig(), HW_GEO, ts=ts)
 
-    def test_overflowing_rates_named_as_a_virtual_input_names_them(self):
+    def test_overflowing_rate_raises_the_virtual_input_message(self):
         geometry = TendonGeometry(gain=1e307)
         command = TendonCommand(u_s=24.0, tau=(7.0, 0.0, 0.0))
         with pytest.raises(InvalidInputError) as want:
@@ -411,11 +411,11 @@ class TestOpenLoop:
         plant = PlantConfig(integrator=integrator, gain_error=0.2, theta_e_error=0.1)
         start = NeedleState(p=(1.0, -2.0, 3.0), d=(0.6, 0.0, 0.8))
         result = run_open_loop(commands, plant, HW_GEO, ts=0.05, initial_state=start)
-        step_plant = harness.step_exact if integrator == "exact" else step_euler
+        step_plant = step_exact if integrator == "exact" else step_euler
         true_geometry = plant.true_geometry(HW_GEO)
         model, true = [start], [start]
         for cmd in commands:
-            model.append(harness.step_exact(model[-1], rates_from_command(cmd, HW_GEO), 0.05))
+            model.append(step_exact(model[-1], rates_from_command(cmd, HW_GEO), 0.05))
             true.append(step_plant(true[-1], rates_from_command(cmd, true_geometry), 0.05))
         assert result.model_positions == tuple(s.p for s in model)
         assert result.plant_positions == tuple(s.p for s in true)
