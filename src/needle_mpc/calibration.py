@@ -46,9 +46,9 @@ RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
 
 @dataclass(frozen=True)
 class CalibrationRun:
-    """Recorded tip positions, n >= 3 (x, y, z) float tuples, for one tendon
-    (1, 2 or 3) held at one tension (N). Every message starts with the field
-    it names."""
+    """Recorded tip positions, n >= 3 (x, y, z) float tuples not all at one
+    point, for one tendon (1, 2 or 3) held at one tension (N). Every message
+    starts with the field it names."""
 
     tendon_index: int = key("tendon_index", kind=int, choices=(1, 2, 3))
     tension: float = key("tension_N", ge=0.0)
@@ -62,6 +62,8 @@ class CalibrationRun:
         pts = finite_points(self.tip_points, "tip_points", InvalidInputError)
         if len(pts) < 3:
             raise InvalidInputError(f"tip_points must hold at least 3 points, got {len(pts)}")
+        if all(p == pts[0] for p in pts):  # a tip that never moved fits no arc
+            raise InvalidInputError(f"tip_points all lie at {list(pts[0])}: the tip never moved")
         object.__setattr__(self, "tip_points", pts)
 
     @functools.cached_property
@@ -82,7 +84,9 @@ def calibrate(runs) -> CalibrationResult:
     """Fit the curvature gain from a set of calibration runs.
 
     Needs at least two runs covering at least two distinct tensions;
-    otherwise the through-origin slope is not identified.
+    otherwise the through-origin slope is not identified. A fitted gain
+    that is not positive (no arc under tension bent) raises
+    DegenerateFitError, since no geometry can use it.
     """
     runs = list(runs)
     if len(runs) < 2:
@@ -94,6 +98,10 @@ def calibrate(runs) -> CalibrationResult:
         )
     curvatures = [r.curvature for r in runs]
     gain = fit_gain(zip(tensions, curvatures))
+    if not gain > 0.0:
+        raise DegenerateFitError(
+            f"the fitted gain must be > 0, got {gain!r}: no run under tension bent"
+        )
     residuals = [k - gain * t for t, k in zip(tensions, curvatures)]
     try:  # correctly rounded, so the order of the runs sets no bit
         square_sum = math.fsum([r * r for r in residuals])
@@ -120,9 +128,13 @@ def simulate_calibration_run(
     """Synthesize the tip arc a physical calibration run would record: steps
     (an integer >= 2) exact steps under one command from the origin along
     +z, taken on floats and settled as NeedleState settles a state, so the
-    points are those of a step_exact chain bit for bit."""
-    # CalibrationRun's checks of tendon_index and tension, before any step
-    CalibrationRun(tendon_index, tension, tip_points=((0.0, 0.0, 0.0),) * 3)
+    points are those of a step_exact chain bit for bit. A command that
+    leaves the tip where it is (u_s = 0) raises InvalidInputError naming
+    tip_points."""
+    # CalibrationRun's checks of tendon_index and tension, before any step;
+    # the probe's tip moves, so only those two can fail
+    CalibrationRun(tendon_index, tension,
+                   tip_points=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 2.0)))
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
         raise InvalidInputError(f"steps must be an integer >= 2, got {steps!r}")
     tau = tuple(tension if k == tendon_index else 0.0 for k in (1, 2, 3))

@@ -17,10 +17,12 @@ References, positions and errors are tuples of floats, and an error norm
 sums its squares left to right. Measurement noise comes from a
 random.Random seeded with the plant seed.
 
-The closed loop steps the plant on NeedleState objects. The open loop has
+The plant has one integrator, the exact flow of kinematics. The closed
+loop steps it on NeedleState objects, through step_exact. The open loop has
 no controller to hand states to, so both of its sides step on floats,
-through the kinematics flows and _settle that step_exact and step_euler
-wrap, and keep only the positions they write.
+through the _exact_flow and _settle that step_exact wraps, and keep only
+the positions they write. Forward Euler is only the controller's
+prediction (mpc).
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from .kinematics import (
     NeedleState,
     VirtualInput,
     _check_ts,
-    _euler_flow,
     _exact_flow,
     _settle,
     distance,
-    step_euler,
     step_exact,
 )
 from .mapping import (
@@ -66,7 +66,8 @@ from .references import MAX_POSITION_MM, FixedTarget, check_path_speed, horizon_
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
-INTEGRATORS = ("euler", "exact")
+# not a plant step, and always None; perfbench/tracer.py wraps that name
+step_euler = None
 
 CSV_COLUMNS = [
     "t_s", "x_mm", "y_mm", "z_mm", "dx", "dy", "dz",
@@ -92,9 +93,11 @@ class PlantConfig:
     theta_e_error is added to the true channel offset (rad). Measurement
     noise is zero-mean Gaussian per position axis (mm std). latency_steps
     delays the state the controller sees by whole control periods.
+    integrator has one value, "exact", the only plant integrator; the key
+    stays so that documents that spell it out still parse.
     """
 
-    integrator: str = key("integrator", "exact", kind=str, choices=INTEGRATORS)
+    integrator: str = key("integrator", "exact", kind=str, choices=("exact",))
     gain_error: float = key("gain_error", 0.0, gt=-1.0)  # the true gain stays positive
     theta_e_error: float = key("theta_e_error_rad", 0.0)
     measurement_noise_std: tuple[float, float, float] = key(
@@ -271,7 +274,6 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
     run = scenario.run
 
     true_geometry = plant.true_geometry(geometry)
-    step_plant = step_exact if plant.integrator == "exact" else step_euler
 
     check_path_speed(scenario.reference, run.steps * cfg.ts, cfg.u_s_bounds[1])
 
@@ -305,7 +307,7 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
         inv = inverse_map(applied, geometry)
         true_rates = rates_from_command(inv.command, true_geometry)
-        state_next = step_plant(state, true_rates, cfg.ts)
+        state_next = step_exact(state, true_rates, cfg.ts)
 
         err = distance(state.p, refs[0])
         pg_scaled = solution.projected_gradient_norm / (1.0 + abs(solution.cost))
@@ -362,22 +364,21 @@ def run_open_loop(
 ) -> OpenLoopResult:
     """Feed recorded tendon commands to both the nominal model and the plant.
 
-    The model side integrates the exact flow of the nominal geometry's
-    rates; the plant side uses its configured integrator and perturbed
-    geometry. The error series is the position discrepancy at every step
-    boundary, the standard open-loop validation of model fidelity.
+    Both sides integrate the exact flow, the model side on the nominal
+    geometry's rates and the plant side on its perturbed geometry's. The
+    error series is the position discrepancy at every step boundary, the
+    standard open-loop validation of model fidelity.
 
     Both sides step on floats: ts is checked once, each command's rates as
     a VirtualInput would check them, and each step's state is settled as a
-    NeedleState would be, so the positions are those of step_exact and
-    step_euler bit for bit.
+    NeedleState would be, so the positions are those of step_exact bit for
+    bit.
     """
     if len(commands) == 0:
         raise InvalidInputError("command sequence is empty")
     ts = _check_ts(ts)
     s0 = initial_state or NeedleState(p=(0.0, 0.0, 0.0), d=(0.0, 0.0, 1.0))
     true_geometry = plant.true_geometry(model_geometry)
-    plant_flow = _exact_flow if plant.integrator == "exact" else _euler_flow
 
     model = true = (s0.p, s0.d)
     model_positions, plant_positions = [s0.p], [s0.p]
@@ -386,7 +387,7 @@ def run_open_loop(
         model_x, model_y = _command_rates(u_s, tau, model_geometry)
         true_x, true_y = _command_rates(u_s, tau, true_geometry)
         model = _settle(*_exact_flow(*model, u_s, model_x, model_y, ts))
-        true = _settle(*plant_flow(*true, u_s, true_x, true_y, ts))
+        true = _settle(*_exact_flow(*true, u_s, true_x, true_y, ts))
         model_positions.append(model[0])
         plant_positions.append(true[0])
 

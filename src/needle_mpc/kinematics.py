@@ -11,10 +11,11 @@ s = (p, d) this is sdot = u_s*B1*s + u_x*B2*s + u_y*B3*s, where B1 couples d
 into pdot and B2, B3 are the skew-symmetric direction blocks of d x e_x and
 d x e_y, so the direction keeps unit norm under the exact flow.
 
-Two integrators are provided: a forward-Euler step that renormalizes the
-direction after each update, and an exact step that rotates d about the fixed
-bending axis and moves p along the corresponding circular arc. Units are mm,
-s and rad throughout; curvature is 1/mm.
+The plant integrates the model exactly: under constant input d rotates
+about the fixed bending axis and p moves along the corresponding circular
+arc, a straight segment when nothing bends. Forward Euler appears only as
+the controller's prediction, in mpc. Units are mm, s and rad throughout;
+curvature is 1/mm.
 
 A NeedleState holds p and d as tuples of three Python floats, and a
 VirtualInput holds three floats. Their constructors accept any three
@@ -23,16 +24,16 @@ bools, strings, bytes, other counts, nested rows and non-finite values with
 InvalidInputError naming the field, through the number check that config
 fields use as well.
 
-Each integrator has one arithmetic path in two parts. Its flow
-(_exact_flow, _euler_flow) takes a state's p and d as float 3-tuples, the
-three rates and a checked ts, and returns the raw next (p, d) computed with
-the scalar `math` module. _settle then checks and settles a state as the
-constructor does: all values finite, the direction norm within 1e-6 of 1,
-then renormalized; the constructor calls it once its input is converted.
-step_exact and step_euler run the flow on a NeedleState and a
-VirtualInput and build the next NeedleState. Loops that need only floats
-(open-loop replays, simulated calibration arcs) call flow and _settle
-directly: the same bits and the same messages, without an object per step.
+The exact step has one arithmetic path in two parts. _exact_flow takes a
+state's p and d as float 3-tuples, the three rates and a checked ts, and
+returns the raw next (p, d) computed with the scalar `math` module. _settle
+then checks and settles a state as the constructor does: all values
+finite, the direction norm within 1e-6 of 1, then renormalized; the
+constructor calls it once its input is converted. step_exact runs the flow
+on a NeedleState and a VirtualInput and builds the next NeedleState. Loops
+that need only floats (open-loop replays, simulated calibration arcs) call
+_exact_flow and _settle directly: the same bits and the same messages,
+without an object per step.
 Sums such as a norm or a dot product are evaluated left to right, so a
 step's bits do not depend on which BLAS kernel the CPU dispatches to.
 """
@@ -112,23 +113,6 @@ def _settle(p: tuple, d: tuple) -> tuple[tuple, tuple]:
     return p, (dx / norm, dy / norm, dz / norm)
 
 
-def _bend(dx: float, dy: float, dz: float, u_x: float, u_y: float) -> tuple:
-    # ddot = d x (u_x, u_y, 0)
-    return -u_y * dz, u_x * dz, u_y * dx - u_x * dy
-
-
-def _euler_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
-                ts: float) -> tuple[tuple, tuple]:
-    """step_euler's arithmetic on floats: the raw (p, d) after one step."""
-    px, py, pz = p
-    dx, dy, dz = d
-    step = ts * u_s
-    bx, by, bz = _bend(dx, dy, dz, u_x, u_y)
-    rx, ry, rz = dx + ts * bx, dy + ts * by, dz + ts * bz
-    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-    return (px + step * dx, py + step * dy, pz + step * dz), (rx / norm, ry / norm, rz / norm)
-
-
 def _exact_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
                 ts: float) -> tuple[tuple, tuple]:
     """step_exact's arithmetic on floats: the raw (p, d) after one step."""
@@ -161,16 +145,6 @@ def _exact_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
     )
 
 
-def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
-    """One forward-Euler step of length ts (s), direction renormalized.
-
-    The raw Euler update leaves the direction with norm sqrt(1 + (ts*w)^2)
-    for bending rate w, so the renormalization never divides by a small
-    number. The position update uses the pre-step direction.
-    """
-    return NeedleState(*_euler_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
-
-
 def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     """Exact flow of the model over ts under constant input.
 
@@ -180,13 +154,3 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     """
     return NeedleState(*_exact_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
 
-
-def rollout(state: NeedleState, inputs: Sequence[VirtualInput], ts: float) -> list[NeedleState]:
-    """Apply a sequence of piecewise-constant inputs by the exact step;
-    returns N+1 states."""
-    if len(inputs) == 0:
-        raise InvalidInputError("input sequence is empty")
-    states = [state]
-    for u in inputs:
-        states.append(step_exact(states[-1], u, ts))
-    return states

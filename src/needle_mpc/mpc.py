@@ -56,10 +56,11 @@ from .errors import (
     key,
     key_of,
 )
-# rollout is kept importable as mpc.rollout; perfbench/tracer.py wraps that name
-from .kinematics import NeedleState, VirtualInput, rollout  # noqa: F401
+from .kinematics import NeedleState, VirtualInput
 from .optimizer import STATUS_STALLED, BoxNlp, minimize
 
+# not a rollout, and always None; perfbench/tracer.py wraps that name
+rollout = None
 STATUS_FAULT = "fault"
 MAX_PERIOD_S = 10.0
 

@@ -46,6 +46,18 @@ class Scenario:
     reference: ReferenceSpec
     run: RunConfig
 
+    def __post_init__(self):
+        # the plant's own geometry, built here so that a fault names the
+        # keys that combine into it rather than surfacing mid-run
+        try:
+            self.plant.true_geometry(self.geometry)
+        except InvalidConfigError as exc:
+            raise SchemaError(
+                "sections 'geometry' and 'plant': the plant's geometry, "
+                "gain_per_mm_N * (1 + gain_error) and theta_e_rad + theta_e_error_rad, "
+                f"is invalid: {exc}"
+            ) from exc
+
 
 # section name -> its config class, in document order
 _SECTIONS = typing.get_type_hints(Scenario)

@@ -1,21 +1,26 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except horizon_cost and the per-entry number checks is
-written from the model equations directly, without importing from
-needle_mpc, so that agreement between package and oracle is evidence
-rather than tautology. The per-entry checks build on the package's scalar
-check finite_float, which is what they compose. Oracles favor clarity
-over speed; the only vectorized ones are those the acceptance suite calls
-in bulk.
+Everything here except horizon_cost, the per-entry number checks and the
+object steps is written from the model equations directly, without
+importing from needle_mpc, so that agreement between package and oracle is
+evidence rather than tautology. The per-entry checks build on the package's
+scalar check finite_float, which is what they compose. The object steps
+(step_euler, the forward-Euler step the controller's prediction is checked
+against, and rollout, a chain of the package's step_exact) take and return
+the package's NeedleState and VirtualInput. Oracles favor clarity over
+speed; the only vectorized ones are those the acceptance suite calls in
+bulk.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
 
-from needle_mpc.errors import finite_float
+from needle_mpc.errors import InvalidInputError, finite_float
+from needle_mpc.kinematics import NeedleState, VirtualInput, _check_ts, step_exact
 from needle_mpc.mpc import _EulerHorizon
 
 # Frozen value of the six scalar state equations at
@@ -64,6 +69,44 @@ def exact_step_rotation(p, d, u, ts, n_samples=2001):
     )
     new_d = dirs[-1]
     return new_p, new_d
+
+
+def _bend(dx: float, dy: float, dz: float, u_x: float, u_y: float) -> tuple:
+    # ddot = d x (u_x, u_y, 0)
+    return -u_y * dz, u_x * dz, u_y * dx - u_x * dy
+
+
+def _euler_flow(p: tuple, d: tuple, u_s: float, u_x: float, u_y: float,
+                ts: float) -> tuple[tuple, tuple]:
+    """step_euler's arithmetic on floats: the raw (p, d) after one step."""
+    px, py, pz = p
+    dx, dy, dz = d
+    step = ts * u_s
+    bx, by, bz = _bend(dx, dy, dz, u_x, u_y)
+    rx, ry, rz = dx + ts * bx, dy + ts * by, dz + ts * bz
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    return (px + step * dx, py + step * dy, pz + step * dz), (rx / norm, ry / norm, rz / norm)
+
+
+def step_euler(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
+    """One forward-Euler step of length ts (s), direction renormalized.
+
+    The raw Euler update leaves the direction with norm sqrt(1 + (ts*w)^2)
+    for bending rate w, so the renormalization never divides by a small
+    number. The position update uses the pre-step direction.
+    """
+    return NeedleState(*_euler_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
+
+
+def rollout(state: NeedleState, inputs: Sequence[VirtualInput], ts: float) -> list[NeedleState]:
+    """Apply a sequence of piecewise-constant inputs by the exact step;
+    returns N+1 states."""
+    if len(inputs) == 0:
+        raise InvalidInputError("input sequence is empty")
+    states = [state]
+    for u in inputs:
+        states.append(step_exact(states[-1], u, ts))
+    return states
 
 
 def chord_deflection(kappa, length):

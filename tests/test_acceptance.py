@@ -22,7 +22,7 @@ import numpy as np
 from needle_mpc import cli
 from needle_mpc.calibration import calibrate, simulate_calibration_run
 from needle_mpc.harness import PlantConfig, read_commands_csv, run_closed_loop, run_open_loop
-from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler, step_exact
+from needle_mpc.kinematics import NeedleState, VirtualInput, step_exact
 from needle_mpc.mapping import (
     TendonCommand,
     TendonGeometry,
@@ -32,7 +32,13 @@ from needle_mpc.mapping import (
 )
 from needle_mpc.mpc import MpcConfig, solve_horizon
 from needle_mpc.scenario import load_preset, replay_commands_path
-from oracles import euler_cost_batch, horizon_cost, refine_minimize, tension_grid_line
+from oracles import (
+    euler_cost_batch,
+    horizon_cost,
+    refine_minimize,
+    step_euler,
+    tension_grid_line,
+)
 
 GEO = TendonGeometry()
 

@@ -55,6 +55,13 @@ class TestCalibrationRun:
         with pytest.raises(InvalidInputError):
             CalibrationRun(tendon_index=1, tension=1.0, tip_points=bad)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_a_tip_that_never_moves_is_refused(self, count):
+        with pytest.raises(InvalidInputError, match=r"^tip_points all lie at \[1\.0, 2\.0, 3\.0\]"):
+            CalibrationRun(tendon_index=1, tension=2.0, tip_points=[(1.0, 2.0, 3.0)] * count)
+        moved = [(1.0, 2.0, 3.0)] * (count - 1) + [(1.0, 2.0, 3.5)]
+        assert CalibrationRun(tendon_index=1, tension=2.0, tip_points=moved).curvature == 0.0
+
 
 class TestSimulatedRuns:
     def test_arc_curvature_matches_commanded(self):
@@ -97,6 +104,10 @@ class TestSimulatedRuns:
             points.append(state.p)
         assert run.tip_points == tuple(points)
 
+    def test_standing_tip_is_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^tip_points all lie at \[0\.0, 0\.0, 0\.0\]"):
+            simulate_calibration_run(1, 2.0, TRUE_GEO, u_s=0.0)
+
     @pytest.mark.parametrize("ts, message", [
         ("0.05", "^ts must be a number"), (0.0, "^time step must be positive"),
         (float("nan"), "^ts has a non-finite value"),
@@ -117,6 +128,12 @@ class TestCalibrate:
     def test_zero_tension_everywhere_is_degenerate(self):
         runs = synthetic_runs([0.0, 0.0, 0.0])
         with pytest.raises(DegenerateFitError):
+            calibrate(runs)
+
+    def test_straight_arcs_fit_no_gain(self):
+        runs = synthetic_runs([2.0, 5.0], geometry=TendonGeometry(gain=1e-300))
+        assert [run.curvature for run in runs] == [0.0, 0.0]
+        with pytest.raises(DegenerateFitError, match=r"^the fitted gain must be > 0, got 0\.0"):
             calibrate(runs)
 
     def test_single_run_rejected(self):

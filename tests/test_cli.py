@@ -109,6 +109,7 @@ class TestRun:
         [
             ("plant", "measurement_noise_std_mm", "abc", "measurement_noise_std_mm"),
             ("plant", "gain_error", "abc", "gain_error"),
+            ("plant", "integrator", "euler", "integrator"),
             ("plant", "latency_steps", "x", "latency_steps"),
             ("plant", "latency_steps", 1.5, "latency_steps"),
             ("plant", "seed", 2.5, "seed"),
@@ -137,6 +138,23 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert f"section '{section}'" in err and f"{named} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["replay", "replay1"]])
+    def test_overflowing_plant_gain_named_at_load(self, tmp_path, capsys, command):
+        # gain_per_mm_N * (1 + gain_error) overflows: the plant's own gain
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["geometry"]["gain_per_mm_N"] = 1e10
+        doc["plant"]["gain_error"] = 1e300
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([*command, str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sections 'geometry' and 'plant'" in err
+        assert "gain_error" in err and "gain_per_mm_N has a non-finite value inf" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -460,6 +478,25 @@ class TestCalibrate:
         assert code == 2
         assert re.fullmatch(r"error: samples put sum\(tau\*kappa\) / sum\(tau\^2\) beyond the "
                             r"float range \(largest tension 2e\+200 N\)\n", capsys.readouterr().err)
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("moving", [0, 2])
+    def test_runs_whose_tip_never_moves_are_refused(self, tmp_path, capsys, moving):
+        # two standing runs of five identical points, alone or mixed into a
+        # session of moving ones, once fitted a gain of 0 or half the true one
+        runs_dir = tmp_path / "runs"
+        runs = [simulate_calibration_run(1, t, GEO, steps=20) for t in (2.0, 5.0)][:moving]
+        write_runs_dir(runs, runs_dir)
+        manifest = json.loads((runs_dir / "manifest.json").read_text())
+        for k, tension in enumerate((2.0, 5.0), start=moving):
+            (runs_dir / f"still{k}.csv").write_text("x_mm,y_mm,z_mm\n" + "1,2,3\n" * 5)
+            manifest["runs"].append({"file": f"still{k}.csv", "tendon_index": 1,
+                                     "tension_N": tension})
+        (runs_dir / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["calibrate", str(runs_dir), "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"runs[{moving}].tip_points all lie at [1.0, 2.0, 3.0]: the tip never moved" in err
         assert not (tmp_path / "c.json").exists()
 
     def test_undecodable_run_csv_is_invalid_input(self, tmp_path, capsys):

@@ -30,12 +30,12 @@ from needle_mpc.harness import (
     write_step_csv,
     write_summary_json,
 )
-from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler, step_exact
+from needle_mpc.kinematics import NeedleState, VirtualInput, step_exact
 from needle_mpc.mapping import TendonCommand, TendonGeometry, forward_map, rates_from_command
-from needle_mpc.mpc import MpcConfig
+from needle_mpc.mpc import MpcConfig, _EulerHorizon
 from needle_mpc.references import FixedTarget
 from needle_mpc.scenario import Scenario, load_preset, scenario_from_dict, scenario_to_dict
-from oracles import chord_deflection
+from oracles import chord_deflection, step_euler
 
 # what a CSV row may hold: floats (nan, infinities, signed zeros and
 # subnormals included), bools and ints
@@ -78,8 +78,9 @@ class TestPlantConfig:
         assert true.tau_max == HW_GEO.tau_max
 
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
-            PlantConfig(integrator="rk4")
+        for integrator in ("rk4", "euler"):
+            with pytest.raises(InvalidConfigError, match="^integrator must be one of 'exact'"):
+                PlantConfig(integrator=integrator)
         with pytest.raises(InvalidConfigError):
             PlantConfig(gain_error=-1.0)
         with pytest.raises(InvalidConfigError):
@@ -151,20 +152,33 @@ class TestClosedLoop:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert summary_dict(r1) == summary_dict(r2)
 
-    def test_euler_plant_matches_prediction_chain(self):
-        # no mismatch, no noise, euler on both sides: the true trajectory is
-        # exactly the controller's one-step prediction, every step
-        scenario = make_scenario(
-            FixedTarget(target=(5.0, -15.0, 150.0)),
-            steps=40,
-            plant_kwargs={"integrator": "euler"},
-        )
+    def test_euler_plant_matches_prediction_chain(self, monkeypatch):
+        # every plan the loop applies is predicted by the Euler rollout it
+        # was optimized over: a step_euler chain from the measured state
+        solves = []
+        solve = mpc.solve_horizon
+
+        def recorded(s0, refs, config, warm_start=None):
+            solves.append((s0, refs, config, solve(s0, refs, config, warm_start)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(mpc, "solve_horizon", recorded)
+        scenario = make_scenario(FixedTarget(target=(5.0, -15.0, 150.0)), steps=40)
         result = run_closed_loop(scenario)
-        states = [r.state for r in result.records] + [result.terminal_state]
-        for k, r in enumerate(result.records):
-            predicted = step_euler(r.state, r.applied, scenario.mpc.ts)
-            gap = np.linalg.norm(np.subtract(predicted.p, states[k + 1].p))
-            assert gap <= 1e-9
+        assert len(solves) == len(result.records)
+        for r, (s0, refs, config, solution) in zip(result.records, solves):
+            assert s0 == r.measured and solution.inputs[0] == r.applied
+            _, stages, terminal = _EulerHorizon(s0, refs, config)._rollout(
+                list(solution.input_vector)
+            )
+            # stage i holds e_i = p_i - ref_i and d_i+1 at [6:9]; the terminal is e_N
+            errors = [stage[:3] for stage in stages[1:]] + [terminal]
+            s = s0
+            for i, u in enumerate(solution.inputs):
+                s = step_euler(s, u, config.ts)
+                gap = np.linalg.norm(np.subtract(errors[i], np.subtract(s.p, refs[i + 1])))
+                assert gap <= 1e-9
+                assert np.linalg.norm(np.subtract(stages[i][6:9], s.d)) <= 1e-9
 
     def test_mapping_consistent_inside_loop(self):
         scenario = make_scenario(
@@ -403,7 +417,7 @@ class TestOpenLoop:
             run_open_loop([command], PlantConfig(), geometry, ts=0.05)
         assert str(got.value) == str(want.value) == "u_x has a non-finite value inf"
 
-    @pytest.mark.parametrize("integrator", harness.INTEGRATORS)
+    @pytest.mark.parametrize("integrator", ["exact"])
     def test_positions_are_step_chains_on_objects(self, integrator):
         rng = np.random.default_rng(5)
         commands = [TendonCommand(u_s=rng.uniform(-1.0, 24.0), tau=rng.uniform(0.0, 7.0, 3))
@@ -411,12 +425,11 @@ class TestOpenLoop:
         plant = PlantConfig(integrator=integrator, gain_error=0.2, theta_e_error=0.1)
         start = NeedleState(p=(1.0, -2.0, 3.0), d=(0.6, 0.0, 0.8))
         result = run_open_loop(commands, plant, HW_GEO, ts=0.05, initial_state=start)
-        step_plant = step_exact if integrator == "exact" else step_euler
         true_geometry = plant.true_geometry(HW_GEO)
         model, true = [start], [start]
         for cmd in commands:
             model.append(step_exact(model[-1], rates_from_command(cmd, HW_GEO), 0.05))
-            true.append(step_plant(true[-1], rates_from_command(cmd, true_geometry), 0.05))
+            true.append(step_exact(true[-1], rates_from_command(cmd, true_geometry), 0.05))
         assert result.model_positions == tuple(s.p for s in model)
         assert result.plant_positions == tuple(s.p for s in true)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from needle_mpc.errors import DegenerateFitError, InvalidConfigError, InvalidInputError
 from needle_mpc.harness import _read_numeric_csv
-from needle_mpc.kinematics import NeedleState, VirtualInput, rollout
+from needle_mpc.kinematics import NeedleState, VirtualInput
 from needle_mpc.mapping import (
     DEFAULT_GAIN,
     U_S_EPS,
@@ -27,6 +27,7 @@ from oracles import (
     circle_fit_svd,
     curvature_pair,
     feasible_set_excess,
+    rollout,
     tension_grid_full,
     tension_grid_line,
     zero_intercept_gain,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from needle_mpc import mpc, optimizer
 from needle_mpc.errors import InvalidConfigError, InvalidInputError
 from needle_mpc.harness import run_closed_loop
-from needle_mpc.kinematics import NeedleState, VirtualInput, step_euler
+from needle_mpc.kinematics import NeedleState, VirtualInput
 from needle_mpc.mpc import (
     HorizonSolution,
     MpcConfig,
@@ -22,7 +22,7 @@ from needle_mpc.mpc import (
 )
 from needle_mpc.optimizer import BoxNlp, minimize
 from needle_mpc.scenario import load_preset, with_seed
-from oracles import euler_cost_batch, horizon_cost, refine_minimize
+from oracles import euler_cost_batch, horizon_cost, refine_minimize, step_euler
 
 CFG = MpcConfig()
 
