@@ -27,15 +27,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateFitError,
-    InvalidConfigError,
-    InvalidInputError,
-    SchemaError,
-    check_fields,
-    finite_points,
-    key,
-)
+from .errors import DegenerateFitError, InvalidInputError, check_fields, finite_points, key
 from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
 from .kinematics import _check_ts, _exact_flow, _settle
 from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
@@ -55,11 +47,8 @@ class CalibrationRun:
     tip_points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        try:
-            check_fields(self)
-        except InvalidConfigError as exc:  # a run is recorded input, not configuration
-            raise InvalidInputError(str(exc)) from exc
-        pts = finite_points(self.tip_points, "tip_points", InvalidInputError)
+        check_fields(self)
+        pts = finite_points(self.tip_points, "tip_points")
         if len(pts) < 3:
             raise InvalidInputError(f"tip_points must hold at least 3 points, got {len(pts)}")
         if all(p == pts[0] for p in pts):  # a tip that never moved fits no arc
@@ -159,23 +148,23 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
         raise InvalidInputError(f"no {MANIFEST_NAME} found in {directory}")
     manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict) or "runs" not in manifest:
-        raise SchemaError(f"{manifest_path}: expected an object with a 'runs' array")
+        raise InvalidInputError(f"{manifest_path}: expected an object with a 'runs' array")
     entries = manifest["runs"]
     if not isinstance(entries, list) or not entries:
-        raise SchemaError(f"{manifest_path}: 'runs' must be a non-empty array")
+        raise InvalidInputError(f"{manifest_path}: 'runs' must be a non-empty array")
     runs = []
     for k, entry in enumerate(entries):
         where = f"{manifest_path}: runs[{k}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be an object")
+            raise InvalidInputError(f"{where} must be an object")
         unknown = sorted(set(entry) - {"file", "tendon_index", "tension_N"})
         if unknown:
-            raise SchemaError(f"{where} has unknown key(s): {', '.join(unknown)}")
+            raise InvalidInputError(f"{where} has unknown key(s): {', '.join(unknown)}")
         missing = sorted({"file", "tendon_index", "tension_N"} - set(entry))
         if missing:
-            raise SchemaError(f"{where} missing key(s): {', '.join(missing)}")
+            raise InvalidInputError(f"{where} missing key(s): {', '.join(missing)}")
         if not isinstance(entry["file"], str):
-            raise SchemaError(f"{where}.file must be a string, got {entry['file']!r}")
+            raise InvalidInputError(f"{where}.file must be a string, got {entry['file']!r}")
         try:
             # rows as float tuples, which CalibrationRun checks in one pass
             rows = _read_numeric_csv(
@@ -189,8 +178,8 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
                 tension=entry["tension_N"],
                 tip_points=rows,
             )
-        except (InvalidConfigError, InvalidInputError) as exc:
-            raise SchemaError(f"{where}.{exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{where}.{exc}") from exc
         runs.append(run)
     return runs
 

@@ -17,24 +17,11 @@ import os
 import sys
 
 from . import calibration, harness, scenario as scenario_mod
-from .errors import (
-    DegenerateFitError,
-    InvalidConfigError,
-    InvalidInputError,
-    NeedleMpcError,
-    SchemaError,
-)
+from .errors import InvalidInputError, NeedleMpcError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
-
-_VALIDATION_ERRORS = (
-    SchemaError,
-    InvalidConfigError,
-    InvalidInputError,
-    DegenerateFitError,
-)
 
 THREADS_ENV = "NEEDLE_MPC_THREADS"
 _NOT_BOTH = "give either a scenario path or --preset, not both"
@@ -135,9 +122,9 @@ def _worker_cap(n_jobs: int) -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise InvalidConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+            raise InvalidInputError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
         if cap < 1:
-            raise InvalidConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
+            raise InvalidInputError(f"{THREADS_ENV} must be >= 1, got {cap}")
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_jobs))
@@ -224,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except InvalidInputError as exc:  # DegenerateFitError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:  # a missing input, or an --out that cannot be written

@@ -1,6 +1,10 @@
 """Exception types shared across the package, and the field schema of the
 config dataclasses: each field declares its JSON key, kind and bounds with
 key(), and check_fields checks it with messages that name the key.
+InvalidInputError is the one exception for a malformed value, whether a
+config field, a scenario or manifest document, a CSV row or a runtime
+argument; DegenerateFitError, a fit with no unique solution, is one kind of
+it. The CLI exits 2 on either and 3 on NumericalFailureError.
 finite_float and finite_floats are the package's one number check, used by
 the config fields and by the per-step values (tip state, virtual input,
 tendon command) alike; finite_points applies it to lists of [x, y, z]
@@ -23,36 +27,43 @@ class NeedleMpcError(Exception):
 
 
 class InvalidInputError(NeedleMpcError, ValueError):
-    """A runtime argument is malformed (wrong shape, non-finite, out of range)."""
+    """A malformed value: a config field, a document or CSV read from
+    outside, or a runtime argument that is of the wrong kind or shape,
+    non-finite, out of range or inconsistent."""
 
 
-class InvalidConfigError(NeedleMpcError, ValueError):
-    """A configuration value is inconsistent or out of its allowed range."""
+class DegenerateFitError(InvalidInputError):
+    """A fit has no unique solution (e.g. all-zero tensions in a gain fit)."""
 
 
-def finite_float(value, name: str, error=InvalidConfigError) -> float:
+class NumericalFailureError(NeedleMpcError, RuntimeError):
+    """A numerical routine produced non-finite values and cannot continue."""
+
+
+def finite_float(value, name: str) -> float:
     """value as a finite float. A bool, a str or bytes (text that float()
-    would parse), any other non-number or a non-finite value raises error
-    naming `name`."""
+    would parse), any other non-number or a non-finite value raises
+    InvalidInputError naming `name`."""
     if type(value) is float:
         real = value
     else:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(f"{name} must be a number, got {value!r}")
+            raise InvalidInputError(f"{name} must be a number, got {value!r}")
         try:
             real = float(value)
         except OverflowError:  # an integer beyond the float range
             real = math.inf
     if not math.isfinite(real):
-        raise error(f"{name} has a non-finite value {value!r}")
+        raise InvalidInputError(f"{name} has a non-finite value {value!r}")
     return real
 
 
-def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[float, ...]:
+def finite_floats(value, name: str, count) -> tuple[float, ...]:
     """count numbers (any count when count is None) as a tuple of floats,
     each checked by finite_float. A str or bytes, a non-iterable, another
-    count or nested entries (the rows of a 2-D array) raise error naming
-    `name`. A tuple of count finite floats is returned as it is."""
+    count or nested entries (the rows of a 2-D array) raise
+    InvalidInputError naming `name`. A tuple of count finite floats is
+    returned as it is."""
     if type(value) is tuple and (count is None or len(value) == count):
         for v in value:
             if type(v) is not float or not math.isfinite(v):
@@ -60,24 +71,24 @@ def finite_floats(value, name: str, count, error=InvalidConfigError) -> tuple[fl
         else:
             return value
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise error(f"{name} must be a list of numbers, got {value!r}")
+        raise InvalidInputError(f"{name} must be a list of numbers, got {value!r}")
     vals = tuple(value)
     for v in vals:
         # finite floats, the common case, pass as they are
         if type(v) is not float or not math.isfinite(v):
-            vals = tuple([finite_float(v, name, error) for v in vals])
+            vals = tuple([finite_float(v, name) for v in vals])
             break
     if count is not None and len(vals) != count:
-        raise error(f"{name} must have shape ({count},), got {len(vals)} entries")
+        raise InvalidInputError(f"{name} must have shape ({count},), got {len(vals)} entries")
     return vals
 
 
-def finite_points(value, name: str, error=InvalidConfigError) -> tuple[tuple[float, ...], ...]:
+def finite_points(value, name: str) -> tuple[tuple[float, ...], ...]:
     """value as a tuple of [x, y, z] points, each a tuple of three floats
-    checked by finite_floats. A str or bytes or a non-iterable raises error
-    naming `name`. A tuple (or list) of 3-tuples of floats with finite sums
-    is checked in one pass: the tuple is returned as it is, a list as a
-    tuple of its rows."""
+    checked by finite_floats. A str or bytes or a non-iterable raises
+    InvalidInputError naming `name`. A tuple (or list) of 3-tuples of
+    floats with finite sums is checked in one pass: the tuple is returned
+    as it is, a list as a tuple of its rows."""
     if type(value) is tuple or type(value) is list:
         for row in value:
             if type(row) is not tuple or len(row) != 3:
@@ -89,8 +100,8 @@ def finite_points(value, name: str, error=InvalidConfigError) -> tuple[tuple[flo
         else:
             return value if type(value) is tuple else tuple(value)
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise error(f"{name} must be a list of [x, y, z] points, got {value!r}")
-    return tuple([finite_floats(row, name, 3, error) for row in value])
+        raise InvalidInputError(f"{name} must be a list of [x, y, z] points, got {value!r}")
+    return tuple([finite_floats(row, name, 3) for row in value])
 
 
 def _is_bool(value) -> bool:
@@ -132,7 +143,7 @@ def key_of(obj, attr: str) -> str:
 def check_fields(obj) -> None:
     """Check and normalize, in place, every field of obj declared with key().
 
-    Each fault raises InvalidConfigError naming the JSON key.
+    Each fault raises InvalidInputError naming the JSON key.
     """
     for f in json_fields(obj).values():
         object.__setattr__(obj, f.name, _checked(getattr(obj, f.name), **f.metadata))
@@ -140,15 +151,15 @@ def check_fields(obj) -> None:
 
 def _checked(value, key, kind, n, ge, gt, le, mag, choices):
     if kind is bool and not _is_bool(value):
-        raise InvalidConfigError(f"{key} must be true or false, got {value!r}")
+        raise InvalidInputError(f"{key} must be true or false, got {value!r}")
     if kind is str and not isinstance(value, str):
-        raise InvalidConfigError(f"{key} must be a string, got {value!r}")
+        raise InvalidInputError(f"{key} must be a string, got {value!r}")
     if kind is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
+        raise InvalidInputError(f"{key} must be an integer, got {value!r}")
     if kind == POINTS:
         value = finite_points(value, key)
         if len(value) < 2:
-            raise InvalidConfigError(f"{key} must hold at least 2 points, got {len(value)}")
+            raise InvalidInputError(f"{key} must hold at least 2 points, got {len(value)}")
         vals = [v for point in value for v in point]
     elif kind is tuple:
         value = vals = finite_floats(value, key, n)
@@ -157,26 +168,15 @@ def _checked(value, key, kind, n, ge, gt, le, mag, choices):
         vals = (value,) if kind in (float, int) else ()
     for v in vals:
         if gt is not None and not v > gt:
-            raise InvalidConfigError(f"{key} must be > {gt:g}, got {v!r}")
+            raise InvalidInputError(f"{key} must be > {gt:g}, got {v!r}")
         if ge is not None and not v >= ge:
-            raise InvalidConfigError(f"{key} must be >= {ge:g}, got {v!r}")
+            raise InvalidInputError(f"{key} must be >= {ge:g}, got {v!r}")
         if le is not None and not v <= le:
-            raise InvalidConfigError(f"{key} must be <= {le:g}, got {v!r}")
+            raise InvalidInputError(f"{key} must be <= {le:g}, got {v!r}")
         if mag is not None and not abs(v) <= mag:
-            raise InvalidConfigError(f"{key} must be within +-{mag:g}, got {v!r}")
+            raise InvalidInputError(f"{key} must be within +-{mag:g}, got {v!r}")
     if choices is not None and value not in choices:
         allowed = ", ".join(map(repr, choices))
-        raise InvalidConfigError(f"{key} must be one of {allowed}, got {value!r}")
+        raise InvalidInputError(f"{key} must be one of {allowed}, got {value!r}")
     return value
 
-
-class DegenerateFitError(NeedleMpcError, ValueError):
-    """A fit has no unique solution (e.g. all-zero tensions in a gain fit)."""
-
-
-class NumericalFailureError(NeedleMpcError, RuntimeError):
-    """A numerical routine produced non-finite values and cannot continue."""
-
-
-class SchemaError(NeedleMpcError, ValueError):
-    """A scenario or manifest document does not match the expected schema."""

@@ -36,14 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    NumericalFailureError,
-    SchemaError,
-    check_fields,
-    key,
-)
+from .errors import InvalidInputError, NumericalFailureError, check_fields, key
 from .kinematics import (
     NeedleState,
     VirtualInput,
@@ -54,6 +47,7 @@ from .kinematics import (
     step_exact,
 )
 from .mapping import (
+    MAX_ANGLE_RAD,
     TendonCommand,
     TendonGeometry,
     _command_rates,
@@ -61,7 +55,7 @@ from .mapping import (
     rates_from_command,
 )
 from .mpc import RecedingHorizonController
-from .references import MAX_POSITION_MM, FixedTarget, check_path_speed, horizon_samples
+from .references import MAX_POSITION_MM, check_path_speed, horizon_samples
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -99,7 +93,7 @@ class PlantConfig:
 
     integrator: str = key("integrator", "exact", kind=str, choices=("exact",))
     gain_error: float = key("gain_error", 0.0, gt=-1.0)  # the true gain stays positive
-    theta_e_error: float = key("theta_e_error_rad", 0.0)
+    theta_e_error: float = key("theta_e_error_rad", 0.0, mag=MAX_ANGLE_RAD)
     measurement_noise_std: tuple[float, float, float] = key(
         "measurement_noise_std_mm", (0.0, 0.0, 0.0), kind=tuple, n=3, ge=0.0,
         le=MAX_POSITION_MM,
@@ -127,7 +121,7 @@ class RunConfig:
     initial_state: tuple[float, ...] = key(
         "initial_state", (0.0, 0.0, 0.0, 0.0, 0.0, 1.0), kind=tuple, n=6, mag=MAX_POSITION_MM
     )
-    early_stop: bool = key("early_stop", False, kind=bool)   # fixed targets only
+    early_stop: bool = key("early_stop", False, kind=bool)   # fixed targets only; Scenario checks
     stop_tolerance_mm: float = key("stop_tolerance_mm", 0.2, ge=0.0)
     stop_speed_mm_s: float = key("stop_speed_mm_s", 0.1, ge=0.0)
     # window ignored by the max-error metric
@@ -324,7 +318,6 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
 
         if (
             run.early_stop
-            and isinstance(scenario.reference, FixedTarget)
             and distance(state.p, scenario.reference.target) < run.stop_tolerance_mm
             and abs(applied.u_s) < run.stop_speed_mm_s
         ):
@@ -423,15 +416,15 @@ def _write_json(path, doc: dict) -> None:
 
 def _read_json(path):
     """The document in a JSON file. Text that is not JSON, or nests too
-    deeply to read, raises SchemaError naming the file; a missing file
+    deeply to read, raises InvalidInputError naming the file; a missing file
     raises FileNotFoundError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
-        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
+        raise InvalidInputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def write_step_csv(result: ScenarioResult, path) -> None:
@@ -525,7 +518,7 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
                 if convert is not None:
                     try:
                         values = convert(values)
-                    except (InvalidConfigError, InvalidInputError) as exc:
+                    except InvalidInputError as exc:
                         raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
                 rows.append(values)
     except FileNotFoundError:

@@ -62,8 +62,8 @@ class NeedleState:
     d: tuple[float, float, float]
 
     def __post_init__(self):
-        p, d = _settle(finite_floats(self.p, "p", 3, InvalidInputError),
-                       finite_floats(self.d, "d", 3, InvalidInputError))
+        p, d = _settle(finite_floats(self.p, "p", 3),
+                       finite_floats(self.d, "d", 3))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
 
@@ -78,7 +78,7 @@ class VirtualInput:
 
     def __post_init__(self):
         for name in ("u_s", "u_x", "u_y"):
-            value = finite_float(getattr(self, name), name, InvalidInputError)
+            value = finite_float(getattr(self, name), name)
             object.__setattr__(self, name, value)
 
 
@@ -89,7 +89,7 @@ def distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def _check_ts(ts: float) -> float:
-    ts = finite_float(ts, "ts", InvalidInputError)
+    ts = finite_float(ts, "ts")
     if not ts > 0.0:
         raise InvalidInputError(f"time step must be positive and finite, got {ts!r}")
     return ts
@@ -103,8 +103,8 @@ def _settle(p: tuple, d: tuple) -> tuple[tuple, tuple]:
     dx, dy, dz = d
     if not math.isfinite(px + py + pz + dx + dy + dz):
         # a non-finite entry, or a sum that overflowed; the checks name the field
-        finite_floats(p, "p", 3, InvalidInputError)
-        finite_floats(d, "d", 3, InvalidInputError)
+        finite_floats(p, "p", 3)
+        finite_floats(d, "d", 3)
     norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if abs(norm - 1.0) > _CONSTRUCT_TOL:
         raise InvalidInputError(

@@ -66,6 +66,9 @@ from .kinematics import VirtualInput
 DEFAULT_GAIN = 3.7e-4  # curvature per unit tension, 1/(mm N)
 DEFAULT_TAU_MAX = 7.0  # N
 N_TENDONS = 3
+# |mounting angle| bound (rad): far beyond any offset, and well below the
+# 1e16 rad where reducing it modulo 2 pi keeps no significant digit
+MAX_ANGLE_RAD = 1e3
 
 U_S_EPS = 1e-6         # mm/s; below this no curvature is defined, tensions are zeroed
 _COLLINEAR_RTOL = 1e-9  # in-plane spread ratio below which points count as collinear
@@ -81,7 +84,7 @@ class TendonGeometry:
     the curvature produced per newton of tension (1/(mm N)), tau_max the
     largest tension the hardware may command (N)."""
 
-    theta_e: float = key("theta_e_rad", 0.0)
+    theta_e: float = key("theta_e_rad", 0.0, mag=MAX_ANGLE_RAD)
     gain: float = key("gain_per_mm_N", DEFAULT_GAIN, gt=0.0)
     tau_max: float = key("tau_max_N", DEFAULT_TAU_MAX, gt=0.0)
 
@@ -102,7 +105,7 @@ class TendonGeometry:
 def _tensions(tau) -> tuple[float, float, float]:
     """Three tensions as floats, checked as TendonCommand promises: finite
     and nonnegative."""
-    tau = finite_floats(tau, "tau", N_TENDONS, InvalidInputError)
+    tau = finite_floats(tau, "tau", N_TENDONS)
     if not all(t >= 0.0 for t in tau):
         raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
     return tau
@@ -117,7 +120,7 @@ class TendonCommand:
     tau: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "u_s", finite_float(self.u_s, "u_s", InvalidInputError))
+        object.__setattr__(self, "u_s", finite_float(self.u_s, "u_s"))
         object.__setattr__(self, "tau", _tensions(self.tau))
 
 
@@ -145,9 +148,10 @@ def _command_rates(u_s: float, tau: tuple, geometry: TendonGeometry) -> tuple[fl
 
 
 def rates_from_command(command: TendonCommand, geometry: TendonGeometry) -> VirtualInput:
-    """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s."""
+    """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s.
+    The tensions are used as they are: TendonCommand checked them."""
     u_s = command.u_s
-    return VirtualInput(u_s, *_command_rates(u_s, _tensions(command.tau), geometry))
+    return VirtualInput(u_s, *_command_rates(u_s, command.tau, geometry))
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,7 @@ def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
     both sums correctly rounded (math.fsum), so the order of the samples
     sets no bit. Sums or a slope beyond the float range raise InvalidInputError.
     """
-    pairs = [finite_floats(pair, "samples", 2, InvalidInputError) for pair in samples]
+    pairs = [finite_floats(pair, "samples", 2) for pair in samples]
     if len(pairs) < 2:
         raise InvalidInputError(f"need at least 2 samples, got {len(pairs)}")
     if any(t < 0.0 for t, _ in pairs):
@@ -281,7 +285,7 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     sum((u-cu)^2 + (v-cv)^2 - R^2) linearized in (cu, cv, R^2) (Kasa's fit),
     and the radius is the points' mean distance from it.
     """
-    rows = finite_points(points, "points", InvalidInputError)
+    rows = finite_points(points, "points")
     n = len(rows)
     if n < 3:
         raise InvalidInputError(f"need at least 3 points of dimension 3, got {n}")

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    InvalidConfigError,
     InvalidInputError,
     NumericalFailureError,
     check_fields,
@@ -97,7 +96,7 @@ class MpcConfig:
         for name in ("u_s_bounds", "u_x_bounds", "u_y_bounds"):
             lo, hi = getattr(self, name)
             if lo > hi:
-                raise InvalidConfigError(
+                raise InvalidInputError(
                     f"{key_of(self, name)}: lower bound {lo:g} exceeds upper bound {hi:g}"
                 )
         u_y = (0.0, 0.0) if self.planar_mode else self.u_y_bounds
@@ -150,7 +149,7 @@ class HorizonSolution:
 def _check_refs(refs, horizon: int, p0: tuple[float, float, float]) -> list:
     """The N+1 references, checked (three finite numbers each; str, bytes
     and bools refused), as the flat float list of ref_i - p_0."""
-    rows = finite_points(refs, "refs", InvalidInputError)
+    rows = finite_points(refs, "refs")
     if len(rows) != horizon + 1:
         raise InvalidInputError(
             f"refs must have shape ({horizon + 1}, 3) for horizon {horizon}, "

@@ -93,7 +93,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidConfigError, InvalidInputError, NumericalFailureError, finite_floats
+from .errors import InvalidInputError, NumericalFailureError, finite_floats
 
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
@@ -152,24 +152,24 @@ class BoxNlp:
     def __post_init__(self):
         lower, upper = _bounds(self.lower), _bounds(self.upper)
         if not lower or len(lower) != len(upper):
-            raise InvalidConfigError(
+            raise InvalidInputError(
                 f"bounds must have equal lengths of at least 1, got {len(lower)} and {len(upper)}"
             )
         if any(map(math.isnan, lower + upper)):
-            raise InvalidConfigError("bounds contain NaN")
+            raise InvalidInputError("bounds contain NaN")
         for i, (lo, hi) in enumerate(zip(lower, upper)):
             if lo > hi:
-                raise InvalidConfigError(
+                raise InvalidInputError(
                     f"lower bound exceeds upper bound at index {i}: {lo} > {hi}"
                 )
         if self.max_iterations < 1:
-            raise InvalidConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.gradient_tolerance > 0.0:
-            raise InvalidConfigError("gradient_tolerance must be positive")
+            raise InvalidInputError("gradient_tolerance must be positive")
         if self.scale is not None:
             self.scale = finite_floats(self.scale, "scale", len(lower))
             if not all(h > 0.0 for h in self.scale):
-                raise InvalidConfigError("scale must be positive")
+                raise InvalidInputError("scale must be positive")
         self.lower, self.upper = lower, upper
 
     @classmethod
@@ -192,11 +192,11 @@ def _bounds(values) -> tuple[float, ...]:
     if type(values) is tuple and all(type(v) is float for v in values):
         return values  # a solve's own bounds, the common case
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-        raise InvalidConfigError("bounds must hold numbers only")
+        raise InvalidInputError("bounds must hold numbers only")
     vals = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):  # numpy bools are not Real
-            raise InvalidConfigError("bounds must hold numbers only")
+            raise InvalidInputError("bounds must hold numbers only")
         try:
             vals.append(float(v))
         except OverflowError:  # an integer beyond the float range
@@ -395,13 +395,13 @@ def minimize(
     random starts.
     """
     lower, upper = problem.lower, problem.upper
-    x0 = finite_floats(x0, "x0", len(lower), InvalidInputError)
+    x0 = finite_floats(x0, "x0", len(lower))
     if steplength is not None and not _ALPHA_MIN <= steplength <= _ALPHA_MAX:
         raise InvalidInputError(
             f"steplength must be in [{_ALPHA_MIN:g}, {_ALPHA_MAX:g}], got {steplength!r}"
         )
     if multi_start > 0 and not all(map(math.isfinite, lower + upper)):
-        raise InvalidConfigError("multi_start requires finite bounds")
+        raise InvalidInputError("multi_start requires finite bounds")
 
     best = _solve_from(problem, x0, start, steplength)
     if multi_start > 0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Union
 
-from .errors import POINTS, InvalidConfigError, InvalidInputError, check_fields, key, key_of
+from .errors import POINTS, InvalidInputError, check_fields, key, key_of
 from .kinematics import distance
 
 MAX_POSITION_MM = 1e6
@@ -157,7 +157,7 @@ class SharpTurn:
         check_fields(self)
         seg = list(map(distance, self.waypoints[1:], self.waypoints))
         if 0.0 in seg:
-            raise InvalidConfigError(
+            raise InvalidInputError(
                 f"{key_of(self, 'waypoints')}: consecutive waypoints must be distinct"
             )
         times = tuple(s / self.speed for s in accumulate(seg, initial=0.0))
@@ -210,12 +210,12 @@ class WaypointPath:
         check_fields(self)
         times_key = key_of(self, "times")
         if len(self.times) != len(self.points):
-            raise InvalidConfigError(
+            raise InvalidInputError(
                 f"{times_key} must have {len(self.points)} entries, one per point of "
                 f"{key_of(self, 'points')}, got {len(self.times)}"
             )
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise InvalidConfigError(f"{times_key} must be strictly increasing")
+            raise InvalidInputError(f"{times_key} must be strictly increasing")
 
     def samples(self, times) -> tuple:
         return _interp_path(self.points, self.times, times)

@@ -18,14 +18,7 @@ import os
 import typing
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    SchemaError,
-    check_fields,
-    json_fields,
-    key,
-)
+from .errors import InvalidInputError, check_fields, json_fields, key
 from .harness import PlantConfig, RunConfig, _read_json, _read_numeric_csv
 from .mapping import TendonGeometry
 from .mpc import MpcConfig
@@ -51,12 +44,17 @@ class Scenario:
         # keys that combine into it rather than surfacing mid-run
         try:
             self.plant.true_geometry(self.geometry)
-        except InvalidConfigError as exc:
-            raise SchemaError(
+        except InvalidInputError as exc:
+            raise InvalidInputError(
                 "sections 'geometry' and 'plant': the plant's geometry, "
                 "gain_per_mm_N * (1 + gain_error) and theta_e_rad + theta_e_error_rad, "
                 f"is invalid: {exc}"
             ) from exc
+        if self.run.early_stop and not isinstance(self.reference, FixedTarget):
+            raise InvalidInputError(
+                "sections 'run' and 'reference': run.early_stop stops only a fixed_target "
+                f"reference, got kind {_kind(self.reference)!r}"
+            )
 
 
 # section name -> its config class, in document order
@@ -103,33 +101,42 @@ _KINDS = {
 }
 
 
+def _kind(reference) -> str:
+    """The reference kind a spec echoes as."""
+    kind = next((k for k, c in _KINDS.items() if type(reference) is c), None)
+    if kind is None:
+        raise InvalidInputError(f"unknown reference type {type(reference).__name__}")
+    return kind
+
+
 def _build(section: str, cls, body: dict):
     """cls from a JSON section by its key() fields; faults name the section."""
     fields = json_fields(cls)
     unknown = sorted(set(body) - set(fields))
     if unknown:
-        raise SchemaError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
+        raise InvalidInputError(f"unknown key(s) in section '{section}': {', '.join(unknown)}")
     missing = [k for k, f in fields.items() if f.default is dataclasses.MISSING and k not in body]
     if missing:
-        raise SchemaError(f"section '{section}': missing required key(s): {', '.join(missing)}")
+        raise InvalidInputError(f"section '{section}': missing required key(s): "
+                                f"{', '.join(missing)}")
     try:
         return cls(**{fields[k].name: v for k, v in body.items()})
-    except (InvalidConfigError, InvalidInputError) as exc:
-        raise SchemaError(f"section '{section}': {exc}") from exc
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"section '{section}': {exc}") from exc
 
 
 def _reference_from_dict(section: dict, base_dir=None) -> ReferenceSpec:
     kind = section.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise SchemaError(f"reference kind must be one of {sorted(_KINDS)}, got {kind!r}")
+        raise InvalidInputError(f"reference kind must be one of {sorted(_KINDS)}, got {kind!r}")
     name = f"reference (kind {kind})"
     body = {k: v for k, v in section.items() if k != "kind"}
     ref = _build(name, _KINDS[kind], body)
     if isinstance(ref, _Replay):
         try:
             return ref.load(base_dir)
-        except (InvalidConfigError, InvalidInputError) as exc:
-            raise SchemaError(f"section '{name}': csv_path: {exc}") from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"section '{name}': csv_path: {exc}") from exc
     return ref
 
 
@@ -137,21 +144,23 @@ def scenario_from_dict(doc: dict, base_dir=None) -> Scenario:
     """Scenario from a parsed document; a relative replay csv_path resolves
     against base_dir (default: the working directory)."""
     if not isinstance(doc, dict):
-        raise SchemaError(f"scenario document must be a JSON object, got {type(doc).__name__}")
+        raise InvalidInputError(f"scenario document must be a JSON object, "
+                                f"got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version is None:
-        raise SchemaError("missing required key 'schema_version'")
+        raise InvalidInputError("missing required key 'schema_version'")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
+        raise InvalidInputError(f"unsupported schema_version {version!r}, "
+                                f"expected {SCHEMA_VERSION}")
     unknown = sorted(set(doc) - set(_SECTIONS) - {"schema_version"})
     if unknown:
-        raise SchemaError(f"unknown top-level key(s): {', '.join(unknown)}")
+        raise InvalidInputError(f"unknown top-level key(s): {', '.join(unknown)}")
     missing = [name for name in _SECTIONS if name not in doc]
     if missing:
-        raise SchemaError(f"missing required section(s): {', '.join(missing)}")
+        raise InvalidInputError(f"missing required section(s): {', '.join(missing)}")
     for name in _SECTIONS:
         if not isinstance(doc[name], dict):
-            raise SchemaError(f"section '{name}' must be a JSON object")
+            raise InvalidInputError(f"section '{name}' must be a JSON object")
     return Scenario(**{
         name: _reference_from_dict(doc[name], base_dir) if cls == ReferenceSpec
         else _build(name, cls, doc[name])
@@ -177,10 +186,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         obj = getattr(scenario, name)
         doc[name] = _echo(obj)
         if cls == ReferenceSpec:
-            kind = next((k for k, c in _KINDS.items() if type(obj) is c), None)
-            if kind is None:
-                raise InvalidInputError(f"unknown reference type {type(obj).__name__}")
-            doc[name] = {"kind": kind, **doc[name]}
+            doc[name] = {"kind": _kind(obj), **doc[name]}
     return doc
 
 

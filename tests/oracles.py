@@ -355,20 +355,20 @@ def horizon_cost(s0, inputs, refs, config):
     return cost, np.array(grad)
 
 
-def finite_floats_per_entry(value, name, count, error):
+def finite_floats_per_entry(value, name, count):
     """errors.finite_floats without its one-pass path: every entry through
     finite_float, then the count."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise error(f"{name} must be a list of numbers, got {value!r}")
-    vals = tuple([finite_float(v, name, error) for v in value])
+        raise InvalidInputError(f"{name} must be a list of numbers, got {value!r}")
+    vals = tuple([finite_float(v, name) for v in value])
     if count is not None and len(vals) != count:
-        raise error(f"{name} must have shape ({count},), got {len(vals)} entries")
+        raise InvalidInputError(f"{name} must have shape ({count},), got {len(vals)} entries")
     return vals
 
 
-def finite_points_per_entry(value, name, error):
+def finite_points_per_entry(value, name):
     """errors.finite_points without its one-pass path: every row through
     finite_floats_per_entry."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise error(f"{name} must be a list of [x, y, z] points, got {value!r}")
-    return tuple([finite_floats_per_entry(row, name, 3, error) for row in value])
+        raise InvalidInputError(f"{name} must be a list of [x, y, z] points, got {value!r}")
+    return tuple([finite_floats_per_entry(row, name, 3) for row in value])

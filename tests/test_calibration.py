@@ -14,7 +14,7 @@ from needle_mpc.calibration import (
     simulate_calibration_run,
     write_runs_dir,
 )
-from needle_mpc.errors import DegenerateFitError, InvalidInputError, SchemaError
+from needle_mpc.errors import DegenerateFitError, InvalidInputError
 from needle_mpc.harness import PlantConfig, run_open_loop
 from needle_mpc.kinematics import NeedleState, step_exact
 from needle_mpc.mapping import (
@@ -235,36 +235,36 @@ class TestRunsDirectory:
 
     def test_invalid_manifest_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError):
             load_runs_dir(tmp_path)
 
     def test_manifest_integer_too_long_is_schema_error(self, tmp_path):
         entry = '{"file": "run00.csv", "tendon_index": 1, "tension_N": ' + "1" * 5000 + "}"
         (tmp_path / "manifest.json").write_text('{"runs": [' + entry + "]}")
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
             load_runs_dir(tmp_path)
 
     def test_manifest_schema_enforced(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"trials": []}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError):
             load_runs_dir(tmp_path)
 
         (tmp_path / "manifest.json").write_text(json.dumps({"runs": []}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError):
             load_runs_dir(tmp_path)
 
         entry = {"file": "run00.csv", "tendon_index": 1, "tension_N": 1.0, "extra": 1}
         (tmp_path / "manifest.json").write_text(json.dumps({"runs": [entry]}))
-        with pytest.raises(SchemaError, match="extra"):
+        with pytest.raises(InvalidInputError, match="extra"):
             load_runs_dir(tmp_path)
 
         entry = {"file": "run00.csv", "tendon_index": 1}
         (tmp_path / "manifest.json").write_text(json.dumps({"runs": [entry]}))
-        with pytest.raises(SchemaError, match="tension_N"):
+        with pytest.raises(InvalidInputError, match="tension_N"):
             load_runs_dir(tmp_path)
 
         (tmp_path / "manifest.json").write_text(json.dumps({"runs": [["run00.csv", 1, 1.0]]}))
-        with pytest.raises(SchemaError, match=r"runs\[0\] must be an object$"):
+        with pytest.raises(InvalidInputError, match=r"runs\[0\] must be an object$"):
             load_runs_dir(tmp_path)
 
     def test_run_csv_validation(self, tmp_path):

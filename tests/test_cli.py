@@ -157,6 +157,47 @@ class TestRun:
         assert "gain_error" in err and "gain_per_mm_N has a non-finite value inf" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key", [("geometry", "theta_e_rad"),
+                                              ("plant", "theta_e_error_rad")])
+    @pytest.mark.parametrize("angle", [1e17, math.nextafter(1e17, math.inf), -1e17])
+    def test_mounting_angle_beyond_any_offset_named(self, tmp_path, capsys, section, key, angle):
+        # reduced modulo 2 pi, 1e17 rad once ran as 1.2397 rad and the next
+        # float as 4.6733 rad: no digit of the input set the tendon layout
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc[section][key] = angle
+        path = tmp_path / "target1.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: section '{section}': {key} must be within +-1000, got {angle!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, echoed", [
+        ("helix", "helix"),
+        ("sharp_turn", "sharp_turn"),
+        ("sinusoidal", "sinusoidal"),
+        ("waypoint_path", "waypoint_path"),
+        ("replay", "waypoint_path"),  # a replay loads into a waypoint path
+    ])
+    def test_early_stop_needs_a_fixed_target(self, tmp_path, capsys, kind, echoed):
+        # the loop stops early only at a fixed target; elsewhere the option
+        # once did nothing and the run exited 0
+        (tmp_path / "tip.csv").write_text(TIP_CSV)
+        doc = json.loads(
+            resources.files("needle_mpc").joinpath("presets", "target1.json").read_text()
+        )
+        doc["reference"] = {**REFERENCES[kind], "kind": kind}
+        doc["run"]["early_stop"] = True
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sections 'run' and 'reference': run.early_stop stops only a fixed_target "
+            f"reference, got kind '{echoed}'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "reference, named",
         [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError, InvalidInputError, finite_floats, finite_points
+from needle_mpc.errors import finite_floats, finite_points
 from oracles import finite_floats_per_entry, finite_points_per_entry
 
 Point = collections.namedtuple("Point", "x y z")
@@ -82,32 +82,31 @@ CASES = [
 class TestOnePassAgreesWithPerEntry:
     @pytest.mark.parametrize("value", CASES, ids=repr)
     def test_listed_points(self, value):
-        for error in (InvalidConfigError, InvalidInputError):
-            assert outcome(finite_points, value, "pts", error) == outcome(
-                finite_points_per_entry, value, "pts", error
-            )
+        assert outcome(finite_points, value, "pts") == outcome(
+            finite_points_per_entry, value, "pts"
+        )
 
     @pytest.mark.parametrize("value", CASES, ids=repr)
     @pytest.mark.parametrize("count", [None, 2, 3])
     def test_listed_rows(self, value, count):
         row = value[0] if isinstance(value, (tuple, list)) and value else value
-        assert outcome(finite_floats, row, "v", count, InvalidInputError) == outcome(
-            finite_floats_per_entry, row, "v", count, InvalidInputError
+        assert outcome(finite_floats, row, "v", count) == outcome(
+            finite_floats_per_entry, row, "v", count
         )
 
     @given(POINTS)
     @settings(max_examples=500, deadline=None)
     def test_points(self, value):
-        assert outcome(finite_points, value, "pts", InvalidInputError) == outcome(
-            finite_points_per_entry, value, "pts", InvalidInputError
+        assert outcome(finite_points, value, "pts") == outcome(
+            finite_points_per_entry, value, "pts"
         )
 
     @given(st.one_of(ROWS, st.lists(FLOATS, max_size=5).map(tuple)),
            st.sampled_from([None, 0, 1, 2, 3, 4]))
     @settings(max_examples=500, deadline=None)
     def test_rows(self, value, count):
-        assert outcome(finite_floats, value, "v", count, InvalidInputError) == outcome(
-            finite_floats_per_entry, value, "v", count, InvalidInputError
+        assert outcome(finite_floats, value, "v", count) == outcome(
+            finite_floats_per_entry, value, "v", count
         )
 
 

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    NumericalFailureError,
-)
+from needle_mpc.errors import InvalidInputError, NumericalFailureError
 from needle_mpc import harness, mpc
 from needle_mpc.harness import (
     CSV_COLUMNS,
@@ -79,25 +75,25 @@ class TestPlantConfig:
 
     def test_validation(self):
         for integrator in ("rk4", "euler"):
-            with pytest.raises(InvalidConfigError, match="^integrator must be one of 'exact'"):
+            with pytest.raises(InvalidInputError, match="^integrator must be one of 'exact'"):
                 PlantConfig(integrator=integrator)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             PlantConfig(gain_error=-1.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             PlantConfig(measurement_noise_std=(0.1, -0.1, 0.1))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             PlantConfig(latency_steps=-1)
 
 
 class TestRunConfig:
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             RunConfig(steps=0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             RunConfig(initial_state=(0.0, 0.0, 0.0, 0.0, 1.0))
         with pytest.raises(InvalidInputError, match=r"^initial_state: direction norm 2 "):
             RunConfig(initial_state=(0.0, 0.0, 0.0, 0.0, 0.0, 2.0))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             RunConfig(stop_tolerance_mm=-0.1)
 
     def test_state_roundtrip(self):

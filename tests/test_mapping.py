@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import DegenerateFitError, InvalidConfigError, InvalidInputError
+from needle_mpc.errors import DegenerateFitError, InvalidInputError
 from needle_mpc.harness import _read_numeric_csv
 from needle_mpc.kinematics import NeedleState, VirtualInput
 from needle_mpc.mapping import (
     DEFAULT_GAIN,
+    MAX_ANGLE_RAD,
     U_S_EPS,
     TendonCommand,
     TendonGeometry,
@@ -63,10 +65,18 @@ class TestGeometry:
         assert g.theta_e == 0.0
         assert TendonGeometry(theta_e=g.theta_e).theta_e == g.theta_e
 
+    def test_theta_e_bounded_in_magnitude(self):
+        # within the bound the angle still wraps; beyond it, it is refused
+        assert TendonGeometry(theta_e=-MAX_ANGLE_RAD).theta_e == -MAX_ANGLE_RAD % (2.0 * math.pi)
+        for theta in (math.nextafter(MAX_ANGLE_RAD, math.inf), -1e17):
+            message = f"theta_e_rad must be within +-1000, got {theta!r}"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                TendonGeometry(theta_e=theta)
+
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             TendonGeometry(gain=0.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             TendonGeometry(tau_max=-1.0)
 
     def test_channel_angles_spacing(self):

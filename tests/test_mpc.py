@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc import mpc, optimizer
-from needle_mpc.errors import InvalidConfigError, InvalidInputError
+from needle_mpc.errors import InvalidInputError
 from needle_mpc.harness import run_closed_loop
 from needle_mpc.kinematics import NeedleState, VirtualInput
 from needle_mpc.mpc import (
@@ -77,19 +77,19 @@ class TestConfig:
         assert CFG.u_x_bounds == (-5.0, 5.0)
 
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             MpcConfig(ts=0.0)
         assert MpcConfig(ts=mpc.MAX_PERIOD_S).ts == 10.0
-        with pytest.raises(InvalidConfigError,
+        with pytest.raises(InvalidInputError,
                            match="^T_s_s must be <= 10, got 10.000000000000002$"):
             MpcConfig(ts=math.nextafter(mpc.MAX_PERIOD_S, math.inf))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             MpcConfig(horizon=0)
-        with pytest.raises(InvalidConfigError, match="horizon"):
+        with pytest.raises(InvalidInputError, match="horizon"):
             MpcConfig(horizon=1001)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             MpcConfig(q_weights=(-1.0, 1.0, 1.0))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             MpcConfig(u_s_bounds=(5.0, -5.0))
 
     def test_planar_mode_collapses_u_y(self):

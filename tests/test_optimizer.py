@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needle_mpc import optimizer
-from needle_mpc.errors import InvalidConfigError, InvalidInputError, NumericalFailureError
+from needle_mpc.errors import InvalidInputError, NumericalFailureError
 from needle_mpc.optimizer import (
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
@@ -86,11 +86,11 @@ def projected_gradient_norm(x, g, lower, upper):
 
 class TestProblemValidation:
     def test_bounds_must_be_ordered(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             quadratic_problem([0.0], lower=[1.0], upper=[-1.0])
 
     def test_tolerances_positive(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             quadratic_problem([0.0], lower=[-1.0], upper=[1.0], gradient_tolerance=0.0)
 
     def test_gradient_of_wrong_length_rejected(self):
@@ -100,17 +100,17 @@ class TestProblemValidation:
             minimize(p, x0=[0.5, 0.5])
 
     def test_nan_in_upper_only_named(self):
-        with pytest.raises(InvalidConfigError, match=r"^bounds contain NaN$"):
+        with pytest.raises(InvalidInputError, match=r"^bounds contain NaN$"):
             quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, float("nan")])
 
     def test_nan_reported_before_an_earlier_disorder(self):
         # as in the elementwise checks it replaces: NaN first, then order
-        with pytest.raises(InvalidConfigError, match=r"^bounds contain NaN$"):
+        with pytest.raises(InvalidInputError, match=r"^bounds contain NaN$"):
             quadratic_problem([0.0, 0.0], lower=[2, 0], upper=[1, float("nan")])
 
     def test_disorder_names_its_first_index(self):
         with pytest.raises(
-            InvalidConfigError,
+            InvalidInputError,
             match=r"^lower bound exceeds upper bound at index 1: 2\.0 > 1\.0$",
         ):
             quadratic_problem([0.0] * 3, lower=[0, 2, 5], upper=[1, 1, 1])
@@ -118,13 +118,13 @@ class TestProblemValidation:
     def test_shape_mismatch_names_both_shapes(self):
         # the dimension is len(lower); upper must match it
         with pytest.raises(
-            InvalidConfigError,
+            InvalidInputError,
             match=r"^bounds must have equal lengths of at least 1, got 2 and 3$",
         ):
             quadratic_problem([0.0] * 3, lower=[0, 0], upper=[1, 1, 1])
-        with pytest.raises(InvalidConfigError, match=r"got 0 and 0$"):
+        with pytest.raises(InvalidInputError, match=r"got 0 and 0$"):
             quadratic_problem([], lower=[], upper=[])
-        with pytest.raises(InvalidConfigError, match=r"^bounds must hold numbers only$"):
+        with pytest.raises(InvalidInputError, match=r"^bounds must hold numbers only$"):
             quadratic_problem([0.0] * 2, lower=[[0, 0]], upper=[1, 1])
 
     @pytest.mark.parametrize("lower, upper", [
@@ -138,7 +138,7 @@ class TestProblemValidation:
         (-1.0, 1.0),
     ])
     def test_bounds_are_not_coerced(self, lower, upper):
-        with pytest.raises(InvalidConfigError, match=r"^bounds must hold numbers only$"):
+        with pytest.raises(InvalidInputError, match=r"^bounds must hold numbers only$"):
             BoxNlp(objective=rosenbrock, lower=lower, upper=upper)
 
     def test_bounds_beyond_the_float_range_are_infinite(self):
@@ -170,7 +170,7 @@ class TestProblemValidation:
         assert BoxNlp(objective=rosenbrock, lower=(-1.0,), upper=(1.0,)).objective_value is None
 
     def test_max_iterations_at_least_one(self):
-        with pytest.raises(InvalidConfigError, match=r"^max_iterations must be >= 1, got 0$"):
+        with pytest.raises(InvalidInputError, match=r"^max_iterations must be >= 1, got 0$"):
             quadratic_problem([0.0], lower=[-1.0], upper=[1.0], max_iterations=0)
 
     def test_infinite_bounds_accepted(self):
@@ -329,14 +329,14 @@ class TestMultiStart:
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
         )
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             minimize(p, x0=[1.0], multi_start=4, seed=0)
 
     def test_infinite_bounds_rejected_before_any_solve(self):
         calls = []
         p = quadratic_problem([0.0], lower=[-np.inf], upper=[np.inf])
         p.objective = lambda x: calls.append(x) or (0.0, [0.0])
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             minimize(p, x0=[1.0], multi_start=4, seed=0)
         assert calls == []
 
@@ -639,7 +639,7 @@ class TestScaledMetric:
         ("12", "scale must be a list"),
     ])
     def test_scale_is_checked(self, scale, message):
-        with pytest.raises(InvalidConfigError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             quadratic_problem([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], scale=scale)
 
     def test_scale_kept_as_float_tuple(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc.errors import InvalidConfigError, InvalidInputError, SchemaError, key_of
+from needle_mpc.errors import InvalidInputError, key_of
 from needle_mpc.references import (
     MAX_POSITION_MM,
     FixedTarget,
@@ -33,9 +33,9 @@ class TestFixedTarget:
             assert np.array_equal(spec.samples([t])[0], [5.0, -15.0, 150.0])
 
     def test_rejects_bad_target(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             FixedTarget(target=(1.0, 2.0))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             FixedTarget(target=(1.0, np.nan, 3.0))
 
 
@@ -73,11 +73,11 @@ class TestHelix:
             assert math.hypot(p[0] + 10.0, p[1]) == pytest.approx(10.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             Helix(radius=-1.0, pitch=40.0, rate=1.2)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             Helix(radius=10.0, pitch=math.inf, rate=1.2)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             Helix(radius=10.0, pitch=40.0, rate=1.2, axis="w")
 
 
@@ -101,11 +101,11 @@ class TestSharpTurn:
         np.testing.assert_array_equal(spec.samples([99.0])[0], [0.0, 0.0, 60.0])
 
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             SharpTurn(waypoints=[(0.0, 0.0, 0.0)], speed=10.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             SharpTurn(waypoints=[(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], speed=10.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             SharpTurn(waypoints=[(0.0, 0.0, 0.0), (0.0, 0.0, 1.0)], speed=0.0)
 
 
@@ -141,11 +141,11 @@ class TestWaypointPath:
         np.testing.assert_array_equal(spec.samples([10.0])[0], [4.0, 5.0, 6.0])
 
     def test_validation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             WaypointPath(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], times=[0.0])
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             WaypointPath(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], times=[1.0, 1.0])
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             WaypointPath(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], times=[2.0, 1.0])
 
 
@@ -172,7 +172,7 @@ class TestReplay:
     def test_first_sample_after_zero_rejected_at_load(self, tmp_path):
         f = tmp_path / "late.csv"
         self._write_csv(f, [(1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 10.0)])
-        with pytest.raises(SchemaError, match="late.csv"):
+        with pytest.raises(InvalidInputError, match="late.csv"):
             self._load(f)
         # a first sample at t = 0, within roundoff, is fine
         self._write_csv(f, [(1e-13, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 10.0)])
@@ -181,19 +181,19 @@ class TestReplay:
     def test_rejects_wrong_header(self, tmp_path):
         f = tmp_path / "tip.csv"
         self._write_csv(f, [(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0)], header="t,x,y,z")
-        with pytest.raises(SchemaError, match="t_s,x_mm,y_mm,z_mm"):
+        with pytest.raises(InvalidInputError, match="t_s,x_mm,y_mm,z_mm"):
             self._load(f)
 
     def test_rejects_non_numeric_rows(self, tmp_path):
         f = tmp_path / "tip.csv"
         f.write_text("t_s,x_mm,y_mm,z_mm\n0.0,0.0,oops,0.0\n1.0,0.0,0.0,1.0\n")
-        with pytest.raises(SchemaError, match="tip.csv:2: non-numeric"):
+        with pytest.raises(InvalidInputError, match="tip.csv:2: non-numeric"):
             self._load(f)
 
     def test_rejects_single_sample(self, tmp_path):
         f = tmp_path / "tip.csv"
         self._write_csv(f, [(0.0, 0.0, 0.0, 0.0)])
-        with pytest.raises(SchemaError, match="at least 2"):
+        with pytest.raises(InvalidInputError, match="at least 2"):
             self._load(f)
 
 
@@ -234,7 +234,7 @@ class TestPositionBound:
             dataclasses.replace(spec, **{attr: value(x)})
         beyond = math.nextafter(MAX_POSITION_MM, math.inf)
         for x in (beyond, -beyond):
-            with pytest.raises(InvalidConfigError, match=rf"^{key_of(spec, attr)} must be within"):
+            with pytest.raises(InvalidInputError, match=rf"^{key_of(spec, attr)} must be within"):
                 dataclasses.replace(spec, **{attr: value(x)})
 
 
@@ -413,7 +413,7 @@ class TestPathsMatchNpInterp:
             seg = np.linalg.norm(np.diff(np.array(waypoints), axis=0), axis=1)
             knots = np.concatenate([[0.0], np.cumsum(seg)]) / speed
         if np.any(seg == 0.0):
-            with pytest.raises(InvalidConfigError, match="must be distinct"):
+            with pytest.raises(InvalidInputError, match="must be distinct"):
                 SharpTurn(waypoints=waypoints, speed=speed)
             return
         spec = SharpTurn(waypoints=waypoints, speed=speed)

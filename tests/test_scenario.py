@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc import scenario as scenario_mod
-from needle_mpc.cli import _VALIDATION_ERRORS
-from needle_mpc.errors import InvalidInputError, SchemaError, json_fields
+from needle_mpc.errors import InvalidInputError, json_fields
 from needle_mpc.references import (
     FixedTarget,
     Helix,
@@ -73,7 +72,7 @@ class TestPresets:
         monkeypatch.setattr(scenario_mod, "PRESETS_DIR", str(tmp_path))
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
-        with pytest.raises(SchemaError, match=f"^{re.escape(str(broken))}: not valid JSON"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(broken))}: not valid JSON"):
             load_preset("broken")
         # a relative csv_path resolves against the presets directory
         (tmp_path / "tip.csv").write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,0,20\n")
@@ -96,55 +95,55 @@ class TestSchemaValidation:
         assert isinstance(scenario.reference, FixedTarget)
 
     def test_non_object_document(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError):
             scenario_from_dict([1, 2, 3])
 
     def test_schema_version_required_and_checked(self):
         doc = make_doc()
         del doc["schema_version"]
-        with pytest.raises(SchemaError, match="schema_version"):
+        with pytest.raises(InvalidInputError, match="schema_version"):
             scenario_from_dict(doc)
-        with pytest.raises(SchemaError, match="schema_version"):
+        with pytest.raises(InvalidInputError, match="schema_version"):
             scenario_from_dict(make_doc(schema_version=2))
 
     def test_missing_sections_named(self):
         doc = make_doc()
         del doc["plant"]
-        with pytest.raises(SchemaError, match="plant"):
+        with pytest.raises(InvalidInputError, match="plant"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("section", ["mpc", "reference", "run"])
     def test_non_object_section_named(self, section):
-        with pytest.raises(SchemaError, match=f"^section '{section}' must be a JSON object$"):
+        with pytest.raises(InvalidInputError, match=f"^section '{section}' must be a JSON object$"):
             scenario_from_dict(make_doc(**{section: [1]}))
 
     def test_unknown_top_level_key_named(self):
-        with pytest.raises(SchemaError, match="extra_section"):
+        with pytest.raises(InvalidInputError, match="extra_section"):
             scenario_from_dict(make_doc(extra_section={}))
 
     def test_unknown_section_key_named(self):
         doc = make_doc(mpc={"T_s_s": 0.05, "horizon": 5, "fooSetting": 1})
-        with pytest.raises(SchemaError, match="fooSetting"):
+        with pytest.raises(InvalidInputError, match="fooSetting"):
             scenario_from_dict(doc)
 
     def test_section_value_errors_name_the_section(self):
         doc = make_doc(mpc={"horizon": 0})
-        with pytest.raises(SchemaError, match="mpc"):
+        with pytest.raises(InvalidInputError, match="mpc"):
             scenario_from_dict(doc)
         doc = make_doc(geometry={"tau_max_N": -1.0})
-        with pytest.raises(SchemaError, match="geometry"):
+        with pytest.raises(InvalidInputError, match="geometry"):
             scenario_from_dict(doc)
 
     def test_load_scenario_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{]")
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
             load_scenario(path)
 
     def test_load_scenario_rejects_integer_too_long_to_convert(self, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(json.dumps(make_doc()).replace('"T_s_s": 0.05', '"T_s_s": ' + "1" * 5000))
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
             load_scenario(path)
 
     def test_load_scenario_file(self, tmp_path):
@@ -174,12 +173,12 @@ class TestReferenceKinds:
             assert isinstance(scenario.reference, expected_type)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError, match="kind"):
+        with pytest.raises(InvalidInputError, match="kind"):
             scenario_from_dict(make_doc(reference={"kind": "spiral"}))
 
     def test_reference_key_typo_named(self):
         ref = {"kind": "fixed_target", "target": [0, 0, 10]}
-        with pytest.raises(SchemaError, match="target"):
+        with pytest.raises(InvalidInputError, match="target"):
             scenario_from_dict(make_doc(reference=ref))
 
     def test_replay_loads_and_echoes_self_contained(self, tmp_path):
@@ -200,7 +199,7 @@ class TestReferenceKinds:
 
     def test_replay_missing_file(self, tmp_path):
         doc = make_doc(reference={"kind": "replay", "csv_path": str(tmp_path / "no.csv")})
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidInputError):
             scenario_from_dict(doc)
 
 
@@ -291,7 +290,7 @@ class TestFuzzedPresets:
             resolved = scenario_to_dict(load_preset(name))[section][key]
         try:
             scenario = scenario_from_dict(doc)
-        except _VALIDATION_ERRORS as exc:
+        except InvalidInputError as exc:
             # every rejection names the JSON key it rejects
             assert (key or section) in str(exc)
             return
