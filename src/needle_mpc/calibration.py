@@ -11,12 +11,17 @@ described by a manifest.json sidecar:
 
     {"runs": [{"file": "run01.csv", "tendon_index": 1, "tension_N": 2.0}, ...]}
 
-Tip points are held as tuples of (x, y, z) float tuples. The gain and its
-residual rms are correctly rounded sums of floats (math.fsum), so their
-bits do not depend on the order of the runs. A run fits its circle once,
-when its curvature is first read, so refitting runs in other combinations
-(the gain from each choice of two tensions per tendon, say) fits no arc
-again.
+Tip points are held as tuples of (x, y, z) float tuples. Each value is
+checked once, where it enters: the run CSV reader refuses a non-numeric or
+non-finite coordinate, naming the file and line, and CalibrationRun checks
+the tendon index, the tension and the point list. The fits then run on
+those floats as they are, through mapping's _arc_curvature and
+_origin_slope, the fits that estimate_curvature and fit_gain run after
+their own checks. The gain and its residual rms are correctly rounded sums
+of floats (math.fsum), so their bits do not depend on the order of the
+runs. A run fits its circle once, when its curvature is first read, so
+refitting runs in other combinations (the gain from each choice of two
+tensions per tendon, say) fits no arc again.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from dataclasses import dataclass
 from .errors import DegenerateFitError, InvalidInputError, check_fields, finite_points, key
 from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
 from .kinematics import _check_ts, _exact_flow, _settle
-from .mapping import TendonCommand, TendonGeometry, estimate_curvature, fit_gain, rates_from_command
+from .mapping import TendonCommand, TendonGeometry, _arc_curvature, _origin_slope, rates_from_command
+# not called here, where the values are checked already; perfbench/tracer.py
+# wraps the two names on this module
+from .mapping import estimate_curvature, fit_gain  # noqa: F401
 
 MANIFEST_NAME = "manifest.json"
 RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
@@ -58,7 +66,7 @@ class CalibrationRun:
     @functools.cached_property
     def curvature(self) -> float:
         """Circle-fit curvature of the tip arc (1/mm), fitted at the first read."""
-        return estimate_curvature(self.tip_points)
+        return _arc_curvature(self.tip_points)
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,15 @@ def calibrate(runs) -> CalibrationResult:
             f"calibration needs at least 2 distinct tensions, got {sorted(set(tensions))}"
         )
     curvatures = [r.curvature for r in runs]
-    gain = fit_gain(zip(tensions, curvatures))
+    try:
+        gain = _origin_slope(tensions, curvatures)
+    except InvalidInputError:
+        # a non-finite curvature (one set on a run, not fitted) always fails
+        # the slope's sums; it is named first, as fit_gain names it
+        for k in curvatures:
+            if not math.isfinite(k):
+                raise InvalidInputError(f"samples has a non-finite value {k!r}") from None
+        raise
     if not gain > 0.0:
         raise DegenerateFitError(
             f"the fitted gain must be > 0, got {gain!r}: no run under tension bent"

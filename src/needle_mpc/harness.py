@@ -408,10 +408,10 @@ def _write_csv(path, columns: Sequence[str], rows) -> None:
 
 
 def _write_json(path, doc: dict) -> None:
-    """doc with two-space indent, sorted keys and a trailing newline."""
+    """doc with two-space indent, sorted keys and a trailing newline. The
+    file goes out in one write."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path):
@@ -535,7 +535,10 @@ def _read_numeric_csv(path, columns: Sequence[str], min_rows: int, convert=None)
 
 
 def read_commands_csv(path) -> list[TendonCommand]:
-    """Tendon command sequence from a CSV with columns COMMANDS_CSV_COLUMNS."""
+    """Tendon command sequence from a CSV with columns COMMANDS_CSV_COLUMNS.
+    Each command is built from the reader's finite floats, so only the
+    tensions' sign is left to check."""
     return _read_numeric_csv(
-        path, COMMANDS_CSV_COLUMNS, 1, lambda row: TendonCommand(u_s=row[0], tau=row[1:])
+        path, COMMANDS_CSV_COLUMNS, 1,
+        lambda row: TendonCommand._prechecked(row[0], (row[1], row[2], row[3])),
     )

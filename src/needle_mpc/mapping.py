@@ -37,12 +37,18 @@ that rates_from_command wraps in a VirtualInput. A TendonCommand holds u_s
 as a float and tau as a tuple of three floats. Its constructor and
 forward_map check tensions with one function: three finite, nonnegative
 numbers, with str, bytes and 2-D arrays refused, and each fault raises
-InvalidInputError naming tau.
+InvalidInputError naming tau. The commands CSV reader has checked its
+floats already and builds each command through TendonCommand._prechecked,
+which checks only the tensions' sign.
 
 Also home to the curvature estimators used by calibration: a circle fit for
 recorded tip arcs and a through-origin linear fit of curvature vs tension.
-They check their inputs as finite numbers (str, bytes and bools refused).
-The circle fit sums left to right; the line fit sums with math.fsum.
+estimate_curvature and fit_gain check their inputs as finite numbers (str,
+bytes and bools refused), then run _arc_curvature and _origin_slope on the
+checked floats; calibration calls those two directly on the floats that
+CalibrationRun checked. The circle fit sums left to right, projecting each
+point into the arc's plane in the same pass as its sums; the line fit sums
+with math.fsum.
 """
 
 from __future__ import annotations
@@ -105,8 +111,12 @@ class TendonGeometry:
 def _tensions(tau) -> tuple[float, float, float]:
     """Three tensions as floats, checked as TendonCommand promises: finite
     and nonnegative."""
-    tau = finite_floats(tau, "tau", N_TENDONS)
-    if not all(t >= 0.0 for t in tau):
+    return _nonnegative(finite_floats(tau, "tau", N_TENDONS))
+
+
+def _nonnegative(tau: tuple) -> tuple[float, float, float]:
+    """A tuple of three finite floats, checked to hold no negative tension."""
+    if not min(tau) >= 0.0:
         raise InvalidInputError(f"tensions must be nonnegative, got {tau}")
     return tau
 
@@ -122,6 +132,15 @@ class TendonCommand:
     def __post_init__(self):
         object.__setattr__(self, "u_s", finite_float(self.u_s, "u_s"))
         object.__setattr__(self, "tau", _tensions(self.tau))
+
+    @classmethod
+    def _prechecked(cls, u_s: float, tau: tuple) -> TendonCommand:
+        """A command from a finite float u_s and a tuple of three finite
+        floats, as the CSV reader leaves them. Only the tensions' sign is
+        left to check, with the constructor's message."""
+        command = cls.__new__(cls)
+        command.__dict__.update(u_s=u_s, tau=_nonnegative(tau))
+        return command
 
 
 def _curvature(tau: tuple, geometry: TendonGeometry) -> tuple[float, float]:
@@ -247,16 +266,25 @@ def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
 
     Least squares with zero intercept: gain = sum(tau*kappa) / sum(tau^2),
     both sums correctly rounded (math.fsum), so the order of the samples
-    sets no bit. Sums or a slope beyond the float range raise InvalidInputError.
+    sets no bit. samples are at least 2 (tension, curvature) pairs of finite
+    numbers, tensions nonnegative. Sums or a slope beyond the float range
+    raise InvalidInputError.
     """
     pairs = [finite_floats(pair, "samples", 2) for pair in samples]
     if len(pairs) < 2:
         raise InvalidInputError(f"need at least 2 samples, got {len(pairs)}")
-    if any(t < 0.0 for t, _ in pairs):
+    tensions = [t for t, _ in pairs]
+    if any(t < 0.0 for t in tensions):
         raise InvalidInputError("tensions must be nonnegative")
+    return _origin_slope(tensions, [k for _, k in pairs])
+
+
+def _origin_slope(tensions: list, curvatures: list) -> float:
+    """fit_gain's slope on checked floats: finite tensions, all >= 0, and
+    as many finite curvatures."""
     try:
-        num = math.fsum([t * k for t, k in pairs])
-        denom = math.fsum([t * t for t, _ in pairs])
+        num = math.fsum([t * k for t, k in zip(tensions, curvatures)])
+        denom = math.fsum([t * t for t in tensions])
     except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
         num = denom = math.inf
     if denom == 0.0:
@@ -265,7 +293,7 @@ def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
     if not (math.isfinite(denom) and math.isfinite(gain)):
         raise InvalidInputError(
             f"samples put sum(tau*kappa) / sum(tau^2) beyond the float range "
-            f"(largest tension {max(t for t, _ in pairs)!r} N)"
+            f"(largest tension {max(tensions)!r} N)"
         )
     return gain
 
@@ -286,9 +314,16 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     and the radius is the points' mean distance from it.
     """
     rows = finite_points(points, "points")
+    if len(rows) < 3:
+        raise InvalidInputError(f"need at least 3 points of dimension 3, got {len(rows)}")
+    return _arc_curvature(rows)
+
+
+def _arc_curvature(rows) -> float:
+    """estimate_curvature's fit on checked points: at least 3 tuples of
+    three finite floats. Each point is projected to (u, v) and summed into
+    the Kasa sums in the same pass."""
     n = len(rows)
-    if n < 3:
-        raise InvalidInputError(f"need at least 3 points of dimension 3, got {n}")
     mx = my = mz = 0.0
     for x, y, z in rows:
         mx += x
@@ -312,10 +347,13 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     ux, uy, uz = e[0][i], e[1][i], e[2][i]
     vx, vy, vz = e[0][j], e[1][j], e[2][j]
     mu, mv = mx * ux + my * uy + mz * uz, mx * vx + my * vy + mz * vz
-    us = [x * ux + y * uy + z * uz - mu for x, y, z in rows]
-    vs = [x * vx + y * vy + z * vz - mv for x, y, z in rows]
+    us, vs = [], []
     suu = suv = svv = suw = svw = 0.0
-    for u, v in zip(us, vs):
+    for x, y, z in rows:
+        u = x * ux + y * uy + z * uz - mu
+        v = x * vx + y * vy + z * vz - mv
+        us.append(u)
+        vs.append(v)
         uu = u * u
         vv = v * v
         suu += uu

@@ -1,15 +1,20 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except horizon_cost, the per-entry number checks and the
-object steps is written from the model equations directly, without
-importing from needle_mpc, so that agreement between package and oracle is
-evidence rather than tautology. The per-entry checks build on the package's
-scalar check finite_float, which is what they compose. The object steps
-(step_euler, the forward-Euler step the controller's prediction is checked
-against, and rollout, a chain of the package's step_exact) take and return
-the package's NeedleState and VirtualInput. Oracles favor clarity over
-speed; the only vectorized ones are those the acceptance suite calls in
-bulk.
+Everything here except horizon_cost, the per-entry number checks, the
+object steps and the multi-pass calibration fits is written from the model
+equations directly, without importing from needle_mpc, so that agreement
+between package and oracle is evidence rather than tautology. The per-entry
+checks build on the package's scalar check finite_float, which is what they
+compose. The object steps (step_euler, the forward-Euler step the
+controller's prediction is checked against, and rollout, a chain of the
+package's step_exact) take and return the package's NeedleState and
+VirtualInput. The multi-pass fits (estimate_curvature_multipass and
+calibrate_per_pair) are the package's arc fit and gain calibration in the
+form that checked every value again inside the fit and projected the arc
+in a pass of its own; they raise the package's exceptions with its messages
+and share its Jacobi rotations, so the one-pass fits must match them bit
+for bit. Oracles favor clarity over speed; the only vectorized ones are
+those the acceptance suite calls in bulk.
 """
 
 import math
@@ -19,8 +24,9 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.spatial.transform import Rotation
 
-from needle_mpc.errors import InvalidInputError, finite_float
+from needle_mpc.errors import DegenerateFitError, InvalidInputError, finite_float
 from needle_mpc.kinematics import NeedleState, VirtualInput, _check_ts, step_exact
+from needle_mpc.mapping import _jacobi_eigenvectors
 from needle_mpc.mpc import _EulerHorizon
 
 # Frozen value of the six scalar state equations at
@@ -372,3 +378,102 @@ def finite_points_per_entry(value, name):
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise InvalidInputError(f"{name} must be a list of [x, y, z] points, got {value!r}")
     return tuple([finite_floats_per_entry(row, name, 3) for row in value])
+
+
+def estimate_curvature_multipass(points, collinear_rtol=1e-9):
+    """mapping.estimate_curvature with its points checked entry by entry and
+    its passes apart: the in-plane coordinates u and v are projected into
+    lists of their own, the Kasa sums run over those lists, and the radius
+    over them again."""
+    rows = finite_points_per_entry(points, "points")
+    n = len(rows)
+    if n < 3:
+        raise InvalidInputError(f"need at least 3 points of dimension 3, got {n}")
+    mx = my = mz = 0.0
+    for x, y, z in rows:
+        mx += x
+        my += y
+        mz += z
+    mx, my, mz = mx / n, my / n, mz / n
+    sxx = sxy = sxz = syy = syz = szz = 0.0
+    for x, y, z in rows:
+        x -= mx
+        y -= my
+        z -= mz
+        sxx += x * x
+        sxy += x * y
+        sxz += x * z
+        syy += y * y
+        syz += y * z
+        szz += z * z
+    a = [[sxx, sxy, sxz], [sxy, syy, syz], [sxz, syz, szz]]
+    e = _jacobi_eigenvectors(a)
+    i, j = sorted(range(3), key=lambda k: a[k][k], reverse=True)[:2]
+    ux, uy, uz = e[0][i], e[1][i], e[2][i]
+    vx, vy, vz = e[0][j], e[1][j], e[2][j]
+    mu, mv = mx * ux + my * uy + mz * uz, mx * vx + my * vy + mz * vz
+    us = [x * ux + y * uy + z * uz - mu for x, y, z in rows]
+    vs = [x * vx + y * vy + z * vz - mv for x, y, z in rows]
+    suu = suv = svv = suw = svw = 0.0
+    for u, v in zip(us, vs):
+        uu = u * u
+        vv = v * v
+        suu += uu
+        suv += u * v
+        svv += vv
+        w = uu + vv
+        suw += u * w
+        svw += v * w
+    if not math.isfinite(suu + svv + suw + svw):
+        raise InvalidInputError("points spread so far that the fit's sums leave the float range")
+    if math.sqrt(svv) <= collinear_rtol * math.sqrt(suu):
+        return 0.0
+    ru, rv = 0.5 * suw, 0.5 * svw
+    ratio = suv / suu
+    cv = (rv - ratio * ru) / (svv - ratio * suv)
+    cu = (ru - suv * cv) / suu
+    radius = 0.0
+    for u, v in zip(us, vs):
+        radius += math.hypot(u - cu, v - cv)
+    return 1.0 / (radius / n)
+
+
+def calibrate_per_pair(tensions, curvatures):
+    """calibration.calibrate's arithmetic with each (tension, curvature)
+    pair checked again as a gain-fit sample: (gain, residual_rms), both
+    from correctly rounded sums. Each fault raises the package's exception
+    class with calibrate's message."""
+    if len(tensions) < 2:
+        raise InvalidInputError(f"need at least 2 calibration runs, got {len(tensions)}")
+    if len(set(tensions)) < 2:
+        raise DegenerateFitError(
+            f"calibration needs at least 2 distinct tensions, got {sorted(set(tensions))}"
+        )
+    pairs = [finite_floats_per_entry(pair, "samples", 2) for pair in zip(tensions, curvatures)]
+    if any(t < 0.0 for t, _ in pairs):
+        raise InvalidInputError("tensions must be nonnegative")
+    try:
+        num = math.fsum([t * k for t, k in pairs])
+        denom = math.fsum([t * t for t, _ in pairs])
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        num = denom = math.inf
+    if denom == 0.0:
+        raise DegenerateFitError("all tensions are zero; slope through origin is undefined")
+    gain = num / denom
+    if not (math.isfinite(denom) and math.isfinite(gain)):
+        raise InvalidInputError(
+            f"samples put sum(tau*kappa) / sum(tau^2) beyond the float range "
+            f"(largest tension {max(t for t, _ in pairs)!r} N)"
+        )
+    if not gain > 0.0:
+        raise DegenerateFitError(
+            f"the fitted gain must be > 0, got {gain!r}: no run under tension bent"
+        )
+    residuals = [k - gain * t for t, k in pairs]
+    try:
+        square_sum = math.fsum([r * r for r in residuals])
+    except OverflowError:
+        square_sum = math.inf
+    if not math.isfinite(square_sum):
+        raise InvalidInputError("curvatures put the residual rms beyond the float range")
+    return gain, math.sqrt(square_sum / len(pairs))

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from needle_mpc.kinematics import NeedleState, step_exact
 from needle_mpc.mapping import (
     TendonCommand,
     TendonGeometry,
+    _arc_curvature,
     estimate_curvature,
     rates_from_command,
 )
-from oracles import zero_intercept_gain
+from oracles import calibrate_per_pair, estimate_curvature_multipass, zero_intercept_gain
 
 TRUE_GEO = TendonGeometry(gain=3.7e-4)
 # a session of three tensions per tendon; each run fits its arc at its first use
@@ -160,15 +163,70 @@ class TestCalibrate:
 
         def counting_fit(points):
             calls.append(points)
-            return estimate_curvature(points)
+            return _arc_curvature(points)
 
-        monkeypatch.setattr(calibration, "estimate_curvature", counting_fit)
+        monkeypatch.setattr(calibration, "_arc_curvature", counting_fit)
         runs = synthetic_runs([1.0, 2.0, 3.0, 4.0], steps=20)
         got = [calibrate(subset) for subset in (runs[:3], runs[1:], runs[::3])]
         assert got == want
         assert len(calls) == 4  # one fit per run, not one per run and subset
         assert [r.curvature for r in runs] == [estimate_curvature(r.tip_points) for r in runs]
         assert len(calls) == 4  # a cached curvature fits nothing
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 10.0), min_size=2, max_size=9),
+           st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1.0]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_bit_equal_to_the_per_pair_oracle(self, seed, tensions, noise):
+        # noisy runs on random tendons of a random geometry: the fits on the
+        # floats CalibrationRun checked give the bits, and the errors, of
+        # fits that check every value again
+        rng = random.Random(seed)
+        geometry = TendonGeometry(theta_e=rng.uniform(0.0, 2.0 * math.pi),
+                                  gain=rng.uniform(2.5e-4, 5e-4))
+        runs = []
+        for t in tensions:
+            clean = simulate_calibration_run(rng.choice((1, 2, 3)), t, geometry, steps=20)
+            points = tuple((x + rng.gauss(0.0, noise), y + rng.gauss(0.0, noise),
+                            z + rng.gauss(0.0, noise)) for x, y, z in clean.tip_points)
+            runs.append(CalibrationRun(clean.tendon_index, t, points))
+        curvatures = [estimate_curvature_multipass(run.tip_points) for run in runs]
+        try:
+            want = calibrate_per_pair(tensions, curvatures)
+        except InvalidInputError as exc:
+            with pytest.raises(type(exc)) as info:
+                calibrate(runs)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return
+        got = calibrate(runs)
+        assert [k.hex() for k in got.curvatures] == [k.hex() for k in curvatures]
+        assert (got.gain.hex(), got.residual_rms.hex()) == (want[0].hex(), want[1].hex())
+
+    @pytest.mark.parametrize("tensions, curvatures, error, message", [
+        ((1.0, 2.0), (4e-4, math.inf), InvalidInputError, "samples has a non-finite value inf"),
+        ((0.0, 2.0), (-math.inf, 8e-4), InvalidInputError, "samples has a non-finite value -inf"),
+        ((1.0, 2.0), (math.nan, math.inf), InvalidInputError, "samples has a non-finite value nan"),
+        # named before the tensions' squares underflow
+        ((1e-200, 2e-200), (4e-4, math.nan), InvalidInputError,
+         "samples has a non-finite value nan"),
+        ((1e-200, 2e-200), (4e-4, 8e-4), DegenerateFitError,
+         "all tensions are zero; slope through origin is undefined"),
+        ((1.0, 1e200), (4e-4, 8e-4), InvalidInputError,
+         "samples put sum(tau*kappa) / sum(tau^2) beyond the float range "
+         "(largest tension 1e+200 N)"),
+        ((2.0, 5.0), (None, None), DegenerateFitError,  # straight arcs, fitted
+         "the fitted gain must be > 0, got 0.0: no run under tension bent"),
+    ])
+    def test_each_reachable_error_message_is_kept(self, tensions, curvatures, error, message):
+        line = ((0.0, 0.0, 0.0), (0.0, 0.6, 0.8), (0.0, 1.2, 1.6))
+        runs = [CalibrationRun(1, t, line) for t in tensions]
+        for run, kappa in zip(runs, curvatures):
+            if kappa is not None:
+                object.__setattr__(run, "curvature", kappa)  # as if fitted from an arc
+        fitted = [run.curvature for run in runs]
+        for fit in (lambda: calibrate(runs), lambda: calibrate_per_pair(list(tensions), fitted)):
+            with pytest.raises(error) as info:
+                fit()
+            assert type(info.value) is error and str(info.value) == message
 
     @given(st.permutations(range(9)))
     @settings(max_examples=100, deadline=None)

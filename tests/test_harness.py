@@ -464,10 +464,33 @@ class TestSerialization:
         path = tmp_path / "cmd.csv"
         harness._write_csv(path, harness.COMMANDS_CSV_COLUMNS, ([c.u_s, *c.tau] for c in commands))
         back = read_commands_csv(path)
-        assert len(back) == 2
-        for orig, rt in zip(commands, back):
-            assert rt.u_s == orig.u_s
-            assert tuple(rt.tau) == tuple(orig.tau)
+        assert back == commands
+        for rt in back:
+            assert type(rt.u_s) is float
+            assert type(rt.tau) is tuple and all(type(t) is float for t in rt.tau)
+
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1.0, 10.0),
+                              st.floats(-1.0, 10.0), st.floats(-1.0, 10.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_commands_csv_rows_as_the_constructor_checks_them(self, tmp_path_factory, rows):
+        # the reader's floats skip the finiteness checks but not the sign
+        # check: the commands, or the first row's message, are the
+        # constructor's
+        path = tmp_path_factory.mktemp("commands") / "cmd.csv"
+        path.write_text("us_mm_s,tau1_N,tau2_N,tau3_N\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        want = []
+        for line, (u_s, *tau) in enumerate(rows, start=2):
+            try:
+                want.append(TendonCommand(u_s, tau))
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError) as info:
+                    read_commands_csv(path)
+                assert str(info.value) == f"{path}:{line}: {exc}"
+                assert str(exc) == f"tensions must be nonnegative, got {tuple(tau)}"
+                return
+        assert read_commands_csv(path) == want
 
     def test_commands_csv_rejects_bad_files(self, tmp_path):
         bad_header = tmp_path / "h.csv"

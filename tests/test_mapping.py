@@ -18,6 +18,7 @@ from needle_mpc.mapping import (
     U_S_EPS,
     TendonCommand,
     TendonGeometry,
+    _arc_curvature,
     estimate_curvature,
     fit_gain,
     forward_map,
@@ -28,6 +29,7 @@ from oracles import (
     _channel_matrix,
     circle_fit_svd,
     curvature_pair,
+    estimate_curvature_multipass,
     feasible_set_excess,
     rollout,
     tension_grid_full,
@@ -603,13 +605,30 @@ class TestEstimateCurvature:
             assert circle_fit_svd(pts) == 0.0
             assert estimate_curvature([tuple(p) for p in pts.tolist()]) == 0.0
 
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 120), st.booleans(),
+           st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 2.0]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bit_equal_to_the_multipass_fit(self, seed, count, straight, noise):
+        # tilted arcs and lines under per-axis noise: projecting each point
+        # and summing it in one pass is the same arithmetic in the same order
+        rng = np.random.default_rng(seed)
+        if straight:
+            pts = np.outer(rng.uniform(-100.0, 100.0, count), rng.normal(size=3))
+        else:
+            pts = self._tilted_arc(rng, count)
+        pts = [tuple(p) for p in (pts + rng.normal(0.0, noise, pts.shape)).tolist()]
+        want = estimate_curvature_multipass(pts).hex()
+        assert estimate_curvature(pts).hex() == want
+        assert _arc_curvature(tuple(pts)).hex() == want
+
     @pytest.mark.parametrize("scale", [1e110, 1e160, 1e300])
     def test_sums_beyond_the_float_range_are_invalid_input(self, scale):
         # the third powers of the in-plane coordinates overflow from about
         # 1e103 mm, their squares from 1e154 mm
         pts = [(scale * math.cos(0.1 * k), scale * math.sin(0.1 * k), 0.0) for k in range(10)]
-        with pytest.raises(InvalidInputError, match="^points spread"):
-            estimate_curvature(pts)
+        for fit in (estimate_curvature, estimate_curvature_multipass):
+            with pytest.raises(InvalidInputError, match="^points spread"):
+                fit(pts)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
