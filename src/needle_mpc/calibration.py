@@ -14,7 +14,11 @@ described by a manifest.json sidecar:
 Tip points are held as tuples of (x, y, z) float tuples. Each value is
 checked once, where it enters: the run CSV reader refuses a non-numeric or
 non-finite coordinate, naming the file and line, and CalibrationRun checks
-the tendon index, the tension and the point list. The fits then run on
+the tendon index, the tension and the point list. load_runs_dir builds
+each run from the reader's tuples of floats, which it keeps without a
+second finite check; the index, the tension, the point count and the tip
+that never moved are checked as the constructor checks them, with its
+messages. The fits then run on
 those floats as they are, through mapping's _arc_curvature and
 _origin_slope, the fits that estimate_curvature and fit_gain run after
 their own checks. The gain and its residual rms are correctly rounded sums
@@ -32,7 +36,14 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .errors import DegenerateFitError, InvalidInputError, check_fields, finite_points, key
+from .errors import (
+    DegenerateFitError,
+    InvalidInputError,
+    _prechecked,
+    check_fields,
+    finite_points,
+    key,
+)
 from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
 from .kinematics import _check_ts, _exact_flow, _settle
 from .mapping import TendonCommand, TendonGeometry, _arc_curvature, _origin_slope, rates_from_command
@@ -56,12 +67,27 @@ class CalibrationRun:
 
     def __post_init__(self):
         check_fields(self)
-        pts = finite_points(self.tip_points, "tip_points")
+        object.__setattr__(self, "tip_points", finite_points(self.tip_points, "tip_points"))
+        self._check_points()
+
+    def _check_points(self) -> None:
+        pts = self.tip_points
         if len(pts) < 3:
             raise InvalidInputError(f"tip_points must hold at least 3 points, got {len(pts)}")
         if all(p == pts[0] for p in pts):  # a tip that never moved fits no arc
             raise InvalidInputError(f"tip_points all lie at {list(pts[0])}: the tip never moved")
-        object.__setattr__(self, "tip_points", pts)
+
+    @classmethod
+    def _from_rows(cls, tendon_index, tension, rows: list) -> CalibrationRun:
+        """A run from a reader's rows, tuples of three finite floats, which
+        are kept without a second finite check. The tendon index, the
+        tension and the point count and spread are checked as the
+        constructor checks them, with its messages."""
+        run = _prechecked(cls, tendon_index=tendon_index, tension=tension,
+                          tip_points=tuple(rows))
+        check_fields(run)
+        run._check_points()
+        return run
 
     @functools.cached_property
     def curvature(self) -> float:
@@ -182,18 +208,14 @@ def load_runs_dir(directory) -> list[CalibrationRun]:
         if not isinstance(entry["file"], str):
             raise InvalidInputError(f"{where}.file must be a string, got {entry['file']!r}")
         try:
-            # rows as float tuples, which CalibrationRun checks in one pass
+            # rows as tuples of finite floats, which the run keeps as they are
             rows = _read_numeric_csv(
                 os.path.join(directory, entry["file"]), RUN_CSV_COLUMNS, 3, convert=tuple
             )
         except InvalidInputError as exc:
             raise InvalidInputError(f"{where}.file: {exc}") from exc
         try:
-            run = CalibrationRun(
-                tendon_index=entry["tendon_index"],
-                tension=entry["tension_N"],
-                tip_points=rows,
-            )
+            run = CalibrationRun._from_rows(entry["tendon_index"], entry["tension_N"], rows)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{where}.{exc}") from exc
         runs.append(run)

@@ -12,7 +12,9 @@ points (path waypoints, horizon references, calibration arcs). The form
 the package builds itself, a tuple of finite floats or a tuple (or list)
 of such 3-tuples, is checked in one pass and comes back as it is; any
 other input is checked entry by entry, with the same accepted values and
-the same messages. The module
+the same messages. _prechecked builds an object from values the package
+made and checked itself, without running its checks again (see each use
+for why the values are safe). The module
 does not import numpy: a numpy bool is recognised through sys.modules,
 since none can exist before numpy is loaded."""
 
@@ -102,6 +104,16 @@ def finite_points(value, name: str) -> tuple[tuple[float, ...], ...]:
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise InvalidInputError(f"{name} must be a list of [x, y, z] points, got {value!r}")
     return tuple([finite_floats(row, name, 3) for row in value])
+
+
+def _prechecked(cls, **fields):
+    """An instance of cls holding fields as given, built without __init__
+    and so without __post_init__'s checks: for values that the package
+    built and checked itself and that already have the form the checks
+    would leave. Every field is passed, defaults included."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _is_bool(value) -> bool:

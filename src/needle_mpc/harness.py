@@ -22,7 +22,9 @@ loop steps it on NeedleState objects, through step_exact. The open loop has
 no controller to hand states to, so both of its sides step on floats,
 through the _exact_flow and _settle that step_exact wraps, and keep only
 the positions they write. Forward Euler is only the controller's
-prediction (mpc).
+prediction (mpc). Each StepRecord is built through errors._prechecked from
+the step's own values, which their constructors or the package's internal
+paths checked already.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import InvalidInputError, NumericalFailureError, check_fields, key
+from .errors import InvalidInputError, NumericalFailureError, _prechecked, check_fields, key
 from .kinematics import (
     NeedleState,
     VirtualInput,
@@ -306,8 +308,8 @@ def run_closed_loop(scenario: "Scenario") -> ScenarioResult:
         err = distance(state.p, refs[0])
         pg_scaled = solution.projected_gradient_norm / (1.0 + abs(solution.cost))
         records.append(
-            StepRecord(
-                t=t, state=state, measured=measured, ref=refs[0],
+            _prechecked(
+                StepRecord, t=t, state=state, measured=measured, ref=refs[0],
                 applied=applied, command=inv.command, saturated=inv.saturated,
                 cost=solution.cost, solve_time=solve_time, err=err, fault=fault,
                 pg_norm_scaled=pg_scaled,

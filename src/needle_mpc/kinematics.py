@@ -30,7 +30,10 @@ returns the raw next (p, d) computed with the scalar `math` module. _settle
 then checks and settles a state as the constructor does: all values
 finite, the direction norm within 1e-6 of 1, then renormalized; the
 constructor calls it once its input is converted. step_exact runs the flow
-on a NeedleState and a VirtualInput and builds the next NeedleState. Loops
+on a NeedleState and a VirtualInput, settles it and builds the next
+NeedleState from _settle's output through errors._prechecked, without the
+constructor's conversion pass: _settle has applied the constructor's checks
+with its messages, and its p and d are float 3-tuples already. Loops
 that need only floats (open-loop replays, simulated calibration arcs) call
 _exact_flow and _settle directly: the same bits and the same messages,
 without an object per step.
@@ -44,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, finite_float, finite_floats
+from .errors import InvalidInputError, _prechecked, finite_float, finite_floats
 
 _CONSTRUCT_TOL = 1e-6    # constructor renormalizes within this, rejects beyond
 _MIN_BEND_RATE = 1e-12   # rad/s below which the step is treated as straight
@@ -152,5 +155,6 @@ def step_exact(state: NeedleState, u: VirtualInput, ts: float) -> NeedleState:
     fixed axis -w/|w| and p traces a circular arc of curvature |w| / u_s
     (a straight segment when w = 0).
     """
-    return NeedleState(*_exact_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
+    p, d = _settle(*_exact_flow(state.p, state.d, u.u_s, u.u_x, u.u_y, _check_ts(ts)))
+    return _prechecked(NeedleState, p=p, d=d)
 

@@ -33,7 +33,14 @@ TendonGeometry builds A and C once, when it is constructed, as nested float
 lists. forward_map, rates_from_command and inverse_map run every control
 step; they read those entries as plain Python floats and sum left to right.
 The open-loop replay forms its rates on floats, by the same _command_rates
-that rates_from_command wraps in a VirtualInput. A TendonCommand holds u_s
+that rates_from_command wraps in a VirtualInput. The per-step objects are
+built through errors._prechecked, each value checked once:
+rates_from_command's VirtualInput holds the command's u_s, checked by
+TendonCommand, and the rates _command_rates checked finite; inverse_map's
+TendonCommand holds VirtualInput's finite u_s and tensions that _clip and
+_nearest_boundary leave as floats in [0, tau_max] (a nan clips to 0.0),
+which still pass the sign check, and its InverseMapResult holds that
+command and a bool. A TendonCommand holds u_s
 as a float and tau as a tuple of three floats. Its constructor and
 forward_map check tensions with one function: three finite, nonnegative
 numbers, with str, bytes and 2-D arrays refused, and each fault raises
@@ -61,6 +68,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DegenerateFitError,
     InvalidInputError,
+    _prechecked,
     check_fields,
     finite_float,
     finite_floats,
@@ -138,9 +146,7 @@ class TendonCommand:
         """A command from a finite float u_s and a tuple of three finite
         floats, as the CSV reader leaves them. Only the tensions' sign is
         left to check, with the constructor's message."""
-        command = cls.__new__(cls)
-        command.__dict__.update(u_s=u_s, tau=_nonnegative(tau))
-        return command
+        return _prechecked(cls, u_s=u_s, tau=_nonnegative(tau))
 
 
 def _curvature(tau: tuple, geometry: TendonGeometry) -> tuple[float, float]:
@@ -168,9 +174,11 @@ def _command_rates(u_s: float, tau: tuple, geometry: TendonGeometry) -> tuple[fl
 
 def rates_from_command(command: TendonCommand, geometry: TendonGeometry) -> VirtualInput:
     """Virtual input realized by a tendon command: u_x,y = kappa_x,y * u_s.
-    The tensions are used as they are: TendonCommand checked them."""
+    The tensions and u_s are used as they are: TendonCommand checked them,
+    and _command_rates checks the rates."""
     u_s = command.u_s
-    return VirtualInput(u_s, *_command_rates(u_s, command.tau, geometry))
+    u_x, u_y = _command_rates(u_s, command.tau, geometry)
+    return _prechecked(VirtualInput, u_s=u_s, u_x=u_x, u_y=u_y)
 
 
 @dataclass(frozen=True)
@@ -241,7 +249,9 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     """
     u_s = u.u_s
     if abs(u_s) < U_S_EPS:
-        return InverseMapResult(command=TendonCommand(u_s, (0.0,) * N_TENDONS), saturated=False)
+        return _prechecked(InverseMapResult,
+                           command=TendonCommand._prechecked(u_s, (0.0,) * N_TENDONS),
+                           saturated=False)
     kx, ky = u.u_x / u_s, u.u_y / u_s
     far = not (math.isfinite(kx) and math.isfinite(ky))
     if far:
@@ -258,7 +268,10 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
     saturated = tau is None
     if saturated:
         tau = _nearest_boundary(dots, geometry, far)
-    return InverseMapResult(command=TendonCommand(u_s, tau), saturated=saturated)
+    # u_s is VirtualInput's finite float, and every tension a float of
+    # [0, tau_max] (_clip turns a nan into 0.0); the sign is checked still
+    return _prechecked(InverseMapResult, command=TendonCommand._prechecked(u_s, tuple(tau)),
+                       saturated=saturated)
 
 
 def fit_gain(samples: Iterable[tuple[float, float]]) -> float:

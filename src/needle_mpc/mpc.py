@@ -38,7 +38,12 @@ sequence warm-starts the next step, from the previous plan held or
 shifted by one input (see `solve_horizon` for the rule). A warm start
 carries the solver's last Barzilai-Borwein steplength too, which caps the
 next solve's first one. The bounds, iteration cap and tolerance of the
-solver's problem are checked once, by `MpcConfig`, and not again per solve.
+solver's problem are checked once, by `MpcConfig`, and not again per solve;
+the config also doubles the weights for the gradient once. A solve's
+`HorizonSolution` and the controller's applied `VirtualInput` are built
+through `errors._prechecked` from the solver's tuple of floats, without the
+constructors' conversion and checks: every entry is a float inside the
+config's bounds, which are finite.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import Optional
 from .errors import (
     InvalidInputError,
     NumericalFailureError,
+    _prechecked,
     check_fields,
     finite_points,
     key,
@@ -70,8 +76,9 @@ class MpcConfig:
 
     planar_mode collapses the u_y bounds to [0, 0] so the tip stays in the
     plane spanned by the initial direction and the u_x bending axis. The
-    bounds of the flat input vector are built once, as tuples of floats, so
-    the default pickle and deepcopy of the frozen dataclass restore them.
+    bounds of the flat input vector and the doubled weights of the
+    gradient are built once, as tuples of floats, so the default pickle and
+    deepcopy of the frozen dataclass restore them.
     """
 
     # control period, s; at 10 s one step at the default 24 mm/s covers
@@ -102,6 +109,9 @@ class MpcConfig:
         u_y = (0.0, 0.0) if self.planar_mode else self.u_y_bounds
         lo, hi = zip(self.u_s_bounds, self.u_x_bounds, u_y)
         object.__setattr__(self, "_horizon_bounds", (lo * self.horizon, hi * self.horizon))
+        # the doubled weights of the gradient; doubling a float is exact
+        object.__setattr__(self, "_q2", tuple(2.0 * w for w in self.q_weights))
+        object.__setattr__(self, "_r2", tuple(2.0 * w for w in self.r_weights))
 
     def horizon_bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Bounds (lower, upper) of the flat 3N-entry input vector, planar
@@ -182,9 +192,8 @@ class _EulerHorizon:
         self.refs = _check_refs(refs, self.n, s0.p)
         self.q = config.q_weights
         self.r = config.r_weights
-        # the doubled weights of the gradient; doubling a float is exact
-        self.q2 = tuple(2.0 * w for w in self.q)
-        self.r2 = tuple(2.0 * w for w in self.r)
+        self.q2 = config._q2
+        self.r2 = config._r2
 
     def _rollout(self, x: list) -> tuple[float, list, tuple]:
         """Roll the flat inputs x out once; returns (cost, stages, terminal).
@@ -398,8 +407,10 @@ def solve_horizon(
             x, cost=core._rollout(x)[0], solver_status=STATUS_FAULT, stop=STATUS_FAULT,
         )
 
-    return HorizonSolution(
-        res.x,
+    # res.x is already a tuple of floats, the form the constructor leaves
+    return _prechecked(
+        HorizonSolution,
+        input_vector=res.x,
         cost=res.value,
         solver_status=res.status,
         projected_gradient_norm=res.projected_gradient_norm,
@@ -426,4 +437,6 @@ class RecedingHorizonController:
         """Solve from the measured state; returns (applied first input, solution)."""
         solution = solve_horizon(measured, refs, self.config, self._warm)
         self._warm = None if solution.solver_status == STATUS_FAULT else solution
-        return VirtualInput(*solution.input_vector[:3]), solution
+        # every entry lies in the config's finite bounds, as floats
+        u_s, u_x, u_y = solution.input_vector[:3]
+        return _prechecked(VirtualInput, u_s=u_s, u_x=u_x, u_y=u_y), solution

@@ -69,7 +69,17 @@ scaled problems; lam < 1e-14 stays as the guard against non-finite trials.
 Each line-search trial is one objective call for value and gradient. A
 trial whose value is not finite or fails the test is rejected, its gradient
 unread; the accepted trial's gradient, checked finite, is the next
-iteration's. A result records why its run stopped (`stop`: gtol,
+iteration's. One post-step pass over the accepted trial forms s'y and
+s'Hs for the next steplength, the step's inf-norm and the new projected
+gradient. The accepted value passed the line search finite. A gradient
+list of the right length is checked finite through s'y, which any
+non-finite entry makes non-finite; only then is every entry checked, for
+the message. A gradient of another type (a numpy array, say) or length is
+checked before the pass. ||x||_inf, which only the step_tol test reads, is
+formed only for a step of at most 1e-12 * (1 + the largest |bound|): every
+point lies in the box, so no longer step can pass that test. A direction
+that is zero in every entry has g'd = +0.0, and the g'd >= 0 test alone
+ends the run as no_descent. A result records why its run stopped (`stop`: gtol,
 no_descent, floor, lambda_min, step_tol or max_iter), its objective calls
 (`evaluations`) and its rejected trials (`backtracks`). A caller that has
 already evaluated the start point may hand that evaluation to the run in
@@ -93,7 +103,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidInputError, NumericalFailureError, finite_floats
+from .errors import InvalidInputError, NumericalFailureError, _prechecked, finite_floats
 
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
@@ -179,12 +189,10 @@ class BoxNlp:
         bounds and scale as tuples of floats that pass its checks. Built
         without checking them again, for a caller that checked them once
         (mpc builds one per solve from an MpcConfig)."""
-        problem = cls.__new__(cls)
-        problem.__dict__.update(
-            objective=objective, lower=lower, upper=upper, max_iterations=max_iterations,
+        return _prechecked(
+            cls, objective=objective, lower=lower, upper=upper, max_iterations=max_iterations,
             gradient_tolerance=gradient_tolerance, scale=scale,
         )
-        return problem
 
 
 def _bounds(values) -> tuple[float, ...]:
@@ -243,8 +251,14 @@ def _solve_from(problem: BoxNlp, x0, start=None, steplength=None) -> MinimizeRes
     """One SPG run from x0; start and steplength as in minimize."""
     objective = problem.objective
     lower, upper = problem.lower, problem.upper
-    metric = problem.scale or (1.0,) * len(lower)
+    n = len(lower)
+    metric = problem.scale or (1.0,) * n
     gtol = problem.gradient_tolerance
+    # every point lies in the box, so ||x||_inf <= the largest |bound| and
+    # no step above this cap passes the step_tol test (inf for an open box);
+    # with lower <= upper entrywise, the largest |bound| is max(upper) or
+    # -min(lower)
+    step_cap = _STEP_TOL * (1.0 + max(max(upper), -min(lower)))
 
     x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
     f, g = objective(x) if start is None else start
@@ -278,23 +292,21 @@ def _solve_from(problem: BoxNlp, x0, start=None, steplength=None) -> MinimizeRes
             status, stop = STATUS_CONVERGED, STOP_GTOL
             break
 
-        # d = P(x - alpha*g/h) - x, with g'd, whether any d_i != 0 and the
-        # lam = 1 trial P(x + d), which most line searches accept
+        # d = P(x - alpha*g/h) - x, with g'd and the lam = 1 trial
+        # P(x + d), which most line searches accept
         d = []
         trial = []
         gtd = 0.0
-        moved = False
         for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
             t = v - alpha * gi / h
             di = (lo if t < lo else (hi if t > hi else t)) - v
             d.append(di)
             gtd += gi * di
-            if di != 0.0:
-                moved = True
             t = v + di
             trial.append(lo if t < lo else (hi if t > hi else t))
-        if not moved or gtd >= 0.0:
-            # projection arc gives no descent direction: x is stationary
+        if gtd >= 0.0:
+            # projection arc gives no descent direction: x is stationary (a
+            # zero d, finite g, sums g'd to +0.0)
             status = STATUS_CONVERGED if pg_norm <= math.sqrt(gtol) * (
                 1.0 + abs(f)
             ) else STATUS_STALLED
@@ -328,10 +340,15 @@ def _solve_from(problem: BoxNlp, x0, start=None, steplength=None) -> MinimizeRes
         if trial is None:
             status = STATUS_STALLED
             break
-        _check_evaluation(f_new, g_new, trial, iteration)
+        if type(g_new) is not list or len(g_new) != n:
+            # a gradient of another type (a numpy array) is checked before
+            # its entries meet the arithmetic below, which would warn
+            _check_evaluation(f_new, g_new, trial, iteration)
 
-        # s = x_new - x, y = g_new - g; pg and the norms at the new point
-        sy = shs = step_norm = pg_norm = x_norm = 0.0
+        # s = x_new - x, y = g_new - g; pg and the step norm at the new
+        # point. f_new passed the acceptance test finite, and a non-finite
+        # entry of a list g_new makes sy non-finite, so it is checked only then.
+        sy = shs = step_norm = pg_norm = 0.0
         for v, vn, gi, gn, h, lo, hi in zip(x, trial, g, g_new, metric, lower, upper):
             si = vn - v
             sy += si * (gn - gi)
@@ -347,21 +364,28 @@ def _solve_from(problem: BoxNlp, x0, start=None, steplength=None) -> MinimizeRes
                     pg_norm = gn
             elif vn < hi and -gn > pg_norm:
                 pg_norm = -gn
-            if vn < 0.0:
-                if -vn > x_norm:
-                    x_norm = -vn
-            elif vn > x_norm:
-                x_norm = vn
+        if not math.isfinite(sy):
+            _check_evaluation(f_new, g_new, trial, iteration)
         alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, shs / sy)) if sy > 0.0 else _ALPHA_MAX
         x, f, g = trial, f_new, g_new
         recent.append(f)
         if f < best[1]:
             best = (x, f, pg_norm)
 
-        if step_norm <= _STEP_TOL * (1.0 + x_norm):
-            status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
-            stop = STOP_STEP_TOL
-            break
+        if step_norm <= step_cap:
+            # the step_tol test; ||x||_inf is read only here, as no step
+            # above step_cap can pass it
+            x_norm = 0.0
+            for vn in x:
+                if vn < 0.0:
+                    if -vn > x_norm:
+                        x_norm = -vn
+                elif vn > x_norm:
+                    x_norm = vn
+            if step_norm <= _STEP_TOL * (1.0 + x_norm):
+                status = STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) else STATUS_STALLED
+                stop = STOP_STEP_TOL
+                break
 
     if stop in (STOP_MAX_ITER, STOP_FLOOR, STOP_LAMBDA_MIN):
         x, f, pg_norm = best

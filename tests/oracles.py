@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here except horizon_cost, the per-entry number checks, the
-object steps and the multi-pass calibration fits is written from the model
+object steps, the multi-pass calibration fits and the reference SPG run is
+written from the model
 equations directly, without importing from needle_mpc, so that agreement
 between package and oracle is evidence rather than tautology. The per-entry
 checks build on the package's scalar check finite_float, which is what they
@@ -13,11 +14,17 @@ calibrate_per_pair) are the package's arc fit and gain calibration in the
 form that checked every value again inside the fit and projected the arc
 in a pass of its own; they raise the package's exceptions with its messages
 and share its Jacobi rotations, so the one-pass fits must match them bit
-for bit. Oracles favor clarity over speed; the only vectorized ones are
+for bit. The reference SPG run (spg_run_reference) is the package's
+optimizer._solve_from in the form that kept a `moved` flag beside g'd,
+tracked ||x||_inf at every step and checked each accepted gradient before
+the post-step pass; it reads the package's constants and result type and
+raises its exceptions with its messages, so minimize must match it bit for
+bit. Oracles favor clarity over speed; the only vectorized ones are
 those the acceptance suite calls in bulk.
 """
 
 import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +34,7 @@ from scipy.spatial.transform import Rotation
 from needle_mpc.errors import DegenerateFitError, InvalidInputError, finite_float
 from needle_mpc.kinematics import NeedleState, VirtualInput, _check_ts, step_exact
 from needle_mpc.mapping import _jacobi_eigenvectors
+from needle_mpc import optimizer as _opt
 from needle_mpc.mpc import _EulerHorizon
 
 # Frozen value of the six scalar state equations at
@@ -477,3 +485,133 @@ def calibrate_per_pair(tensions, curvatures):
     if not math.isfinite(square_sum):
         raise InvalidInputError("curvatures put the residual rms beyond the float range")
     return gain, math.sqrt(square_sum / len(pairs))
+
+
+def spg_run_reference(problem, x0, start=None, steplength=None):
+    """One SPG run from x0 (finite floats), as optimizer._solve_from ran it
+    with the `moved` flag, ||x||_inf tracked in the post-step pass and the
+    accepted evaluation checked before that pass."""
+    objective = problem.objective
+    lower, upper = problem.lower, problem.upper
+    metric = problem.scale or (1.0,) * len(lower)
+    gtol = problem.gradient_tolerance
+    check = _opt._check_evaluation
+
+    x = [lo if v < lo else (hi if v > hi else v) for v, lo, hi in zip(x0, lower, upper)]
+    f, g = objective(x) if start is None else start
+    check(f, g, x, 0)
+    evaluations, backtracks = 1, 0
+
+    pg_norm = pg_metric = 0.0
+    for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
+        if gi > 0.0:
+            if v > lo and gi > pg_norm:
+                pg_norm = gi
+        elif v < hi and -gi > pg_norm:
+            pg_norm = -gi
+        t = v - gi / h
+        a = abs(v - (lo if t < lo else (hi if t > hi else t)))
+        if a > pg_metric:
+            pg_metric = a
+    alpha = min(_opt._ALPHA_MAX, max(_opt._ALPHA_MIN, 1.0 / max(pg_metric, 1e-10)))
+    if steplength is not None and steplength < alpha:
+        alpha = steplength
+
+    recent = deque((f,), maxlen=_opt._GLL_WINDOW)
+    best = (x, f, pg_norm)
+
+    status = _opt.STATUS_MAX_ITER
+    stop = _opt.STOP_MAX_ITER
+    iteration = 0
+    for iteration in range(1, problem.max_iterations + 1):
+        if pg_norm <= gtol * (1.0 + abs(f)):
+            status, stop = _opt.STATUS_CONVERGED, _opt.STOP_GTOL
+            break
+
+        d = []
+        trial = []
+        gtd = 0.0
+        moved = False
+        for v, gi, h, lo, hi in zip(x, g, metric, lower, upper):
+            t = v - alpha * gi / h
+            di = (lo if t < lo else (hi if t > hi else t)) - v
+            d.append(di)
+            gtd += gi * di
+            if di != 0.0:
+                moved = True
+            t = v + di
+            trial.append(lo if t < lo else (hi if t > hi else t))
+        if not moved or gtd >= 0.0:
+            status = _opt.STATUS_CONVERGED if pg_norm <= math.sqrt(gtol) * (
+                1.0 + abs(f)
+            ) else _opt.STATUS_STALLED
+            stop = _opt.STOP_NO_DESCENT
+            break
+
+        lam = 1.0
+        f_ref = max(recent)
+        floor = _opt._DECREASE_FLOOR * (1.0 + abs(f))
+        while True:
+            f_new, g_new = objective(trial)
+            evaluations += 1
+            if math.isfinite(f_new) and f_new <= f_ref + _opt._ARMIJO * lam * gtd:
+                break
+            backtracks += 1
+            if iteration == 1 and math.isfinite(f_new):
+                q = -0.5 * lam * lam * gtd / (f_new - f - lam * gtd)
+                lam = max(_opt._INTERP_MIN * lam, min(_opt._INTERP_MAX * lam, q))
+            else:
+                lam *= 0.5
+            if lam < _opt._LAMBDA_MIN or -lam * gtd <= floor:
+                stop = _opt.STOP_LAMBDA_MIN if lam < _opt._LAMBDA_MIN else _opt.STOP_FLOOR
+                trial = None
+                break
+            trial = []
+            for v, di, lo, hi in zip(x, d, lower, upper):
+                t = v + lam * di
+                trial.append(lo if t < lo else (hi if t > hi else t))
+        if trial is None:
+            status = _opt.STATUS_STALLED
+            break
+        check(f_new, g_new, trial, iteration)
+
+        sy = shs = step_norm = pg_norm = x_norm = 0.0
+        for v, vn, gi, gn, h, lo, hi in zip(x, trial, g, g_new, metric, lower, upper):
+            si = vn - v
+            sy += si * (gn - gi)
+            shs += h * si * si
+            if si < 0.0:
+                if -si > step_norm:
+                    step_norm = -si
+            elif si > step_norm:
+                step_norm = si
+            if gn > 0.0:
+                if vn > lo and gn > pg_norm:
+                    pg_norm = gn
+            elif vn < hi and -gn > pg_norm:
+                pg_norm = -gn
+            if vn < 0.0:
+                if -vn > x_norm:
+                    x_norm = -vn
+            elif vn > x_norm:
+                x_norm = vn
+        alpha = min(_opt._ALPHA_MAX, max(_opt._ALPHA_MIN, shs / sy)) if sy > 0.0 \
+            else _opt._ALPHA_MAX
+        x, f, g = trial, f_new, g_new
+        recent.append(f)
+        if f < best[1]:
+            best = (x, f, pg_norm)
+
+        if step_norm <= _opt._STEP_TOL * (1.0 + x_norm):
+            status = _opt.STATUS_CONVERGED if pg_norm <= gtol * (1.0 + abs(f)) \
+                else _opt.STATUS_STALLED
+            stop = _opt.STOP_STEP_TOL
+            break
+
+    if stop in (_opt.STOP_MAX_ITER, _opt.STOP_FLOOR, _opt.STOP_LAMBDA_MIN):
+        x, f, pg_norm = best
+    return _opt.MinimizeResult(
+        x=tuple(x), value=f, status=status, iterations=iteration,
+        projected_gradient_norm=pg_norm, stop=stop, evaluations=evaluations,
+        backtracks=backtracks, steplength=alpha,
+    )

@@ -287,6 +287,45 @@ class TestRunsDirectory:
             assert rt.tension == orig.tension
             np.testing.assert_allclose(rt.tip_points, orig.tip_points, rtol=1e-8)
 
+    def test_loaded_runs_are_the_constructors_and_keep_its_messages(self, tmp_path):
+        # the loader keeps the reader's floats without a second finite
+        # check; each run equals the public constructor's, field for field
+        runs = SESSION_RUNS[:4]
+        write_runs_dir(runs, tmp_path)
+        back = load_runs_dir(tmp_path)
+        for rt in back:
+            public = CalibrationRun(rt.tendon_index, rt.tension, list(rt.tip_points))
+            assert vars(rt).keys() == vars(public).keys()
+            assert type(rt.tendon_index) is int and type(rt.tension) is float
+            assert type(rt.tip_points) is tuple
+            for name in ("tendon_index", "tension", "tip_points"):
+                assert repr(getattr(rt, name)) == repr(getattr(public, name))
+            assert [tuple(map(float.hex, p)) for p in rt.tip_points] == \
+                [tuple(map(float.hex, p)) for p in public.tip_points]
+            assert rt.curvature.hex() == public.curvature.hex()
+        # the files hold 9 significant digits, so only the setup round-trips
+        assert [(r.tendon_index, r.tension) for r in back] == \
+            [(r.tendon_index, r.tension) for r in runs]
+
+        (tmp_path / "still.csv").write_text("x_mm,y_mm,z_mm\n1,2,3\n1,2,3\n1,2,3\n")
+        manifest = tmp_path / "manifest.json"
+        for entry, message in [
+            ({"file": "run00.csv", "tendon_index": 4, "tension_N": 1.0},
+             "runs[0].tendon_index must be one of 1, 2, 3, got 4"),
+            ({"file": "run00.csv", "tendon_index": True, "tension_N": 1.0},
+             "runs[0].tendon_index must be an integer, got True"),
+            ({"file": "run00.csv", "tendon_index": 1, "tension_N": -0.5},
+             "runs[0].tension_N must be >= 0, got -0.5"),
+            ({"file": "run00.csv", "tendon_index": 1, "tension_N": "2"},
+             "runs[0].tension_N must be a number, got '2'"),
+            ({"file": "still.csv", "tendon_index": 2, "tension_N": 1.0},
+             "runs[0].tip_points all lie at [1.0, 2.0, 3.0]: the tip never moved"),
+        ]:
+            manifest.write_text(json.dumps({"runs": [entry]}))
+            with pytest.raises(InvalidInputError) as info:
+                load_runs_dir(tmp_path)
+            assert str(info.value) == f"{manifest}: {message}"
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(InvalidInputError):
             load_runs_dir(tmp_path)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from needle_mpc import optimizer
@@ -914,3 +914,174 @@ class TestGradientCheck:
 
         err = gradient_check(obj, np.array([0.3]))
         assert err > 1e-2
+
+
+@st.composite
+def reference_draws(draw):
+    """A TestReferenceRun problem of 1-30 variables, each with the bounds
+    of one of a drawn subset of the bound kinds."""
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(TestReferenceRun.BOUND_KINDS),
+                          min_size=1, max_size=4, unique=True))
+    coords = st.floats(-20.0, 20.0)
+    bounds = [TestReferenceRun.bound(draw(st.sampled_from(kinds)), draw(coords), draw(coords))
+              for _ in range(n)]
+    log_floats = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    return dict(
+        bounds=bounds,
+        x0=draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n)),
+        weights=draw(st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e),
+                              min_size=n, max_size=n)),
+        center=draw(st.lists(coords, min_size=n, max_size=n)),
+        coupling=draw(st.sampled_from([0.0, 0.1, 10.0])),
+        valley=draw(st.sampled_from([0.0, 1e8])),
+        wave=draw(st.sampled_from([0.0, 3.0])),
+        offset=draw(st.sampled_from([0.0, 1e10])),
+        scale=draw(st.none() | st.lists(log_floats, min_size=n, max_size=n)),
+        steplength=draw(st.none() | st.floats(-12.0, 10.0).map(lambda e: 10.0 ** e)),
+        use_start=draw(st.booleans()),
+        max_iterations=draw(st.integers(1, 300)),
+        gradient_tolerance=draw(st.sampled_from([1e-8, 1e-12, 1e-300])),
+        fault=draw(st.none() | st.tuples(
+            st.integers(1, 40),
+            st.sampled_from(["nan", "inf", "-inf", "short", "long", "value", "rise"]),
+            st.integers(0, 29))),
+        as_array=draw(st.booleans()),
+    )
+
+
+def reference_example(**changes):
+    """A hand-set TestReferenceRun problem: one variable in [-1, 1] from 0,
+    a unit square centred on 0.5, with changes applied."""
+    d = dict(bounds=[(-1.0, 1.0)], x0=[0.0], weights=[1.0], center=[0.5], coupling=0.0,
+             valley=0.0, wave=0.0, offset=0.0, scale=None, steplength=None, use_start=False,
+             max_iterations=300, gradient_tolerance=1e-300, fault=None, as_array=False)
+    d.update(changes)
+    return d
+
+
+# explicit examples that reach each exit and both exceptions, whatever the
+# drawn examples of a Hypothesis version reach
+REFERENCE_EXAMPLES = [
+    reference_example(gradient_tolerance=1e-8),                           # gtol
+    reference_example(x0=[0.3086900204526444], center=[0.30806971991087645],
+                      weights=[0.01876181863941267], wave=3.0,
+                      bounds=[(-20.0, 20.0)]),                              # no_descent
+    reference_example(bounds=[(-20.0, 20.0)] * 2, x0=[1.5, 1.0], center=[0.0, 0.0],
+                      weights=[1.0, 1e-4], valley=1e8),                     # step_tol
+    # step_tol with ||x||_inf pinned at the largest |bound|, where the step
+    # cap equals the step_tol threshold; a smaller cap ends it later
+    reference_example(bounds=[(-1.0, 1.0), (1.0, 1.0)], x0=[0.25, 0.44],
+                      center=[-0.38, -0.03], weights=[1e-4, 1e-3], valley=1e8),
+    reference_example(bounds=[(-20.0, 20.0)] * 2, x0=[1.5, 1.0], center=[0.0, 0.0],
+                      weights=[1.0, 1e-4], valley=1e8, max_iterations=5),   # max_iter
+    reference_example(offset=1e10, fault=(2, "rise", 0)),                  # floor
+    reference_example(fault=(2, "rise", 0)),                               # lambda_min
+    reference_example(fault=(2, "short", 0)),                              # InvalidInputError
+    reference_example(fault=(2, "nan", 0)),                                # NumericalFailureError
+    reference_example(fault=(2, "inf", 0), as_array=True),                 # the same, numpy
+]
+
+
+class TestReferenceRun:
+    """minimize against oracles.spg_run_reference, the SPG run before its
+    `moved` flag, its ||x||_inf at every step and its check of the accepted
+    gradient ahead of the post-step pass were dropped: the same point,
+    value, counts and steplength bit for bit, or the same exception class
+    and message."""
+
+    BOUND_KINDS = ("box", "pin", "open", "huge")
+
+    @staticmethod
+    def bound(kind, a, b):
+        if kind == "box":
+            return min(a, b), max(a, b)
+        if kind == "pin":       # lo == hi, a nonzero pin unless a is 0
+            return a, a
+        if kind == "open":
+            return (-math.inf, math.inf) if a < 0.0 else (-math.inf, max(a, b))
+        return -1e300, 1e300
+
+    @staticmethod
+    def objective(weights, center, coupling, valley, wave, offset, fault, as_array):
+        """A fresh objective (one per run, since a fault fires at its k-th
+        call): weighted squares, a coupling of the sum, a steep valley
+        between the first two variables, a sine term and a constant offset,
+        whose rounding floor ends line searches. fault is None or
+        (k, what, j): at the k-th call (from 1) entry j of the gradient
+        becomes nan or +-inf, the gradient loses or gains an entry, or the
+        value is nan; or, with what "rise", every value from the k-th call
+        on is raised by 1, so that line searches fail until they stop."""
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            total = sum(x)
+            value = offset + coupling * total * total
+            grad = []
+            for v, w, c in zip(x, weights, center):
+                e = v - c
+                value += w * e * e + wave * math.sin(v)
+                grad.append(2.0 * w * e + 2.0 * coupling * total + wave * math.cos(v))
+            if valley and len(x) >= 2:
+                r = x[1] - x[0] * x[0]
+                value += valley * r * r
+                grad[0] -= 4.0 * valley * x[0] * r
+                grad[1] += 2.0 * valley * r
+            if fault is not None and fault[1] == "rise" and calls[0] >= fault[0]:
+                value += 1.0
+            elif fault is not None and fault[0] == calls[0]:
+                _, what, j = fault
+                if what == "short":
+                    grad = grad[:-1]
+                elif what == "long":
+                    grad = grad + [0.0]
+                elif what == "value":
+                    value = math.nan
+                else:
+                    grad[j % len(grad)] = float(what)
+            return value, (np.array(grad) if as_array else grad)
+
+        return f
+
+    @staticmethod
+    def outcome(run):
+        try:
+            res = run()
+        except (InvalidInputError, NumericalFailureError) as exc:
+            return type(exc), str(exc)
+        return result_bits(res) + (
+            None if res.steplength is None else float(res.steplength).hex(),)
+
+    def test_sweep_matches_the_reference_bit_for_bit(self):
+        from oracles import spg_run_reference
+
+        seen = set()
+
+        def check(d):
+            lower = tuple(lo for lo, _ in d["bounds"])
+            upper = tuple(hi for _, hi in d["bounds"])
+            args = (d["weights"], d["center"], d["coupling"], d["valley"], d["wave"],
+                    d["offset"], d["fault"], d["as_array"])
+            sides = []
+            for solve in (minimize, spg_run_reference):
+                objective = self.objective(*args)
+                problem = BoxNlp(objective=objective, lower=lower, upper=upper,
+                                 max_iterations=d["max_iterations"],
+                                 gradient_tolerance=d["gradient_tolerance"], scale=d["scale"])
+                x0 = tuple(d["x0"])
+                start = None
+                if d["use_start"]:
+                    start = objective([min(max(v, lo), hi)
+                                       for v, lo, hi in zip(x0, lower, upper)])
+                sides.append(self.outcome(lambda: solve(
+                    problem, x0, start=start, steplength=d["steplength"])))
+            assert sides[0] == sides[1]
+            seen.add(sides[0][4] if len(sides[0]) > 2 else sides[0][0].__name__)
+
+        for d in REFERENCE_EXAMPLES:
+            check = example(d)(check)
+        settings(max_examples=300, derandomize=True, deadline=None)(
+            given(reference_draws())(check))()
+        assert seen == {"gtol", "no_descent", "step_tol", "max_iter", "floor", "lambda_min",
+                        "InvalidInputError", "NumericalFailureError"}
