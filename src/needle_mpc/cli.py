@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a closed-loop scenario")
     run_p.add_argument("scenario", nargs="?", help="scenario JSON file")
-    run_p.add_argument("--preset", help="bundled scenario name (see --list-presets)")
+    run_p.add_argument("--preset", help="bundled scenario name (see `needle-mpc presets`)")
     run_p.add_argument("--out", default="out", help="output directory (default: out)")
     run_p.add_argument("--seed", type=int, default=None, help="override the plant seed")
     run_p.set_defaults(func=cmd_run)

@@ -35,7 +35,15 @@ unit-metric steplength cannot serve both. The solver's stop test reads the
 projected gradient, in the cost's units, whatever the metric.
 The first input of the optimized sequence is applied, and the whole
 sequence warm-starts the next step, from the previous plan held or
-shifted by one input (see `solve_horizon` for the rule). A warm start
+shifted by one input (see `solve_horizon` for the rule). The held plan is
+turned with the tip's heading. The model steers about frame-fixed axes,
+ddot = d x (u_x, u_y, 0), so turning the state, the references and every
+stage's (u_x, u_y) about z turns each rollout with them; with q_x = q_y and
+r_x = r_y the cost does not change. A solution records the direction it
+was solved from, and the next solve turns the held plan's bending rates
+by the turn of the heading's horizontal part since then. On a reference
+that turns with the tip (the helix) the turned plan starts near the new
+optimum, where the unturned one would be learned again. A warm start
 carries the solver's last Barzilai-Borwein steplength too, which caps the
 next solve's first one. The bounds, iteration cap and tolerance of the
 solver's problem are checked once, by `MpcConfig`, and not again per solve;
@@ -57,6 +65,7 @@ from .errors import (
     NumericalFailureError,
     _prechecked,
     check_fields,
+    finite_floats,
     finite_points,
     key,
     key_of,
@@ -134,6 +143,9 @@ class HorizonSolution:
     gradient in the cost's units. steplength is the returned run's last
     steplength, which a solve warm-started from this one begins with when
     it is smaller than its own first; None starts from the solver's own.
+    start_direction is the tip direction d_0 the solve started from (three
+    finite floats), or None: a warm-started solve turns the held plan by
+    the heading's turn since then, and None holds it as it is.
     """
 
     input_vector: tuple[float, ...]
@@ -145,9 +157,13 @@ class HorizonSolution:
     evaluations: int = 0
     backtracks: int = 0
     steplength: Optional[float] = None
+    start_direction: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "input_vector", tuple(map(float, self.input_vector)))
+        if self.start_direction is not None:
+            object.__setattr__(self, "start_direction",
+                               finite_floats(self.start_direction, "start_direction", 3))
 
     @property
     def inputs(self) -> tuple[VirtualInput, ...]:
@@ -327,6 +343,31 @@ def _shift_warm_start(warm: HorizonSolution, horizon: int) -> tuple[float, ...]:
     return x_prev[3:] + x_prev[-3:]
 
 
+def _turned_plan(warm: HorizonSolution, d0, config: MpcConfig) -> tuple[float, ...]:
+    """warm's plan with each stage's bending rates (u_x, u_y) turned about z
+    by the angle from the horizontal part of warm.start_direction to that
+    of d0: the model and, with q_x = q_y and r_x = r_y, the cost do not
+    change under that turn. The plan is held as it is without a start
+    direction, in planar mode (u_y is pinned to 0) or when either
+    horizontal part is zero or the angle is."""
+    x = warm.input_vector
+    d_prev = warm.start_direction
+    if d_prev is None or config.planar_mode:
+        return x
+    if (d_prev[0] == 0.0 and d_prev[1] == 0.0) or (d0[0] == 0.0 and d0[1] == 0.0):
+        return x
+    angle = math.atan2(d0[1], d0[0]) - math.atan2(d_prev[1], d_prev[0])
+    if angle == 0.0:
+        return x
+    c, s = math.cos(angle), math.sin(angle)
+    turned = list(x)
+    for k in range(1, len(x), 3):
+        ux, uy = x[k], x[k + 1]
+        turned[k] = c * ux - s * uy
+        turned[k + 1] = s * ux + c * uy
+    return tuple(turned)
+
+
 def _project(x, lo, hi) -> tuple[float, ...]:
     return tuple([a if v < a else (b if v > b else v) for v, a, b in zip(x, lo, hi)])
 
@@ -361,13 +402,19 @@ def solve_horizon(
     Without a warm start the solve starts from zero inputs, projected into
     the bounds. With one it costs two candidates, each projected into the
     bounds, by one rollout each: the shifted previous solution (last input
-    repeated) and the previous solution held as it is. It starts from the
-    held plan only when that is strictly cheaper, and otherwise from the
-    shifted one. A solve from the held plan that ends stalled is run again
-    from the shifted plan, and that second run is returned, with the
-    evaluations and backtracks of both. So the returned cost never exceeds
-    the shifted candidate's cost, and it does not exceed the held
-    candidate's cost unless the held run stalled. A numerical failure
+    repeated) and the previous solution held, each stage's (u_x, u_y)
+    turned about z by the angle from the horizontal part of
+    warm_start.start_direction to that of s0.d. The held plan is not turned
+    when the warm start has no start direction, when either horizontal part
+    is zero (no heading to turn from or to) or in planar mode, where u_y is
+    pinned to 0. The solve starts from the held plan only when that is
+    strictly cheaper, and otherwise from the shifted one. A solve from the
+    held plan that ends stalled is run again from the shifted plan, and
+    that second run is returned, with the evaluations and backtracks of
+    both. The turn changes only the held candidate, which must win on cost
+    to be used, so the returned cost never exceeds the shifted candidate's
+    cost, and it does not exceed the held candidate's cost unless the held
+    run stalled. A numerical failure
     inside the solver falls back to zero input and is reported via
     solver_status = "fault" instead of raising.
 
@@ -386,7 +433,7 @@ def solve_horizon(
         runs = [(zero, core._rollout(zero), None)]
     else:
         shifted = _project(_shift_warm_start(warm_start, n), lo, hi)
-        held = _project(warm_start.input_vector, lo, hi)
+        held = _project(_turned_plan(warm_start, s0.d, config), lo, hi)
         shifted_rollout, held_rollout = core._rollout(shifted), core._rollout(held)
         carried = warm_start.steplength
         if held_rollout[0] < shifted_rollout[0]:
@@ -419,6 +466,7 @@ def solve_horizon(
         evaluations=res.evaluations,
         backtracks=res.backtracks,
         steplength=res.steplength,
+        start_direction=s0.d,
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -851,3 +852,34 @@ class TestPresetListing:
         assert "target1" in out
         assert "planar_slow" in out
         assert "replays/replay3" in out
+
+
+def _parsers(parser, name="needle-mpc"):
+    """(name, parser) for parser and each of its subcommands, depth first."""
+    yield name, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub, subparser in action.choices.items():
+                yield from _parsers(subparser, f"{name} {sub}")
+
+
+class TestHelpText:
+    def test_every_named_flag_and_subcommand_exists(self):
+        parser = cli.build_parser()
+        commands = {name for name, _ in _parsers(parser)}
+        for name, sub in _parsers(parser):
+            options = {opt for action in sub._actions for opt in action.option_strings}
+            texts = [sub.description or ""] + [action.help or "" for action in sub._actions]
+            texts += [choice.help or "" for action in sub._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      for choice in action._choices_actions]
+            for text in texts:
+                for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", text):
+                    assert flag in options, f"{name}: help names {flag}, not an option"
+                for command in re.findall(r"needle-mpc(?: [a-z]+)+", text):
+                    assert command in commands, f"{name}: help names {command!r}"
+
+    def test_run_help_points_at_the_presets_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        assert "needle-mpc presets" in " ".join(capsys.readouterr().out.split())
