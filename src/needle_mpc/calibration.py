@@ -2,9 +2,9 @@
 
 Each calibration run holds one tendon at a constant tension while inserting
 at constant speed, which bends the tip along a circular arc. The arc's
-curvature comes from a circle fit (see mapping.estimate_curvature), and a
-through-origin line fit of curvature against tension yields the gain that
-the controller-side geometry should use.
+curvature comes from a circle fit (mapping._arc_curvature), and a
+through-origin line fit of curvature against tension (mapping._origin_slope)
+yields the gain that the controller-side geometry should use.
 
 Runs load from a directory of per-run CSVs (columns x_mm, y_mm, z_mm)
 described by a manifest.json sidecar:
@@ -14,18 +14,15 @@ described by a manifest.json sidecar:
 Tip points are held as tuples of (x, y, z) float tuples. Each value is
 checked once, where it enters: the run CSV reader refuses a non-numeric or
 non-finite coordinate, naming the file and line, and CalibrationRun checks
-the tendon index, the tension and the point list. load_runs_dir builds
-each run from the reader's tuples of floats, which it keeps without a
-second finite check; the index, the tension, the point count and the tip
-that never moved are checked as the constructor checks them, with its
-messages. The fits then run on
-those floats as they are, through mapping's _arc_curvature and
-_origin_slope, the fits that estimate_curvature and fit_gain run after
-their own checks. The gain and its residual rms are correctly rounded sums
-of floats (math.fsum), so their bits do not depend on the order of the
-runs. A run fits its circle once, when its curvature is first read, so
-refitting runs in other combinations (the gain from each choice of two
-tensions per tendon, say) fits no arc again.
+the tendon index, the tension and the point list. load_runs_dir builds each
+run from the reader's tuples of floats, which it keeps without a second
+finite check; the index, the tension, the point count and the tip that
+never moved are checked as the constructor checks them, with its messages.
+The two fits check nothing again. The gain and its residual rms are
+correctly rounded sums of floats (math.fsum), so their bits do not depend
+on the order of the runs. A run fits its circle once, when its curvature is
+first read, so refitting runs in other combinations (the gain from each
+choice of two tensions per tendon, say) fits no arc again.
 """
 
 from __future__ import annotations
@@ -47,9 +44,9 @@ from .errors import (
 from .harness import _read_json, _read_numeric_csv, _write_csv, _write_json
 from .kinematics import _check_ts, _exact_flow, _settle
 from .mapping import TendonCommand, TendonGeometry, _arc_curvature, _origin_slope, rates_from_command
-# not called here, where the values are checked already; perfbench/tracer.py
-# wraps the two names on this module
-from .mapping import estimate_curvature, fit_gain  # noqa: F401
+
+# not fits, and always None; perfbench/tracer.py wraps those names
+estimate_curvature = fit_gain = None
 
 MANIFEST_NAME = "manifest.json"
 RUN_CSV_COLUMNS = ["x_mm", "y_mm", "z_mm"]
@@ -124,7 +121,7 @@ def calibrate(runs) -> CalibrationResult:
         gain = _origin_slope(tensions, curvatures)
     except InvalidInputError:
         # a non-finite curvature (one set on a run, not fitted) always fails
-        # the slope's sums; it is named first, as fit_gain names it
+        # the slope's sums; it is named first, as a non-finite sample
         for k in curvatures:
             if not math.isfinite(k):
                 raise InvalidInputError(f"samples has a non-finite value {k!r}") from None

@@ -66,12 +66,6 @@ def finite_floats(value, name: str, count) -> tuple[float, ...]:
     count or nested entries (the rows of a 2-D array) raise
     InvalidInputError naming `name`. A tuple of count finite floats is
     returned as it is."""
-    if type(value) is tuple and (count is None or len(value) == count):
-        for v in value:
-            if type(v) is not float or not math.isfinite(v):
-                break
-        else:
-            return value
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise InvalidInputError(f"{name} must be a list of numbers, got {value!r}")
     vals = tuple(value)

@@ -37,8 +37,7 @@ with its messages, and its p and d are float 3-tuples already. Loops
 that need only floats (open-loop replays, simulated calibration arcs) call
 _exact_flow and _settle directly: the same bits and the same messages,
 without an object per step.
-Sums such as a norm or a dot product are evaluated left to right, so a
-step's bits do not depend on which BLAS kernel the CPU dispatches to.
+Sums such as a norm or a dot product are evaluated left to right.
 """
 
 from __future__ import annotations

@@ -48,14 +48,9 @@ InvalidInputError naming tau. The commands CSV reader has checked its
 floats already and builds each command through TendonCommand._prechecked,
 which checks only the tensions' sign.
 
-Also home to the curvature estimators used by calibration: a circle fit for
-recorded tip arcs and a through-origin linear fit of curvature vs tension.
-estimate_curvature and fit_gain check their inputs as finite numbers (str,
-bytes and bools refused), then run _arc_curvature and _origin_slope on the
-checked floats; calibration calls those two directly on the floats that
-CalibrationRun checked. The circle fit sums left to right, projecting each
-point into the arc's plane in the same pass as its sums; the line fit sums
-with math.fsum.
+Also home to calibration's two fits, _arc_curvature (a circle fit of a tip
+arc) and _origin_slope (a through-origin line fit of curvature against
+tension), which run on the floats CalibrationRun checked and check nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateFitError,
@@ -72,7 +67,6 @@ from .errors import (
     check_fields,
     finite_float,
     finite_floats,
-    finite_points,
     key,
 )
 from .kinematics import VirtualInput
@@ -274,27 +268,16 @@ def inverse_map(u: VirtualInput, geometry: TendonGeometry) -> InverseMapResult:
                        saturated=saturated)
 
 
-def fit_gain(samples: Iterable[tuple[float, float]]) -> float:
+def _origin_slope(tensions: list, curvatures: list) -> float:
     """Through-origin slope of curvature (1/mm) against tension (N).
 
     Least squares with zero intercept: gain = sum(tau*kappa) / sum(tau^2),
     both sums correctly rounded (math.fsum), so the order of the samples
-    sets no bit. samples are at least 2 (tension, curvature) pairs of finite
-    numbers, tensions nonnegative. Sums or a slope beyond the float range
-    raise InvalidInputError.
+    sets no bit. tensions and curvatures are lists of as many finite
+    floats, the tensions nonnegative. All-zero tensions raise
+    DegenerateFitError, and sums or a slope beyond the float range
+    InvalidInputError.
     """
-    pairs = [finite_floats(pair, "samples", 2) for pair in samples]
-    if len(pairs) < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {len(pairs)}")
-    tensions = [t for t, _ in pairs]
-    if any(t < 0.0 for t in tensions):
-        raise InvalidInputError("tensions must be nonnegative")
-    return _origin_slope(tensions, [k for _, k in pairs])
-
-
-def _origin_slope(tensions: list, curvatures: list) -> float:
-    """fit_gain's slope on checked floats: finite tensions, all >= 0, and
-    as many finite curvatures."""
     try:
         num = math.fsum([t * k for t, k in zip(tensions, curvatures)])
         denom = math.fsum([t * t for t in tensions])
@@ -311,12 +294,12 @@ def _origin_slope(tensions: list, curvatures: list) -> float:
     return gain
 
 
-def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
+def _arc_curvature(rows) -> float:
     """Curvature (1/mm) of a point set lying near a planar circular arc.
 
     Fits the best plane through the centered points, projects into it, and
-    runs an algebraic least-squares circle fit. points are at least 3
-    [x, y, z] points of finite numbers; str, bytes and bools are refused.
+    runs an algebraic least-squares circle fit. rows are at least 3 tuples
+    of three finite floats.
 
     The plane is spanned by the two leading eigenvectors of the centered
     points' scatter matrix, found by cyclic Jacobi rotations. u and v are
@@ -324,18 +307,10 @@ def estimate_curvature(points: Sequence[Sequence[float]]) -> float:
     collinear, with curvature 0, when sqrt(sum(v^2)) <= 1e-9 * sqrt(sum(u^2)).
     The circle's center (cu, cv) solves the normal equations of minimizing
     sum((u-cu)^2 + (v-cv)^2 - R^2) linearized in (cu, cv, R^2) (Kasa's fit),
-    and the radius is the points' mean distance from it.
+    and the radius is the points' mean distance from it. Each point is
+    projected to (u, v) and summed into the Kasa sums, left to right, in
+    the same pass. Sums beyond the float range raise InvalidInputError.
     """
-    rows = finite_points(points, "points")
-    if len(rows) < 3:
-        raise InvalidInputError(f"need at least 3 points of dimension 3, got {len(rows)}")
-    return _arc_curvature(rows)
-
-
-def _arc_curvature(rows) -> float:
-    """estimate_curvature's fit on checked points: at least 3 tuples of
-    three finite floats. Each point is projected to (u, v) and summed into
-    the Kasa sums in the same pass."""
     n = len(rows)
     mx = my = mz = 0.0
     for x, y, z in rows:

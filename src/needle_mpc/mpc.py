@@ -45,18 +45,20 @@ by the turn of the heading's horizontal part since then. On a reference
 that turns with the tip (the helix) the turned plan starts near the new
 optimum, where the unturned one would be learned again. A warm start
 carries the solver's last Barzilai-Borwein steplength too, which caps the
-next solve's first one. The bounds, iteration cap and tolerance of the
-solver's problem are checked once, by `MpcConfig`, and not again per solve;
-the config also doubles the weights for the gradient once. A solve's
-`HorizonSolution` and the controller's applied `VirtualInput` are built
-through `errors._prechecked` from the solver's tuple of floats, without the
-constructors' conversion and checks: every entry is a float inside the
-config's bounds, which are finite.
+next solve's first one. `MpcConfig` checks the bounds, iteration cap and
+tolerance of the solver's problem once, and doubles the weights for the
+gradient once; the solver's `BoxNlp` is a plain record. The one other
+input, a warm start handed to `solve_horizon`, is checked by
+`HorizonSolution`'s constructor. A solve's own `HorizonSolution` and the
+controller's applied `VirtualInput` are built through `errors._prechecked`
+from the solver's tuple of floats: every entry is a float inside the
+config's finite bounds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +73,7 @@ from .errors import (
     key_of,
 )
 from .kinematics import NeedleState, VirtualInput
-from .optimizer import STATUS_STALLED, BoxNlp, minimize
+from .optimizer import _ALPHA_MAX, _ALPHA_MIN, STATUS_STALLED, BoxNlp, minimize
 
 # not a rollout, and always None; perfbench/tracer.py wraps that name
 rollout = None
@@ -133,9 +135,11 @@ class HorizonSolution:
     """Optimized input sequence with its cost and solver outcome.
 
     input_vector holds the inputs flat, (u_s_0, u_x_0, u_y_0, u_s_1, ...),
-    as a tuple of floats (any sequence of numbers given is converted);
-    inputs reads it as VirtualInputs, and the next solve starts from it
-    held or shifted.
+    as a tuple of floats; inputs reads it as VirtualInputs, and the next
+    solve starts from it held or shifted. The constructor checks a warm
+    start handed to solve_horizon: input_vector and start_direction pass
+    errors.finite_floats, and steplength must be None or a number in
+    [1e-12, 1e10]. A solve builds its own solution without the checks.
     stop says why the solver stopped (see `optimizer.MinimizeResult`), or is
     "fault" for the zero-input fallback, whose counts are 0 and whose
     steplength is None: a failed solve returns no result to count from.
@@ -160,14 +164,23 @@ class HorizonSolution:
     start_direction: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "input_vector", tuple(map(float, self.input_vector)))
+        object.__setattr__(self, "input_vector",
+                           finite_floats(self.input_vector, "input_vector", None))
+        step = self.steplength
+        if step is not None:
+            if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (
+                    _ALPHA_MIN <= step <= _ALPHA_MAX):
+                raise InvalidInputError(
+                    f"steplength must be in [{_ALPHA_MIN:g}, {_ALPHA_MAX:g}], got {step!r}"
+                )
+            object.__setattr__(self, "steplength", float(step))
         if self.start_direction is not None:
             object.__setattr__(self, "start_direction",
                                finite_floats(self.start_direction, "start_direction", 3))
 
     @property
     def inputs(self) -> tuple[VirtualInput, ...]:
-        """input_vector as VirtualInputs; non-finite entries raise InvalidInputError."""
+        """input_vector as VirtualInputs."""
         x = self.input_vector
         return tuple(map(VirtualInput, x[0::3], x[1::3], x[2::3]))
 
@@ -375,18 +388,11 @@ def _project(x, lo, hi) -> tuple[float, ...]:
 def _minimize_from(core: _EulerHorizon, x0: tuple, rollout: tuple, steplength,
                    config: MpcConfig):
     """One solve of the horizon from x0, a point in the bounds that
-    rollout is the rollout of, in the metric built at x0. The config
-    checked the bounds, the iteration cap and the tolerance; metric()
-    returns finite positive floats or None."""
+    rollout is the rollout of, in the metric built at x0."""
     lo, hi = config.horizon_bounds()
-    problem = BoxNlp._prechecked(
-        objective=core.value_and_grad,
-        lower=lo,
-        upper=hi,
-        max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-        scale=core.metric(x0),
-    )
+    problem = BoxNlp(objective=core.value_and_grad, lower=lo, upper=hi,
+                     max_iterations=config.max_iterations,
+                     gradient_tolerance=config.gradient_tolerance, scale=core.metric(x0))
     return minimize(problem, x0, multi_start=config.multi_start, seed=config.seed,
                     start=core._reverse(rollout), steplength=steplength)
 

@@ -96,14 +96,13 @@ only a backtrack builds another.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import InvalidInputError, NumericalFailureError, _prechecked, finite_floats
+from .errors import InvalidInputError, NumericalFailureError
 
 _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e10
@@ -134,20 +133,19 @@ STOP_MAX_ITER = "max_iter"
 
 @dataclass
 class BoxNlp:
-    """A smooth objective with elementwise bounds.
+    """A smooth objective with elementwise bounds, a record the solver does not check.
 
     objective maps a point, a list of n floats inside the bounds, to
     (value, gradient), the gradient a sequence of n floats. The solver
     reads it when a solve starts and calls it once per line-search trial.
 
-    lower and upper may be any sequences of numbers. They are checked once,
-    here, and kept as tuples of floats, whose length n is the dimension and
-    which every solve reads; they must not change after construction.
-
-    scale, when given, is the solver's diagonal metric h: n finite positive
-    numbers, checked once and kept as a tuple of floats. The steps run in
-    it (see the module docstring); the stop tests do not. None is the
-    identity.
+    lower and upper are tuples of n >= 1 floats (infinite ends allowed),
+    with lower <= upper entrywise; n is the dimension. max_iterations is
+    at least 1 and gradient_tolerance positive. scale, the solver's
+    diagonal metric h, is None (the identity) or a tuple of n finite
+    positive floats; the steps run in it (see the module docstring), the
+    stop tests do not. mpc builds every problem from an MpcConfig, which
+    guarantees all of this.
     """
 
     objective: Callable[[list], tuple[float, Sequence[float]]]
@@ -158,58 +156,6 @@ class BoxNlp:
     scale: Optional[tuple[float, ...]] = None
     # not a field, and always None; perfbench/tracer.py reads that name
     objective_value = None
-
-    def __post_init__(self):
-        lower, upper = _bounds(self.lower), _bounds(self.upper)
-        if not lower or len(lower) != len(upper):
-            raise InvalidInputError(
-                f"bounds must have equal lengths of at least 1, got {len(lower)} and {len(upper)}"
-            )
-        if any(map(math.isnan, lower + upper)):
-            raise InvalidInputError("bounds contain NaN")
-        for i, (lo, hi) in enumerate(zip(lower, upper)):
-            if lo > hi:
-                raise InvalidInputError(
-                    f"lower bound exceeds upper bound at index {i}: {lo} > {hi}"
-                )
-        if self.max_iterations < 1:
-            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.gradient_tolerance > 0.0:
-            raise InvalidInputError("gradient_tolerance must be positive")
-        if self.scale is not None:
-            self.scale = finite_floats(self.scale, "scale", len(lower))
-            if not all(h > 0.0 for h in self.scale):
-                raise InvalidInputError("scale must be positive")
-        self.lower, self.upper = lower, upper
-
-    @classmethod
-    def _prechecked(cls, objective, lower, upper, max_iterations, gradient_tolerance,
-                    scale) -> BoxNlp:
-        """A BoxNlp from fields that hold what __post_init__ would leave:
-        bounds and scale as tuples of floats that pass its checks. Built
-        without checking them again, for a caller that checked them once
-        (mpc builds one per solve from an MpcConfig)."""
-        return _prechecked(
-            cls, objective=objective, lower=lower, upper=upper, max_iterations=max_iterations,
-            gradient_tolerance=gradient_tolerance, scale=scale,
-        )
-
-
-def _bounds(values) -> tuple[float, ...]:
-    """values as a tuple of floats, inf included; str, bytes and bools are refused."""
-    if type(values) is tuple and all(type(v) is float for v in values):
-        return values  # a solve's own bounds, the common case
-    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-        raise InvalidInputError("bounds must hold numbers only")
-    vals = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):  # numpy bools are not Real
-            raise InvalidInputError("bounds must hold numbers only")
-        try:
-            vals.append(float(v))
-        except OverflowError:  # an integer beyond the float range
-            vals.append(math.inf if v > 0 else -math.inf)
-    return tuple(vals)
 
 
 @dataclass
@@ -404,7 +350,8 @@ def minimize(
     start: Optional[tuple[float, Sequence[float]]] = None,
     steplength: Optional[float] = None,
 ) -> MinimizeResult:
-    """Minimize a BoxNlp from x0 (clipped into the box first).
+    """Minimize a BoxNlp from x0, a sequence of n floats (clipped into the
+    box first). Like the problem, the arguments are not checked.
 
     multi_start > 0 additionally solves from that many uniform random points
     in the box (seeded, so results are reproducible) and returns the best
@@ -413,23 +360,15 @@ def minimize(
 
     start, when given, is the objective's (value, gradient) at x0 clipped
     into the box, taken in place of the run's first objective call.
-    steplength, when given, is a previous run's last steplength, a number
+    steplength, when given, is a previous run's last steplength, a float
     in [1e-12, 1e10]; the run from x0 begins at the smaller of it and its
     own first steplength (see the module docstring). Neither applies to the
     random starts.
     """
-    lower, upper = problem.lower, problem.upper
-    x0 = finite_floats(x0, "x0", len(lower))
-    if steplength is not None and not _ALPHA_MIN <= steplength <= _ALPHA_MAX:
-        raise InvalidInputError(
-            f"steplength must be in [{_ALPHA_MIN:g}, {_ALPHA_MAX:g}], got {steplength!r}"
-        )
-    if multi_start > 0 and not all(map(math.isfinite, lower + upper)):
-        raise InvalidInputError("multi_start requires finite bounds")
-
     best = _solve_from(problem, x0, start, steplength)
     if multi_start > 0:
         uniform = random.Random(seed).uniform
+        lower, upper = problem.lower, problem.upper
         runs = [best]
         for _ in range(multi_start):
             res = _solve_from(problem, [uniform(lo, hi) for lo, hi in zip(lower, upper)])

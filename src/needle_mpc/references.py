@@ -133,8 +133,6 @@ def _interp_path(points: tuple, knots: tuple, times) -> tuple:
                 v = slope * (t - t0) + p0
                 if v != v:    # nan: np.interp retries from the right knot
                     v = slope * (t - t1) + p1
-                    if v != v and p0 == p1:
-                        v = p0
                 row.append(v)
             rows.append(tuple(row))
     return tuple(rows)

@@ -389,7 +389,7 @@ def finite_points_per_entry(value, name):
 
 
 def estimate_curvature_multipass(points, collinear_rtol=1e-9):
-    """mapping.estimate_curvature with its points checked entry by entry and
+    """mapping._arc_curvature with its points checked entry by entry and
     its passes apart: the in-plane coordinates u and v are projected into
     lists of their own, the Kasa sums run over those lists, and the radius
     over them again."""

@@ -23,7 +23,6 @@ from needle_mpc.mapping import (
     TendonCommand,
     TendonGeometry,
     _arc_curvature,
-    estimate_curvature,
     rates_from_command,
 )
 from oracles import calibrate_per_pair, estimate_curvature_multipass, zero_intercept_gain
@@ -69,7 +68,7 @@ class TestCalibrationRun:
 class TestSimulatedRuns:
     def test_arc_curvature_matches_commanded(self):
         run = simulate_calibration_run(1, 4.0, TRUE_GEO)
-        kappa = estimate_curvature(run.tip_points)
+        kappa = _arc_curvature(run.tip_points)
         assert kappa == pytest.approx(4.0 * TRUE_GEO.gain, rel=1e-9)
 
     def test_point_count(self):
@@ -170,7 +169,7 @@ class TestCalibrate:
         got = [calibrate(subset) for subset in (runs[:3], runs[1:], runs[::3])]
         assert got == want
         assert len(calls) == 4  # one fit per run, not one per run and subset
-        assert [r.curvature for r in runs] == [estimate_curvature(r.tip_points) for r in runs]
+        assert [r.curvature for r in runs] == [_arc_curvature(r.tip_points) for r in runs]
         assert len(calls) == 4  # a cached curvature fits nothing
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 10.0), min_size=2, max_size=9),

@@ -294,16 +294,15 @@ class TestStepExact:
         assert np.linalg.norm(np.subtract(states[-1].p, states[0].p)) < 1e-9
 
     def test_three_point_circle_fit_curvature(self):
-        from needle_mpc.mapping import estimate_curvature
+        from needle_mpc.mapping import _arc_curvature
 
         # start perpendicular to the bending axis so the path is a circle,
         # not a helix; the angle between d and (u_x, u_y, 0) is invariant
         s = NeedleState(p=(0, 0, 0), d=(0.0, 0.0, 1.0))
         u = VirtualInput(12.0, 0.9, -0.7)
         states = rollout(s, [u] * 40, 0.05)
-        pts = np.array([st_.p for st_ in states])
         want = math.hypot(u.u_x, u.u_y) / u.u_s
-        got = estimate_curvature(pts[[0, 20, 40]])
+        got = _arc_curvature([states[k].p for k in (0, 20, 40)])
         assert got == pytest.approx(want, rel=1e-6)
 
     @given(

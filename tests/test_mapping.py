@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from needle_mpc.calibration import CalibrationRun, calibrate
 from needle_mpc.errors import DegenerateFitError, InvalidInputError
 from needle_mpc.harness import _read_numeric_csv
 from needle_mpc.kinematics import NeedleState, VirtualInput
@@ -19,8 +20,7 @@ from needle_mpc.mapping import (
     TendonCommand,
     TendonGeometry,
     _arc_curvature,
-    estimate_curvature,
-    fit_gain,
+    _origin_slope,
     forward_map,
     inverse_map,
     rates_from_command,
@@ -474,50 +474,59 @@ class TestInverseMap:
 gain_sample_st = st.one_of(st.just(0.0), st.floats(1e-30, 1e30))
 
 
+def gain_of(pairs):
+    """_origin_slope on (tension, curvature) pairs."""
+    return _origin_slope([t for t, _ in pairs], [k for _, k in pairs])
+
+
+def fit_curvature(points):
+    """_arc_curvature on points given as any rows of three numbers."""
+    return _arc_curvature([tuple(p) for p in np.asarray(points, dtype=float).tolist()])
+
+
+# an arc CalibrationRun accepts
+ARC = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.1), (2.0, 0.0, 0.4))
+
+
 class TestFitGain:
+    """The through-origin gain fit, on the tensions CalibrationRun checked
+    and the curvatures of its arcs."""
+
     def test_exact_line_through_default_gain(self):
-        taus = np.array([1.0, 2.0, 5.0, 7.0])
-        pairs = list(zip(taus, DEFAULT_GAIN * taus))
-        assert fit_gain(pairs) == pytest.approx(DEFAULT_GAIN, rel=1e-15)
+        taus = [1.0, 2.0, 5.0, 7.0]
+        assert gain_of([(t, DEFAULT_GAIN * t) for t in taus]) == pytest.approx(
+            DEFAULT_GAIN, rel=1e-15)
 
     def test_two_point_exact(self):
-        assert fit_gain([(1.0, 2e-4), (2.0, 4e-4)]) == pytest.approx(2e-4, rel=1e-15)
+        assert gain_of([(1.0, 2e-4), (2.0, 4e-4)]) == pytest.approx(2e-4, rel=1e-15)
 
     def test_noisy_recovery_within_standard_error(self):
         rng = np.random.default_rng(10)
         taus = np.tile(np.arange(1.0, 8.0), 4)
         true_g = 3.7e-4
         kappas = true_g * taus + rng.normal(scale=5e-6, size=taus.size)
-        got = fit_gain(zip(taus, kappas))
+        got = gain_of(list(zip(taus.tolist(), kappas.tolist())))
         oracle_g, se = zero_intercept_gain(taus, kappas)
         assert got == pytest.approx(oracle_g, rel=1e-12)
         assert abs(got - true_g) <= 4.0 * se
 
     def test_too_few_samples(self):
-        with pytest.raises(InvalidInputError):
-            fit_gain([(1.0, 3.7e-4)])
+        with pytest.raises(InvalidInputError, match="^need at least 2 calibration runs, got 1$"):
+            calibrate([CalibrationRun(1, 1.0, ARC)])
 
     def test_negative_tension_rejected(self):
-        with pytest.raises(InvalidInputError, match="^tensions must be nonnegative$"):
-            fit_gain([(1.0, 3.7e-4), (-2.0, -7.4e-4)])
+        with pytest.raises(InvalidInputError, match="^tension_N must be >= 0, got -2.0$"):
+            CalibrationRun(1, -2.0, ARC)
 
     def test_all_zero_tension_degenerate(self):
         with pytest.raises(DegenerateFitError):
-            fit_gain([(0.0, 0.0), (0.0, 1e-5), (0.0, 2e-5)])
-
-    @pytest.mark.parametrize("samples", [
-        [("1", "0.0004"), ("2", "0.0008")],
-        [(1.0, b"4e-4"), (2.0, 8e-4)],
-        [(True, 4e-4), (2.0, 8e-4)],
-        "12",
-    ])
-    def test_strings_and_bools_are_not_parsed(self, samples):
-        with pytest.raises(InvalidInputError, match="^samples "):
-            fit_gain(samples)
+            gain_of([(0.0, 0.0), (0.0, 1e-5), (0.0, 2e-5)])
 
     def test_non_finite_sample_named(self):
-        with pytest.raises(InvalidInputError, match="^samples has a non-finite value"):
-            fit_gain([(1.0, 4e-4), (2.0, math.inf)])
+        runs = [CalibrationRun(1, 1.0, ARC), CalibrationRun(1, 2.0, ARC)]
+        object.__setattr__(runs[1], "curvature", math.inf)  # as if fitted from an arc
+        with pytest.raises(InvalidInputError, match="^samples has a non-finite value inf$"):
+            calibrate(runs)
 
     @pytest.mark.parametrize("samples", [
         [(1e200, 1e-3), (2e200, 2e-3)],       # sum(tau^2) overflows
@@ -527,7 +536,7 @@ class TestFitGain:
     ])
     def test_sums_beyond_the_float_range_are_invalid_input(self, samples):
         with pytest.raises(InvalidInputError, match="^samples put .* beyond the float range"):
-            fit_gain(samples)
+            gain_of(samples)
 
     @given(st.lists(st.tuples(gain_sample_st, gain_sample_st), min_size=2, max_size=12),
            st.randoms())
@@ -538,24 +547,26 @@ class TestFitGain:
         # once: |gain - slope| <= (5u + O(u^2)) slope < 5 ulp(slope).
         # 200000 random samples over 16 decades measured at most 3.24 ulp.
         assume(any(t > 0.0 for t, _ in pairs))
-        got = fit_gain(pairs)
+        got = gain_of(pairs)
         exact = (sum(Fraction(t) * Fraction(k) for t, k in pairs)
                  / sum(Fraction(t) ** 2 for t, _ in pairs))
         assert abs(Fraction(got) - exact) <= 5 * Fraction(math.ulp(float(exact)))
         rnd.shuffle(pairs)
-        assert fit_gain(pairs) == got
+        assert gain_of(pairs) == got
 
 
 class TestEstimateCurvature:
+    """The circle fit of a tip arc, on the points CalibrationRun checked."""
+
     def test_exact_circle(self):
         r = 200.0
         ang = np.linspace(0.0, 0.8, 25)
         pts = np.stack([r * np.sin(ang), np.zeros_like(ang), r * (1 - np.cos(ang))], axis=1)
-        assert estimate_curvature(pts) == pytest.approx(5e-3, rel=1e-8)
+        assert fit_curvature(pts) == pytest.approx(5e-3, rel=1e-8)
 
     def test_collinear_points(self):
         pts = np.outer(np.linspace(0, 50, 10), [0.0, 0.6, 0.8])
-        assert estimate_curvature(pts) == 0.0
+        assert fit_curvature(pts) == 0.0
 
     def test_tilted_circle(self):
         # circle living in a rotated plane, recovered after plane projection
@@ -565,13 +576,13 @@ class TestEstimateCurvature:
         c, s = math.cos(0.6), math.sin(0.6)
         rot = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
         pts = raw @ rot.T + np.array([5.0, -3.0, 12.0])
-        assert estimate_curvature(pts) == pytest.approx(1.0 / r, rel=1e-8)
+        assert fit_curvature(pts) == pytest.approx(1.0 / r, rel=1e-8)
 
     def test_constant_input_rollout(self):
         s = NeedleState(p=(0, 0, 0), d=(0, 0, 1))
         states = rollout(s, [VirtualInput(10.0, 1.0, 0.0)] * 50, 0.05)
         pts = [st_.p for st_ in states]
-        assert estimate_curvature(pts) == pytest.approx(0.1, rel=1e-6)
+        assert _arc_curvature(pts) == pytest.approx(0.1, rel=1e-6)
 
     @staticmethod
     def _tilted_arc(rng, count):
@@ -593,7 +604,7 @@ class TestEstimateCurvature:
             for pts in (arc, noisy, three):
                 want = circle_fit_svd(pts)
                 assert want > 0.0
-                got = estimate_curvature([tuple(p) for p in pts.tolist()])
+                got = fit_curvature(pts)
                 assert abs(got - want) <= 1e-10 * want
 
     def test_collinear_in_any_direction_is_zero(self):
@@ -603,7 +614,7 @@ class TestEstimateCurvature:
             t = rng.uniform(-100.0, 100.0, int(rng.integers(3, 60)))
             pts = np.outer(t, direction) + rng.uniform(-200.0, 200.0, 3)
             assert circle_fit_svd(pts) == 0.0
-            assert estimate_curvature([tuple(p) for p in pts.tolist()]) == 0.0
+            assert fit_curvature(pts) == 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 120), st.booleans(),
            st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 2.0]))
@@ -617,24 +628,22 @@ class TestEstimateCurvature:
         else:
             pts = self._tilted_arc(rng, count)
         pts = [tuple(p) for p in (pts + rng.normal(0.0, noise, pts.shape)).tolist()]
-        want = estimate_curvature_multipass(pts).hex()
-        assert estimate_curvature(pts).hex() == want
-        assert _arc_curvature(tuple(pts)).hex() == want
+        assert _arc_curvature(pts).hex() == estimate_curvature_multipass(pts).hex()
 
     @pytest.mark.parametrize("scale", [1e110, 1e160, 1e300])
     def test_sums_beyond_the_float_range_are_invalid_input(self, scale):
         # the third powers of the in-plane coordinates overflow from about
         # 1e103 mm, their squares from 1e154 mm
         pts = [(scale * math.cos(0.1 * k), scale * math.sin(0.1 * k), 0.0) for k in range(10)]
-        for fit in (estimate_curvature, estimate_curvature_multipass):
+        for fit in (_arc_curvature, estimate_curvature_multipass):
             with pytest.raises(InvalidInputError, match="^points spread"):
                 fit(pts)
 
     def test_too_few_points(self):
-        with pytest.raises(InvalidInputError):
-            estimate_curvature([(0, 0, 0), (1, 0, 0)])
-        with pytest.raises(InvalidInputError):
-            estimate_curvature(np.zeros((2, 3)))
+        # a curvature is fitted only on the points of a CalibrationRun
+        for points in ([(0, 0, 0), (1, 0, 0)], np.zeros((2, 3))):
+            with pytest.raises(InvalidInputError, match="^tip_points must hold at least 3 points"):
+                CalibrationRun(1, 1.0, points)
 
     @pytest.mark.parametrize("points", [
         [("0", "0", "0"), ("1", "0", "0.1"), ("2", "0", "0.4")],
@@ -647,8 +656,8 @@ class TestEstimateCurvature:
         np.array(["0", "1", "2"]),
     ])
     def test_points_must_be_finite_numbers(self, points):
-        with pytest.raises(InvalidInputError, match="^points "):
-            estimate_curvature(points)
+        with pytest.raises(InvalidInputError, match="^tip_points "):
+            CalibrationRun(1, 1.0, points)
 
 
 class TestCalibrationCsv:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from needle_mpc import optimizer
+from needle_mpc import harness, mpc, optimizer, scenario
 from needle_mpc.errors import InvalidInputError, NumericalFailureError
+from needle_mpc.mpc import HorizonSolution, MpcConfig
 from needle_mpc.optimizer import (
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
@@ -29,8 +30,8 @@ def quadratic_problem(center, lower, upper, **kw):
 
     return BoxNlp(
         objective=objective,
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
+        lower=tuple(map(float, lower)),
+        upper=tuple(map(float, upper)),
         **kw,
     )
 
@@ -85,13 +86,18 @@ def projected_gradient_norm(x, g, lower, upper):
 
 
 class TestProblemValidation:
+    """BoxNlp is a plain record and minimize checks neither it nor x0.
+    The package builds every problem in mpc from an MpcConfig, whose checks
+    keep BoxNlp's contract: bounds of finite floats, lower <= upper,
+    max_iterations >= 1 and a positive tolerance."""
+
     def test_bounds_must_be_ordered(self):
         with pytest.raises(InvalidInputError):
-            quadratic_problem([0.0], lower=[1.0], upper=[-1.0])
+            MpcConfig(u_s_bounds=(1.0, -1.0))
 
     def test_tolerances_positive(self):
         with pytest.raises(InvalidInputError):
-            quadratic_problem([0.0], lower=[-1.0], upper=[1.0], gradient_tolerance=0.0)
+            MpcConfig(gradient_tolerance=0.0)
 
     def test_gradient_of_wrong_length_rejected(self):
         p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
@@ -100,32 +106,31 @@ class TestProblemValidation:
             minimize(p, x0=[0.5, 0.5])
 
     def test_nan_in_upper_only_named(self):
-        with pytest.raises(InvalidInputError, match=r"^bounds contain NaN$"):
-            quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, float("nan")])
+        with pytest.raises(InvalidInputError,
+                           match=r"^u_x_bounds_rad_s has a non-finite value nan$"):
+            MpcConfig(u_x_bounds=(-1.0, math.nan))
 
     def test_nan_reported_before_an_earlier_disorder(self):
-        # as in the elementwise checks it replaces: NaN first, then order
-        with pytest.raises(InvalidInputError, match=r"^bounds contain NaN$"):
-            quadratic_problem([0.0, 0.0], lower=[2, 0], upper=[1, float("nan")])
+        # every field is checked before the bounds' order
+        with pytest.raises(InvalidInputError,
+                           match=r"^u_x_bounds_rad_s has a non-finite value nan$"):
+            MpcConfig(u_s_bounds=(2.0, 1.0), u_x_bounds=(0.0, math.nan))
 
     def test_disorder_names_its_first_index(self):
         with pytest.raises(
             InvalidInputError,
-            match=r"^lower bound exceeds upper bound at index 1: 2\.0 > 1\.0$",
+            match=r"^u_x_bounds_rad_s: lower bound 2 exceeds upper bound 1$",
         ):
-            quadratic_problem([0.0] * 3, lower=[0, 2, 5], upper=[1, 1, 1])
+            MpcConfig(u_x_bounds=(2.0, 1.0), u_y_bounds=(5.0, 1.0))
 
     def test_shape_mismatch_names_both_shapes(self):
-        # the dimension is len(lower); upper must match it
         with pytest.raises(
             InvalidInputError,
-            match=r"^bounds must have equal lengths of at least 1, got 2 and 3$",
+            match=r"^u_s_bounds_mm_s must have shape \(2,\), got 1 entries$",
         ):
-            quadratic_problem([0.0] * 3, lower=[0, 0], upper=[1, 1, 1])
-        with pytest.raises(InvalidInputError, match=r"got 0 and 0$"):
-            quadratic_problem([], lower=[], upper=[])
-        with pytest.raises(InvalidInputError, match=r"^bounds must hold numbers only$"):
-            quadratic_problem([0.0] * 2, lower=[[0, 0]], upper=[1, 1])
+            MpcConfig(u_s_bounds=(0.0,))
+        lo, hi = MpcConfig(horizon=4).horizon_bounds()
+        assert len(lo) == len(hi) == 12
 
     @pytest.mark.parametrize("lower, upper", [
         (("-1", b"-1"), (True, "1")),
@@ -138,29 +143,9 @@ class TestProblemValidation:
         (-1.0, 1.0),
     ])
     def test_bounds_are_not_coerced(self, lower, upper):
-        with pytest.raises(InvalidInputError, match=r"^bounds must hold numbers only$"):
-            BoxNlp(objective=rosenbrock, lower=lower, upper=upper)
-
-    def test_bounds_beyond_the_float_range_are_infinite(self):
-        p = BoxNlp(objective=rosenbrock, lower=[-(10**400), np.int64(-1)], upper=[1, 10**400])
-        assert (p.lower, p.upper) == ((-math.inf, -1.0), (1.0, math.inf))
-        assert all(type(v) is float for v in p.lower + p.upper)
-
-    @pytest.mark.parametrize("x0, message", [
-        (["0.5", True], "x0 must be a number, got '0.5'"),
-        ([0.5, True], "x0 must be a number, got True"),
-        ([0.5, b"0.5"], "x0 must be a number, got b'0.5'"),
-        ("05", "x0 must be a list of numbers, got '05'"),
-        (0.5, "x0 must be a list of numbers, got 0.5"),
-        ([0.5], r"x0 must have shape \(2,\), got 1 entries"),
-        ([0.5, 0.5, 0.5], r"x0 must have shape \(2,\), got 3 entries"),
-        ([0.5, math.inf], "x0 has a non-finite value inf"),
-        (np.array([math.nan, 0.5]), r"x0 has a non-finite value \S*nan\S*"),
-    ])
-    def test_start_must_be_finite_numbers(self, x0, message):
-        p = BoxNlp(objective=rosenbrock, lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
-            minimize(p, x0)
+        with pytest.raises(InvalidInputError,
+                           match=r"^u_[sx]_bounds_(mm|rad)_s must be a (number|list)"):
+            MpcConfig(u_s_bounds=lower, u_x_bounds=upper)
 
     def test_no_value_only_objective(self):
         # one objective for value and gradient; the name stays readable
@@ -171,17 +156,12 @@ class TestProblemValidation:
 
     def test_max_iterations_at_least_one(self):
         with pytest.raises(InvalidInputError, match=r"^max_iterations must be >= 1, got 0$"):
-            quadratic_problem([0.0], lower=[-1.0], upper=[1.0], max_iterations=0)
+            MpcConfig(max_iterations=0)
 
     def test_infinite_bounds_accepted(self):
         inf = float("inf")
         p = quadratic_problem([0.5] * 3, lower=[-inf, -inf, 0.0], upper=[inf, 0.0, inf])
-        assert (p.lower, p.upper) == ((-inf, -inf, 0.0), (inf, 0.0, inf))
-        assert all(type(v) is float for v in p.lower + p.upper)
         assert minimize(p, x0=[0.0, 0.0, 0.0]).x == (0.5, 0.0, 0.5)
-        # equal infinite ends are ordered, as -inf <= -inf and inf <= inf
-        p = quadratic_problem([0.0] * 2, lower=[-inf, inf], upper=[-inf, inf])
-        assert (p.lower, p.upper) == ((-inf, inf), (-inf, inf))
 
     def test_start_outside_box_is_projected(self):
         p = quadratic_problem([0.0, 0.0], lower=[-1, -1], upper=[1, 1])
@@ -210,7 +190,7 @@ class TestQuadratics:
     @settings(max_examples=100, deadline=None)
     def test_clamp_formula_property(self, c, x0):
         p = quadratic_problem(c, lower=[-1, -1], upper=[1, 1])
-        res = minimize(p, x0=np.array(x0))
+        res = minimize(p, x0=x0)
         want = np.clip(c, -1.0, 1.0)
         assert res.x == pytest.approx(want, abs=1e-6)
         assert np.all(np.asarray(res.x) >= -1.0) and np.all(np.asarray(res.x) <= 1.0)
@@ -220,8 +200,8 @@ class TestRosenbrock:
     def test_value_matches_grid_refinement_oracle(self):
         p = BoxNlp(
             objective=rosenbrock,
-            lower=np.array([-2.0, -2.0]),
-            upper=np.array([2.0, 2.0]),
+            lower=(-2.0, -2.0),
+            upper=(2.0, 2.0),
             max_iterations=5000,
             gradient_tolerance=1e-12,
         )
@@ -241,8 +221,8 @@ class TestRosenbrock:
         for k in (1, 3, 10, 30, 100, 300):
             p = BoxNlp(
                 objective=rosenbrock,
-                lower=np.array([-2.0, -2.0]),
-                upper=np.array([2.0, 2.0]),
+                lower=(-2.0, -2.0),
+                upper=(2.0, 2.0),
                 max_iterations=k,
             )
             values.append(minimize(p, x0=[-1.2, 1.0]).value)
@@ -251,8 +231,8 @@ class TestRosenbrock:
     def test_iteration_cap_reported(self):
         p = BoxNlp(
             objective=rosenbrock,
-            lower=np.array([-2.0, -2.0]),
-            upper=np.array([2.0, 2.0]),
+            lower=(-2.0, -2.0),
+            upper=(2.0, 2.0),
             max_iterations=2,
             gradient_tolerance=1e-14,
         )
@@ -284,8 +264,8 @@ class TestFeasibility:
 
         p = BoxNlp(
             objective=objective,
-            lower=np.array([-1.0, -1.0]),
-            upper=np.array([1.0, 1.0]),
+            lower=(-1.0, -1.0),
+            upper=(1.0, 1.0),
         )
         minimize(p, x0=[0.5, -0.5])
         pts = np.array(seen)
@@ -304,8 +284,8 @@ class TestMultiStart:
     def test_multi_start_escapes_local_basin(self):
         p = BoxNlp(
             objective=self.bumpy,
-            lower=np.array([-1.0, -1.0]),
-            upper=np.array([1.0, 1.0]),
+            lower=(-1.0, -1.0),
+            upper=(1.0, 1.0),
         )
         local = minimize(p, x0=[-0.9, -0.9])
         assert local.value == pytest.approx(0.5, abs=1e-6)
@@ -315,8 +295,8 @@ class TestMultiStart:
     def test_same_seed_same_answer(self):
         p = BoxNlp(
             objective=self.bumpy,
-            lower=np.array([-1.0, -1.0]),
-            upper=np.array([1.0, 1.0]),
+            lower=(-1.0, -1.0),
+            upper=(1.0, 1.0),
         )
         a = minimize(p, x0=[0.0, 0.0], multi_start=5, seed=11)
         b = minimize(p, x0=[0.0, 0.0], multi_start=5, seed=11)
@@ -324,20 +304,20 @@ class TestMultiStart:
         assert a.value == b.value
 
     def test_multi_start_requires_finite_bounds(self):
-        p = BoxNlp(
-            objective=lambda x: (float(x[0] ** 2), 2.0 * x),
-            lower=np.array([-np.inf]),
-            upper=np.array([np.inf]),
-        )
-        with pytest.raises(InvalidInputError):
-            minimize(p, x0=[1.0], multi_start=4, seed=0)
+        # the random starts are drawn in the box, which MpcConfig keeps finite
+        for name in ("u_s_bounds", "u_x_bounds", "u_y_bounds"):
+            with pytest.raises(InvalidInputError, match="has a non-finite value -?inf$"):
+                MpcConfig(multi_start=4, **{name: (-math.inf, 1.0)})
+            with pytest.raises(InvalidInputError, match="has a non-finite value -?inf$"):
+                MpcConfig(multi_start=4, **{name: (-1.0, math.inf)})
 
-    def test_infinite_bounds_rejected_before_any_solve(self):
+    def test_infinite_bounds_rejected_before_any_solve(self, monkeypatch):
         calls = []
-        p = quadratic_problem([0.0], lower=[-np.inf], upper=[np.inf])
-        p.objective = lambda x: calls.append(x) or (0.0, [0.0])
-        with pytest.raises(InvalidInputError):
-            minimize(p, x0=[1.0], multi_start=4, seed=0)
+        monkeypatch.setattr(mpc, "minimize", lambda *args, **kwargs: calls.append(args))
+        doc = scenario.scenario_to_dict(scenario.load_preset("target1"))
+        doc["mpc"].update(u_x_bounds_rad_s=[-math.inf, math.inf], multi_start=4)
+        with pytest.raises(InvalidInputError, match="u_x_bounds_rad_s has a non-finite value"):
+            harness.run_closed_loop(scenario.scenario_from_dict(doc))
         assert calls == []
 
 
@@ -348,8 +328,8 @@ class TestFloatListLoop:
     def rosenbrock_box(lower=(-0.5, 0.2), upper=(0.8, 1.5)):
         return BoxNlp(
             objective=rosenbrock,
-            lower=np.array(lower),
-            upper=np.array(upper),
+            lower=lower,
+            upper=upper,
             max_iterations=300,
         )
 
@@ -365,13 +345,12 @@ class TestFloatListLoop:
 
     @pytest.mark.parametrize("multi_start", [0, 3])
     def test_result_point_is_a_tuple_of_floats(self, multi_start):
-        # numpy bounds and start; the objective computes on Python floats
+        # a list start; the objective computes on Python floats
         def objective(x):
             return (x[0] - 2.0) ** 2 + x[1] ** 2, [2.0 * (x[0] - 2.0), 2.0 * x[1]]
 
-        p = BoxNlp(objective=objective, lower=np.array([-1.0, -1.0]), upper=np.ones(2))
-        assert all(type(v) is float for v in p.lower + p.upper)
-        res = minimize(p, x0=np.array([0.5, 0.5]), multi_start=multi_start, seed=1)
+        p = BoxNlp(objective=objective, lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        res = minimize(p, x0=[0.5, 0.5], multi_start=multi_start, seed=1)
         assert type(res.x) is tuple and all(type(v) is float for v in res.x)
         assert res.x == pytest.approx((1.0, 0.0), abs=1e-8)
 
@@ -415,7 +394,7 @@ class TestFloatListLoop:
 
         n = len(center)
         p = BoxNlp(
-            objective=objective, lower=-np.ones(n), upper=np.ones(n),
+            objective=objective, lower=(-1.0,) * n, upper=(1.0,) * n,
             gradient_tolerance=1e-10,
         )
         res = minimize(p, x0=x0)
@@ -458,7 +437,7 @@ class TestFloatListLoop:
 
             n = len(center)
             p = BoxNlp(
-                objective=objective, lower=-np.ones(n), upper=np.ones(n),
+                objective=objective, lower=(-1.0,) * n, upper=(1.0,) * n,
                 gradient_tolerance=1e-10,
             )
             res = minimize(p, x0=x0)
@@ -531,10 +510,16 @@ class TestWarmStartedRun:
         if steplength >= alpha_0:
             assert (res, log) == logged_minimize(self.problem(), self.X0)
 
-    @pytest.mark.parametrize("steplength", [0.0, -1.0, 1e-13, 1e11, math.nan, math.inf])
+    @pytest.mark.parametrize("steplength", [0.0, -1.0, 1e-13, 1e11, math.nan, math.inf,
+                                            True, "1e-3"])
     def test_steplength_out_of_range_rejected(self, steplength):
-        with pytest.raises(InvalidInputError, match=r"steplength must be in \[1e-12, 1e\+10\]"):
-            minimize(self.problem(), self.X0, steplength=steplength)
+        # minimize takes the steplength as given; a carried one comes from a
+        # warm start, whose constructor checks it
+        with pytest.raises(InvalidInputError, match=r"^steplength must be in \[1e-12, 1e\+10\]"):
+            HorizonSolution((0.0,) * 3, cost=0.0, solver_status="converged",
+                            steplength=steplength)
+        kept = HorizonSolution((0.0,) * 3, cost=0.0, solver_status="converged", steplength=1)
+        assert type(kept.steplength) is float
 
     def test_random_starts_keep_their_own_steplength(self):
         p = TestFloatListLoop.rosenbrock_box()
@@ -557,7 +542,8 @@ class TestNonmonotoneLineSearch:
     @staticmethod
     def recorded_run(objective, lower, upper, x0, max_iterations):
         """The result and every accepted (point, value, pg norm), f(x0) first."""
-        p = BoxNlp(objective=objective, lower=lower, upper=upper, max_iterations=max_iterations)
+        p = BoxNlp(objective=objective, lower=tuple(lower), upper=tuple(upper),
+                   max_iterations=max_iterations)
         res, log = logged_minimize(p, x0)
         return res, [(tuple(x), f, projected_gradient_norm(x, g, p.lower, p.upper))
                      for _, x, f, g in [log[0]] + accepted_points(log)]
@@ -629,22 +615,17 @@ class TestScaledMetric:
     """BoxNlp.scale, the solver's diagonal metric h: the steps run in it,
     the stop tests stay in the problem's units."""
 
-    @pytest.mark.parametrize("scale, message", [
-        ((1.0,), "scale must have shape"),
-        ((1.0, 0.0), "scale must be positive"),
-        ((1.0, -2.0), "scale must be positive"),
-        ((1.0, math.inf), "scale has a non-finite"),
-        ((math.nan, 1.0), "scale has a non-finite"),
-        ((True, 1.0), "scale must be a number"),
-        ("12", "scale must be a list"),
-    ])
-    def test_scale_is_checked(self, scale, message):
-        with pytest.raises(InvalidInputError, match=message):
-            quadratic_problem([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], scale=scale)
-
-    def test_scale_kept_as_float_tuple(self):
-        p = quadratic_problem([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], scale=np.array([2, 3]))
-        assert p.scale == (2.0, 3.0) and all(type(h) is float for h in p.scale)
+    def test_scale_kept_as_float_tuple(self, monkeypatch):
+        # the metric mpc hands the solver: None or a tuple of finite
+        # positive floats, one per input
+        problems, run = [], mpc.minimize
+        monkeypatch.setattr(mpc, "minimize", lambda p, *args, **kw: problems.append(p) or run(
+            p, *args, **kw))
+        harness.run_closed_loop(scenario.load_preset("planar_slow"))
+        assert problems
+        for p in problems:
+            assert type(p.scale) is tuple and len(p.scale) == len(p.lower)
+            assert all(type(h) is float and 0.0 < h < math.inf for h in p.scale)
 
     @staticmethod
     def runs(objective, lower, upper, x0, max_iterations):
@@ -657,7 +638,7 @@ class TestScaledMetric:
                 calls.append(tuple(map(float.hex, x)))
                 return objective(x)
 
-            p = BoxNlp(objective=recorded, lower=lower, upper=upper,
+            p = BoxNlp(objective=recorded, lower=tuple(lower), upper=tuple(upper),
                        max_iterations=max_iterations, scale=scale)
             out.append((result_bits(minimize(p, x0)), calls))
         return out
@@ -757,8 +738,8 @@ class TestFirstIterationInterpolation:
                 return value(x), [2.0 * w * (v - c) for v, c, w in zip(x, center, weights)]
 
             n = len(center)
-            _, log = logged_minimize(BoxNlp(objective=objective, lower=np.full(n, -np.inf),
-                                            upper=np.full(n, np.inf), gradient_tolerance=1e-10),
+            _, log = logged_minimize(BoxNlp(objective=objective, lower=(-math.inf,) * n,
+                                            upper=(math.inf,) * n, gradient_tolerance=1e-10),
                                      x0=x0)
             # (accepted point, its value, the line-search trials from it)
             iterations = [(log[0][1], log[0][2], [])]
@@ -798,8 +779,8 @@ class TestExitPaths:
         # alpha * g * g underflows, so g'd is 0 although pg exceeds the tolerance
         p = BoxNlp(
             objective=lambda x: (1e-170 * x[0], [1e-170]),
-            lower=np.array([-1.0]),
-            upper=np.array([1.0]),
+            lower=(-1.0,),
+            upper=(1.0,),
             gradient_tolerance=1e-300,
         )
         res = minimize(p, x0=[0.0])
@@ -827,8 +808,8 @@ class TestExitPaths:
         # is about 2e-7, reached long before lam < 1e-14
         p = BoxNlp(
             objective=lambda x: (1e10 + (0.25 if x == [0.0] else 1.0), [2.0 * (x[0] - 0.5)]),
-            lower=np.array([-1.0]),
-            upper=np.array([1.0]),
+            lower=(-1.0,),
+            upper=(1.0,),
             gradient_tolerance=1e-300,
         )
         res = minimize(p, x0=[0.0])
@@ -844,7 +825,7 @@ class TestExitPaths:
             r = b - a * a
             return a * a + 1e8 * r * r, [2.0 * a - 4e8 * a * r, 2e8 * r]
 
-        p = BoxNlp(objective=valley, lower=[-2.0, -2.0], upper=[2.0, 2.0])
+        p = BoxNlp(objective=valley, lower=(-2.0, -2.0), upper=(2.0, 2.0))
         res, log = logged_minimize(p, x0=[1.5, 1.0])
         assert (res.status, res.stop, res.iterations) == (STATUS_STALLED, "step_tol", 78)
         assert res.value < valley([1.5, 1.0])[0]
@@ -860,8 +841,8 @@ class TestExitPaths:
     def test_max_iter_returns_last_accepted_iterate(self):
         p = BoxNlp(
             objective=rosenbrock,
-            lower=np.array([-2.0, -2.0]),
-            upper=np.array([2.0, 2.0]),
+            lower=(-2.0, -2.0),
+            upper=(2.0, 2.0),
             max_iterations=1,
         )
         res = minimize(p, x0=[-1.2, 1.0])
@@ -877,7 +858,7 @@ class TestExitPaths:
             return e * e, [2.0 * e if x[0] < 0.25 else bad]
 
         p = BoxNlp(
-            objective=objective, lower=np.array([-1.0]), upper=np.array([1.0])
+            objective=objective, lower=(-1.0,), upper=(1.0,)
         )
         with pytest.raises(NumericalFailureError):
             minimize(p, x0=[-1.0])
@@ -1068,7 +1049,8 @@ class TestReferenceRun:
                 objective = self.objective(*args)
                 problem = BoxNlp(objective=objective, lower=lower, upper=upper,
                                  max_iterations=d["max_iterations"],
-                                 gradient_tolerance=d["gradient_tolerance"], scale=d["scale"])
+                                 gradient_tolerance=d["gradient_tolerance"],
+                                 scale=d["scale"] and tuple(d["scale"]))
                 x0 = tuple(d["x0"])
                 start = None
                 if d["use_start"]:

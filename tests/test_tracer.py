@@ -49,3 +49,4 @@ def test_traced_run_records_the_plant_step_and_uninstall_restores_every_name():
     assert _namespaces() == before
     # names kept only for the tracer, restored as the placeholders they are
     assert harness.step_euler is None and mpc.rollout is None
+    assert calibration.estimate_curvature is None and calibration.fit_gain is None
